@@ -5,17 +5,19 @@
 //! real dispatch) under three durability cells over identical op streams:
 //!
 //! * **none** — persistence off: the no-WAL baseline;
-//! * **strict** — `SyncPolicy::Strict`: every logged mutation is fsynced
-//!   before the ack (zero acknowledged-write loss on `kill -9`);
+//! * **strict** — `SyncPolicy::Strict`: every logged mutation is durable
+//!   before its ack leaves, one group commit per acknowledged request (zero
+//!   acknowledged-write loss on `kill -9`);
 //! * **relaxed** — `SyncPolicy::Relaxed { 5 ms }`: appends land in the
 //!   page cache and a background flusher closes the gap, so fsyncs
 //!   amortize over many acks (bounded-tail loss on `kill -9`).
 //!
 //! The gate is the flush-gap signature, not raw speed: both durable cells
 //! must log every put (`hcl_persist_appended` == total puts), the `none`
-//! cell must log nothing, strict must fsync *per append* while relaxed
-//! fsyncs orders of magnitude less, and relaxed throughput must not
-//! collapse relative to strict. The full run (no args) writes
+//! cell must log nothing, strict must leave nothing un-durable behind its
+//! last ack (every log's durable LSN caught up with its appended LSN) at no
+//! more than one fsync per put, relaxed must fsync orders of magnitude
+//! less, and relaxed throughput must not collapse relative to strict. The full run (no args) writes
 //! `BENCH_pr10.json` into the repo root with puts/s, merged p50/p99 and
 //! the persist counters per cell. `--smoke` runs a reduced subset with the
 //! same invariants and validates the committed JSON; `--validate` only
@@ -68,6 +70,8 @@ struct CellResult {
     p50_ns: u64,
     p99_ns: u64,
     appended: u64,
+    /// Records covered by a sync barrier when the last ack had returned.
+    durable: u64,
     fsyncs: u64,
 }
 
@@ -95,7 +99,7 @@ fn run_cell(cell: Cell, puts: u64) -> CellResult {
         ..PersistConfig::strict(&dir)
     });
     let cfg = WorldConfig { nodes: RANKS, ranks_per_node: 1, ..WorldConfig::small() };
-    let per_rank: Vec<(f64, Vec<u64>, u64, u64)> = World::run(cfg, move |rank| {
+    let per_rank: Vec<(f64, Vec<u64>, [u64; 3])> = World::run(cfg, move |rank| {
         let map: UnorderedMap<u64, Vec<u8>> = UnorderedMap::with_config(
             rank,
             "pr10.map",
@@ -115,16 +119,19 @@ fn run_cell(cell: Cell, puts: u64) -> CellResult {
         }
         let dt = t0.elapsed().as_secs_f64();
         rank.barrier();
+        // Every put has been acknowledged; read before anything else (a
+        // flusher pass) can move the counters.
         let reg = rank.telemetry().registry();
-        let appended = reg.counter("hcl_persist_appended").get();
-        let fsyncs = reg.counter("hcl_persist_fsyncs").get();
+        let counters = ["hcl_persist_appended", "hcl_persist_durable", "hcl_persist_fsyncs"]
+            .map(|name| reg.counter(name).get());
         rank.barrier();
-        (dt, lat, appended, fsyncs)
+        (dt, lat, counters)
     });
     let _ = std::fs::remove_dir_all(&dir);
 
-    let slowest = per_rank.iter().map(|(dt, _, _, _)| *dt).fold(0.0f64, f64::max).max(1e-9);
-    let mut merged: Vec<u64> = per_rank.iter().flat_map(|(_, l, _, _)| l.iter().copied()).collect();
+    let slowest = per_rank.iter().map(|(dt, _, _)| *dt).fold(0.0f64, f64::max).max(1e-9);
+    let mut merged: Vec<u64> = per_rank.iter().flat_map(|(_, l, _)| l.iter().copied()).collect();
+    let counter = |i: usize| per_rank.iter().map(|(_, _, c)| c[i]).sum();
     merged.sort_unstable();
     let total = merged.len() as u64;
     CellResult {
@@ -134,8 +141,9 @@ fn run_cell(cell: Cell, puts: u64) -> CellResult {
         puts_per_sec: total as f64 / slowest,
         p50_ns: percentile(&merged, 0.50),
         p99_ns: percentile(&merged, 0.99),
-        appended: per_rank.iter().map(|(_, _, a, _)| a).sum(),
-        fsyncs: per_rank.iter().map(|(_, _, _, f)| f).sum(),
+        appended: counter(0),
+        durable: counter(1),
+        fsyncs: counter(2),
     }
 }
 
@@ -149,9 +157,18 @@ fn assert_invariants(none: &CellResult, strict: &CellResult, relaxed: &CellResul
             r.cell, r.appended, r.total_puts
         );
     }
+    // `durable` never runs ahead of `appended` on any one log, so equal sums
+    // mean every strict log's durable LSN equals its appended LSN.
+    assert_eq!(
+        strict.durable, strict.appended,
+        "strict cell acknowledged its last put with {} of {} records durable — an ack \
+         outran its commit",
+        strict.durable, strict.appended
+    );
     assert!(
-        strict.fsyncs >= strict.total_puts,
-        "strict cell fsynced {} times for {} puts — a flush barrier was skipped",
+        strict.fsyncs <= strict.total_puts,
+        "strict cell fsynced {} times for {} puts — more than one barrier per acknowledged \
+         request",
         strict.fsyncs,
         strict.total_puts
     );
@@ -176,14 +193,14 @@ fn write_json(cells: &[CellResult], puts: u64, path: &str) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"pr10_sync_epochs\",\n");
-    out.push_str("  \"description\": \"8-rank zipfian durable puts: no persistence vs strict (fsync per flush barrier) vs relaxed (background flusher, bounded flush gap)\",\n");
+    out.push_str("  \"description\": \"8-rank zipfian durable puts: no persistence vs strict (one group commit per acknowledged request) vs relaxed (background flusher, bounded flush gap)\",\n");
     out.push_str(&format!(
         "  \"config\": {{\"ranks\": {RANKS}, \"key_space\": {KEY_SPACE}, \"value_bytes\": {VALUE_BYTES}, \"theta\": {THETA}, \"seed\": {SEED}, \"puts_per_rank\": {puts}, \"relaxed_interval_ms\": 5, \"hybrid\": false}},\n"
     ));
     out.push_str("  \"results\": [\n");
     for (i, r) in cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"cell\": \"{}\", \"elapsed_s\": {:.6}, \"total_puts\": {}, \"puts_per_sec\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \"appended\": {}, \"fsyncs\": {}}}{}\n",
+            "    {{\"cell\": \"{}\", \"elapsed_s\": {:.6}, \"total_puts\": {}, \"puts_per_sec\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \"appended\": {}, \"durable\": {}, \"fsyncs\": {}}}{}\n",
             r.cell,
             r.elapsed_s,
             r.total_puts,
@@ -191,6 +208,7 @@ fn write_json(cells: &[CellResult], puts: u64, path: &str) {
             r.p50_ns,
             r.p99_ns,
             r.appended,
+            r.durable,
             r.fsyncs,
             if i + 1 == cells.len() { "" } else { "," }
         ));
@@ -282,8 +300,8 @@ fn main() {
         [Cell::None, Cell::Strict, Cell::Relaxed].into_iter().map(|c| run_cell(c, puts)).collect();
     for r in &cells {
         println!(
-            "{:<8} {:>12.0} puts/s  p50 {:>7} ns  p99 {:>8} ns  appended {:>7}  fsyncs {:>7}",
-            r.cell, r.puts_per_sec, r.p50_ns, r.p99_ns, r.appended, r.fsyncs
+            "{:<8} {:>12.0} puts/s  p50 {:>7} ns  p99 {:>8} ns  appended {:>7}  durable {:>7}  fsyncs {:>7}",
+            r.cell, r.puts_per_sec, r.p50_ns, r.p99_ns, r.appended, r.durable, r.fsyncs
         );
     }
     assert_invariants(&cells[0], &cells[1], &cells[2]);

@@ -257,8 +257,19 @@ where
     fn log_op(&self, rec: &LogRec<K, V>, fn_off: u32) {
         if let Some(log) = &self.log {
             let ident = crate::persist::op_identity(self.home, &self.local_seq);
-            let _ = log.append_op(rec, fn_off as u16, ident);
+            log.log_mutation(rec, fn_off as u16, ident);
         }
+    }
+
+    /// The strict read barrier: run `read` against the live structure and
+    /// hand its result back only under the barrier of whatever logged
+    /// mutation it may reflect (see [`OpLog::read_fence`]).
+    fn read<R>(&self, read: impl FnOnce(&SkipListMap<K, V>) -> R) -> R {
+        let out = read(&self.map);
+        if let Some(log) = &self.log {
+            log.read_fence();
+        }
+        out
     }
 
     fn apply_put(&self, key: K, value: V) -> bool {
@@ -348,7 +359,10 @@ where
 
     /// Old-owner side: copy (do not remove) every entry of `vpart`.
     fn mig_extract(&self, vpart: usize) -> Vec<(K, V)> {
-        self.map.iter_snapshot().into_iter().filter(|(k, _)| self.vpart_of(k) == vpart).collect()
+        self.read(|m| m.iter_snapshot())
+            .into_iter()
+            .filter(|(k, _)| self.vpart_of(k) == vpart)
+            .collect()
     }
 
     /// New-owner side: install one copied entry — insert-if-absent under
@@ -463,24 +477,28 @@ fn bind_handlers<K, V>(
         p[&server.rank].apply_put(k, v)
     });
     let p = parts.clone();
-    reg.bind_typed(fn_base + FN_GET, move |server: EpId, _, k: K| p[&server.rank].map.get(&k));
+    reg.bind_typed(fn_base + FN_GET, move |server: EpId, _, k: K| {
+        p[&server.rank].read(|m| m.get(&k))
+    });
     let p = parts.clone();
     reg.bind_typed(fn_base + FN_ERASE, move |server: EpId, _, k: K| {
         p[&server.rank].apply_erase(&k)
     });
     let p = parts.clone();
     reg.bind_typed(fn_base + FN_LEN, move |server: EpId, _, ()| {
-        p[&server.rank].map.len() as u64
+        p[&server.rank].read(|m| m.len() as u64)
     });
     let p = parts.clone();
-    reg.bind_typed(fn_base + FN_FIRST, move |server: EpId, _, ()| p[&server.rank].map.first());
+    reg.bind_typed(fn_base + FN_FIRST, move |server: EpId, _, ()| {
+        p[&server.rank].read(|m| m.first())
+    });
     let p = parts.clone();
     reg.bind_typed(fn_base + FN_RANGE, move |server: EpId, _, (lo, hi): (K, K)| {
-        p[&server.rank].map.range_snapshot(&lo, &hi)
+        p[&server.rank].read(|m| m.range_snapshot(&lo, &hi))
     });
     let p = parts.clone();
     reg.bind_typed(fn_base + FN_SNAPSHOT, move |server: EpId, _, ()| {
-        p[&server.rank].map.iter_snapshot()
+        p[&server.rank].read(|m| m.iter_snapshot())
     });
     // Skiplist partitions grow node-by-node; the paper's realloc-style
     // resize is satisfied trivially, but the surface is kept for parity.
@@ -569,7 +587,10 @@ where
         let cfg2 = cfg.clone();
         let name2 = name.to_string();
         let pmetrics = if rank.telemetry().enabled() {
-            crate::persist::PersistMetrics::from_registry(rank.telemetry().registry())
+            crate::persist::PersistMetrics::from_registry(
+                rank.telemetry().registry(),
+                Arc::clone(rank.telemetry().flight()),
+            )
         } else {
             crate::persist::PersistMetrics::detached()
         };
@@ -742,7 +763,7 @@ where
             self.get_from_replica(hash, key)
         } else {
             self.d.sync_keyed_ref(&ops::GET, hash, key, |owner| {
-                self.core.parts[&owner].map.get(key)
+                self.core.parts[&owner].read(|m| m.get(key))
             })
         };
         hist_return!(self.d, tok, &result, |v| crate::DsRet::Value(
@@ -800,7 +821,7 @@ where
         let mut total = 0;
         for &owner in map.members() {
             total += self.d.sync_ref(&ops::LEN, owner, &(), || {
-                self.core.parts[&owner].map.len() as u64
+                self.core.parts[&owner].read(|m| m.len() as u64)
             })?;
         }
         Ok(total)
@@ -817,7 +838,9 @@ where
         let mut best: Option<(K, V)> = None;
         for &owner in map.members() {
             let cand: Option<(K, V)> =
-                self.d.sync_ref(&ops::FIRST, owner, &(), || self.core.parts[&owner].map.first())?;
+                self.d.sync_ref(&ops::FIRST, owner, &(), || {
+                    self.core.parts[&owner].read(|m| m.first())
+                })?;
             if let Some((k, v)) = cand {
                 if best.as_ref().is_none_or(|(bk, _)| k < *bk) {
                     best = Some((k, v));
@@ -834,7 +857,7 @@ where
         let mut out = Vec::new();
         for &owner in map.members() {
             let part: Vec<(K, V)> = self.d.sync_ref(&ops::RANGE, owner, &args, || {
-                self.core.parts[&owner].map.range_snapshot(lo, hi)
+                self.core.parts[&owner].read(|m| m.range_snapshot(lo, hi))
             })?;
             out.extend(part);
         }
@@ -848,7 +871,7 @@ where
         let mut out = Vec::new();
         for &owner in map.members() {
             let part: Vec<(K, V)> = self.d.sync_ref(&ops::SNAPSHOT, owner, &(), || {
-                self.core.parts[&owner].map.iter_snapshot()
+                self.core.parts[&owner].read(|m| m.iter_snapshot())
             })?;
             out.extend(part);
         }

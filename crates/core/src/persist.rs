@@ -3,9 +3,11 @@
 //!
 //! The policy surface ([`SyncPolicy`], [`PersistConfig`]) and the segmented,
 //! checksummed log machinery live in `hcl-persist`; this module adds the
-//! [`DataBox`]-typed [`OpLog`] veneer the containers log through, and the
+//! [`DataBox`]-typed [`OpLog`] veneer the containers log through, the
 //! recovery-descriptor stamping that ties each logged mutation to the RPC
-//! request (or local-bypass sequence) that produced it.
+//! request (or local-bypass sequence) that produced it, and the placement of
+//! the strict policy's barrier: deferred to the request's ack scope on a NIC
+//! worker (one commit per acknowledged request), inline everywhere else.
 
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
@@ -13,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hcl_databox::{DataBox, Reader};
+use hcl_rpc::server::{defer_to_ack_scope, poison_ack_scope, AckBarrier};
 
 pub use hcl_persist::{
     Flusher, PersistConfig, PersistMetrics, ReplayReport, SyncPolicy, Wal, WalRecord,
@@ -34,12 +37,24 @@ pub(crate) fn op_identity(home: u32, local_seq: &AtomicU64) -> (u32, u64) {
     }
 }
 
+/// The ack barrier of a strict log: "commit the WAL up to this LSN".
+struct WalBarrier(Arc<Wal>);
+
+impl AckBarrier for WalBarrier {
+    fn commit(&self, lsn: u64) -> std::io::Result<()> {
+        self.0.commit(lsn)
+    }
+}
+
 /// A typed, per-partition operation log: [`DataBox`] records framed and
 /// checksummed by the segmented WAL underneath. Every mutating container op
 /// appends one record; recovery replays the log into a fresh structure,
 /// exactly-once by `(rank, seq)` descriptor.
 pub struct OpLog<Rec: DataBox> {
     wal: Arc<Wal>,
+    /// `Some` under [`SyncPolicy::Strict`]: what an append or a read of a
+    /// not-yet-durable value owes before its outcome may leave.
+    barrier: Option<Arc<dyn AckBarrier>>,
     report: ReplayReport,
     _rec: PhantomData<fn(Rec)>,
 }
@@ -71,7 +86,11 @@ impl<Rec: DataBox> OpLog<Rec> {
                 apply(rec);
             }
         })?;
-        Ok(OpLog { wal: Arc::new(wal), report, _rec: PhantomData })
+        let wal = Arc::new(wal);
+        let barrier = policy
+            .is_strict()
+            .then(|| Arc::new(WalBarrier(Arc::clone(&wal))) as Arc<dyn AckBarrier>);
+        Ok(OpLog { wal, barrier, report, _rec: PhantomData })
     }
 
     /// Open partition `p` of container `name` under `cfg`.
@@ -91,11 +110,53 @@ impl<Rec: DataBox> OpLog<Rec> {
     }
 
     /// Append one record stamped with its dispatch op index and `(rank,
-    /// seq)` recovery descriptor.
+    /// seq)` recovery descriptor, packed straight into the log's frame
+    /// buffer. Under the strict policy the record is durable before anyone
+    /// can be told about it: on a NIC worker the commit is deferred to the
+    /// request's ack scope, anywhere else it happens before this returns.
     pub fn append_op(&self, rec: &Rec, op: u16, identity: (u32, u64)) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(64);
-        rec.pack(&mut buf);
-        self.wal.append(WalRecord { op, rank: identity.0, seq: identity.1, payload: &buf })
+        let lsn = self.wal.append_with(op, identity, |buf| rec.pack(buf))?;
+        self.durable_before_ack(lsn)
+    }
+
+    /// The strict barrier for `lsn`: registered with the ack scope of the
+    /// request this thread is executing (the worker commits once, before the
+    /// response is published), or — no request, so nothing to defer to —
+    /// committed here. Nothing to do under the other policies.
+    fn durable_before_ack(&self, lsn: u64) -> std::io::Result<()> {
+        match &self.barrier {
+            Some(barrier) if !defer_to_ack_scope(barrier, lsn) => self.wal.commit(lsn),
+            _ => Ok(()),
+        }
+    }
+
+    /// Log one container mutation. An I/O failure has been counted and
+    /// flight-recorded by the WAL; under the strict policy it must also not
+    /// be acknowledged, so on a NIC worker the request's ack scope is
+    /// poisoned and its response dropped.
+    pub(crate) fn log_mutation(&self, rec: &Rec, op: u16, identity: (u32, u64)) {
+        if self.append_op(rec, op, identity).is_err() && self.barrier.is_some() {
+            poison_ack_scope();
+        }
+    }
+
+    /// Read barrier of the strict policy, called *after* a read handler took
+    /// its value from the live structure. Mutations are applied right after
+    /// their append and committed only at their request's acknowledgement, so
+    /// the value may belong to a record that is not durable yet; showing it
+    /// to a client is an acknowledgement too. When the log has such records
+    /// (`appended > durable`: two atomic loads, nothing else on the common
+    /// path) this read owes the same barrier as the write.
+    pub(crate) fn read_fence(&self) {
+        if self.barrier.is_none() {
+            return;
+        }
+        let appended = self.wal.appended_lsn();
+        if appended > self.wal.durable_lsn() {
+            // A failed inline commit is counted by the WAL; a failed
+            // deferred one drops this request's response.
+            let _ = self.durable_before_ack(appended);
+        }
     }
 
     /// Push buffered appends to the OS (no durability barrier).
@@ -119,11 +180,7 @@ impl<Rec: DataBox> OpLog<Rec> {
     where
         Rec: 'a,
     {
-        self.wal.compact(records.map(|rec| {
-            let mut buf = Vec::with_capacity(64);
-            rec.pack(&mut buf);
-            (0u16, buf)
-        }))
+        self.wal.compact(records.map(|rec| (0u16, |buf: &mut Vec<u8>| rec.pack(buf))))
     }
 
     /// What replay found when this log was opened.
@@ -175,7 +232,7 @@ impl<T: DataBox + Clone> SpLog<T> {
     /// a fresh local sequence (hybrid bypass).
     pub(crate) fn record(&self, tag: u8, value: Option<&T>, fn_off: u32) {
         let ident = op_identity(self.home, &self.local_seq);
-        let _ = self.log.append_op(&(tag, value.cloned()), fn_off as u16, ident);
+        self.log.log_mutation(&(tag, value.cloned()), fn_off as u16, ident);
     }
 
     /// Log one mutation under a fresh local sequence unconditionally. Bulk
@@ -185,7 +242,7 @@ impl<T: DataBox + Clone> SpLog<T> {
     pub(crate) fn record_local(&self, tag: u8, value: Option<&T>, fn_off: u32) {
         let ident =
             (self.home, self.local_seq.fetch_add(1, Ordering::Relaxed) | LOCAL_SEQ_BIT);
-        let _ = self.log.append_op(&(tag, value.cloned()), fn_off as u16, ident);
+        self.log.log_mutation(&(tag, value.cloned()), fn_off as u16, ident);
     }
 
     /// Replace history with a push-per-element snapshot of the live contents.
@@ -198,6 +255,35 @@ impl<T: DataBox + Clone> SpLog<T> {
     /// The untyped WAL underneath (for flusher registration).
     pub(crate) fn wal(&self) -> &Arc<Wal> {
         self.log.wal()
+    }
+}
+
+/// Run `read` against a single-partition container and hand its result back
+/// under the strict read barrier of its log, if it has one (see
+/// [`OpLog::read_fence`]).
+pub(crate) fn fenced<T: DataBox + Clone, R>(
+    log: &Option<Arc<SpLog<T>>>,
+    read: impl FnOnce() -> R,
+) -> R {
+    let out = read();
+    if let Some(l) = log {
+        l.log.read_fence();
+    }
+    out
+}
+
+/// Log a pop that removed `taken` elements: one `record` call each. A pop
+/// that found nothing logs nothing, but "empty" is an observation of the
+/// structure as well — it owes the read barrier.
+pub(crate) fn log_pops<T: DataBox + Clone>(
+    log: &Option<Arc<SpLog<T>>>,
+    taken: usize,
+    record: impl Fn(&SpLog<T>),
+) {
+    if taken == 0 {
+        fenced(log, || ());
+    } else if let Some(l) = log {
+        (0..taken).for_each(|_| record(l));
     }
 }
 

@@ -22,7 +22,7 @@ use hcl_runtime::Rank;
 
 use crate::cost::CostSnapshot;
 use crate::dispatch::{hist_invoke, hist_return, Dispatcher};
-use crate::persist::{Flusher, SpLog};
+use crate::persist::{fenced, log_pops, Flusher, SpLog};
 use crate::queue::QueueConfig;
 use crate::{HclFuture, HclResult};
 
@@ -154,7 +154,10 @@ where
         let world = Arc::clone(rank.world());
         let name2 = name.to_string();
         let pmetrics = if rank.telemetry().enabled() {
-            crate::persist::PersistMetrics::from_registry(rank.telemetry().registry())
+            crate::persist::PersistMetrics::from_registry(
+                rank.telemetry().registry(),
+                Arc::clone(rank.telemetry().flight()),
+            )
         } else {
             crate::persist::PersistMetrics::detached()
         };
@@ -195,13 +198,12 @@ where
             let l = log.clone();
             reg.bind_typed(fn_base + FN_POP, move |_: EpId, _, ()| {
                 let v = q.pop();
-                if let (Some(l), Some(_)) = (&l, &v) {
-                    l.record(1, None, FN_POP);
-                }
+                log_pops(&l, v.is_some() as usize, |l| l.record(1, None, FN_POP));
                 v
             });
             let q = Arc::clone(&pq);
-            reg.bind_typed(fn_base + FN_PEEK, move |_: EpId, _, ()| q.peek());
+            let l = log.clone();
+            reg.bind_typed(fn_base + FN_PEEK, move |_: EpId, _, ()| fenced(&l, || q.peek()));
             let q = Arc::clone(&pq);
             let l = log.clone();
             reg.bind_typed(fn_base + FN_PUSH_BULK, move |_: EpId, _, vs: Vec<T>| {
@@ -216,19 +218,19 @@ where
             let l = log.clone();
             reg.bind_typed(fn_base + FN_POP_BULK, move |_: EpId, _, max: u64| {
                 let vs = q.pop_bulk(max as usize);
-                if let Some(l) = &l {
-                    for _ in &vs {
-                        l.record_local(1, None, FN_POP_BULK);
-                    }
-                }
+                log_pops(&l, vs.len(), |l| l.record_local(1, None, FN_POP_BULK));
                 vs
             });
             let q = Arc::clone(&pq);
-            reg.bind_typed(fn_base + FN_LEN, move |_: EpId, _, ()| q.len() as u64);
+            let l = log.clone();
+            reg.bind_typed(fn_base + FN_LEN, move |_: EpId, _, ()| fenced(&l, || q.len() as u64));
             let q = Arc::clone(&pq);
             reg.bind_typed(fn_base + FN_PURGE, move |_: EpId, _, ()| q.purge() as u64);
             let q = Arc::clone(&pq);
-            reg.bind_typed(fn_base + FN_SNAPSHOT, move |_: EpId, _, ()| q.iter_snapshot());
+            let l = log.clone();
+            reg.bind_typed(fn_base + FN_SNAPSHOT, move |_: EpId, _, ()| {
+                fenced(&l, || q.iter_snapshot())
+            });
             let q = Arc::clone(&pq);
             let l = log.clone();
             reg.bind_typed(fn_base + FN_MIG_EXTRACT, move |_: EpId, _, ()| {
@@ -308,9 +310,7 @@ where
         let tok = hist_invoke!(self.d, crate::DsOp::PqPop);
         let result = self.d.sync_ref(&ops::POP, self.core.owner, &(), || {
             let v = self.core.pq.pop();
-            if let (Some(l), Some(_)) = (&self.core.log, &v) {
-                l.record(1, None, FN_POP);
-            }
+            log_pops(&self.core.log, v.is_some() as usize, |l| l.record(1, None, FN_POP));
             v
         });
         hist_return!(self.d, tok, &result, |v| crate::DsRet::Popped(
@@ -321,7 +321,9 @@ where
 
     /// Clone of the minimum without removing it.
     pub fn peek(&self) -> HclResult<Option<T>> {
-        self.d.sync_ref(&ops::PEEK, self.core.owner, &(), || self.core.pq.peek())
+        self.d.sync_ref(&ops::PEEK, self.core.owner, &(), || {
+            fenced(&self.core.log, || self.core.pq.peek())
+        })
     }
 
     /// Bulk push (Table I: `F + L·log(N) + E·W`).
@@ -341,18 +343,16 @@ where
     pub fn pop_bulk(&self, max: u64) -> HclResult<Vec<T>> {
         self.d.sync_scaled(&ops::POP_BULK, self.core.owner, max, max, |m| {
             let vs = self.core.pq.pop_bulk(m as usize);
-            if let Some(l) = &self.core.log {
-                for _ in &vs {
-                    l.record_local(1, None, FN_POP_BULK);
-                }
-            }
+            log_pops(&self.core.log, vs.len(), |l| l.record_local(1, None, FN_POP_BULK));
             vs
         })
     }
 
     /// Live elements (approximate under concurrency).
     pub fn len(&self) -> HclResult<u64> {
-        self.d.sync_ref(&ops::LEN, self.core.owner, &(), || self.core.pq.len() as u64)
+        self.d.sync_ref(&ops::LEN, self.core.owner, &(), || {
+            fenced(&self.core.log, || self.core.pq.len() as u64)
+        })
     }
 
     /// True when empty.
@@ -368,7 +368,9 @@ where
 
     /// Clone out the live elements in priority order without popping.
     pub fn snapshot(&self) -> HclResult<Vec<T>> {
-        self.d.sync_ref(&ops::SNAPSHOT, self.core.owner, &(), || self.core.pq.iter_snapshot())
+        self.d.sync_ref(&ops::SNAPSHOT, self.core.owner, &(), || {
+            fenced(&self.core.log, || self.core.pq.iter_snapshot())
+        })
     }
 
     /// Migration seam, extract half: drain *every* live element from the

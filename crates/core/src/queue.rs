@@ -22,7 +22,7 @@ use hcl_runtime::Rank;
 
 use crate::cost::CostSnapshot;
 use crate::dispatch::{hist_invoke, hist_return, Dispatcher};
-use crate::persist::{Flusher, PersistConfig, SpLog};
+use crate::persist::{fenced, log_pops, Flusher, PersistConfig, SpLog};
 use crate::{HclFuture, HclResult};
 
 const FN_PUSH: u32 = 0;
@@ -155,7 +155,10 @@ where
         let world = Arc::clone(rank.world());
         let name2 = name.to_string();
         let pmetrics = if rank.telemetry().enabled() {
-            crate::persist::PersistMetrics::from_registry(rank.telemetry().registry())
+            crate::persist::PersistMetrics::from_registry(
+                rank.telemetry().registry(),
+                Arc::clone(rank.telemetry().flight()),
+            )
         } else {
             crate::persist::PersistMetrics::detached()
         };
@@ -195,9 +198,7 @@ where
             let l = log.clone();
             reg.bind_typed(fn_base + FN_POP, move |_: EpId, _, ()| {
                 let v = q2.pop();
-                if let (Some(l), Some(_)) = (&l, &v) {
-                    l.record(1, None, FN_POP);
-                }
+                log_pops(&l, v.is_some() as usize, |l| l.record(1, None, FN_POP));
                 v
             });
             let q2 = Arc::clone(&q);
@@ -214,17 +215,17 @@ where
             let l = log.clone();
             reg.bind_typed(fn_base + FN_POP_BULK, move |_: EpId, _, max: u64| {
                 let vs = q2.pop_bulk(max as usize);
-                if let Some(l) = &l {
-                    for _ in &vs {
-                        l.record_local(1, None, FN_POP_BULK);
-                    }
-                }
+                log_pops(&l, vs.len(), |l| l.record_local(1, None, FN_POP_BULK));
                 vs
             });
             let q2 = Arc::clone(&q);
-            reg.bind_typed(fn_base + FN_LEN, move |_: EpId, _, ()| q2.len() as u64);
+            let l = log.clone();
+            reg.bind_typed(fn_base + FN_LEN, move |_: EpId, _, ()| fenced(&l, || q2.len() as u64));
             let q2 = Arc::clone(&q);
-            reg.bind_typed(fn_base + FN_SNAPSHOT, move |_: EpId, _, ()| q2.iter_snapshot());
+            let l = log.clone();
+            reg.bind_typed(fn_base + FN_SNAPSHOT, move |_: EpId, _, ()| {
+                fenced(&l, || q2.iter_snapshot())
+            });
             let q2 = Arc::clone(&q);
             let l = log.clone();
             reg.bind_typed(fn_base + FN_MIG_EXTRACT, move |_: EpId, _, ()| {
@@ -305,9 +306,7 @@ where
         let tok = hist_invoke!(self.d, crate::DsOp::QueuePop);
         let result = self.d.sync_ref(&ops::POP, self.core.owner, &(), || {
             let v = self.core.q.pop();
-            if let (Some(l), Some(_)) = (&self.core.log, &v) {
-                l.record(1, None, FN_POP);
-            }
+            log_pops(&self.core.log, v.is_some() as usize, |l| l.record(1, None, FN_POP));
             v
         });
         hist_return!(self.d, tok, &result, |v| crate::DsRet::Popped(
@@ -334,18 +333,16 @@ where
     pub fn pop_bulk(&self, max: u64) -> HclResult<Vec<T>> {
         self.d.sync_scaled(&ops::POP_BULK, self.core.owner, max, max, |m| {
             let vs = self.core.q.pop_bulk(m as usize);
-            if let Some(l) = &self.core.log {
-                for _ in &vs {
-                    l.record_local(1, None, FN_POP_BULK);
-                }
-            }
+            log_pops(&self.core.log, vs.len(), |l| l.record_local(1, None, FN_POP_BULK));
             vs
         })
     }
 
     /// Elements currently queued (approximate under concurrency).
     pub fn len(&self) -> HclResult<u64> {
-        self.d.sync_ref(&ops::LEN, self.core.owner, &(), || self.core.q.len() as u64)
+        self.d.sync_ref(&ops::LEN, self.core.owner, &(), || {
+            fenced(&self.core.log, || self.core.q.len() as u64)
+        })
     }
 
     /// True when the queue appears empty.
@@ -355,7 +352,9 @@ where
 
     /// Clone out the queued elements front-to-back without consuming them.
     pub fn snapshot(&self) -> HclResult<Vec<T>> {
-        self.d.sync_ref(&ops::SNAPSHOT, self.core.owner, &(), || self.core.q.iter_snapshot())
+        self.d.sync_ref(&ops::SNAPSHOT, self.core.owner, &(), || {
+            fenced(&self.core.log, || self.core.q.iter_snapshot())
+        })
     }
 
     /// Migration seam, extract half: drain *every* queued element from the

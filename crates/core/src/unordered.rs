@@ -299,7 +299,7 @@ where
     fn log_op(&self, rec: &LogRec<K, V>, fn_off: u32) {
         if let Some(log) = &self.log {
             let ident = crate::persist::op_identity(self.home, &self.local_seq);
-            let _ = log.append_op(rec, fn_off as u16, ident);
+            log.log_mutation(rec, fn_off as u16, ident);
         }
     }
 
@@ -329,10 +329,29 @@ where
         prev
     }
 
+    /// The strict read barrier: run `read` against the live structure and
+    /// hand its result back only under the barrier of whatever logged
+    /// mutation it may reflect (see [`OpLog::read_fence`]).
+    fn read<R>(&self, read: impl FnOnce(&CuckooMap<K, V>) -> R) -> R {
+        let out = read(&self.map);
+        if let Some(log) = &self.log {
+            log.read_fence();
+        }
+        out
+    }
+
     fn apply_get(&self, key: &K) -> Option<V> {
         self.costs.l(1);
         self.costs.r(1);
-        self.map.get(key)
+        self.read(|m| m.get(key))
+    }
+
+    fn apply_len(&self) -> u64 {
+        self.read(|m| m.len() as u64)
+    }
+
+    fn apply_snapshot(&self) -> Vec<(K, V)> {
+        self.read(|m| m.iter_snapshot())
     }
 
     /// A lease-granting lookup: `(version, ttl_micros, value)`. The version
@@ -343,7 +362,7 @@ where
         let version = self.version.load(Ordering::Acquire);
         self.costs.l(1);
         self.costs.r(1);
-        (version, self.lease_ttl_micros, self.map.get(key))
+        (version, self.lease_ttl_micros, self.read(|m| m.get(key)))
     }
 
     fn apply_merge(&self, key: K, value: V) -> V {
@@ -437,7 +456,7 @@ where
     /// Old-owner side: copy (do not remove) every entry of `vpart`. The
     /// shard stays fully served here until the transition commits.
     fn mig_extract(&self, vpart: usize) -> Vec<(K, V)> {
-        self.map.iter_snapshot().into_iter().filter(|(k, _)| self.vpart_of(k) == vpart).collect()
+        self.apply_snapshot().into_iter().filter(|(k, _)| self.vpart_of(k) == vpart).collect()
     }
 
     /// New-owner side: install one copied entry — insert-if-absent, so a
@@ -581,9 +600,7 @@ fn bind_handlers<K, V>(
         p[&server.rank].apply_get(&k).is_some()
     });
     let p = parts.clone();
-    reg.bind_typed(fn_base + FN_LEN, move |server: EpId, _, ()| {
-        p[&server.rank].map.len() as u64
-    });
+    reg.bind_typed(fn_base + FN_LEN, move |server: EpId, _, ()| p[&server.rank].apply_len());
     let p = parts.clone();
     reg.bind_typed(fn_base + FN_RESIZE, move |server: EpId, _, new_buckets: u64| {
         p[&server.rank].map.resize_to(new_buckets as usize);
@@ -591,7 +608,7 @@ fn bind_handlers<K, V>(
     });
     let p = parts.clone();
     reg.bind_typed(fn_base + FN_SNAPSHOT, move |server: EpId, _, ()| {
-        p[&server.rank].map.iter_snapshot()
+        p[&server.rank].apply_snapshot()
     });
     let p = parts.clone();
     reg.bind_typed(
@@ -716,7 +733,10 @@ where
         let cfg2 = cfg.clone();
         let name2 = name.to_string();
         let pmetrics = if rank.telemetry().enabled() {
-            crate::persist::PersistMetrics::from_registry(rank.telemetry().registry())
+            crate::persist::PersistMetrics::from_registry(
+                rank.telemetry().registry(),
+                Arc::clone(rank.telemetry().flight()),
+            )
         } else {
             crate::persist::PersistMetrics::detached()
         };
@@ -1141,9 +1161,8 @@ where
         let map = self.d.owner_map().current();
         let mut total = 0u64;
         for &owner in map.members() {
-            total += self.d.sync_ref(&ops::LEN, owner, &(), || {
-                self.core.parts[&owner].map.len() as u64
-            })?;
+            total +=
+                self.d.sync_ref(&ops::LEN, owner, &(), || self.core.parts[&owner].apply_len())?;
         }
         Ok(total)
     }
@@ -1180,7 +1199,7 @@ where
         let mut out = Vec::new();
         for &owner in map.members() {
             let part: Vec<(K, V)> = self.d.sync_ref(&ops::SNAPSHOT, owner, &(), || {
-                self.core.parts[&owner].map.iter_snapshot()
+                self.core.parts[&owner].apply_snapshot()
             })?;
             out.extend(part);
         }
@@ -1469,5 +1488,95 @@ where
     /// Client-side cost counters.
     pub fn costs(&self) -> CostSnapshot {
         self.inner.costs()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hcl_runtime::{World, WorldConfig};
+    use std::cell::RefCell;
+
+    /// A get must not return while the partition's log holds records that
+    /// are appended but not durable — the value it read may be one of them —
+    /// whether it runs on a NIC worker (barrier deferred to the request's ack
+    /// scope) or on the owner's rank thread (hybrid bypass, inline commit).
+    #[test]
+    fn strict_reads_return_only_after_durable_catches_up() {
+        let dir = std::env::temp_dir().join(format!("hcl-core-read-fence-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = WorldConfig { nodes: 2, ranks_per_node: 1, ..WorldConfig::small() };
+        let dir2 = dir.clone();
+        // Violations are collected and asserted after the world returns: a
+        // rank that panics mid-run would strand its peer at the next barrier.
+        let violations = World::run(cfg, move |rank| {
+            let map: UnorderedMap<u64, u64> = UnorderedMap::with_config(
+                rank,
+                "fence",
+                UnorderedMapConfig {
+                    servers: Some(vec![0]),
+                    persist: Some(PersistConfig::strict(&dir2)),
+                    ..Default::default()
+                },
+            );
+            let part = &map.core.parts[&0];
+            let wal = Arc::clone(part.log.as_ref().expect("strict log").wal());
+            let bad = RefCell::new(Vec::new());
+            let check = |ok: bool, what: &str| {
+                if !ok {
+                    bad.borrow_mut().push(format!("rank {}: {what}", rank.id()));
+                }
+            };
+            // What a put looks like halfway through its request on another
+            // NIC worker: logged and applied, its commit still deferred.
+            let half_done_put = |k: u64, v: u64| {
+                wal.append_with(FN_PUT as u16, (7, k), |buf| (0u8, k, Some(v)).pack(buf)).unwrap();
+                part.map.insert(k, v);
+                check(wal.appended_lsn() > wal.durable_lsn(), "append_with committed by itself");
+            };
+            let caught_up = |what: &str| check(wal.durable_lsn() == wal.appended_lsn(), what);
+            let fsyncs = || {
+                let mine = rank.telemetry().registry().counter("hcl_persist_fsyncs").get();
+                rank.allreduce(mine, |a, b| a + b)
+            };
+            let phase = |owner_side: &dyn Fn(), reader_side: &dyn Fn()| {
+                if rank.id() == 0 {
+                    owner_side();
+                }
+                rank.barrier();
+                if rank.id() == 1 {
+                    reader_side();
+                }
+                rank.barrier();
+            };
+
+            // NIC-worker path: rank 1 reads remotely.
+            phase(&|| half_done_put(2, 20), &|| {
+                check(map.get(&2).unwrap() == Some(20), "remote get missed the applied value");
+                caught_up("remote get outran its barrier");
+            });
+            // Bypass path: the owner reads its own partition.
+            phase(
+                &|| {
+                    half_done_put(3, 30);
+                    check(map.get(&3).unwrap() == Some(30), "bypass get missed the applied value");
+                    caught_up("bypass get outran its barrier");
+                },
+                &|| {},
+            );
+            // Every kind of read owes the barrier, not just `get`.
+            phase(&|| half_done_put(4, 40), &|| {
+                check(map.len().unwrap() == 3, "len");
+                caught_up("len outran its barrier");
+            });
+            // With nothing pending a read costs no barrier at all.
+            let before = fsyncs();
+            check(map.get(&2).unwrap() == Some(20), "get of a durable key");
+            check(!map.contains(&9).unwrap(), "contains of an absent key");
+            check(fsyncs() == before, "a read of a fully durable partition fsynced");
+            bad.into_inner()
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(violations.concat(), Vec::<String>::new());
     }
 }

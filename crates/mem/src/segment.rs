@@ -45,9 +45,29 @@ struct Storage {
     len_bytes: usize,
 }
 
+// `Storage::with_len` reinterprets a `[u64]` allocation as `[AtomicU64]`; the
+// allocator must see the same layout when the box is dropped.
+const _: () = assert!(
+    std::mem::size_of::<AtomicU64>() == std::mem::size_of::<u64>()
+        && std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>()
+);
+
 impl Storage {
+    /// Zero-filled storage whose pages are not touched: `vec![0; n]` asks
+    /// the allocator for zeroed memory, which for anything large is fresh
+    /// lazily-zeroed pages from the OS. A server's response segment is tens
+    /// of MB of per-client slots of which a run touches a handful; writing
+    /// zeroes into every word up front cost that in both set-up time and
+    /// resident memory.
     fn with_len(len_bytes: usize) -> Self {
-        let words = (0..len_bytes.div_ceil(8)).map(|_| AtomicU64::new(0)).collect();
+        let zeroed: Box<[u64]> = vec![0u64; len_bytes.div_ceil(8)].into_boxed_slice();
+        // SAFETY: `AtomicU64` has the same in-memory representation as `u64`
+        // (std guarantees size and bit validity; size and alignment are
+        // const-asserted above), so the slice pointer — length carried over
+        // by the cast — addresses exactly the allocation `Box` will later
+        // free with an identical layout, and all-zero words are valid
+        // `AtomicU64`s. Ownership moves through `into_raw`/`from_raw` once.
+        let words = unsafe { Box::from_raw(Box::into_raw(zeroed) as *mut [AtomicU64]) };
         Storage { words, len_bytes }
     }
 }

@@ -10,11 +10,21 @@
 //!   final record a `kill -9` leaves behind is chopped off the file itself,
 //!   so later appends never land after garbage), and snapshot compaction
 //!   with an atomic rename.
-//! * **Sync epochs** ([`SyncPolicy`]): `Strict` fsyncs every append,
-//!   `Relaxed` bounds the flush gap with a background [`Flusher`], `Manual`
-//!   leaves scheduling to the caller. One policy type — the old
-//!   `core::persist::PersistMode` / `mem::persist::FlushMode` duplicates
-//!   both resolve here.
+//! * **Append and commit are separate** ([`Wal::append_with`],
+//!   [`Wal::commit`]): every append gets a log sequence number and lands in
+//!   the append buffer; a commit makes everything up to an LSN durable with
+//!   at most one `flush + fsync`, and costs nothing when another barrier
+//!   already covered it. The log tracks an `appended` / `durable` LSN pair,
+//!   so whoever needs durability — a request about to be acknowledged, a
+//!   read about to expose a value, the flusher — shares barriers (group
+//!   commit) instead of paying one per record.
+//! * **Sync epochs** ([`SyncPolicy`]): `Strict` means *durable before
+//!   acknowledged* — the caller commits before it lets the outcome leave
+//!   ([`Wal::append`] does so itself; the RPC server does it once per
+//!   request, see DESIGN.md §16) — `Relaxed` bounds the flush gap with a
+//!   background [`Flusher`], `Manual` leaves scheduling to the caller. One
+//!   policy type — the old `core::persist::PersistMode` /
+//!   `mem::persist::FlushMode` duplicates both resolve here.
 //! * **Detectable recovery descriptors**: every record carries the dispatch
 //!   op id plus the client `(rank, seq)` identity — the same scheme as the
 //!   RPC server's dedup window — so replay after a crash is exactly-once
@@ -37,7 +47,11 @@ use std::time::Duration;
 /// snapshot persistence, and `hcl-mem`'s file-backed segments all take this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// fsync on every append: an acknowledged mutation is durable.
+    /// Durable before acknowledged: no outcome of a logged mutation — its
+    /// ack, or a read that observed it — leaves before a sync barrier covers
+    /// its record. The barrier is a [`Wal::commit`] at the acknowledgement
+    /// point, shared by everything appended up to then; not one fsync per
+    /// append.
     Strict,
     /// Appends buffer; a sync barrier runs at most `interval` behind the
     /// latest append (enforced by a background [`Flusher`] or by the
@@ -51,7 +65,7 @@ pub enum SyncPolicy {
 }
 
 impl SyncPolicy {
-    /// True for the per-append fsync policy.
+    /// True for the durable-before-acknowledged policy.
     pub fn is_strict(&self) -> bool {
         matches!(self, SyncPolicy::Strict)
     }

@@ -20,9 +20,10 @@ use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use hcl_telemetry::PersistMetrics;
+use hcl_telemetry::{Counter, EventKind, FlightEvent, Outcome, PersistMetrics};
 use parking_lot::Mutex;
 
 use crate::SyncPolicy;
@@ -123,18 +124,27 @@ struct WalInner {
     /// Live records (replayed + appended − compacted away).
     records: u64,
     last_sync: Instant,
-    /// Appends not yet covered by a sync barrier.
-    dirty: bool,
     /// Scratch frame buffer, reused across appends.
     scratch: Vec<u8>,
 }
 
 /// A segmented write-ahead log for one container partition.
+///
+/// *Appending* and *committing* are separate steps. Every append is assigned
+/// the next log sequence number (LSN, counted from 1 since this open) and
+/// lands in the append buffer; [`Wal::commit`] makes everything up to an LSN
+/// durable with at most one `flush + fsync`, and is free when an earlier
+/// barrier — another thread's commit, the flusher, a full segment — already
+/// covered it. `appended` and `durable` are the two ends of that gap.
 pub struct Wal {
     stem: PathBuf,
     policy: SyncPolicy,
     segment_bytes: u64,
     metrics: PersistMetrics,
+    /// LSN of the newest record in the append buffer. Stored under `inner`.
+    appended: AtomicU64,
+    /// Highest LSN a completed sync barrier covers. Stored under `inner`.
+    durable: AtomicU64,
     inner: Mutex<WalInner>,
 }
 
@@ -154,7 +164,7 @@ fn snap_path(stem: &Path, tmp: bool) -> PathBuf {
 
 /// All existing segment indices for `stem`, sorted ascending.
 fn list_segments(stem: &Path) -> std::io::Result<Vec<u64>> {
-    let Some(dir) = stem.parent() else { return Ok(Vec::new()) };
+    let dir = dir_of(stem);
     let Some(base) = stem.file_name().and_then(|n| n.to_str()) else {
         return Ok(Vec::new());
     };
@@ -174,20 +184,62 @@ fn list_segments(stem: &Path) -> std::io::Result<Vec<u64>> {
     Ok(out)
 }
 
-/// Encode one frame into `buf` (appended).
-fn push_frame(buf: &mut Vec<u8>, rec: WalRecord<'_>) {
-    let body_len = REC_HDR + rec.payload.len();
-    buf.reserve(FRAME_HDR + body_len);
-    buf.extend_from_slice(&(body_len as u32).to_le_bytes());
-    let crc_pos = buf.len();
-    buf.extend_from_slice(&[0; 4]);
+/// Encode one frame into `buf` (appended); `pack` appends the payload in
+/// place, then length and checksum are back-patched. Fails, leaving `buf` as
+/// it was, when the body would exceed what replay accepts.
+fn push_frame_with(
+    buf: &mut Vec<u8>,
+    op: u16,
+    identity: (u32, u64),
+    pack: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    let frame_start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HDR]);
     let body_start = buf.len();
-    buf.extend_from_slice(&rec.op.to_le_bytes());
-    buf.extend_from_slice(&rec.rank.to_le_bytes());
-    buf.extend_from_slice(&rec.seq.to_le_bytes());
-    buf.extend_from_slice(rec.payload);
+    buf.extend_from_slice(&op.to_le_bytes());
+    buf.extend_from_slice(&identity.0.to_le_bytes());
+    buf.extend_from_slice(&identity.1.to_le_bytes());
+    pack(buf);
+    let body_len = buf.len() - body_start;
+    if body_len > MAX_BODY as usize {
+        buf.truncate(frame_start);
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("WAL record body of {body_len} bytes exceeds the {MAX_BODY}-byte frame limit"),
+        ));
+    }
     let crc = crc32(&buf[body_start..]);
-    buf[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
+    buf[frame_start..frame_start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    buf[frame_start + 4..body_start].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// The directory holding `stem`'s files.
+fn dir_of(stem: &Path) -> &Path {
+    match stem.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    }
+}
+
+/// fsync the directory holding `stem`'s files, so a file created in or
+/// renamed into it survives power loss along with its contents.
+fn sync_dir(stem: &Path, metrics: &PersistMetrics) -> std::io::Result<()> {
+    File::open(dir_of(stem))?.sync_all()?;
+    metrics.dir_fsyncs.inc();
+    Ok(())
+}
+
+/// Open segment `idx` of `stem` for appending. A segment this call created
+/// is made durable as a directory entry before any record is written to it.
+fn open_segment(stem: &Path, idx: u64, metrics: &PersistMetrics) -> std::io::Result<File> {
+    let path = seg_path(stem, idx);
+    let created = !path.exists();
+    let file = OpenOptions::new().create(true).append(true).open(&path)?;
+    if created {
+        sync_dir(stem, metrics)?;
+    }
+    Ok(file)
 }
 
 /// Decode the frame at `buf[off..]`. Returns `(record, next_offset)`, or
@@ -230,9 +282,7 @@ impl Wal {
         mut apply: impl FnMut(WalRecord<'_>),
     ) -> std::io::Result<(Self, ReplayReport)> {
         let stem = stem.into();
-        if let Some(parent) = stem.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
+        std::fs::create_dir_all(dir_of(&stem))?;
         let mut report = ReplayReport::default();
         let mut seen: HashSet<(u32, u64)> = HashSet::new();
         let mut run = |rec: WalRecord<'_>, report: &mut ReplayReport| {
@@ -328,79 +378,159 @@ impl Wal {
             seg_index += 1;
             seg_len = 0;
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(seg_path(&stem, seg_index))?;
+        let file = open_segment(&stem, seg_index, &metrics)?;
         let wal = Wal {
             stem,
             policy,
             segment_bytes: segment_bytes.max(1),
             metrics,
+            appended: AtomicU64::new(0),
+            durable: AtomicU64::new(0),
             inner: Mutex::new(WalInner {
                 seg_index,
                 writer: BufWriter::new(file),
                 seg_len,
                 records: report.recovered,
                 last_sync: Instant::now(),
-                dirty: false,
                 scratch: Vec::with_capacity(256),
             }),
         };
         Ok((wal, report))
     }
 
-    /// Append one record, syncing according to the policy.
+    /// Append one record and, under [`SyncPolicy::Strict`], commit it: when
+    /// this returns the record is durable. Callers that batch several
+    /// appends under one barrier use [`Wal::append_with`] + [`Wal::commit`].
     pub fn append(&self, rec: WalRecord<'_>) -> std::io::Result<()> {
-        let mut inner = self.inner.lock();
-        let mut scratch = std::mem::take(&mut inner.scratch);
-        scratch.clear();
-        push_frame(&mut scratch, rec);
-        let res = inner.writer.write_all(&scratch);
-        let frame_len = scratch.len() as u64;
-        inner.scratch = scratch;
-        res?;
-        inner.seg_len += frame_len;
-        inner.records += 1;
-        inner.dirty = true;
-        self.metrics.appended.inc();
-        if inner.seg_len >= self.segment_bytes {
-            self.rotate(&mut inner)?;
-        }
-        match self.policy {
-            SyncPolicy::Strict => self.sync_locked(&mut inner)?,
-            SyncPolicy::Relaxed { interval } => {
-                // The background flusher owns the gap; this is the fallback
-                // bound when no flusher is attached.
-                if inner.last_sync.elapsed() >= interval {
-                    self.sync_locked(&mut inner)?;
-                }
-            }
-            SyncPolicy::Manual => {}
+        let lsn = self.append_with(rec.op, (rec.rank, rec.seq), |buf| {
+            buf.extend_from_slice(rec.payload)
+        })?;
+        if self.policy.is_strict() {
+            self.commit(lsn)?;
         }
         Ok(())
     }
 
-    /// Seal the current segment (flushed + fsynced) and start the next.
+    /// Append one record whose payload `pack` writes straight into the frame
+    /// buffer, and return its LSN. The record is **not** durable until a
+    /// sync barrier covers that LSN: [`Wal::commit`] for `Strict` callers,
+    /// the flush gap (flusher, or this path once the gap has elapsed) under
+    /// `Relaxed`, [`Wal::sync`] under `Manual`. A segment that reaches its
+    /// size threshold is sealed here by a barrier of its own, whatever the
+    /// policy.
+    pub fn append_with(
+        &self,
+        op: u16,
+        identity: (u32, u64),
+        pack: impl FnOnce(&mut Vec<u8>),
+    ) -> std::io::Result<u64> {
+        let mut inner = self.inner.lock();
+        let mut frame = std::mem::take(&mut inner.scratch);
+        frame.clear();
+        let res = push_frame_with(&mut frame, op, identity, pack)
+            .and_then(|()| inner.writer.write_all(&frame));
+        let frame_len = frame.len() as u64;
+        inner.scratch = frame;
+        if let Err(e) = res {
+            self.note_failure(&self.metrics.append_errors, "wal.append");
+            return Err(e);
+        }
+        inner.seg_len += frame_len;
+        inner.records += 1;
+        // ORDERING: Relaxed read of a word only written under `inner`, which
+        // we hold. The Release store pairs with the Acquire load in
+        // `appended_lsn`: a reader that sees the structure change this record
+        // describes (applied after this returns) also sees its LSN.
+        let lsn = self.appended.load(Ordering::Relaxed) + 1;
+        self.appended.store(lsn, Ordering::Release);
+        self.metrics.appended.inc();
+        let gap_elapsed = self
+            .policy
+            .interval()
+            .is_some_and(|interval| inner.last_sync.elapsed() >= interval);
+        if inner.seg_len >= self.segment_bytes || gap_elapsed {
+            self.sync_locked(&mut inner)?;
+        }
+        Ok(lsn)
+    }
+
+    /// Make every record up to `lsn` durable. Free when a barrier already
+    /// covered it; otherwise one `flush + fsync` that covers *every* append
+    /// so far, so concurrent committers — NIC workers, a bypassing rank
+    /// thread, the flusher — share barriers instead of queueing one each.
+    pub fn commit(&self, lsn: u64) -> std::io::Result<()> {
+        if self.durable_lsn() >= lsn {
+            return Ok(());
+        }
+        let mut inner = self.inner.lock();
+        // Whoever held the lock while we waited may have synced past `lsn`.
+        if self.durable_lsn() >= lsn {
+            return Ok(());
+        }
+        self.sync_locked(&mut inner)
+    }
+
+    /// LSN of the newest appended record (0 = nothing appended since open).
+    pub fn appended_lsn(&self) -> u64 {
+        // ORDERING: Acquire pairs with the Release store in `append_with`.
+        self.appended.load(Ordering::Acquire)
+    }
+
+    /// Highest LSN known durable. `appended_lsn() > durable_lsn()` means
+    /// some append still waits for its barrier.
+    pub fn durable_lsn(&self) -> u64 {
+        // ORDERING: Acquire pairs with the Release store in `sync_locked`:
+        // seeing an LSN here means the fsync covering it has returned.
+        self.durable.load(Ordering::Acquire)
+    }
+
+    /// Count a failed append or barrier and leave a flight event behind.
+    fn note_failure(&self, counter: &Counter, what: &'static str) {
+        counter.inc();
+        self.metrics.flight.record(FlightEvent::op(
+            EventKind::PersistError,
+            what,
+            0,
+            0,
+            self.appended_lsn(),
+            Outcome::Err,
+            0,
+        ));
+    }
+
+    /// Start the next segment. The caller has just synced the current one,
+    /// so it is sealed as it stands and the new file is never fsynced empty.
     fn rotate(&self, inner: &mut WalInner) -> std::io::Result<()> {
-        self.sync_locked(inner)?;
+        let file = open_segment(&self.stem, inner.seg_index + 1, &self.metrics)?;
         inner.seg_index += 1;
         inner.seg_len = 0;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(seg_path(&self.stem, inner.seg_index))?;
         inner.writer = BufWriter::new(file);
         Ok(())
     }
 
+    /// The sync barrier: flush + fsync, advance `durable` to `appended`, and
+    /// move on to a fresh segment if this one is full.
     fn sync_locked(&self, inner: &mut WalInner) -> std::io::Result<()> {
-        inner.writer.flush()?;
-        inner.writer.get_ref().sync_data()?;
-        inner.last_sync = Instant::now();
-        inner.dirty = false;
-        self.metrics.fsyncs.inc();
-        Ok(())
+        let res = (|| {
+            inner.writer.flush()?;
+            inner.writer.get_ref().sync_data()?;
+            inner.last_sync = Instant::now();
+            self.metrics.fsyncs.inc();
+            // ORDERING: Relaxed read — `appended` only moves under `inner`,
+            // which the caller holds. The Release swap publishes the
+            // completed fsync to `durable_lsn` readers.
+            let appended = self.appended.load(Ordering::Relaxed);
+            let was = self.durable.swap(appended, Ordering::Release);
+            self.metrics.durable.add(appended - was);
+            if inner.seg_len >= self.segment_bytes {
+                self.rotate(inner)?;
+            }
+            Ok(())
+        })();
+        if res.is_err() {
+            self.note_failure(&self.metrics.commit_errors, "wal.commit");
+        }
+        res
     }
 
     /// Push buffered appends to the OS (no durability barrier).
@@ -408,16 +538,16 @@ impl Wal {
         self.inner.lock().writer.flush()
     }
 
-    /// Durable sync barrier: flush + fsync.
+    /// Unconditional sync barrier: flush + fsync.
     pub fn sync(&self) -> std::io::Result<()> {
         self.sync_locked(&mut self.inner.lock())
     }
 
-    /// Sync only if appends happened since the last barrier. Returns whether
-    /// a barrier ran (the flusher's periodic pass).
+    /// Sync only if some append is not yet durable. Returns whether a
+    /// barrier ran (the flusher's periodic pass).
     pub fn sync_if_dirty(&self) -> std::io::Result<bool> {
         let mut inner = self.inner.lock();
-        if !inner.dirty {
+        if self.durable_lsn() >= self.appended_lsn() {
             return Ok(false);
         }
         self.sync_locked(&mut inner)?;
@@ -444,21 +574,23 @@ impl Wal {
         &self.stem
     }
 
-    /// Replace the log's history with the snapshot `records` (op tag +
-    /// packed payload; snapshot entries carry no client identity).
+    /// Replace the log's history with the snapshot `records` (op tag + a
+    /// closure packing the payload into the frame buffer; snapshot entries
+    /// carry no client identity).
     ///
     /// Crash-safe ordering: seal the tail segment, write the snapshot to a
     /// tmp file, fsync, atomically rename over any previous snapshot, then
     /// delete the covered segments. A crash at any point leaves either the
     /// old state (tmp never renamed — swept on next open) or the new one
     /// (stale segments at or below the covered index — swept on next open).
-    pub fn compact(
+    pub fn compact<P: FnOnce(&mut Vec<u8>)>(
         &self,
-        records: impl Iterator<Item = (u16, Vec<u8>)>,
+        records: impl Iterator<Item = (u16, P)>,
     ) -> std::io::Result<()> {
         let mut inner = self.inner.lock();
         // Everything up to and including the current tail becomes immutable
         // snapshot coverage; appends continue in a fresh segment.
+        self.sync_locked(&mut inner)?;
         let covered = inner.seg_index;
         self.rotate(&mut inner)?;
 
@@ -475,9 +607,9 @@ impl Wal {
             w.write_all(&hdr)?;
             bytes = hdr.len() as u64;
             let mut frame = Vec::with_capacity(256);
-            for (op, payload) in records {
+            for (op, pack) in records {
                 frame.clear();
-                push_frame(&mut frame, WalRecord::anonymous(op, &payload));
+                push_frame_with(&mut frame, op, NO_IDENTITY, pack)?;
                 w.write_all(&frame)?;
                 bytes += frame.len() as u64;
                 n += 1;
@@ -488,11 +620,7 @@ impl Wal {
         std::fs::rename(&tmp, snap_path(&self.stem, false))?;
         // Make the rename itself durable before deleting the history it
         // replaces.
-        if let Some(dir) = self.stem.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+        sync_dir(&self.stem, &self.metrics)?;
         for idx in list_segments(&self.stem)? {
             if idx <= covered {
                 let _ = std::fs::remove_file(seg_path(&self.stem, idx));
@@ -537,6 +665,11 @@ mod tests {
 
     fn cleanup(stem: &Path) {
         let _ = std::fs::remove_dir_all(stem.parent().unwrap());
+    }
+
+    /// A snapshot-record packer for [`Wal::compact`].
+    fn packing(v: u64) -> impl FnOnce(&mut Vec<u8>) {
+        move |buf| buf.extend_from_slice(&v.to_le_bytes())
     }
 
     #[test]
@@ -668,10 +801,7 @@ mod tests {
             wal.append(WalRecord { op: 0, rank: 1, seq: i + 1, payload: &i.to_le_bytes() })
                 .unwrap();
         }
-        wal.compact(
-            [42u64, 43].iter().map(|v| (0u16, v.to_le_bytes().to_vec())),
-        )
-        .unwrap();
+        wal.compact([42u64, 43].iter().map(|v| (0u16, packing(*v)))).unwrap();
         assert_eq!(wal.records(), 2);
         wal.append(WalRecord { op: 0, rank: 1, seq: 200, payload: &44u64.to_le_bytes() })
             .unwrap();
@@ -701,13 +831,13 @@ mod tests {
                 wal.append(WalRecord { op: 0, rank: 1, seq: i + 1, payload: &i.to_le_bytes() })
                     .unwrap();
             }
-            wal.compact([(0u16, 9u64.to_le_bytes().to_vec())].into_iter()).unwrap();
+            wal.compact([(0u16, packing(9))].into_iter()).unwrap();
         }
         // Simulate the crash windows a torn compaction leaves behind: a
         // dangling tmp, and a stale segment at the covered index.
         std::fs::write(snap_path(&stem, true), b"half-written snapshot").unwrap();
         let mut stale = Vec::new();
-        push_frame(&mut stale, WalRecord { op: 0, rank: 9, seq: 999, payload: b"stale" });
+        push_frame_with(&mut stale, 0, (9, 999), |b| b.extend_from_slice(b"stale")).unwrap();
         std::fs::write(seg_path(&stem, 0), &stale).unwrap();
         let mut seen = Vec::new();
         let (_, rep) = open(&stem, SyncPolicy::Strict, DEFAULT_SEGMENT_BYTES, &mut seen);
@@ -716,6 +846,132 @@ mod tests {
         assert!(!seg_path(&stem, 0).exists(), "stale covered segment swept");
         assert!(!seen.iter().any(|(_, r, _, _)| *r == 9), "stale record not replayed");
         cleanup(&stem);
+    }
+
+    /// A strict log plus the metric bundle its counters land in.
+    fn open_counted(stem: &Path, seg_bytes: u64) -> (Wal, PersistMetrics) {
+        let metrics = PersistMetrics::detached();
+        let (wal, _) =
+            Wal::open(stem, SyncPolicy::Strict, seg_bytes, metrics.clone(), |_| {}).unwrap();
+        (wal, metrics)
+    }
+
+    fn put(wal: &Wal, seq: u64) -> u64 {
+        wal.append_with(0, (1, seq), |buf| buf.extend_from_slice(&seq.to_le_bytes())).unwrap()
+    }
+
+    #[test]
+    fn one_commit_covers_every_earlier_append() {
+        let stem = scratch_stem("group");
+        let (wal, m) = open_counted(&stem, DEFAULT_SEGMENT_BYTES);
+        let lsns: Vec<u64> = (1..=8).map(|i| put(&wal, i)).collect();
+        assert_eq!(lsns, (1..=8).collect::<Vec<u64>>(), "LSNs count appends from 1");
+        assert_eq!((wal.appended_lsn(), wal.durable_lsn()), (8, 0));
+        assert_eq!(m.fsyncs.get(), 0, "append_with never syncs a strict log by itself");
+        wal.commit(lsns[7]).unwrap();
+        assert_eq!(m.fsyncs.get(), 1, "8 appends, one barrier");
+        assert_eq!((wal.durable_lsn(), m.durable.get()), (8, 8));
+        wal.commit(lsns[2]).unwrap();
+        assert_eq!(m.fsyncs.get(), 1, "an already-covered LSN commits for free");
+        assert!(!wal.sync_if_dirty().unwrap());
+        cleanup(&stem);
+    }
+
+    #[test]
+    fn concurrent_committers_share_one_fsync() {
+        let stem = scratch_stem("share");
+        let (wal, m) = open_counted(&stem, DEFAULT_SEGMENT_BYTES);
+        let both_appended = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (wal, both_appended) = (&wal, &both_appended);
+                s.spawn(move || {
+                    let lsn = put(wal, t + 1);
+                    both_appended.wait();
+                    wal.commit(lsn).unwrap();
+                });
+            }
+        });
+        assert_eq!(m.fsyncs.get(), 1, "the first committer's barrier covers the second");
+        assert_eq!((wal.appended_lsn(), wal.durable_lsn()), (2, 2));
+        cleanup(&stem);
+    }
+
+    #[test]
+    fn racing_append_commit_loses_nothing() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 1_000;
+        let stem = scratch_stem("race");
+        // Small segments: rotation happens under the race too.
+        let (wal, m) = open_counted(&stem, 4096);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let wal = &wal;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let lsn = put(wal, t * PER_THREAD + i + 1);
+                        wal.commit(lsn).unwrap();
+                        assert!(wal.durable_lsn() >= lsn);
+                    }
+                });
+            }
+        });
+        let total = THREADS * PER_THREAD;
+        assert_eq!((wal.appended_lsn(), wal.durable_lsn()), (total, total));
+        assert_eq!((m.appended.get(), m.durable.get()), (total, total));
+        assert!(m.fsyncs.get() <= total, "{} fsyncs for {total} appends", m.fsyncs.get());
+        assert!(wal.tail_segment() > 0, "the race never rotated");
+        drop(wal);
+        let mut seen = Vec::new();
+        let (_, rep) = open(&stem, SyncPolicy::Strict, 4096, &mut seen);
+        assert_eq!(rep.recovered, total);
+        let mut seqs: Vec<u64> = seen.iter().map(|(_, _, seq, _)| *seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (1..=total).collect::<Vec<u64>>(), "every record replays once");
+        cleanup(&stem);
+    }
+
+    #[test]
+    fn rotation_costs_one_file_fsync_and_one_directory_fsync() {
+        let stem = scratch_stem("rotate-cost");
+        let (wal, m) = open_counted(&stem, 64);
+        assert_eq!((m.fsyncs.get(), m.dir_fsyncs.get()), (0, 1), "creating segment 0");
+        // One 70-byte frame fills the 64-byte segment.
+        wal.append(WalRecord { op: 0, rank: 1, seq: 1, payload: &[0u8; 48] }).unwrap();
+        assert_eq!(wal.tail_segment(), 1);
+        assert_eq!(
+            (m.fsyncs.get(), m.dir_fsyncs.get()),
+            (1, 2),
+            "sealing the full segment is the record's barrier; the empty successor is \
+             published by a directory fsync, never fsynced itself"
+        );
+        assert_eq!(wal.durable_lsn(), 1);
+        drop(wal);
+        // Reopening an existing tail creates nothing.
+        let (_, m) = open_counted(&stem, 64);
+        assert_eq!(m.dir_fsyncs.get(), 0);
+        cleanup(&stem);
+    }
+
+    #[test]
+    fn failed_barrier_is_counted_and_recorded() {
+        let stem = scratch_stem("fail");
+        let reg = hcl_telemetry::Registry::new();
+        let flight = std::sync::Arc::new(hcl_telemetry::FlightRecorder::new(0, 8));
+        let m = PersistMetrics::from_registry(&reg, std::sync::Arc::clone(&flight));
+        let (wal, _) = Wal::open(&stem, SyncPolicy::Strict, 1, m.clone(), |_| {}).unwrap();
+        // With its directory gone the log cannot start the next segment.
+        std::fs::remove_dir_all(stem.parent().unwrap()).unwrap();
+        assert!(wal.append(WalRecord::anonymous(0, b"x")).is_err());
+        assert_eq!((m.commit_errors.get(), m.append_errors.get()), (1, 0));
+        let events = flight.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!((events[0].kind, events[0].op), (EventKind::PersistError, "wal.commit"));
+        // An oversized body is refused before it reaches the file.
+        let err = push_frame_with(&mut Vec::new(), 0, NO_IDENTITY, |b| {
+            b.resize(b.len() + MAX_BODY as usize, 0)
+        });
+        assert_eq!(err.unwrap_err().kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -84,6 +84,121 @@ impl Drop for IdentityScope {
     }
 }
 
+/// A durability barrier a handler defers to the acknowledgement of the
+/// request it runs under: "everything up to `lsn` must be durable before
+/// this request's response leaves". `hcl-rpc` knows nothing about logs — the
+/// durability layer implements this over its write-ahead log.
+pub trait AckBarrier: Send + Sync {
+    /// Make everything up to `lsn` durable. Free when it already is.
+    fn commit(&self, lsn: u64) -> std::io::Result<()>;
+}
+
+/// What the handlers of the request executing on this NIC worker still owe
+/// before its response may be published.
+struct AckScopeState {
+    /// This thread is an RPC worker: handlers run inside a request.
+    active: bool,
+    /// A handler could not log what it applied; the request must not be
+    /// acknowledged.
+    poisoned: bool,
+    /// One entry per distinct barrier, with the highest LSN asked of it.
+    barriers: Vec<(Arc<dyn AckBarrier>, u64)>,
+}
+
+thread_local! {
+    /// The per-request ack scope of the current NIC worker. Inactive on every
+    /// other thread (rank threads on the hybrid bypass, forwarder threads).
+    static ACK_SCOPE: std::cell::RefCell<AckScopeState> = const {
+        std::cell::RefCell::new(AckScopeState {
+            active: false,
+            poisoned: false,
+            barriers: Vec::new(),
+        })
+    };
+}
+
+/// Defer `barrier.commit(lsn)` to the acknowledgement of the request this
+/// thread is executing: the worker runs it once, after the request's last
+/// handler and before the response is published, however many handlers of
+/// the request registered the same barrier. Returns `false` when this thread
+/// is not executing a request — the caller then commits inline.
+pub fn defer_to_ack_scope(barrier: &Arc<dyn AckBarrier>, lsn: u64) -> bool {
+    ACK_SCOPE.with(|s| {
+        let mut s = s.borrow_mut();
+        if !s.active {
+            return false;
+        }
+        let key = Arc::as_ptr(barrier).cast::<()>();
+        match s.barriers.iter_mut().find(|(b, _)| Arc::as_ptr(b).cast::<()>() == key) {
+            Some((_, max)) => *max = (*max).max(lsn),
+            None => s.barriers.push((Arc::clone(barrier), lsn)),
+        }
+        true
+    })
+}
+
+/// Mark the request this thread is executing as impossible to acknowledge
+/// truthfully (a handler applied a mutation it could not log): its response
+/// is dropped exactly as if a barrier had failed. No-op outside a request.
+pub fn poison_ack_scope() {
+    ACK_SCOPE.with(|s| {
+        let mut s = s.borrow_mut();
+        if s.active {
+            s.poisoned = true;
+        }
+    });
+}
+
+/// Scope guard: marks this thread as an RPC worker for the guard's lifetime.
+/// The state is per-request because the worker settles it before every
+/// publish.
+struct AckScope;
+
+impl AckScope {
+    fn enter() -> AckScope {
+        ACK_SCOPE.with(|s| s.borrow_mut().active = true);
+        AckScope
+    }
+
+    /// Settle the request that just ran its last handler: commit every
+    /// registered barrier once and leave the scope empty for the next
+    /// request. `Err` means the response must not be published.
+    fn settle(&self) -> std::io::Result<()> {
+        let owed = ACK_SCOPE.with(|s| {
+            let mut s = s.borrow_mut();
+            (s.poisoned || !s.barriers.is_empty())
+                .then(|| (std::mem::take(&mut s.poisoned), std::mem::take(&mut s.barriers)))
+        });
+        let Some((poisoned, mut barriers)) = owed else { return Ok(()) };
+        let mut res = if poisoned {
+            Err(std::io::Error::other("a handler applied a mutation it could not log"))
+        } else {
+            Ok(())
+        };
+        // Committed outside the borrow: a barrier is foreign code. After a
+        // failure the response is dropped anyway, so the rest are skipped.
+        for (barrier, lsn) in barriers.drain(..) {
+            if res.is_ok() {
+                res = barrier.commit(lsn);
+            }
+        }
+        // Hand the allocation back so steady-state requests push for free.
+        ACK_SCOPE.with(|s| s.borrow_mut().barriers = barriers);
+        res
+    }
+}
+
+impl Drop for AckScope {
+    fn drop(&mut self) {
+        ACK_SCOPE.with(|s| {
+            let mut s = s.borrow_mut();
+            s.active = false;
+            s.poisoned = false;
+            s.barriers.clear();
+        });
+    }
+}
+
 /// Dedup state for one retransmittable request id.
 enum DedupEntry {
     /// A NIC core is executing it right now; duplicates are dropped (the
@@ -150,6 +265,10 @@ pub struct ServerStats {
     /// Epoch-tagged requests rejected at the ownership gate (stale epoch):
     /// the handler never ran; the caller re-resolves and re-issues.
     pub wrong_epoch: AtomicU64,
+    /// Executed requests whose response was dropped because a durability
+    /// barrier they registered failed (or a handler could not log): never
+    /// acknowledged, never re-executed; the caller ends in its retry budget.
+    pub ack_failures: AtomicU64,
 }
 
 /// A point-in-time copy of [`ServerStats`].
@@ -165,6 +284,8 @@ pub struct ServerStatsSnapshot {
     pub deduped: u64,
     /// Epoch-tagged requests rejected at the ownership gate.
     pub wrong_epoch: u64,
+    /// Executed requests dropped unacknowledged on a failed ack barrier.
+    pub ack_failures: u64,
 }
 
 /// The RPC server bound to one endpoint.
@@ -219,6 +340,7 @@ impl RpcServer {
                         // responses.
                         let mut resp_buf: Vec<u8> = Vec::with_capacity(1024);
                         let mut chain_buf: Vec<u8> = Vec::new();
+                        let ack_scope = AckScope::enter();
                         while !stop.load(Ordering::Acquire) {
                             let msg = match fabric.recv(ep, Some(Duration::from_millis(20))) {
                                 Ok(Some(m)) => m,
@@ -377,10 +499,25 @@ impl RpcServer {
                                 chain_buf.extend_from_slice(&resp_buf);
                                 std::mem::swap(&mut resp_buf, &mut chain_buf);
                             }
+                            // Ack barrier: whatever the handlers deferred
+                            // (strict-durability log commits) happens here,
+                            // once per request, before anything below can
+                            // tell anyone the request succeeded.
+                            let settled = ack_scope.settle();
                             // ORDERING: Relaxed statistic.
                             stats
                                 .busy_ns
                                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            if settled.is_err() {
+                                // Not durable, so not acknowledged: no
+                                // response, and the dedup entry stays
+                                // `InProgress` so retransmissions are dropped
+                                // instead of re-executing. The caller runs
+                                // out its retry budget.
+                                // ORDERING: Relaxed statistic.
+                                stats.ack_failures.fetch_add(1, Ordering::Relaxed);
+                                continue;
+                            }
                             // Version-stamped response: prefix the partition
                             // version (read *after* the handler ran, so any
                             // mutation this request performed is covered by
@@ -432,6 +569,7 @@ impl RpcServer {
             overflow_responses: self.stats.overflow_responses.load(Ordering::Relaxed),
             deduped: self.stats.deduped.load(Ordering::Relaxed),
             wrong_epoch: self.stats.wrong_epoch.load(Ordering::Relaxed),
+            ack_failures: self.stats.ack_failures.load(Ordering::Relaxed),
         }
     }
 
@@ -627,6 +765,167 @@ mod tests {
         let (execs, deduped) = run_duplicates(FLAG_IDEMPOTENT, 2, 0);
         assert_eq!(execs, 2);
         assert_eq!(deduped, 0);
+    }
+
+    /// An [`AckBarrier`] that parks inside `commit` until the test decides
+    /// its outcome, so the test can look at the world mid-commit.
+    struct GatedBarrier {
+        entered: Mutex<std::sync::mpsc::Sender<u64>>,
+        outcome: Mutex<std::sync::mpsc::Receiver<std::io::Result<()>>>,
+    }
+
+    impl AckBarrier for GatedBarrier {
+        fn commit(&self, lsn: u64) -> std::io::Result<()> {
+            self.entered.lock().send(lsn).expect("test is listening");
+            self.outcome.lock().recv().expect("test decides the outcome")
+        }
+    }
+
+    type Gate = (std::sync::mpsc::Receiver<u64>, std::sync::mpsc::Sender<std::io::Result<()>>);
+
+    /// A one-core server over a memory fabric whose fn 7 defers its `u64`
+    /// argument as an LSN on a gated barrier (and echoes it), fn 8 echoes
+    /// without touching the ack scope, and fn 9 poisons the scope.
+    fn gated_server(
+        dedup_window: usize,
+    ) -> (Arc<dyn hcl_fabric::Fabric>, RpcServer, Arc<AtomicU64>, Gate) {
+        let fabric: Arc<dyn hcl_fabric::Fabric> = Arc::new(MemoryFabric::new());
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (outcome_tx, outcome_rx) = std::sync::mpsc::channel();
+        let barrier: Arc<dyn AckBarrier> = Arc::new(GatedBarrier {
+            entered: Mutex::new(entered_tx),
+            outcome: Mutex::new(outcome_rx),
+        });
+        let registry = Arc::new(RpcRegistry::new());
+        let executions = Arc::new(AtomicU64::new(0));
+        let e2 = Arc::clone(&executions);
+        registry.bind_typed(7, move |_, _, lsn: u64| {
+            e2.fetch_add(1, Ordering::Relaxed);
+            assert!(defer_to_ack_scope(&barrier, lsn), "handlers run inside an ack scope");
+            lsn
+        });
+        registry.bind_typed(8, |_, _, x: u64| x);
+        registry.bind_typed(9, |_, _, x: u64| {
+            poison_ack_scope();
+            x
+        });
+        let server = RpcServer::start(
+            hcl_fabric::EpId::new(0, 0),
+            Arc::clone(&fabric),
+            registry,
+            ServerConfig { max_clients: 4, slot_cap: 256, nic_cores: 1, dedup_window },
+        );
+        (fabric, server, executions, (entered_rx, outcome_tx))
+    }
+
+    #[test]
+    fn ack_barrier_commits_once_per_request_before_publish() {
+        use crate::client::RpcClient;
+        use hcl_databox::DataBox;
+        let (fabric, server, _, (entered, outcome)) = gated_server(64);
+        let server_ep = server.endpoint();
+        let client = RpcClient::new(hcl_fabric::EpId::new(0, 1), Arc::clone(&fabric), 256);
+        let wait = Duration::from_secs(10);
+
+        // Single call: the worker is parked inside the commit, and nothing
+        // has been published yet.
+        let single = client.invoke_async::<u64, u64>(server_ep, 7, &5).unwrap();
+        assert_eq!(entered.recv_timeout(wait).unwrap(), 5);
+        assert!(single.try_get().is_none(), "response published before its barrier returned");
+        outcome.send(Ok(())).unwrap();
+        assert_eq!(single.wait().unwrap(), 5);
+
+        // Callback chain: both links defer; one commit, after the last link.
+        let chained = client.invoke_chain::<u64, u64>(server_ep, vec![7, 7], &6).unwrap();
+        assert_eq!(entered.recv_timeout(wait).unwrap(), 6);
+        assert!(chained.try_get().is_none());
+        outcome.send(Ok(())).unwrap();
+        assert_eq!(chained.wait().unwrap(), 6);
+
+        // Aggregated request: three deferring calls and one that does not —
+        // one commit, at the highest LSN asked, after the whole loop.
+        let calls: Vec<(u32, Vec<u8>)> =
+            [(7, 3u64), (7, 9), (8, 100), (7, 4)].iter().map(|(f, x)| (*f, x.to_bytes().to_vec())).collect();
+        let batch = client.invoke_batch(server_ep, &calls).unwrap();
+        assert_eq!(entered.recv_timeout(wait).unwrap(), 9);
+        assert!(batch.try_wait().is_none());
+        outcome.send(Ok(())).unwrap();
+        assert_eq!(batch.wait_typed::<u64>().unwrap(), vec![3, 9, 100, 4]);
+
+        // A request that deferred nothing commits nothing.
+        assert_eq!(client.invoke::<u64, u64>(server_ep, 8, &1).unwrap(), 1);
+        assert!(entered.try_recv().is_err(), "exactly one commit per deferring request");
+        assert_eq!(server.stats().ack_failures, 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn failed_ack_barrier_publishes_nothing_and_blocks_reexecution() {
+        let (fabric, server, executions, (entered, outcome)) = gated_server(64);
+        let server_ep = server.endpoint();
+        let client_ep = hcl_fabric::EpId::new(0, 1);
+        fabric.register_endpoint(client_ep).unwrap();
+        let slot_seq = |slot: u32| {
+            server.resp_seg.load_u64(slot_offset(client_ep.rank, slot, 256)).unwrap()
+        };
+        let wait_for = |what: &str, done: &dyn Fn(ServerStatsSnapshot) -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done(server.stats()) {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        use hcl_databox::DataBox;
+        let request = |req_id: u64, fn_id: u32| {
+            RequestHeader { req_id, slot: req_id as u32, flags: FLAG_IDEMPOTENT, chain: vec![fn_id] }
+                .encode(&1u64.to_bytes())
+        };
+
+        // The barrier fails: counted, nothing published.
+        fabric.send(client_ep, server_ep, request(1, 7)).unwrap();
+        entered.recv_timeout(Duration::from_secs(10)).unwrap();
+        outcome.send(Err(std::io::Error::other("disk on fire"))).unwrap();
+        wait_for("the ack failure", &|st| st.ack_failures == 1);
+        assert_eq!(slot_seq(1), 0, "a response was published for a request that is not durable");
+
+        // Its retransmission finds the dedup entry still `InProgress` — not
+        // `Done`, which would republish — and is dropped without executing.
+        fabric.send(client_ep, server_ep, request(1, 7)).unwrap();
+        wait_for("the duplicate", &|st| st.deduped == 1);
+        assert_eq!(executions.load(Ordering::Relaxed), 1);
+        assert_eq!(slot_seq(1), 0);
+
+        // A handler that could not log poisons the scope: same outcome,
+        // without any barrier being asked.
+        fabric.send(client_ep, server_ep, request(2, 9)).unwrap();
+        wait_for("the poisoned request", &|st| st.ack_failures == 2);
+        assert_eq!(slot_seq(2), 0);
+        assert!(entered.try_recv().is_err());
+
+        // The scope is per request: the next one is acknowledged normally.
+        fabric.send(client_ep, server_ep, request(3, 8)).unwrap();
+        wait_for("the healthy request", &|st| st.requests == 3);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while slot_seq(3) != 3 {
+            assert!(Instant::now() < deadline, "healthy request never acknowledged");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn ack_scope_is_inactive_off_the_worker_threads() {
+        struct Never;
+        impl AckBarrier for Never {
+            fn commit(&self, _: u64) -> std::io::Result<()> {
+                panic!("never deferred, never committed")
+            }
+        }
+        let barrier: Arc<dyn AckBarrier> = Arc::new(Never);
+        assert!(!defer_to_ack_scope(&barrier, 1), "a rank thread must commit inline");
+        poison_ack_scope(); // no-op
+        let scope = AckScope::enter();
+        assert!(scope.settle().is_ok(), "the off-scope poison left nothing behind");
     }
 
     #[test]

@@ -314,6 +314,7 @@ impl WorldShared {
             out.overflow_responses += st.overflow_responses;
             out.deduped += st.deduped;
             out.wrong_epoch += st.wrong_epoch;
+            out.ack_failures += st.ack_failures;
         }
         out
     }
@@ -421,6 +422,7 @@ impl Rank {
         reg.gauge("hcl_rpc_server_deduped").set(s.deduped);
         reg.gauge("hcl_rpc_server_overflow_responses").set(s.overflow_responses);
         reg.gauge("hcl_rpc_server_wrong_epoch").set(s.wrong_epoch);
+        reg.gauge("hcl_rpc_server_ack_failures").set(s.ack_failures);
         let m = self.world.membership.snapshot();
         reg.gauge("hcl_runtime_membership_epoch").set(m.epoch);
         reg.gauge("hcl_runtime_membership_generation").set(m.generation);

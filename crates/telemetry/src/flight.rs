@@ -37,6 +37,10 @@ pub enum EventKind {
     /// A live shard migration step (`op` names the step, `dest` = the
     /// receiving rank, `n` = keys moved, `bytes` = payload moved).
     Migration,
+    /// A write-ahead-log append or sync barrier failed (`op` names which,
+    /// `n` = the log's appended LSN at the failure). A request whose
+    /// durability depended on it is never acknowledged.
+    PersistError,
 }
 
 impl EventKind {
@@ -51,6 +55,7 @@ impl EventKind {
             EventKind::BatchFlush => "batch-flush",
             EventKind::EpochCommit => "epoch-commit",
             EventKind::Migration => "migration",
+            EventKind::PersistError => "persist-error",
         }
     }
 }

@@ -572,9 +572,20 @@ impl CacheMetrics {
 pub struct PersistMetrics {
     /// Records appended to a write-ahead log.
     pub appended: Arc<Counter>,
-    /// Durable sync barriers (fsync) issued — per append under the strict
-    /// policy, per flush-gap interval under the relaxed policy.
+    /// Durable sync barriers (file fsync) issued — at most one per
+    /// acknowledged request under the strict policy (group commit), per
+    /// flush-gap interval under the relaxed policy.
     pub fsyncs: Arc<Counter>,
+    /// Records covered by a sync barrier. Never ahead of `appended`; equal to
+    /// it exactly when every log's durable LSN has caught up with its
+    /// appended LSN.
+    pub durable: Arc<Counter>,
+    /// Parent-directory fsyncs: one per segment file created.
+    pub dir_fsyncs: Arc<Counter>,
+    /// Appends that failed with an I/O error (the record is not in the log).
+    pub append_errors: Arc<Counter>,
+    /// Sync barriers that failed with an I/O error (nothing newly durable).
+    pub commit_errors: Arc<Counter>,
     /// Record frames read back (snapshot + segments) during replay.
     pub replayed: Arc<Counter>,
     /// Bytes discarded by torn-tail truncation on replay (a crash artifact:
@@ -585,26 +596,34 @@ pub struct PersistMetrics {
     pub recovered_ops: Arc<Counter>,
     /// Size of the last snapshot written or loaded, bytes.
     pub snapshot_bytes: Arc<Gauge>,
+    /// Where append/commit failures are recorded ([`EventKind::PersistError`]).
+    pub flight: Arc<FlightRecorder>,
 }
 
 impl PersistMetrics {
-    /// Resolve the bundle's metrics from `reg`.
-    pub fn from_registry(reg: &Registry) -> Self {
+    /// Resolve the bundle's metrics from `reg`; failures are recorded into
+    /// `flight`.
+    pub fn from_registry(reg: &Registry, flight: Arc<FlightRecorder>) -> Self {
         PersistMetrics {
             appended: reg.counter("hcl_persist_appended"),
             fsyncs: reg.counter("hcl_persist_fsyncs"),
+            durable: reg.counter("hcl_persist_durable"),
+            dir_fsyncs: reg.counter("hcl_persist_dir_fsyncs"),
+            append_errors: reg.counter("hcl_persist_append_errors"),
+            commit_errors: reg.counter("hcl_persist_commit_errors"),
             replayed: reg.counter("hcl_persist_replayed"),
             truncated_tail: reg.counter("hcl_persist_truncated_tail"),
             recovered_ops: reg.counter("hcl_persist_recovered_ops"),
             snapshot_bytes: reg.gauge("hcl_persist_snapshot_bytes"),
+            flight,
         }
     }
 
-    /// A bundle backed by a private registry — used when a durable container
-    /// runs without telemetry; counters still accumulate for programmatic
-    /// snapshots, nothing is exported.
+    /// A bundle backed by a private registry and an empty flight ring — used
+    /// when a durable container runs without telemetry; counters still
+    /// accumulate for programmatic snapshots, nothing is exported.
     pub fn detached() -> Self {
-        Self::from_registry(&Registry::new())
+        Self::from_registry(&Registry::new(), Arc::new(FlightRecorder::new(0, 0)))
     }
 }
 
@@ -634,9 +653,14 @@ mod tests {
     #[test]
     fn persist_bundle_resolves_and_names_pass_convention() {
         let reg = Registry::new();
-        let m = PersistMetrics::from_registry(&reg);
+        let flight = Arc::new(FlightRecorder::new(0, 0));
+        let m = PersistMetrics::from_registry(&reg, Arc::clone(&flight));
         m.appended.inc();
         m.fsyncs.inc();
+        m.durable.inc();
+        m.dir_fsyncs.inc();
+        m.append_errors.inc();
+        m.commit_errors.inc();
         m.replayed.add(3);
         m.truncated_tail.add(7);
         m.recovered_ops.add(2);
@@ -645,10 +669,10 @@ mod tests {
         for (name, _) in counters.iter().chain(gauges.iter()) {
             assert!(valid_metric_name(name), "persist metric breaks convention: {name}");
         }
-        assert_eq!(counters.len(), 5);
+        assert_eq!(counters.len(), 9);
         assert_eq!(gauges.len(), 1);
         // Shared handles: a second resolve sees the same counters.
-        let again = PersistMetrics::from_registry(&reg);
+        let again = PersistMetrics::from_registry(&reg, flight);
         assert_eq!(again.appended.get(), 1);
     }
 

@@ -155,8 +155,9 @@ bench-rebalance-smoke:
 # Durability suite: the WAL crate's unit tests (CRC, torn-tail truncation,
 # snapshot compaction, replay dedup), the per-container live-vs-recovered
 # byte-identity proptests, and the subprocess crash harness (kill -9
-# mid-write, then recover; strict = zero acknowledged-write loss, relaxed =
-# bounded suffix-only tail loss, plus the drain/admit rejoin).
+# mid-write, then recover; strict = zero acknowledged-write loss for sync
+# puts and for put_async windows, relaxed = bounded suffix-only tail loss,
+# plus the drain/admit rejoin).
 test-persist:
     cargo test --release -p hcl-persist
     cargo test --release --test persist_property
@@ -164,15 +165,17 @@ test-persist:
 
 # Seeded multi-generation crash soak: repeated kill -9/recover cycles over
 # ONE log directory, each child replaying, compacting and appending over
-# everything its predecessors survived. `iters`/`seed` pin the sweep.
+# everything its predecessors survived; generations alternate sync puts and
+# windows of 16 put_async. `iters`/`seed` pin the sweep.
 crash-soak iters="3" seed="12648430":
     HCL_SOAK_ITERS={{iters}} HCL_SOAK_SEED={{seed}} \
         cargo test --release --test crash_recovery -- --ignored --exact crash_soak --nocapture
 
 # Sync-epoch bench gate: a reduced 8-rank zipfian durable-put sweep (no
 # persistence vs strict vs relaxed), gating the flush-gap signature —
-# every durable put logged, strict fsyncs per append, relaxed fsyncs >= 10x
-# rarer, relaxed throughput not collapsed — then validating the committed
+# every durable put logged, every strict log fully durable at the last ack
+# with at most one fsync per put, relaxed fsyncs >= 10x rarer, relaxed
+# throughput not collapsed — then validating the committed
 # BENCH_pr10.json. The full regeneration is `cargo run --release -p
 # hcl-bench --bin pr10`.
 bench-persist-smoke:

@@ -9,7 +9,9 @@
 //!
 //! Contracts checked:
 //! * **strict** sync epochs: every acknowledged write is on disk before the
-//!   ack — zero acknowledged-write loss, bit-exact values;
+//!   ack — zero acknowledged-write loss, bit-exact values — both for one
+//!   synchronous put per request and for windows of 16 `put_async` whose
+//!   aggregated requests share one commit each (`strict_async_window`);
 //! * **relaxed** sync epochs: loss is confined to the un-synced tail — per
 //!   (writer rank, owner partition) the missing keys form a *suffix* of
 //!   that writer's acknowledged sequence, never a hole;
@@ -34,6 +36,8 @@ const RANKS: u32 = 4;
 const VALUE_XOR: u64 = 0x5a5a_5a5a;
 /// Acks per rank the parent waits for before pulling the trigger.
 const KILL_AFTER_ACKS: usize = 300;
+/// `put_async` calls in flight per window in the `strict_async_window` child.
+const ASYNC_WINDOW: u64 = 16;
 
 fn ww() -> WorldConfig {
     WorldConfig { nodes: 2, ranks_per_node: 2, ..WorldConfig::small() }
@@ -59,11 +63,15 @@ fn crash_child_worker() {
         _ => SyncPolicy::Strict,
     };
     let pcfg = PersistConfig { policy, ..PersistConfig::strict(dir.join("logs")) };
+    // The async-window child turns the hybrid bypass off: every put then
+    // commits through a NIC worker's ack scope, never inline on a rank
+    // thread whose fsync would cover for a barrier the server skipped.
+    let hybrid = mode != "strict_async_window";
     World::run(ww(), move |rank| {
         let map: UnorderedMap<u64, u64> = UnorderedMap::with_config(
             rank,
             "crash.map",
-            UnorderedMapConfig { persist: Some(pcfg.clone()), ..Default::default() },
+            UnorderedMapConfig { hybrid, persist: Some(pcfg.clone()), ..Default::default() },
         );
         rank.barrier();
         let mut ack = std::fs::OpenOptions::new()
@@ -71,10 +79,30 @@ fn crash_child_worker() {
             .append(true)
             .open(dir.join(format!("ack.{}.{}", iter, rank.id())))
             .expect("open ack file");
-        for i in 0..1_000_000u64 {
-            let k = key_of(rank.id(), iter, i);
-            map.put(k, k ^ VALUE_XOR).expect("durable put");
-            ack.write_all(format!("{k}\n").as_bytes()).expect("ack append");
+        if mode == "strict_async_window" {
+            // Group commit's own shape: the coalescer aggregates the window
+            // into a few requests, each acknowledged after ONE commit. The
+            // kill lands mid-window; a key counts as acked only once its
+            // future resolved.
+            for base in (0..1_000_000u64).step_by(ASYNC_WINDOW as usize) {
+                let keys: Vec<u64> =
+                    (base..base + ASYNC_WINDOW).map(|i| key_of(rank.id(), iter, i)).collect();
+                let futs: Vec<_> = keys
+                    .iter()
+                    .map(|&k| map.put_async(k, k ^ VALUE_XOR).expect("durable put_async"))
+                    .collect();
+                rank.flush_ops();
+                for (k, fut) in keys.iter().zip(futs) {
+                    fut.wait().expect("durable put_async ack");
+                    ack.write_all(format!("{k}\n").as_bytes()).expect("ack append");
+                }
+            }
+        } else {
+            for i in 0..1_000_000u64 {
+                let k = key_of(rank.id(), iter, i);
+                map.put(k, k ^ VALUE_XOR).expect("durable put");
+                ack.write_all(format!("{k}\n").as_bytes()).expect("ack append");
+            }
         }
         rank.barrier();
     });
@@ -183,7 +211,7 @@ fn fresh_dir(name: &str) -> PathBuf {
 fn crash_recover_once(name: &str, mode: &str) {
     let dir = fresh_dir(name);
     run_until_kill(&dir, mode, 0, KILL_AFTER_ACKS);
-    let strict = mode == "strict";
+    let strict = mode != "relaxed";
     let policy = match mode {
         "relaxed" => SyncPolicy::Relaxed { interval: Duration::from_millis(25) },
         _ => SyncPolicy::Strict,
@@ -233,6 +261,14 @@ fn strict_crash_loses_no_acknowledged_write() {
     crash_recover_once("strict", "strict");
 }
 
+/// kill -9 mid-window under strict sync epochs with aggregated requests:
+/// every `put_async` whose future resolved was covered by its request's
+/// commit before the response left.
+#[test]
+fn strict_async_window_crash_loses_no_acknowledged_write() {
+    crash_recover_once("strict-async", "strict_async_window");
+}
+
 /// kill -9 mid-write under relaxed sync epochs: loss is a bounded tail —
 /// per (writer, owner) a suffix of the acked sequence, never a hole.
 #[test]
@@ -242,7 +278,8 @@ fn relaxed_crash_loss_is_a_bounded_tail() {
 
 /// Seeded multi-generation soak (`just crash-soak`): repeated kill/recover
 /// cycles over ONE log directory, so each child replays, compacts and
-/// appends over everything its predecessors survived. Iterations and seed
+/// appends over everything its predecessors survived. Generations alternate
+/// between synchronous puts and `put_async` windows. Iterations and seed
 /// come from `HCL_SOAK_ITERS` / `HCL_SOAK_SEED`.
 #[test]
 #[ignore = "long-running; run via `just crash-soak`"]
@@ -260,7 +297,8 @@ fn crash_soak() {
         state ^= state >> 7;
         state ^= state << 17;
         let kill_after = KILL_AFTER_ACKS + (state % 400) as usize;
-        run_until_kill(&dir, "strict", iter, kill_after);
+        let mode = if iter % 2 == 0 { "strict" } else { "strict_async_window" };
+        run_until_kill(&dir, mode, iter, kill_after);
         let pcfg = pcfg.clone();
         let dir2 = dir.clone();
         World::run(ww(), move |rank| {

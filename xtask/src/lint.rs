@@ -1336,7 +1336,12 @@ mod tests {
             "    let d = reg.counter(\"hcl_persist_truncated_tail\");\n",
             "    let e = reg.counter(\"hcl_persist_recovered_ops\");\n",
             "    let g = reg.gauge(\"hcl_persist_snapshot_bytes\");\n",
-            "    drop((a, b, c, d, e, g));\n",
+            "    let h = reg.counter(\"hcl_persist_durable\");\n",
+            "    let i = reg.counter(\"hcl_persist_dir_fsyncs\");\n",
+            "    let j = reg.counter(\"hcl_persist_append_errors\");\n",
+            "    let k = reg.counter(\"hcl_persist_commit_errors\");\n",
+            "    let l = reg.gauge(\"hcl_rpc_server_ack_failures\");\n",
+            "    drop((a, b, c, d, e, g, h, i, j, k, l));\n",
             "}\n"
         );
         assert!(rules("crates/telemetry/src/persist.rs", src).is_empty());
