@@ -2,16 +2,13 @@
 //!
 //! Measures an 8-rank zipfian read-heavy `get` workload against one
 //! `UnorderedMap` (memory fabric, hybrid bypass off so every read is a real
-//! dispatch) in three read-path modes:
+//! dispatch) in two read-path modes:
 //!
 //! * **uncached** — every `get` is a remote RPC to the key's partition
 //!   owner: the pre-PR-8 read path;
 //! * **cached** — the lease-based client cache (DESIGN.md §14): hot keys
 //!   are granted bounded-TTL leases and repeat `get`s are served locally
-//!   without touching the fabric;
-//! * **steered** — leasing disabled, hot-key detection steers sustained
-//!   reads of replicated partitions to the `REPL_GET` replica path,
-//!   spreading owner load.
+//!   without touching the fabric.
 //!
 //! The full run (no args) writes `BENCH_pr8.json` into the repo root with
 //! aggregate gets/s and merged p50/p99 per-get latency per mode, plus the
@@ -32,11 +29,10 @@ const VALUE_BYTES: usize = 64;
 const THETA: f64 = 0.99;
 const SEED: u64 = 0x9258;
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Mode {
     Uncached,
     Cached,
-    Steered,
 }
 
 impl Mode {
@@ -44,7 +40,6 @@ impl Mode {
         match self {
             Mode::Uncached => "uncached",
             Mode::Cached => "cached",
-            Mode::Steered => "steered",
         }
     }
 
@@ -59,18 +54,6 @@ impl Mode {
                     // carries ~80% of the reads all stays leased.
                     hot_threshold: 1,
                     topk: 512,
-                    ..LeaseConfig::default()
-                }),
-                ..base
-            },
-            Mode::Steered => UnorderedMapConfig {
-                replicas: 1,
-                lease: Some(LeaseConfig {
-                    ttl: Duration::from_millis(10),
-                    // Never lease: isolate the steering effect.
-                    hot_threshold: u64::MAX,
-                    steer: true,
-                    steer_threshold: 64,
                     ..LeaseConfig::default()
                 }),
                 ..base
@@ -122,9 +105,6 @@ fn run_case(mode: Mode, gets: u64) -> CaseResult {
             for k in 0..KEY_SPACE {
                 map.put(k, val.clone()).unwrap();
             }
-            if mode == Mode::Steered {
-                map.flush_replication().unwrap();
-            }
         }
         rank.barrier();
 
@@ -156,7 +136,6 @@ fn run_case(mode: Mode, gets: u64) -> CaseResult {
         cache.stale_version += cs.stale_version;
         cache.stale_epoch += cs.stale_epoch;
         cache.evictions += cs.evictions;
-        cache.steered_reads += cs.steered_reads;
     }
     let total = gets * RANKS as u64;
     CaseResult {
@@ -187,14 +166,14 @@ fn write_json(results: &[CaseResult], path: &str) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"pr8_read_path\",\n");
-    out.push_str("  \"description\": \"8-rank zipfian read-heavy gets: uncached remote RPC vs lease-cached client reads vs replica-steered hot reads\",\n");
+    out.push_str("  \"description\": \"8-rank zipfian read-heavy gets: uncached remote RPC vs lease-cached client reads\",\n");
     out.push_str(&format!(
         "  \"config\": {{\"ranks\": {RANKS}, \"key_space\": {KEY_SPACE}, \"value_bytes\": {VALUE_BYTES}, \"theta\": {THETA}, \"seed\": {SEED}, \"lease_ttl_ms\": 50, \"lease_topk\": 512, \"policy\": \"best-of-N per cell, median-of-N alongside\"}},\n"
     ));
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"ranks\": {}, \"gets_per_rank\": {}, \"elapsed_s\": {:.6}, \"gets_per_sec\": {:.1}, \"gets_per_sec_median\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"lease_grants\": {}, \"stale_expired\": {}, \"steered_reads\": {}}}{}\n",
+            "    {{\"mode\": \"{}\", \"ranks\": {}, \"gets_per_rank\": {}, \"elapsed_s\": {:.6}, \"gets_per_sec\": {:.1}, \"gets_per_sec_median\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"lease_grants\": {}, \"stale_expired\": {}}}{}\n",
             r.mode,
             r.ranks,
             r.gets_per_rank,
@@ -207,21 +186,16 @@ fn write_json(results: &[CaseResult], path: &str) {
             r.cache.misses,
             r.cache.lease_grants,
             r.cache.stale_expired,
-            r.cache.steered_reads,
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
     let find = |mode: &str| results.iter().find(|r| r.mode == mode).unwrap();
-    let (unc, cac, ste) = (find("uncached"), find("cached"), find("steered"));
+    let (unc, cac) = (find("uncached"), find("cached"));
     out.push_str("  \"summary\": {\n");
     out.push_str(&format!(
         "    \"speedup_cached_vs_uncached\": {:.2},\n",
         cac.gets_per_sec / unc.gets_per_sec
-    ));
-    out.push_str(&format!(
-        "    \"speedup_steered_vs_uncached\": {:.2},\n",
-        ste.gets_per_sec / unc.gets_per_sec
     ));
     out.push_str(&format!("    \"p99_uncached_ns\": {},\n", unc.p99_ns));
     out.push_str(&format!("    \"p99_cached_ns\": {},\n", cac.p99_ns));
@@ -249,8 +223,7 @@ fn field_f64(body: &str, key: &str) -> f64 {
 
 /// Validate the committed artifact against the PR 8 acceptance bar:
 /// cached aggregate throughput ≥2x uncached, cached p99 below uncached
-/// p99, non-zero cache hits on the cached row, non-zero steered reads on
-/// the steered row.
+/// p99, non-zero cache hits on the cached row.
 fn validate(path: &str) {
     let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!("cannot read {path}: {e} (run `cargo run --release -p hcl-bench --bin pr8` first)")
@@ -261,7 +234,6 @@ fn validate(path: &str) {
         "\"results\"",
         "\"uncached\"",
         "\"cached\"",
-        "\"steered\"",
         "\"summary\"",
         "\"speedup_cached_vs_uncached\"",
     ] {
@@ -285,14 +257,6 @@ fn validate(path: &str) {
     assert!(
         field_f64(cached_row, "cache_hits") > 0.0,
         "{path}: cached row reports zero local hits"
-    );
-    let steered_row = body
-        .split("\"mode\": \"steered\"")
-        .nth(1)
-        .expect("steered row present");
-    assert!(
-        field_f64(steered_row, "steered_reads") > 0.0,
-        "{path}: steered row reports zero replica-steered reads"
     );
     for chunk in body.split("\"gets_per_sec\": ").skip(1) {
         let rate: f64 = chunk
@@ -327,12 +291,11 @@ fn main() {
     let gets: u64 = if smoke { 4_000 } else { 20_000 };
     let iters: u32 = 3;
     let mut results = Vec::new();
-    for mode in [Mode::Uncached, Mode::Cached, Mode::Steered] {
+    for mode in [Mode::Uncached, Mode::Cached] {
         let r = run_cell(mode, gets, iters);
         println!(
-            "{:<9} {:>12.0} gets/s (median {:.0})  p50 {:>7} ns  p99 {:>8} ns  hits {} steered {}",
-            r.mode, r.gets_per_sec, r.gets_per_sec_median, r.p50_ns, r.p99_ns, r.cache.hits,
-            r.cache.steered_reads
+            "{:<9} {:>12.0} gets/s (median {:.0})  p50 {:>7} ns  p99 {:>8} ns  hits {}",
+            r.mode, r.gets_per_sec, r.gets_per_sec_median, r.p50_ns, r.p99_ns, r.cache.hits
         );
         results.push(r);
     }
@@ -348,10 +311,6 @@ fn main() {
             "fresh smoke cached speedup {fresh:.2}x collapsed (committed bar is 2x)"
         );
         assert!(find("cached").cache.hits > 0, "fresh cached run served no local hits");
-        assert!(
-            find("steered").cache.steered_reads > 0,
-            "fresh steered run steered nothing"
-        );
         validate(&path);
     } else {
         write_json(&results, &path);

@@ -1,7 +1,7 @@
 //! Lease-based client-side read caching and hot-key detection (PR 8).
 //!
 //! The read-path scale-out layer: partitions stamp every bucket mutation
-//! with a monotonically increasing version (see `unordered::Part::version`),
+//! with a monotonically increasing version (see [`crate::shard::KeyedShard::version`]),
 //! and a leased `get` response carries `(version, ttl, value)`. The client
 //! stores the triple in a per-handle [`LeaseCache`]; while the lease holds,
 //! repeat `get`s on the key are served locally without touching the fabric.
@@ -20,8 +20,6 @@
 //! Which keys get leases is decided by a [`HotKeyDetector`] — a
 //! space-saving top-k sketch fed through the dispatch engine's
 //! [`OpObserver`] seam — so cold keys never pay the cache-maintenance cost.
-//! The same sketch tracks per-owner read pressure, steering non-leased
-//! reads of hot replicated partitions onto the `REPL_GET` replica path.
 //!
 //! [`DownedRegistry`]: hcl_runtime::DownedRegistry
 
@@ -52,13 +50,6 @@ pub struct LeaseConfig {
     pub hot_threshold: u64,
     /// Width of the space-saving top-k sketch.
     pub topk: usize,
-    /// Steer non-leased reads of loaded owners to the replica path
-    /// (requires `replicas >= 1`). Steered reads may lag replication, so
-    /// leave this off for linearizability-checked runs.
-    pub steer: bool,
-    /// Reads observed against one owner (within a decay window) before it
-    /// counts as loaded for steering.
-    pub steer_threshold: u64,
 }
 
 impl Default for LeaseConfig {
@@ -69,8 +60,6 @@ impl Default for LeaseConfig {
             shards: 8,
             hot_threshold: 3,
             topk: 64,
-            steer: false,
-            steer_threshold: 256,
         }
     }
 }
@@ -104,8 +93,6 @@ pub struct CacheStats {
     pub stale_epoch: u64,
     /// Entries evicted by the capacity bound.
     pub evictions: u64,
-    /// Non-leased reads steered to the replica path.
-    pub steered_reads: u64,
 }
 
 /// The per-handle, sharded, capacity-bounded lease cache.
@@ -121,7 +108,6 @@ pub struct LeaseCache<K, V> {
     observed: Vec<AtomicU64>,
     detector: Arc<HotKeyDetector>,
     metrics: CacheMetrics,
-    cfg: LeaseConfig,
 }
 
 impl<K, V> LeaseCache<K, V>
@@ -139,7 +125,6 @@ where
             observed: (0..nparts.max(1)).map(|_| AtomicU64::new(0)).collect(),
             detector: Arc::new(HotKeyDetector::new(&cfg)),
             metrics,
-            cfg,
         }
     }
 
@@ -230,11 +215,6 @@ where
         self.detector.is_hot(hash)
     }
 
-    /// True when steering is enabled and `owner` is under read pressure.
-    pub fn should_steer(&self, owner: u32) -> bool {
-        self.cfg.steer && self.detector.owner_loaded(owner)
-    }
-
     /// The hot-key sketch, as an installable [`OpObserver`].
     pub fn detector(&self) -> Arc<HotKeyDetector> {
         Arc::clone(&self.detector)
@@ -265,27 +245,23 @@ where
             stale_version: self.metrics.stale_version.get(),
             stale_epoch: self.metrics.stale_epoch.get(),
             evictions: self.metrics.evictions.get(),
-            steered_reads: self.metrics.steered_reads.get(),
         }
     }
 }
 
-/// Space-saving top-k hot-key sketch plus per-owner read-pressure counts.
+/// Space-saving top-k hot-key sketch.
 ///
 /// Fixed-width: `topk` `(key_hash, count)` slots scanned linearly (the
-/// width is small enough that a scan beats a heap), a bounded owner table,
-/// and periodic count-halving decay every `2 * topk * hot_threshold`
+/// width is small enough that a scan beats a heap) and periodic count-halving decay every `2 * topk * hot_threshold`
 /// observations — deterministic cooling with no clocks, so tests and the
 /// simulator see identical decisions for identical op sequences.
 pub struct HotKeyDetector {
     inner: Mutex<HotInner>,
     hot_threshold: u64,
-    steer_threshold: u64,
 }
 
 struct HotInner {
     entries: Vec<(u64, u64)>,
-    owner_reads: HashMap<u32, u64>,
     observed: u64,
     decay_every: u64,
 }
@@ -296,7 +272,6 @@ impl HotKeyDetector {
         HotKeyDetector {
             inner: Mutex::new(HotInner {
                 entries: Vec::with_capacity(topk),
-                owner_reads: HashMap::new(),
                 observed: 0,
                 decay_every: 2u64
                     .saturating_mul(topk as u64)
@@ -304,14 +279,13 @@ impl HotKeyDetector {
                     .max(1),
             }),
             hot_threshold: cfg.hot_threshold,
-            steer_threshold: cfg.steer_threshold.max(1),
         }
     }
 
-    /// Count one read of `hash` against `owner`. Space-saving admission:
+    /// Count one read of `hash`. Space-saving admission:
     /// an unseen key displaces the minimum-count slot and inherits its
     /// count + 1, so recently-hot keys are never undercounted.
-    pub fn observe_read(&self, hash: u64, owner: u32) {
+    pub fn observe_read(&self, hash: u64) {
         let mut inner = self.inner.lock();
         inner.observed += 1;
         if inner.observed % inner.decay_every == 0 {
@@ -319,11 +293,7 @@ impl HotKeyDetector {
                 e.1 /= 2;
             }
             inner.entries.retain(|e| e.1 > 0);
-            for c in inner.owner_reads.values_mut() {
-                *c /= 2;
-            }
         }
-        *inner.owner_reads.entry(owner).or_insert(0) += 1;
         if let Some(e) = inner.entries.iter_mut().find(|e| e.0 == hash) {
             e.1 += 1;
         } else if inner.entries.len() < inner.entries.capacity() {
@@ -342,10 +312,6 @@ impl HotKeyDetector {
             .any(|e| e.0 == hash && e.1 >= self.hot_threshold)
     }
 
-    /// True when `owner` has absorbed `steer_threshold` reads this window.
-    pub fn owner_loaded(&self, owner: u32) -> bool {
-        self.inner.lock().owner_reads.get(&owner).copied().unwrap_or(0) >= self.steer_threshold
-    }
 }
 
 impl OpObserver for HotKeyDetector {
@@ -353,7 +319,7 @@ impl OpObserver for HotKeyDetector {
     /// reads never reach the cache path, so they are not observed.
     fn on_issue(&self, ev: &OpEvent<'_>, _mode: IssueMode) {
         if ev.key_hash != 0 && ev.op.class == OpClass::Read {
-            self.observe_read(ev.key_hash, ev.owner);
+            self.observe_read(ev.key_hash);
         }
     }
 }
@@ -428,15 +394,15 @@ mod tests {
         let cfg = LeaseConfig { hot_threshold: 3, topk: 4, ..LeaseConfig::default() };
         let d = HotKeyDetector::new(&cfg);
         for _ in 0..2 {
-            d.observe_read(99, 0);
+            d.observe_read(99);
         }
         assert!(!d.is_hot(99));
-        d.observe_read(99, 0);
+        d.observe_read(99);
         assert!(d.is_hot(99));
         // Enough unrelated traffic triggers count-halving decay below the
         // threshold (deterministic: decay_every = 2 * topk * threshold).
         for i in 0..(2 * 4 * 3 * 2) {
-            d.observe_read(1000 + (i % 3) as u64, 1);
+            d.observe_read(1000 + (i % 3) as u64);
         }
         assert!(!d.is_hot(99), "decay must cool keys that stop being read");
     }
@@ -445,33 +411,13 @@ mod tests {
     fn space_saving_displaces_the_minimum_slot() {
         let cfg = LeaseConfig { hot_threshold: 2, topk: 2, ..LeaseConfig::default() };
         let d = HotKeyDetector::new(&cfg);
-        d.observe_read(1, 0);
-        d.observe_read(2, 0);
-        d.observe_read(2, 0);
+        d.observe_read(1);
+        d.observe_read(2);
+        d.observe_read(2);
         // Table is full; key 3 displaces key 1 (the min) and inherits 1+1.
-        d.observe_read(3, 0);
+        d.observe_read(3);
         assert!(d.is_hot(3), "displaced slot inherits min-count + 1");
         assert!(d.is_hot(2));
         assert!(!d.is_hot(1));
-    }
-
-    #[test]
-    fn owner_load_gates_steering() {
-        let cfg =
-            LeaseConfig { steer: true, steer_threshold: 4, ..LeaseConfig::default() };
-        let c = cache(cfg, 2);
-        let d = c.detector();
-        for _ in 0..4 {
-            d.observe_read(5, 1);
-        }
-        assert!(c.should_steer(1));
-        assert!(!c.should_steer(0));
-    }
-
-    #[test]
-    fn steering_requires_the_config_flag() {
-        let c = cache(LeaseConfig { steer: false, steer_threshold: 1, ..Default::default() }, 2);
-        c.detector().observe_read(5, 1);
-        assert!(!c.should_steer(1));
     }
 }

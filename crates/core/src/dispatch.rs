@@ -27,10 +27,10 @@
 //! * `feature = "history"` invoke/return recording for the linearizability
 //!   checker.
 //!
-//! Adding a sixth container is a one-file change: define function offsets,
-//! a descriptor table, bind the server-side handlers, and express each
-//! public method as one `Dispatcher` call (DESIGN.md §10 has the
-//! walkthrough).
+//! The target side of the same path — what the owner does with the op once
+//! it arrives — is [`crate::shard`]. Adding a sixth container is a one-file
+//! change over the two: a store impl, a descriptor table, and each public
+//! method as one `Dispatcher` call (DESIGN.md §10 has the walkthrough).
 
 use std::marker::PhantomData;
 use std::sync::Arc;

@@ -50,7 +50,7 @@ impl AckBarrier for WalBarrier {
 /// checksummed by the segmented WAL underneath. Every mutating container op
 /// appends one record; recovery replays the log into a fresh structure,
 /// exactly-once by `(rank, seq)` descriptor.
-pub struct OpLog<Rec: DataBox> {
+pub struct OpLog<Rec> {
     wal: Arc<Wal>,
     /// `Some` under [`SyncPolicy::Strict`]: what an append or a read of a
     /// not-yet-durable value owes before its outcome may leave.
@@ -199,91 +199,93 @@ impl<Rec: DataBox> OpLog<Rec> {
     }
 }
 
-/// Op log of a single-partition container (queue, priority queue): framed
-/// `(tag, element)` records, where tag 0 = push and tag 1 = pop. Wraps the
-/// identity bookkeeping both queue flavours share.
-pub(crate) struct SpLog<T: DataBox + Clone> {
-    log: OpLog<(u8, Option<T>)>,
+/// The [`PersistMetrics`] bundle a durable container opened from `rank`
+/// logs into: the rank's exported registry and flight ring, or a detached
+/// bundle when the world runs without telemetry.
+pub(crate) fn metrics_for(rank: &hcl_runtime::Rank) -> PersistMetrics {
+    let t = rank.telemetry();
+    if t.enabled() {
+        PersistMetrics::from_registry(t.registry(), Arc::clone(t.flight()))
+    } else {
+        PersistMetrics::detached()
+    }
+}
+
+/// Write `snap` to `path` as one DataBox-encoded blob (the containers'
+/// `persist_snapshot`).
+pub(crate) fn write_snapshot<T: DataBox>(path: &Path, snap: &T) -> crate::HclResult<()> {
+    std::fs::write(path, snap.to_bytes()).map_err(|e| crate::HclError::Persist(e.to_string()))
+}
+
+/// Read back a blob written by [`write_snapshot`].
+pub(crate) fn read_snapshot<T: DataBox>(path: &Path) -> crate::HclResult<T> {
+    let bytes = std::fs::read(path).map_err(|e| crate::HclError::Persist(e.to_string()))?;
+    T::from_bytes(&bytes).map_err(|e| crate::HclError::Persist(e.to_string()))
+}
+
+/// One shard's op log as the shard pipeline ([`crate::shard`]) sees it: the
+/// typed [`OpLog`] of the partition hosted on rank `home`, plus the local
+/// sequence that stands in for an RPC identity when a mutation is applied
+/// off a NIC worker. Every container logs through this one type.
+pub(crate) struct ShardLog<Rec> {
+    log: OpLog<Rec>,
     home: u32,
     local_seq: AtomicU64,
 }
 
-impl<T: DataBox + Clone> SpLog<T> {
-    /// Open the log of container `name` (partition = the owner rank),
-    /// replaying any history through `apply`.
+impl<Rec: DataBox> ShardLog<Rec> {
+    /// Open the log of container `name` hosted on `home` (stems are keyed by
+    /// host rank: stable across a restart of the same world shape, unique
+    /// per host), replaying any history through `apply` and putting the log
+    /// under `flusher`'s gap bound when the policy is relaxed.
     pub(crate) fn open(
         cfg: &PersistConfig,
         name: &str,
-        owner: u32,
+        home: u32,
         metrics: PersistMetrics,
-        mut apply: impl FnMut(u8, Option<T>),
+        flusher: Option<&Flusher>,
+        apply: impl FnMut(Rec),
     ) -> std::io::Result<Self> {
-        let log = OpLog::open_with(
-            cfg.stem(name, owner as usize),
-            cfg.policy,
-            cfg.segment_bytes,
-            metrics,
-            move |(tag, v): (u8, Option<T>)| apply(tag, v),
-        )?;
-        Ok(SpLog { log, home: owner, local_seq: AtomicU64::new(0) })
+        let log = OpLog::open_in(cfg, name, home as usize, metrics, apply)?;
+        if let Some(f) = flusher {
+            f.register(log.wal());
+        }
+        Ok(ShardLog { log, home, local_seq: AtomicU64::new(0) })
     }
 
     /// Log one mutation under the ambient request identity (RPC worker) or
     /// a fresh local sequence (hybrid bypass).
-    pub(crate) fn record(&self, tag: u8, value: Option<&T>, fn_off: u32) {
+    pub(crate) fn record(&self, rec: &Rec, fn_off: u32) {
         let ident = op_identity(self.home, &self.local_seq);
-        self.log.log_mutation(&(tag, value.cloned()), fn_off as u16, ident);
+        self.log.log_mutation(rec, fn_off as u16, ident);
     }
 
     /// Log one mutation under a fresh local sequence unconditionally. Bulk
     /// handlers log one record per element inside a single RPC; stamping
     /// them all with that RPC's identity would make replay dedup collapse
     /// them into one.
-    pub(crate) fn record_local(&self, tag: u8, value: Option<&T>, fn_off: u32) {
+    pub(crate) fn record_local(&self, rec: &Rec, fn_off: u32) {
         let ident =
             (self.home, self.local_seq.fetch_add(1, Ordering::Relaxed) | LOCAL_SEQ_BIT);
-        self.log.log_mutation(&(tag, value.cloned()), fn_off as u16, ident);
+        self.log.log_mutation(rec, fn_off as u16, ident);
     }
 
-    /// Replace history with a push-per-element snapshot of the live contents.
-    pub(crate) fn compact_to(&self, live: &[T]) -> std::io::Result<()> {
-        let snapshot: Vec<(u8, Option<T>)> =
-            live.iter().map(|v| (0, Some(v.clone()))).collect();
-        self.log.compact(snapshot.iter())
+    /// The strict read barrier (see [`OpLog::read_fence`]).
+    pub(crate) fn read_fence(&self) {
+        self.log.read_fence();
     }
 
-    /// The untyped WAL underneath (for flusher registration).
+    /// Replace history with the snapshot `live`.
+    pub(crate) fn compact<'a>(&self, live: impl Iterator<Item = &'a Rec>) -> std::io::Result<()>
+    where
+        Rec: 'a,
+    {
+        self.log.compact(live)
+    }
+
+    /// The untyped WAL underneath.
     pub(crate) fn wal(&self) -> &Arc<Wal> {
         self.log.wal()
-    }
-}
-
-/// Run `read` against a single-partition container and hand its result back
-/// under the strict read barrier of its log, if it has one (see
-/// [`OpLog::read_fence`]).
-pub(crate) fn fenced<T: DataBox + Clone, R>(
-    log: &Option<Arc<SpLog<T>>>,
-    read: impl FnOnce() -> R,
-) -> R {
-    let out = read();
-    if let Some(l) = log {
-        l.log.read_fence();
-    }
-    out
-}
-
-/// Log a pop that removed `taken` elements: one `record` call each. A pop
-/// that found nothing logs nothing, but "empty" is an observation of the
-/// structure as well — it owes the read barrier.
-pub(crate) fn log_pops<T: DataBox + Clone>(
-    log: &Option<Arc<SpLog<T>>>,
-    taken: usize,
-    record: impl Fn(&SpLog<T>),
-) {
-    if taken == 0 {
-        fenced(log, || ());
-    } else if let Some(l) = log {
-        (0..taken).for_each(|_| record(l));
     }
 }
 

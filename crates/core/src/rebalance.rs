@@ -213,8 +213,20 @@ fn run_collective(
         for mv in &t.moves {
             for m in registry.migrators() {
                 // Best-effort on the abort path: a migrator that lost its
-                // host mid-copy cannot be asked to clean up.
-                let _ = m.end(rank, mv, ok);
+                // host mid-copy cannot be asked to clean up. On the committed
+                // path a failed close is a shard left behind at (or a log
+                // not compacted by) the old owner — leave a trace.
+                if m.end(rank, mv, ok).is_err() && ok {
+                    rank.telemetry().flight().record(FlightEvent::op(
+                        EventKind::Migration,
+                        "rebalance.end",
+                        mv.from,
+                        0,
+                        mv.vpart as u64,
+                        Outcome::Err,
+                        0,
+                    ));
+                }
             }
         }
         if !ok {

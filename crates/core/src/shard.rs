@@ -1,0 +1,1194 @@
+//! The shard pipeline: the server side of every container, written once.
+//!
+//! HCL's containers are the *same* procedural pipeline executed at the
+//! target — only the local structure differs (paper §III-B/D). The
+//! [`Dispatcher`] owns the client half of that statement; this module owns
+//! the target half, generic over the local structure by static dispatch:
+//!
+//! * [`KeyedShard`] over a [`KeyedStore`] (cuckoo hash, skiplist): every
+//!   mutation is *cost-account → log with recovery descriptor → apply → bump
+//!   version → forward if the vpart is migrating → replicate*; every read is
+//!   taken under the strict read fence; the live-migration write-forwarding
+//!   window (`mig_arm/begin/extract/install/apply/end`) lives here and only
+//!   here, as do the handler bindings, the construction of the per-host
+//!   shards (hosts, log open + replay, flusher, epoch gate), the
+//!   [`ShardMigrator`] and the handle-side fan-outs both maps share
+//!   ([`KeyedClient`]).
+//! * [`SeqShard`] over a [`SeqStore`] (FIFO queue, priority queue): each of
+//!   push/pop/bulk/len/snapshot/extract is one body, called from the NIC
+//!   handler and from the hybrid bypass alike ([`SeqClient`]).
+//!
+//! A container file is what is left: a store impl, an op-descriptor table
+//! ([`keyed_ops!`]/[`seq_ops!`] generate the common rows per prefix), its
+//! genuinely specific ops, and the public handle (DESIGN.md §10). `xtask
+//! lint`'s SHARD rule keeps it that way: logging, read fences, replication
+//! and migration forwards, compaction and `mig_*` may not appear in any
+//! other file of this crate.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use hcl_databox::DataBox;
+use hcl_fabric::EpId;
+use hcl_rpc::FnId;
+use hcl_runtime::{Membership, PartitionMap, Rank, ShardMove, WorldShared};
+use parking_lot::{Mutex, RwLock};
+
+use crate::cost::{CostCounters, CostSnapshot};
+use crate::dispatch::{
+    hist_invoke, hist_return, Dispatcher, OpDescriptor, OwnerMap, ReplForwarder,
+};
+use crate::persist::{Flusher, PersistConfig, ShardLog, Wal};
+use crate::queue::QueueConfig;
+use crate::rebalance::{MigratorRegistry, ShardMigrator};
+use crate::{default_servers, HclError, HclFuture, HclResult};
+
+/// Function-id offsets of the ops every keyed container serves; container-
+/// specific ops start at [`KEYED_FNS`].
+pub(crate) mod kfn {
+    pub const PUT: u32 = 0;
+    pub const GET: u32 = 1;
+    pub const ERASE: u32 = 2;
+    pub const LEN: u32 = 3;
+    pub const SNAPSHOT: u32 = 4;
+    pub const REPL_PUT: u32 = 5;
+    pub const REPL_GET: u32 = 6;
+    pub const REPL_FLUSH: u32 = 7;
+    // Live-migration control plane (see [`crate::rebalance`]). These travel
+    // untagged (the driver addresses explicit ranks, not hashed owners).
+    pub const MIG_ARM: u32 = 8;
+    pub const MIG_BEGIN: u32 = 9;
+    pub const MIG_EXTRACT: u32 = 10;
+    pub const MIG_INSTALL: u32 = 11;
+    pub const MIG_APPLY: u32 = 12;
+    pub const MIG_END: u32 = 13;
+}
+/// Number of common keyed fn ids.
+pub(crate) const KEYED_FNS: u32 = 14;
+
+/// Function-id offsets of the ops every single-partition container serves;
+/// container-specific ops start at [`SEQ_FNS`].
+pub(crate) mod sfn {
+    pub const PUSH: u32 = 0;
+    pub const POP: u32 = 1;
+    pub const PUSH_BULK: u32 = 2;
+    pub const POP_BULK: u32 = 3;
+    pub const LEN: u32 = 4;
+    pub const SNAPSHOT: u32 = 5;
+    // Migration seam (host move): drain every element in one invocation. The
+    // install half reuses `push_bulk` — such a shard is just its elements.
+    pub const MIG_EXTRACT: u32 = 6;
+}
+/// Number of common single-partition fn ids.
+pub(crate) const SEQ_FNS: u32 = 7;
+
+/// Table I descriptors of the common keyed ops, one table per container
+/// prefix ([`keyed_ops!`]).
+pub(crate) struct KeyedOps {
+    /// Container label (`"umap"`, `"omap"`): dispatcher name, shared-object
+    /// and migrator key prefix.
+    pub prefix: &'static str,
+    pub put: OpDescriptor,
+    pub get: OpDescriptor,
+    pub erase: OpDescriptor,
+    pub len: OpDescriptor,
+    pub snapshot: OpDescriptor,
+    pub repl_get: OpDescriptor,
+    pub repl_flush: OpDescriptor,
+    pub mig_arm: OpDescriptor,
+    pub mig_begin: OpDescriptor,
+    pub mig_extract: OpDescriptor,
+    pub mig_install: OpDescriptor,
+    pub mig_end: OpDescriptor,
+}
+
+/// Table I descriptors of the common single-partition ops ([`seq_ops!`]).
+pub(crate) struct SeqOps {
+    /// Container label (`"queue"`, `"pq"`).
+    pub prefix: &'static str,
+    pub push: OpDescriptor,
+    pub pop: OpDescriptor,
+    pub push_bulk: OpDescriptor,
+    pub pop_bulk: OpDescriptor,
+    pub len: OpDescriptor,
+    pub snapshot: OpDescriptor,
+    pub mig_extract: OpDescriptor,
+}
+
+/// Build a descriptor table: one row per common op — `field: class, fn
+/// offset, Table I local cost, idempotent, degradable;` — named
+/// `"<prefix>.<field>"`.
+macro_rules! op_table {
+    ($table:ident, $fns:ident, $p:literal, {
+        $($op:ident: $class:ident, $off:ident, $cost:expr, $idem:literal, $degr:literal;)*
+    }) => {
+        $crate::shard::$table {
+            prefix: $p,
+            $($op: $crate::dispatch::OpDescriptor {
+                name: concat!($p, ".", stringify!($op)),
+                class: $crate::dispatch::OpClass::$class,
+                fn_off: $crate::shard::$fns::$off,
+                cost: $cost,
+                idempotent: $idem,
+                degradable: $degr,
+            },)*
+        }
+    };
+}
+
+/// The common keyed descriptor table for one container prefix. Replica ops
+/// are non-degradable: they are the failover path, so they must still reach
+/// hosts that back marked-down owners. Migration control ops are issued by
+/// the rebalance driver at explicit ranks, never epoch-tagged (the map
+/// mid-transition is exactly what they operate on).
+macro_rules! keyed_ops {
+    ($p:literal) => {{
+        use $crate::dispatch::CostSig;
+        $crate::shard::op_table!(KeyedOps, kfn, $p, {
+            put:         Write, PUT,         CostSig::lrw(1, 0, 1), false, true;
+            get:         Read,  GET,         CostSig::lrw(1, 1, 0), true,  true;
+            erase:       Write, ERASE,       CostSig::lrw(1, 0, 1), false, true;
+            len:         Admin, LEN,         CostSig::ZERO,         true,  true;
+            snapshot:    Admin, SNAPSHOT,    CostSig::ZERO,         true,  true;
+            repl_get:    Read,  REPL_GET,    CostSig::ZERO,         true,  false;
+            repl_flush:  Admin, REPL_FLUSH,  CostSig::ZERO,         true,  false;
+            mig_arm:     Admin, MIG_ARM,     CostSig::ZERO,         true,  true;
+            mig_begin:   Admin, MIG_BEGIN,   CostSig::ZERO,         true,  true;
+            mig_extract: Admin, MIG_EXTRACT, CostSig::ZERO,         true,  true;
+            mig_install: Write, MIG_INSTALL, CostSig::lrw(1, 0, 1), true,  true;
+            mig_end:     Admin, MIG_END,     CostSig::ZERO,         true,  true;
+        })
+    }};
+}
+
+/// The common single-partition descriptor table for one container prefix.
+macro_rules! seq_ops {
+    ($p:literal) => {{
+        use $crate::dispatch::CostSig;
+        $crate::shard::op_table!(SeqOps, sfn, $p, {
+            push:        Write,     PUSH,        CostSig::lrw(1, 0, 1),       false, true;
+            pop:         ReadWrite, POP,         CostSig::lrw(1, 1, 0),       false, true;
+            push_bulk:   Write,     PUSH_BULK,   CostSig::write_scaled(1, 1), false, true;
+            pop_bulk:    ReadWrite, POP_BULK,    CostSig::read_scaled(1, 1),  false, true;
+            len:         Admin,     LEN,         CostSig::ZERO,               true,  true;
+            snapshot:    Admin,     SNAPSHOT,    CostSig::ZERO,               true,  true;
+            mig_extract: ReadWrite, MIG_EXTRACT, CostSig::ZERO,               false, true;
+        })
+    }};
+}
+
+pub(crate) use {keyed_ops, op_table, seq_ops};
+
+/// Key bound of the keyed pipeline: wire-codable, hashable to a vpart and a
+/// tombstone set, shareable across NIC workers.
+pub trait Key: DataBox + Hash + Eq + Clone + Send + Sync + 'static {}
+impl<T: DataBox + Hash + Eq + Clone + Send + Sync + 'static> Key for T {}
+
+/// Value/element bound of both pipelines.
+pub trait Val: DataBox + Clone + Send + Sync + 'static {}
+impl<T: DataBox + Clone + Send + Sync + 'static> Val for T {}
+
+/// The local structure of a keyed shard. Implementations are concurrent and
+/// linearizable per key; the shard adds everything distributed.
+#[allow(clippy::len_without_is_empty)] // the pipeline only ever asks for `len`
+pub trait KeyedStore<K, V>: Send + Sync + 'static {
+    fn get(&self, key: &K) -> Option<V>;
+    /// Insert or overwrite; returns the previous value.
+    fn insert(&self, key: K, value: V) -> Option<V>;
+    fn remove(&self, key: &K) -> Option<V>;
+    fn len(&self) -> usize;
+    /// Clone out every entry (not atomic).
+    fn snapshot(&self) -> Vec<(K, V)>;
+}
+
+/// The local structure of a single-partition shard.
+#[allow(clippy::len_without_is_empty)] // the pipeline only ever asks for `len`
+pub trait SeqStore<T>: Send + Sync + 'static {
+    fn push(&self, value: T);
+    fn pop(&self) -> Option<T>;
+    fn push_bulk(&self, values: Vec<T>) -> usize;
+    fn pop_bulk(&self, max: usize) -> Vec<T>;
+    fn len(&self) -> usize;
+    /// Clone out the elements in pop order without consuming them.
+    fn snapshot(&self) -> Vec<T>;
+}
+
+/// Keyed op-log record: `(tag, key, value)`; tag 0 = put, 1 = erase.
+type KeyedRec<K, V> = (u8, K, Option<V>);
+/// Single-partition op-log record: `(tag, element)`; tag 0 = push, 1 = pop.
+type SeqRec<T> = (u8, Option<T>);
+const TAG_ADD: u8 = 0;
+const TAG_REMOVE: u8 = 1;
+
+/// The one place a shard's log is compacted: replace its history with
+/// `live`. A failure (already counted and flight-recorded by the WAL) comes
+/// back as text so it can cross the wire to whoever asked.
+fn compact_to<Rec: DataBox>(
+    log: &Option<ShardLog<Rec>>,
+    live: impl FnOnce() -> Vec<Rec>,
+) -> Result<(), String> {
+    let Some(log) = log else { return Ok(()) };
+    log.compact(live().iter()).map_err(|e| e.to_string())
+}
+
+/// The strict read barrier of a shard's log, if it has one: called *after*
+/// the observation it covers (see [`crate::OpLog::read_fence`]).
+fn fence<Rec: DataBox>(log: &Option<ShardLog<Rec>>) {
+    if let Some(log) = log {
+        log.read_fence();
+    }
+}
+
+/// A container's shards, indexed by host rank (`None` = not a host).
+type Hosted<P> = Arc<Vec<Option<Arc<P>>>>;
+
+/// Place `shards` at their host ranks in a world of `world_size` ranks.
+fn hosted<P>(world_size: u32, shards: impl IntoIterator<Item = (u32, Arc<P>)>) -> Hosted<P> {
+    let mut slots: Vec<Option<Arc<P>>> = (0..world_size).map(|_| None).collect();
+    for (host, shard) in shards {
+        slots[host as usize] = Some(shard);
+    }
+    Arc::new(slots)
+}
+
+/// Binds typed handlers for one container's fn-id range; `f` receives the
+/// shard hosted on the serving rank.
+pub(crate) struct Binder<'b, P> {
+    world: &'b Arc<WorldShared>,
+    fn_base: FnId,
+    parts: &'b Hosted<P>,
+}
+
+impl<P: Send + Sync + 'static> Binder<'_, P> {
+    pub(crate) fn bind<A, R>(&self, fn_off: u32, f: impl Fn(&P, A) -> R + Send + Sync + 'static)
+    where
+        A: DataBox + 'static,
+        R: DataBox + 'static,
+    {
+        let parts = Arc::clone(self.parts);
+        self.world.registry().bind_typed(self.fn_base + fn_off, move |server: EpId, _, args: A| {
+            let shard = parts[server.rank as usize].as_deref();
+            f(shard.expect("request served at a host of the container"), args)
+        });
+    }
+}
+
+/// New-owner bookkeeping of the write-forwarding window. One lock guards
+/// both sets *and* is the window's write lock: copy-installs and forwarded
+/// applies serialize on it (no store has to offer an atomic
+/// insert-if-absent, and none is trusted to).
+struct Window<K> {
+    /// Keys erased by a forwarded write during the window. A tombstoned key
+    /// must not be resurrected by a copy-install whose snapshot predates
+    /// the erase.
+    tombstones: HashSet<K>,
+    /// Keys installed during the window (copy or forwarded put), retained
+    /// so an aborted rebalance can purge exactly what the migration wrote.
+    installed: Vec<K>,
+}
+
+/// Server-side state of one keyed partition on one host rank.
+pub struct KeyedShard<K, V, S> {
+    /// Position among the static `servers` ring (0 for non-leader hosts).
+    index: usize,
+    /// The rank hosting this shard.
+    home: u32,
+    store: S,
+    /// Entries replicated *to* this shard from others.
+    replica: S,
+    log: Option<ShardLog<KeyedRec<K, V>>>,
+    repl: ReplForwarder,
+    world: Arc<WorldShared>,
+    fn_base: FnId,
+    servers: Vec<u32>,
+    replicas: usize,
+    costs: CostCounters,
+    /// Monotone mutation version: bumped *after* every applied mutation,
+    /// read *before* the value on a lease grant, and piggybacked on every
+    /// `FLAG_STAMPED` response (the stamper in [`KeyedCore::open`]). That
+    /// ordering guarantees a mutation racing a grant always yields a stamp
+    /// strictly newer than the granted version.
+    version: AtomicU64,
+    /// The world's membership view — `Some` for elastic containers (no
+    /// explicit `servers`), whose shards can move between ranks. `None`
+    /// pins the partition forever (static placement).
+    membership: Option<Arc<Membership>>,
+    /// Old-owner side of live migration: virtual partitions currently in a
+    /// write-forwarding window, mapped to their new owner. Mutations whose
+    /// key hashes into a forwarding vpart are dual-applied at the target.
+    forwarding: RwLock<HashMap<usize, u32>>,
+    window: Mutex<Window<K>>,
+}
+
+impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
+    /// Log one mutation with its dispatch op index and recovery descriptor.
+    /// The record is only built when there is a log to take it.
+    fn log_op(&self, fn_off: u32, rec: impl FnOnce() -> KeyedRec<K, V>) {
+        if let Some(log) = &self.log {
+            log.record(&rec(), fn_off);
+        }
+    }
+
+    /// What follows every applied mutation: bump the version, dual-apply at
+    /// the new owner if the key's vpart is migrating, replicate (the
+    /// server-side re-hash of §III-A4, carried out by the [`ReplForwarder`]).
+    fn publish(&self, key: &K, value: Option<&V>) {
+        self.version.fetch_add(1, Ordering::Release);
+        self.forward_migration(key, value);
+        if self.replicas > 0 {
+            self.repl.forward(
+                &self.world,
+                self.index,
+                &self.servers,
+                self.replicas,
+                self.fn_base + kfn::REPL_PUT,
+                &(key.clone(), value.cloned()).to_bytes(),
+            );
+        }
+    }
+
+    /// Insert or overwrite; `true` when the key was newly inserted.
+    pub(crate) fn apply_put(&self, key: K, value: V) -> bool {
+        self.costs.l(1);
+        self.costs.w(1);
+        self.log_op(kfn::PUT, || (TAG_ADD, key.clone(), Some(value.clone())));
+        let newly = self.store.insert(key.clone(), value.clone()).is_none();
+        self.publish(&key, Some(&value));
+        newly
+    }
+
+    /// Remove `key`, returning its value.
+    pub(crate) fn apply_erase(&self, key: &K) -> Option<V> {
+        self.costs.l(1);
+        self.costs.w(1);
+        self.log_op(kfn::ERASE, || (TAG_REMOVE, key.clone(), None));
+        let prev = self.store.remove(key);
+        self.publish(key, None);
+        prev
+    }
+
+    /// A read-modify-write whose stored value is computed at the target
+    /// (`put_merge`): `rmw` updates the store and returns the result, which
+    /// is what gets logged — replay must not re-run the computation against
+    /// recovered state. Known: the update is applied before it is logged.
+    pub(crate) fn apply_rmw(&self, fn_off: u32, key: K, rmw: impl FnOnce(&S, &K) -> V) -> V {
+        self.costs.l(1);
+        self.costs.r(1);
+        self.costs.w(1);
+        let stored = rmw(&self.store, &key);
+        self.log_op(fn_off, || (TAG_ADD, key.clone(), Some(stored.clone())));
+        self.publish(&key, Some(&stored));
+        stored
+    }
+
+    /// The strict read barrier: run `read` against the live structure and
+    /// hand its result back only under the barrier of whatever logged
+    /// mutation it may reflect (see [`crate::OpLog::read_fence`]). Every
+    /// read of a shard — common or container-specific — goes through here.
+    pub(crate) fn read<R>(&self, read: impl FnOnce(&S) -> R) -> R {
+        let out = read(&self.store);
+        fence(&self.log);
+        out
+    }
+
+    /// Look up `key`.
+    pub(crate) fn apply_get(&self, key: &K) -> Option<V> {
+        self.costs.l(1);
+        self.costs.r(1);
+        self.read(|s| s.get(key))
+    }
+
+    /// The shard's current mutation version.
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
+    }
+
+    /// The live local structure (resize, diagnostics, tests).
+    pub fn store(&self) -> &S {
+        &self.store
+    }
+
+    /// The replica structure (entries replicated *to* this shard).
+    pub fn replica(&self) -> &S {
+        &self.replica
+    }
+
+    /// The shard's write-ahead log, when the container is durable.
+    pub fn wal(&self) -> Option<&Arc<Wal>> {
+        self.log.as_ref().map(|l| l.wal())
+    }
+
+    fn apply_replica(&self, key: K, value: Option<V>) {
+        match value {
+            Some(v) => self.replica.insert(key, v),
+            None => self.replica.remove(&key),
+        };
+    }
+
+    /// Flush and compact this shard's log to a snapshot of its contents.
+    fn compact_log(&self) -> Result<(), String> {
+        compact_to(&self.log, || {
+            self.store.snapshot().into_iter().map(|(k, v)| (TAG_ADD, k, Some(v))).collect()
+        })
+    }
+
+    /// The virtual partition `key` hashes into (elastic containers only;
+    /// `usize::MAX` for pinned shards, which never match a window).
+    fn vpart_of(&self, key: &K) -> usize {
+        self.membership
+            .as_ref()
+            .map_or(usize::MAX, |m| m.current().vpart_of_hash(crate::stable_hash(key)))
+    }
+
+    /// Old-owner side of the write-forwarding window: a mutation whose key
+    /// hashes into a moving vpart is dual-applied at the new owner, so
+    /// writes racing the copy are not lost when the old shard is purged.
+    ///
+    /// Remote mutations are epoch-gated at the server, but the hybrid
+    /// shared-memory bypass is not: a bypass that resolved the owner just
+    /// before a commit can apply here after the window already closed. The
+    /// fallback arm catches that — if this shard no longer owns the key's
+    /// vpart it dual-applies at the current map owner, so the write is never
+    /// stranded in the purged shard.
+    fn forward_migration(&self, key: &K, value: Option<&V>) {
+        let Some(m) = &self.membership else { return };
+        let map = m.current();
+        let vp = map.vpart_of_hash(crate::stable_hash(key));
+        let target = match self.forwarding.read().get(&vp) {
+            Some(&t) => t,
+            None => {
+                let owner = map.owner_of_vpart(vp);
+                if owner == self.home {
+                    return;
+                }
+                owner
+            }
+        };
+        self.repl.forward_to(
+            &self.world,
+            target,
+            self.fn_base + kfn::MIG_APPLY,
+            &(key.clone(), value.cloned()).to_bytes(),
+        );
+        m.counters().forwarded_writes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// New-owner side: clear window bookkeeping for `vpart` left by a
+    /// previously aborted attempt, so this window starts clean.
+    pub(crate) fn mig_arm(&self, vpart: usize) {
+        let mut w = self.window.lock();
+        w.tombstones.retain(|k| self.vpart_of(k) != vpart);
+        w.installed.retain(|k| self.vpart_of(k) != vpart);
+    }
+
+    /// Old-owner side: open the forwarding window for `vpart` toward `to`.
+    pub(crate) fn mig_begin(&self, vpart: usize, to: u32) {
+        self.forwarding.write().insert(vpart, to);
+    }
+
+    /// Old-owner side: copy (do not remove) every entry of `vpart`. The
+    /// shard stays fully served here until the transition commits.
+    pub(crate) fn mig_extract(&self, vpart: usize) -> Vec<(K, V)> {
+        let all = self.read(|s| s.snapshot());
+        all.into_iter().filter(|(k, _)| self.vpart_of(k) == vpart).collect()
+    }
+
+    /// New-owner side: install one copied entry — insert-if-absent under
+    /// the window lock, so a fresher forwarded put is never overwritten by
+    /// the older copy and tombstoned keys (forwarded erases) stay dead.
+    /// Durability follows ownership: the install is logged (before it is
+    /// applied) at its new home, under the delivering RPC's identity.
+    pub fn mig_install(&self, key: K, value: V) -> bool {
+        let mut w = self.window.lock();
+        if w.tombstones.contains(&key) || self.store.get(&key).is_some() {
+            return false;
+        }
+        self.log_op(kfn::MIG_INSTALL, || (TAG_ADD, key.clone(), Some(value.clone())));
+        self.store.insert(key.clone(), value);
+        self.version.fetch_add(1, Ordering::Release);
+        w.installed.push(key);
+        true
+    }
+
+    /// New-owner side: apply one forwarded write, under the window lock.
+    /// Puts overwrite (the forward is fresher than any copy) and revive
+    /// tombstones; erases tombstone the key against late-arriving copies.
+    pub fn mig_apply(&self, key: K, value: Option<V>) {
+        let mut w = self.window.lock();
+        match value {
+            Some(v) => {
+                self.log_op(kfn::MIG_APPLY, || (TAG_ADD, key.clone(), Some(v.clone())));
+                w.tombstones.remove(&key);
+                self.store.insert(key.clone(), v);
+                w.installed.push(key);
+            }
+            None => {
+                self.log_op(kfn::MIG_APPLY, || (TAG_REMOVE, key.clone(), None));
+                self.store.remove(&key);
+                w.tombstones.insert(key);
+            }
+        }
+        self.version.fetch_add(1, Ordering::Release);
+    }
+
+    /// Close the window for `vpart`. At the source (old owner): stop
+    /// forwarding, and on commit flush in-flight forwards then purge the
+    /// moved entries. At the target (new owner): clear tombstones, and on
+    /// abort purge exactly the keys the migration installed.
+    pub(crate) fn mig_end(
+        &self,
+        vpart: usize,
+        committed: bool,
+        source: bool,
+    ) -> Result<(), String> {
+        if source {
+            self.forwarding.write().remove(&vpart);
+            if !committed {
+                return Ok(());
+            }
+            // Every dual-applied write must be acknowledged by the new
+            // owner before the authoritative copy disappears here.
+            self.repl.flush();
+            for (k, _) in self.store.snapshot() {
+                if self.vpart_of(&k) == vpart {
+                    self.store.remove(&k);
+                }
+            }
+            self.version.fetch_add(1, Ordering::Release);
+            // The moved shard now lives (and logs) at the new owner;
+            // compact this side's log to the post-purge contents so a
+            // crash here never resurrects the migrated keys.
+            return self.compact_log();
+        }
+        let mut w = self.window.lock();
+        let (moved, kept): (Vec<K>, Vec<K>) =
+            std::mem::take(&mut w.installed).into_iter().partition(|k| self.vpart_of(k) == vpart);
+        w.installed = kept;
+        if !committed {
+            for k in &moved {
+                self.store.remove(k);
+            }
+        }
+        w.tombstones.retain(|k| self.vpart_of(k) != vpart);
+        self.version.fetch_add(1, Ordering::Release);
+        Ok(())
+    }
+}
+
+/// What a keyed container asks of the pipeline (its config, minus anything
+/// container-specific).
+pub(crate) struct KeyedSpec {
+    /// Ranks owning a partition; `None` = elastic (the first rank of every
+    /// node to start with, then wherever the membership puts them).
+    pub servers: Option<Vec<u32>>,
+    pub hybrid: bool,
+    pub persist: Option<PersistConfig>,
+    pub replicas: usize,
+}
+
+/// World-shared core of one keyed container: its shards, one per host.
+pub(crate) struct KeyedCore<K, V, S> {
+    ops: &'static KeyedOps,
+    fn_base: FnId,
+    servers: Vec<u32>,
+    /// Static replica ring over `servers` (one slot per server). Doubles as
+    /// the owner map for pinned containers — `owner_of_hash` is bit-identical
+    /// to the historical `servers[hash % len]` placement.
+    repl_map: Arc<PartitionMap>,
+    parts: Hosted<KeyedShard<K, V, S>>,
+    spec: KeyedSpec,
+    /// Background sync thread bounding the relaxed-policy flush gap across
+    /// all this container's partition logs (`None` for strict/manual).
+    _flusher: Option<Flusher>,
+}
+
+impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
+    /// Fetch-or-create the world-shared core of container `name`: build one
+    /// shard per host (replaying its log), bind the common handlers plus
+    /// whatever `bind_extra` adds at offsets `KEYED_FNS..KEYED_FNS +
+    /// extra_fns`, and install the version stamper and the epoch gate.
+    fn open(
+        rank: &Rank,
+        ops: &'static KeyedOps,
+        name: &str,
+        spec: KeyedSpec,
+        extra_fns: u32,
+        make_store: impl Fn() -> S,
+        bind_extra: impl FnOnce(&Binder<'_, KeyedShard<K, V, S>>),
+    ) -> Arc<Self> {
+        let world = Arc::clone(rank.world());
+        let pmetrics = crate::persist::metrics_for(rank);
+        rank.get_or_create_shared(&format!("hcl.{}.{name}", ops.prefix), move || {
+            // Elastic (no explicit `servers`): ownership follows the world's
+            // membership, so every rank hosts a shard — any rank may be
+            // admitted as an owner later. Pinned (explicit `servers`):
+            // exactly the historical static placement.
+            let elastic = spec.servers.is_none();
+            let servers = spec.servers.clone().unwrap_or_else(|| default_servers(&world));
+            let n_fns = KEYED_FNS + extra_fns;
+            let fn_base = world.alloc_fn_ids(n_fns);
+            let repl_map = Arc::new(PartitionMap::round_robin(&servers, 1));
+            let hosts: Vec<u32> =
+                if elastic { (0..world.config().world_size()).collect() } else { servers.clone() };
+            // One relaxed-policy flusher bounds the flush gap of every
+            // partition log this container opens.
+            let flusher =
+                spec.persist.as_ref().and_then(|p| p.policy.interval()).map(Flusher::spawn);
+            let mut shards = Vec::new();
+            for &home in &hosts {
+                // Non-leader elastic hosts start empty — but under a persist
+                // config they still open a log, because live rebalancing can
+                // migrate shards onto them; durability follows ownership.
+                let leader = servers.iter().position(|&s| s == home);
+                let store = make_store();
+                let log = spec.persist.as_ref().filter(|_| leader.is_some() || elastic).map(|p| {
+                    ShardLog::open(p, name, home, pmetrics.clone(), flusher.as_ref(), |rec| {
+                        match rec {
+                            (TAG_ADD, k, Some(v)) => drop(store.insert(k, v)),
+                            (TAG_REMOVE, k, None) => drop(store.remove(&k)),
+                            _ => {}
+                        }
+                    })
+                    .expect("open partition op log")
+                });
+                let shard = KeyedShard {
+                    index: leader.unwrap_or(0),
+                    home,
+                    store,
+                    replica: make_store(),
+                    log,
+                    repl: ReplForwarder::new(home),
+                    world: Arc::clone(&world),
+                    fn_base,
+                    servers: servers.clone(),
+                    replicas: if leader.is_some() { spec.replicas } else { 0 },
+                    costs: CostCounters::default(),
+                    version: AtomicU64::new(0),
+                    membership: elastic.then(|| Arc::clone(world.membership())),
+                    forwarding: RwLock::new(HashMap::new()),
+                    window: Mutex::new(Window {
+                        tombstones: HashSet::new(),
+                        installed: Vec::new(),
+                    }),
+                };
+                shards.push((home, Arc::new(shard)));
+            }
+            let parts = hosted(world.config().world_size(), shards);
+            let b = Binder { world: &world, fn_base, parts: &parts };
+            b.bind(kfn::PUT, |s, (k, v): (K, V)| s.apply_put(k, v));
+            b.bind(kfn::GET, |s, k: K| s.apply_get(&k));
+            b.bind(kfn::ERASE, |s, k: K| s.apply_erase(&k));
+            b.bind(kfn::LEN, |s, ()| s.read(|m| m.len() as u64));
+            b.bind(kfn::SNAPSHOT, |s, ()| s.read(|m| m.snapshot()));
+            b.bind(kfn::REPL_PUT, |s, (k, v): (K, Option<V>)| {
+                s.apply_replica(k, v);
+                true
+            });
+            b.bind(kfn::REPL_GET, |s, k: K| s.replica.get(&k));
+            b.bind(kfn::REPL_FLUSH, |s, ()| {
+                s.repl.flush();
+                true
+            });
+            b.bind(kfn::MIG_ARM, |s, vpart: u64| {
+                s.mig_arm(vpart as usize);
+                true
+            });
+            b.bind(kfn::MIG_BEGIN, |s, (vpart, to): (u64, u32)| {
+                s.mig_begin(vpart as usize, to);
+                true
+            });
+            b.bind(kfn::MIG_EXTRACT, |s, vpart: u64| s.mig_extract(vpart as usize));
+            b.bind(kfn::MIG_INSTALL, |s, (k, v): (K, V)| s.mig_install(k, v));
+            b.bind(kfn::MIG_APPLY, |s, (k, v): (K, Option<V>)| {
+                s.mig_apply(k, v);
+                true
+            });
+            b.bind(kfn::MIG_END, |s, (vpart, committed, source): (u64, bool, bool)| {
+                s.mig_end(vpart as usize, committed, source)
+            });
+            bind_extra(&b);
+            // Every `FLAG_STAMPED` response from this container's fn-id range
+            // piggybacks the serving shard's current mutation version — the
+            // lease cache's third invalidation channel (after TTL and epoch).
+            let p = Arc::clone(&parts);
+            world.registry().set_stamper(fn_base, n_fns, move |server: EpId| {
+                let shard = p.get(server.rank as usize).and_then(Option::as_deref);
+                shard.map_or(0, KeyedShard::version)
+            });
+            if elastic {
+                // Keyed mutations carry the client's membership epoch; the
+                // server rejects mismatches typed (`WrongEpoch`) so an op
+                // routed by a stale map is never served by the wrong rank.
+                let cell = world.membership().epoch_cell();
+                world
+                    .registry()
+                    .set_epoch_gate(fn_base, n_fns, move || cell.load(Ordering::Acquire));
+            }
+            KeyedCore { ops, fn_base, servers, repl_map, parts, spec, _flusher: flusher }
+        })
+    }
+
+    /// The shard hosted on rank `host`.
+    pub(crate) fn shard(&self, host: u32) -> &KeyedShard<K, V, S> {
+        self.parts[host as usize].as_deref().expect("rank hosts a shard of this container")
+    }
+
+    /// An engine addressing explicit ranks of this container.
+    fn dispatcher<'r>(&self, rank: &'r Rank) -> Dispatcher<'r> {
+        Dispatcher::new(rank, self.ops.prefix, self.fn_base, self.spec.hybrid)
+    }
+}
+
+/// Live-migration adapter for one elastic keyed container instance:
+/// translates the rebalance driver's shard-move callbacks into the `MIG_*`
+/// control RPCs. All ops address explicit ranks (the map mid-transition is
+/// exactly what they operate on), so none are epoch-tagged; the copy itself
+/// rides the dispatcher's bulk path.
+struct KeyedMigrator<K, V, S> {
+    core: Arc<KeyedCore<K, V, S>>,
+}
+
+impl<K: Key, V: Val, S: KeyedStore<K, V>> ShardMigrator for KeyedMigrator<K, V, S> {
+    fn name(&self) -> &str {
+        self.core.ops.prefix
+    }
+
+    fn begin(&self, rank: &Rank, mv: &ShardMove) -> HclResult<()> {
+        let (core, d) = (&self.core, self.core.dispatcher(rank));
+        let vp = mv.vpart as u64;
+        // Arm the target first: its window bookkeeping must be clean before
+        // the source starts forwarding writes into it.
+        let _: bool = d.sync_ref(&core.ops.mig_arm, mv.to, &vp, || {
+            core.shard(mv.to).mig_arm(mv.vpart);
+            true
+        })?;
+        let _: bool = d.sync_ref(&core.ops.mig_begin, mv.from, &(vp, mv.to), || {
+            core.shard(mv.from).mig_begin(mv.vpart, mv.to);
+            true
+        })?;
+        Ok(())
+    }
+
+    fn transfer(&self, rank: &Rank, mv: &ShardMove) -> HclResult<(u64, u64)> {
+        let (core, d) = (&self.core, self.core.dispatcher(rank));
+        let entries: Vec<(K, V)> =
+            d.sync_ref(&core.ops.mig_extract, mv.from, &(mv.vpart as u64), || {
+                core.shard(mv.from).mig_extract(mv.vpart)
+            })?;
+        let keys = entries.len() as u64;
+        let bytes: u64 = entries.iter().map(|e| e.to_bytes().len() as u64).sum();
+        if !entries.is_empty() {
+            let reply = d.bulk(&core.ops.mig_install, mv.to, entries, |(k, v)| {
+                core.shard(mv.to).mig_install(k, v)
+            })?;
+            let _: Vec<bool> = reply.wait()?;
+        }
+        Ok((keys, bytes))
+    }
+
+    fn end(&self, rank: &Rank, mv: &ShardMove, committed: bool) -> HclResult<()> {
+        let (core, d) = (&self.core, self.core.dispatcher(rank));
+        let vp = mv.vpart as u64;
+        // Source first: it stops forwarding, flushes in-flight forwards to
+        // the target, then (on commit) purges the moved entries.
+        let at_source = d.sync_ref(&core.ops.mig_end, mv.from, &(vp, committed, true), || {
+            core.shard(mv.from).mig_end(mv.vpart, committed, true)
+        })?;
+        let at_target = d.sync_ref(&core.ops.mig_end, mv.to, &(vp, committed, false), || {
+            core.shard(mv.to).mig_end(mv.vpart, committed, false)
+        })?;
+        at_source.and(at_target).map_err(HclError::Persist)
+    }
+}
+
+/// The client half both keyed containers share: a core plus the handle's
+/// dispatch engine, and every method whose body does not depend on the
+/// local structure.
+pub(crate) struct KeyedClient<'a, K, V, S> {
+    pub(crate) core: Arc<KeyedCore<K, V, S>>,
+    pub(crate) d: Dispatcher<'a>,
+}
+
+impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
+    /// Collective constructor: see [`KeyedCore::open`]. Pinned containers
+    /// resolve owners through the fixed ring, untagged; elastic ones take
+    /// part in live rebalances.
+    pub(crate) fn open(
+        rank: &'a Rank,
+        ops: &'static KeyedOps,
+        name: &str,
+        spec: KeyedSpec,
+        extra_fns: u32,
+        make_store: impl Fn() -> S,
+        bind_extra: impl FnOnce(&Binder<'_, KeyedShard<K, V, S>>),
+    ) -> Self {
+        let core = KeyedCore::open(rank, ops, name, spec, extra_fns, make_store, bind_extra);
+        let mut d = core.dispatcher(rank);
+        if core.spec.servers.is_some() {
+            d.set_owner_map(OwnerMap::Pinned(Arc::clone(&core.repl_map)));
+        } else {
+            // Registered outside the create closure — `get_or_create_shared`
+            // holds the objects lock, and `MigratorRegistry::shared` needs
+            // it too.
+            MigratorRegistry::shared(rank).register_once(
+                &format!("{}:{name}", ops.prefix),
+                Arc::new(KeyedMigrator { core: Arc::clone(&core) }),
+            );
+        }
+        KeyedClient { core, d }
+    }
+
+    /// Current owner of a key hash — a snapshot for async/batch paths,
+    /// which stage work addressed at a fixed rank. Keyed sync ops instead
+    /// resolve inside the dispatcher so `WrongEpoch` rejections re-route.
+    pub(crate) fn owner_now(&self, hash: u64) -> u32 {
+        self.d.resolve(hash).0
+    }
+
+    /// First-level hash: which partition (member index in the current
+    /// ownership map) owns `key`.
+    pub(crate) fn partition_of(&self, key: &K) -> usize {
+        self.d.member_index_for(crate::stable_hash(key))
+    }
+
+    /// The current ownership map; its members are the partitions, in order.
+    pub(crate) fn map(&self) -> Arc<PartitionMap> {
+        self.d.owner_map().current()
+    }
+
+    /// The owner rank of partition `p`, if it exists.
+    pub(crate) fn owner_of_partition(&self, p: usize) -> HclResult<u32> {
+        self.map().members().get(p).copied().ok_or(HclError::BadPartition(p))
+    }
+
+    pub(crate) fn put(&self, key: K, value: V) -> HclResult<bool> {
+        let tok = hist_invoke!(
+            self.d,
+            crate::DsOp::MapPut {
+                key: crate::history_enc(&key),
+                value: crate::history_enc(&value),
+            }
+        );
+        let hash = crate::stable_hash(&key);
+        let result = self.d.sync_keyed(&self.core.ops.put, hash, (key, value), |owner, (k, v)| {
+            self.core.shard(owner).apply_put(k, v)
+        });
+        hist_return!(self.d, tok, &result, |newly| crate::DsRet::Inserted(*newly));
+        result
+    }
+
+    pub(crate) fn put_async(&self, key: K, value: V) -> HclResult<HclFuture<bool>> {
+        let owner = self.owner_now(crate::stable_hash(&key));
+        self.d.dispatch_async(&self.core.ops.put, owner, (key, value), |(k, v)| {
+            self.core.shard(owner).apply_put(k, v)
+        })
+    }
+
+    pub(crate) fn get(&self, key: &K) -> HclResult<Option<V>> {
+        let hash = crate::stable_hash(key);
+        self.get_at(hash, self.owner_now(hash), key)
+    }
+
+    /// `get` with the hash and the (snapshot) owner already in hand. Falls
+    /// back to a replica when the owner has been marked down.
+    pub(crate) fn get_at(&self, hash: u64, owner: u32, key: &K) -> HclResult<Option<V>> {
+        let tok = hist_invoke!(self.d, crate::DsOp::MapGet { key: crate::history_enc(key) });
+        // Without replicas there is nowhere to degrade to: dispatch normally
+        // so the gate rejects the downed owner with `OwnerDown` immediately.
+        let result = if self.d.is_down(owner) && self.core.spec.replicas >= 1 {
+            self.get_from_replica(hash, key)
+        } else {
+            self.d.sync_keyed_ref(&self.core.ops.get, hash, key, |owner| {
+                self.core.shard(owner).apply_get(key)
+            })
+        };
+        hist_return!(self.d, tok, &result, |v| crate::DsRet::Value(
+            v.as_ref().map(crate::history_enc)
+        ));
+        result
+    }
+
+    pub(crate) fn erase(&self, key: &K) -> HclResult<Option<V>> {
+        let tok = hist_invoke!(self.d, crate::DsOp::MapErase { key: crate::history_enc(key) });
+        let hash = crate::stable_hash(key);
+        let result = self.d.sync_keyed_ref(&self.core.ops.erase, hash, key, |owner| {
+            self.core.shard(owner).apply_erase(key)
+        });
+        hist_return!(self.d, tok, &result, |v| crate::DsRet::Value(
+            v.as_ref().map(crate::history_enc)
+        ));
+        result
+    }
+
+    /// One call per owning member (collective-free; remote members cost one
+    /// RPC each), results in partition order.
+    pub(crate) fn fan_out<A: DataBox, R: DataBox>(
+        &self,
+        op: &'static OpDescriptor,
+        args: &A,
+        local: impl Fn(&KeyedShard<K, V, S>) -> R,
+    ) -> HclResult<Vec<R>> {
+        let owners = self.map();
+        let call = |&o: &u32| self.d.sync_ref(op, o, args, || local(self.core.shard(o)));
+        owners.members().iter().map(call).collect()
+    }
+
+    pub(crate) fn len(&self) -> HclResult<u64> {
+        let lens = self.fan_out(&self.core.ops.len, &(), |s| s.read(|m| m.len() as u64))?;
+        Ok(lens.into_iter().sum())
+    }
+
+    /// Clone out every entry of every partition (not atomic).
+    pub(crate) fn snapshot_all(&self) -> HclResult<Vec<(K, V)>> {
+        let parts = self.fan_out(&self.core.ops.snapshot, &(), |s| s.read(|m| m.snapshot()))?;
+        Ok(parts.into_iter().flatten().collect())
+    }
+
+    fn get_from_replica(&self, hash: u64, key: &K) -> HclResult<Option<V>> {
+        // Replicas live on the *static* ring regardless of membership: the
+        // ring successor of the key's home server backs it.
+        let servers = &self.core.servers;
+        let succ = self.core.repl_map.member_index_of_hash(hash) + 1;
+        let host = servers[if succ >= servers.len() { succ - servers.len() } else { succ }];
+        self.d
+            .sync_ref(&self.core.ops.repl_get, host, key, || self.core.shard(host).replica.get(key))
+    }
+
+    /// Wait until every partition's outstanding replication forwards have
+    /// been acknowledged.
+    pub(crate) fn flush_replication(&self) -> HclResult<()> {
+        for &owner in &self.core.servers {
+            let _: bool = self.d.sync_ref(&self.core.ops.repl_flush, owner, &(), || {
+                self.core.shard(owner).repl.flush();
+                true
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Flush and compact every *local* partition's op log to a snapshot.
+    pub(crate) fn compact_local_logs(&self) -> HclResult<()> {
+        let mut local = self.core.servers.iter().filter(|&&o| self.d.rank().same_node(o));
+        local.try_for_each(|&o| self.core.shard(o).compact_log().map_err(HclError::Persist))
+    }
+
+    /// Aggregated server-side cost counters across all shards.
+    pub(crate) fn server_costs(&self) -> CostSnapshot {
+        let mut out = CostSnapshot::default();
+        for shard in self.core.parts.iter().flatten() {
+            let s = shard.costs.snapshot();
+            out.f += s.f;
+            out.l += s.l;
+            out.r += s.r;
+            out.w += s.w;
+            out.fb += s.fb;
+            out.fu += s.fu;
+        }
+        out
+    }
+}
+
+/// Server-side state of a single-partition container on its owner rank.
+pub struct SeqShard<T, S> {
+    owner: u32,
+    store: S,
+    log: Option<ShardLog<SeqRec<T>>>,
+    /// Background sync thread bounding the relaxed-policy flush gap.
+    _flusher: Option<Flusher>,
+}
+
+impl<T: Val, S: SeqStore<T>> SeqShard<T, S> {
+    pub(crate) fn push(&self, value: T) -> bool {
+        if let Some(log) = &self.log {
+            log.record(&(TAG_ADD, Some(value.clone())), sfn::PUSH);
+        }
+        self.store.push(value);
+        true
+    }
+
+    pub(crate) fn pop(&self) -> Option<T> {
+        let v = self.store.pop();
+        self.log_pops(v.is_some() as usize, |log, rec| log.record(rec, sfn::POP));
+        v
+    }
+
+    /// One record per element, each under its own local sequence (see
+    /// [`ShardLog::record_local`]).
+    pub(crate) fn push_bulk(&self, values: Vec<T>) -> u64 {
+        if let Some(log) = &self.log {
+            for v in &values {
+                log.record_local(&(TAG_ADD, Some(v.clone())), sfn::PUSH_BULK);
+            }
+        }
+        self.store.push_bulk(values) as u64
+    }
+
+    pub(crate) fn pop_bulk(&self, max: u64) -> Vec<T> {
+        let vs = self.store.pop_bulk(max as usize);
+        self.log_pops(vs.len(), |log, rec| log.record_local(rec, sfn::POP_BULK));
+        vs
+    }
+
+    /// Log a pop that removed `taken` elements: one `record` call each. A
+    /// pop that found nothing logs nothing, but "empty" is an observation
+    /// of the structure as well — it owes the read barrier.
+    fn log_pops(&self, taken: usize, record: impl Fn(&ShardLog<SeqRec<T>>, &SeqRec<T>)) {
+        let Some(log) = &self.log else { return };
+        if taken == 0 {
+            fence(&self.log);
+        }
+        (0..taken).for_each(|_| record(log, &(TAG_REMOVE, None)));
+    }
+
+    /// The strict read barrier (see [`KeyedShard::read`]).
+    pub(crate) fn read<R>(&self, read: impl FnOnce(&S) -> R) -> R {
+        let out = read(&self.store);
+        fence(&self.log);
+        out
+    }
+
+    /// Drain every element, in pop order. The shard moved wholesale, so the
+    /// log is compacted to the (now empty) contents — a restart must never
+    /// resurrect migrated elements. If that fails nothing has moved: the
+    /// elements go back and the error is the caller's.
+    pub(crate) fn extract(&self) -> Result<Vec<T>, String> {
+        let vs = self.store.pop_bulk(usize::MAX);
+        match compact_to(&self.log, Vec::new) {
+            Ok(()) => Ok(vs),
+            Err(e) => {
+                self.store.push_bulk(vs);
+                Err(e)
+            }
+        }
+    }
+
+    /// Compact the log down to a push-per-element snapshot of the live
+    /// contents (no-op when persistence is off).
+    fn compact_log(&self) -> Result<(), String> {
+        compact_to(&self.log, || {
+            self.store.snapshot().into_iter().map(|v| (TAG_ADD, Some(v))).collect()
+        })
+    }
+
+    /// The live local structure (unlogged admin ops, tests).
+    pub fn store(&self) -> &S {
+        &self.store
+    }
+
+    /// The shard's write-ahead log, when the container is durable.
+    pub fn wal(&self) -> Option<&Arc<Wal>> {
+        self.log.as_ref().map(|l| l.wal())
+    }
+}
+
+/// The client half both single-partition containers share.
+pub(crate) struct SeqClient<'a, T, S> {
+    ops: &'static SeqOps,
+    pub(crate) shard: Arc<SeqShard<T, S>>,
+    pub(crate) d: Dispatcher<'a>,
+}
+
+impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
+    /// Collective constructor: fetch-or-create the shard of container
+    /// `name` on `cfg.owner` (replaying its log), binding the common
+    /// handlers plus whatever `bind_extra` adds at `SEQ_FNS..SEQ_FNS +
+    /// extra_fns`.
+    pub(crate) fn open(
+        rank: &'a Rank,
+        ops: &'static SeqOps,
+        name: &str,
+        cfg: QueueConfig,
+        extra_fns: u32,
+        make_store: impl FnOnce() -> S,
+        bind_extra: impl FnOnce(&Binder<'_, SeqShard<T, S>>),
+    ) -> Self {
+        let world = Arc::clone(rank.world());
+        let pmetrics = crate::persist::metrics_for(rank);
+        let (owner, hybrid) = (cfg.owner, cfg.hybrid);
+        let shared = rank.get_or_create_shared(&format!("hcl.{}.{name}", ops.prefix), move || {
+            let fn_base = world.alloc_fn_ids(SEQ_FNS + extra_fns);
+            let store = make_store();
+            let flusher =
+                cfg.persist.as_ref().and_then(|p| p.policy.interval()).map(Flusher::spawn);
+            let log = cfg.persist.as_ref().map(|p| {
+                ShardLog::open(p, name, owner, pmetrics, flusher.as_ref(), |rec| match rec {
+                    (TAG_ADD, Some(v)) => store.push(v),
+                    (TAG_REMOVE, _) => drop(store.pop()),
+                    _ => {}
+                })
+                .expect("open single-partition op log")
+            });
+            let shard = Arc::new(SeqShard { owner, store, log, _flusher: flusher });
+            let parts = hosted(world.config().world_size(), [(owner, Arc::clone(&shard))]);
+            let b = Binder { world: &world, fn_base, parts: &parts };
+            b.bind(sfn::PUSH, |s, v: T| s.push(v));
+            b.bind(sfn::POP, |s, ()| s.pop());
+            b.bind(sfn::PUSH_BULK, |s, vs: Vec<T>| s.push_bulk(vs));
+            b.bind(sfn::POP_BULK, |s, max: u64| s.pop_bulk(max));
+            b.bind(sfn::LEN, |s, ()| s.read(|q| q.len() as u64));
+            b.bind(sfn::SNAPSHOT, |s, ()| s.read(|q| q.snapshot()));
+            b.bind(sfn::MIG_EXTRACT, |s, ()| s.extract());
+            bind_extra(&b);
+            (fn_base, shard)
+        });
+        let d = Dispatcher::new(rank, ops.prefix, shared.0, hybrid);
+        SeqClient { ops, shard: Arc::clone(&shared.1), d }
+    }
+
+    /// The hosting rank.
+    pub(crate) fn owner(&self) -> u32 {
+        self.shard.owner
+    }
+
+    /// One unscaled op at the owner: handler remotely, `local` on the bypass.
+    pub(crate) fn at_owner<R: DataBox>(
+        &self,
+        op: &'static OpDescriptor,
+        local: impl FnOnce(&SeqShard<T, S>) -> R,
+    ) -> HclResult<R> {
+        self.d.sync_ref(op, self.owner(), &(), || local(&self.shard))
+    }
+
+    pub(crate) fn push_bulk(&self, values: Vec<T>) -> HclResult<u64> {
+        let n = values.len() as u64;
+        self.d.sync_scaled(&self.ops.push_bulk, self.owner(), n, values, |vs| {
+            self.shard.push_bulk(vs)
+        })
+    }
+
+    pub(crate) fn pop_bulk(&self, max: u64) -> HclResult<Vec<T>> {
+        self.d.sync_scaled(&self.ops.pop_bulk, self.owner(), max, max, |m| self.shard.pop_bulk(m))
+    }
+
+    pub(crate) fn len(&self) -> HclResult<u64> {
+        self.at_owner(&self.ops.len, |s| s.read(|q| q.len() as u64))
+    }
+
+    pub(crate) fn snapshot(&self) -> HclResult<Vec<T>> {
+        self.at_owner(&self.ops.snapshot, |s| s.read(|q| q.snapshot()))
+    }
+
+    pub(crate) fn extract_all(&self) -> HclResult<Vec<T>> {
+        self.at_owner(&self.ops.mig_extract, |s| s.extract())?.map_err(HclError::Persist)
+    }
+
+    /// Compact the shard's op log to its live contents. Call from the owner
+    /// rank.
+    pub(crate) fn compact_log(&self) -> HclResult<()> {
+        self.shard.compact_log().map_err(HclError::Persist)
+    }
+
+    /// Persist the current contents to `path` as a DataBox-encoded snapshot
+    /// (§III-C6 durability for single-partition structures).
+    pub(crate) fn persist_snapshot(&self, path: &std::path::Path) -> HclResult<()> {
+        crate::persist::write_snapshot(path, &self.snapshot()?)
+    }
+
+    /// Reload a snapshot written by [`SeqClient::persist_snapshot`],
+    /// appending its elements; returns how many were restored.
+    pub(crate) fn restore_snapshot(&self, path: &std::path::Path) -> HclResult<u64> {
+        self.push_bulk(crate::persist::read_snapshot(path)?)
+    }
+}

@@ -2,7 +2,7 @@
 //! (DESIGN.md §14): repeat `get`s on hot remote keys are served locally,
 //! and every invalidation rule — piggybacked version mismatch, ownership
 //! epoch bump, TTL expiry — is exercised end to end through a real
-//! [`World`]. Replica steering of non-leased hot reads rides along.
+//! [`World`].
 
 use std::time::Duration;
 
@@ -56,7 +56,6 @@ fn hot_remote_reads_hit_the_lease_cache() {
             let stats = map.cache_stats().expect("lease cache is configured");
             assert!(stats.lease_grants >= 1, "expected a grant, got {stats:?}");
             assert!(stats.hits >= 3, "expected repeat reads to hit, got {stats:?}");
-            assert_eq!(stats.steered_reads, 0, "steering is off by default");
             // The same hits are exported through the rank's registry.
             let snap = rank.telemetry_snapshot();
             let hits = snap
@@ -175,52 +174,6 @@ fn lease_expiry_bounds_staleness() {
             assert_eq!(map.get(&k).unwrap(), Some(2), "expired lease must refetch");
             let stats = map.cache_stats().unwrap();
             assert!(stats.stale_expired >= 1, "expected a TTL expiry, got {stats:?}");
-        }
-        rank.barrier();
-    });
-}
-
-/// Replica steering: with leasing effectively disabled (huge hot
-/// threshold) and steering on, sustained non-leased reads against one
-/// owner are steered to the replica partition — and still return the
-/// replicated values.
-#[test]
-fn hot_owner_reads_steer_to_replica() {
-    World::run(two_node_world(), |rank| {
-        let cfg = UnorderedMapConfig {
-            replicas: 1,
-            lease: Some(LeaseConfig {
-                ttl: Duration::from_secs(60),
-                // Never lease: every read stays on the non-leased path.
-                hot_threshold: u64::MAX,
-                steer: true,
-                steer_threshold: 8,
-                ..LeaseConfig::default()
-            }),
-            ..UnorderedMapConfig::default()
-        };
-        let map: UnorderedMap<u64, u64> = UnorderedMap::with_config(rank, "lease-steer", cfg);
-        let keys: Vec<u64> =
-            (0u64..10_000).filter(|k| map.partition_of(k) == 0).take(8).collect();
-        if rank.id() == 0 {
-            for &k in &keys {
-                map.put(k, k + 5).unwrap();
-            }
-            map.flush_replication().unwrap();
-        }
-        rank.barrier();
-        if rank.id() == 1 {
-            for round in 0..8 {
-                for &k in &keys {
-                    assert_eq!(map.get(&k).unwrap(), Some(k + 5), "round {round} key {k}");
-                }
-            }
-            let stats = map.cache_stats().unwrap();
-            assert!(
-                stats.steered_reads >= 1,
-                "sustained owner-0 reads must steer, got {stats:?}"
-            );
-            assert_eq!(stats.lease_grants, 0, "leasing is disabled in this cell");
         }
         rank.barrier();
     });

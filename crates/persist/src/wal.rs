@@ -484,7 +484,8 @@ impl Wal {
         self.durable.load(Ordering::Acquire)
     }
 
-    /// Count a failed append or barrier and leave a flight event behind.
+    /// Count a failed append, barrier or compaction and leave a flight event
+    /// behind.
     fn note_failure(&self, counter: &Counter, what: &'static str) {
         counter.inc();
         self.metrics.flight.record(FlightEvent::op(
@@ -583,7 +584,21 @@ impl Wal {
     /// delete the covered segments. A crash at any point leaves either the
     /// old state (tmp never renamed — swept on next open) or the new one
     /// (stale segments at or below the covered index — swept on next open).
+    ///
+    /// A failure is counted and flight-recorded here: the caller's live
+    /// structure no longer matches what a restart would replay.
     pub fn compact<P: FnOnce(&mut Vec<u8>)>(
+        &self,
+        records: impl Iterator<Item = (u16, P)>,
+    ) -> std::io::Result<()> {
+        let res = self.compact_inner(records);
+        if res.is_err() {
+            self.note_failure(&self.metrics.compact_errors, "wal.compact");
+        }
+        res
+    }
+
+    fn compact_inner<P: FnOnce(&mut Vec<u8>)>(
         &self,
         records: impl Iterator<Item = (u16, P)>,
     ) -> std::io::Result<()> {
@@ -967,6 +982,12 @@ mod tests {
         let events = flight.events();
         assert_eq!(events.len(), 1);
         assert_eq!((events[0].kind, events[0].op), (EventKind::PersistError, "wal.commit"));
+        // Nor can it write a snapshot there: a failed compaction is counted
+        // under its own name, after whatever barrier failure caused it.
+        assert!(wal.compact(std::iter::once((0u16, packing(1)))).is_err());
+        assert_eq!(m.compact_errors.get(), 1);
+        let last = flight.events().pop().expect("compaction failure recorded");
+        assert_eq!((last.kind, last.op), (EventKind::PersistError, "wal.compact"));
         // An oversized body is refused before it reaches the file.
         let err = push_frame_with(&mut Vec::new(), 0, NO_IDENTITY, |b| {
             b.resize(b.len() + MAX_BODY as usize, 0)

@@ -517,8 +517,8 @@ impl CoalesceMetrics {
 }
 
 /// The lease-cache instrumentation bundle (read-path scale-out): hit/miss
-/// traffic, every invalidation cause broken out, lease grants, replica
-/// steering, and the locally-served get latency distribution. Resolved once
+/// traffic, every invalidation cause broken out, lease grants, and the
+/// locally-served get latency distribution. Resolved once
 /// per container handle; the hit path is handle derefs only.
 #[derive(Clone)]
 pub struct CacheMetrics {
@@ -536,8 +536,6 @@ pub struct CacheMetrics {
     pub stale_epoch: Arc<Counter>,
     /// Entries evicted to keep the cache inside its capacity bound.
     pub evictions: Arc<Counter>,
-    /// Non-leased hot reads steered to a replica under owner load.
-    pub steered_reads: Arc<Counter>,
     /// Latency of cache-hit gets, nanoseconds (no fabric involved).
     pub cached_get_ns: Arc<Histogram>,
 }
@@ -553,7 +551,6 @@ impl CacheMetrics {
             stale_version: reg.counter("hcl_core_cache_stale_version"),
             stale_epoch: reg.counter("hcl_core_cache_stale_epoch"),
             evictions: reg.counter("hcl_core_cache_evictions"),
-            steered_reads: reg.counter("hcl_core_cache_steered_reads"),
             cached_get_ns: reg.histogram("hcl_core_cache_local_get_ns"),
         }
     }
@@ -586,6 +583,9 @@ pub struct PersistMetrics {
     pub append_errors: Arc<Counter>,
     /// Sync barriers that failed with an I/O error (nothing newly durable).
     pub commit_errors: Arc<Counter>,
+    /// Compactions that failed with an I/O error (the log still holds the
+    /// history the snapshot was meant to replace).
+    pub compact_errors: Arc<Counter>,
     /// Record frames read back (snapshot + segments) during replay.
     pub replayed: Arc<Counter>,
     /// Bytes discarded by torn-tail truncation on replay (a crash artifact:
@@ -596,7 +596,7 @@ pub struct PersistMetrics {
     pub recovered_ops: Arc<Counter>,
     /// Size of the last snapshot written or loaded, bytes.
     pub snapshot_bytes: Arc<Gauge>,
-    /// Where append/commit failures are recorded ([`EventKind::PersistError`]).
+    /// Where append/commit/compaction failures are recorded ([`EventKind::PersistError`]).
     pub flight: Arc<FlightRecorder>,
 }
 
@@ -611,6 +611,7 @@ impl PersistMetrics {
             dir_fsyncs: reg.counter("hcl_persist_dir_fsyncs"),
             append_errors: reg.counter("hcl_persist_append_errors"),
             commit_errors: reg.counter("hcl_persist_commit_errors"),
+            compact_errors: reg.counter("hcl_persist_compact_errors"),
             replayed: reg.counter("hcl_persist_replayed"),
             truncated_tail: reg.counter("hcl_persist_truncated_tail"),
             recovered_ops: reg.counter("hcl_persist_recovered_ops"),
@@ -661,6 +662,7 @@ mod tests {
         m.dir_fsyncs.inc();
         m.append_errors.inc();
         m.commit_errors.inc();
+        m.compact_errors.inc();
         m.replayed.add(3);
         m.truncated_tail.add(7);
         m.recovered_ops.add(2);
@@ -669,7 +671,7 @@ mod tests {
         for (name, _) in counters.iter().chain(gauges.iter()) {
             assert!(valid_metric_name(name), "persist metric breaks convention: {name}");
         }
-        assert_eq!(counters.len(), 9);
+        assert_eq!(counters.len(), 10);
         assert_eq!(gauges.len(), 1);
         // Shared handles: a second resolve sees the same counters.
         let again = PersistMetrics::from_registry(&reg, flight);

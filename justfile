@@ -123,9 +123,8 @@ bench-smoke:
     cargo run --release -p hcl-bench --bin pr3 -- --smoke
 
 # Read-path cache gate: a reduced 8-rank zipfian get sweep (uncached vs
-# lease-cached vs replica-steered), gating a fresh >= 1.5x cached speedup
-# with live cache hits and steered reads, then validating the committed
-# BENCH_pr8.json (>= 2x cached speedup, lower cached p99). The full
+# lease-cached), gating a fresh >= 1.5x cached speedup with live cache
+# hits, then validating the committed BENCH_pr8.json (>= 2x cached speedup, lower cached p99). The full
 # regeneration is `cargo run --release -p hcl-bench --bin pr8`.
 bench-cache-smoke:
     cargo run --release -p hcl-bench --bin pr8 -- --smoke

@@ -10,7 +10,7 @@
 //! tracking, and `#[cfg(test)] mod` scopes are tracked by brace depth so
 //! exemptions end where the module ends.
 //!
-//! Six rules, tuned to the invariants the containers and shims rely on:
+//! Seven rules, tuned to the invariants the containers and shims rely on:
 //!
 //! 1. **SAFETY** — every `unsafe { .. }` block and `unsafe impl` must carry a
 //!    `// SAFETY:` comment in the contiguous comment run directly above it
@@ -59,6 +59,15 @@
 //!    or drains (the exact bug class of the old per-container `owner_of`
 //!    copies). The map implementation itself (`membership.rs`) is the single
 //!    exemption, by name; `#[cfg(test)]` modules are exempt as usual.
+//! 7. **SHARD** — in `crates/core/src/` the server-side pipeline lives in
+//!    `shard.rs` and nowhere else: no other file may log a mutation
+//!    (`.log_mutation(`), take the strict read fence (`.read_fence(`),
+//!    compact an op log (`.compact(`), forward to replicas or a migration
+//!    target (`.forward(` / `.forward_to(`), or define `fn mig_*` /
+//!    `fn forward_migration`. A container that hand-threads any of these is
+//!    a second copy of the pipeline waiting to drift. The files that
+//!    *define* the primitives are exempt for their own group only:
+//!    `persist.rs` (the log) and `dispatch.rs` (the forwarder).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -126,6 +135,14 @@ const METRIC_TOKENS: &[&str] = &[".counter(", ".gauge(", ".histogram("];
 /// Path fragments where the MEMBERSHIP rule applies: the ownership stack.
 const MEMBERSHIP_PATHS: &[&str] = &["crates/core/src/", "crates/runtime/src/"];
 
+/// SHARD-rule tokens, grouped by the file (besides `shard.rs`) that defines
+/// the primitive and may therefore mention it.
+const SHARD_TOKENS: &[(&str, &[&str])] = &[
+    ("persist.rs", &[".log_mutation(", ".read_fence(", ".compact("]),
+    ("dispatch.rs", &[".forward(", ".forward_to("]),
+    ("", &["fn mig_", "fn forward_migration"]),
+];
+
 /// Modulo denominators that constitute hand-rolled owner math. Matched as the
 /// trailing segment of the identifier path following a `%` operator, so
 /// `hash % self.core.servers.len()` and `k % world_size()` both trigger while
@@ -157,6 +174,7 @@ pub enum Rule {
     Dispatch,
     Metric,
     Membership,
+    Shard,
 }
 
 impl fmt::Display for Rule {
@@ -168,6 +186,7 @@ impl fmt::Display for Rule {
             Rule::Dispatch => write!(f, "DISPATCH"),
             Rule::Metric => write!(f, "METRIC"),
             Rule::Membership => write!(f, "MEMBERSHIP"),
+            Rule::Shard => write!(f, "SHARD"),
         }
     }
 }
@@ -608,6 +627,9 @@ pub fn check_file(rel: &str, content: &str) -> Vec<Finding> {
     if rel.contains(DISPATCH_PATH) && !rel.ends_with("dispatch.rs") {
         check_dispatch(rel, &model, &mut findings);
     }
+    if rel.contains(DISPATCH_PATH) && !rel.ends_with("shard.rs") {
+        check_shard(rel, &model, &mut findings);
+    }
     // Integration-test trees register malformed names as negative controls.
     if !in_test_tree {
         check_metric(rel, &model, &mut findings);
@@ -797,6 +819,33 @@ fn check_dispatch(rel: &str, model: &FileModel, findings: &mut Vec<Finding>) {
                 message: format!(
                     "direct RPC issue (`{tok}`) in a container module; \
                      route the op through `dispatch::Dispatcher`"
+                ),
+            });
+        }
+    }
+}
+
+/// Rule 7: the server-side pipeline may not be hand-threaded outside
+/// `shard.rs`. Test modules are exempt (they drive the primitives directly).
+fn check_shard(rel: &str, model: &FileModel, findings: &mut Vec<Finding>) {
+    for idx in 0..model.len() {
+        if model.test_scope[idx] {
+            continue;
+        }
+        let line = &model.code[idx];
+        let hit = SHARD_TOKENS
+            .iter()
+            .filter(|(definer, _)| definer.is_empty() || !rel.ends_with(definer))
+            .flat_map(|(_, toks)| toks.iter())
+            .find(|t| line.contains(**t));
+        if let Some(tok) = hit {
+            findings.push(Finding {
+                file: rel.to_string(),
+                line: idx + 1,
+                rule: Rule::Shard,
+                message: format!(
+                    "shard-pipeline step (`{tok}`) outside `shard.rs`; go through \
+                     `KeyedShard`/`SeqShard` instead"
                 ),
             });
         }
@@ -1301,9 +1350,8 @@ mod tests {
             "    let e = reg.counter(\"hcl_core_cache_stale_version\");\n",
             "    let g = reg.counter(\"hcl_core_cache_stale_epoch\");\n",
             "    let h = reg.counter(\"hcl_core_cache_evictions\");\n",
-            "    let i = reg.counter(\"hcl_core_cache_steered_reads\");\n",
             "    let j = reg.histogram(\"hcl_core_cache_local_get_ns\");\n",
-            "    drop((a, b, c, d, e, g, h, i, j));\n",
+            "    drop((a, b, c, d, e, g, h, j));\n",
             "}\n"
         );
         assert!(rules("crates/telemetry/src/cache.rs", src).is_empty());
@@ -1341,7 +1389,8 @@ mod tests {
             "    let j = reg.counter(\"hcl_persist_append_errors\");\n",
             "    let k = reg.counter(\"hcl_persist_commit_errors\");\n",
             "    let l = reg.gauge(\"hcl_rpc_server_ack_failures\");\n",
-            "    drop((a, b, c, d, e, g, h, i, j, k, l));\n",
+            "    let m = reg.counter(\"hcl_persist_compact_errors\");\n",
+            "    drop((a, b, c, d, e, g, h, i, j, k, l, m));\n",
             "}\n"
         );
         assert!(rules("crates/telemetry/src/persist.rs", src).is_empty());
@@ -1359,6 +1408,68 @@ mod tests {
         let bad_chars =
             "fn f(r: &Registry) {\n    let _ = r.gauge(\"hcl_persist_Snapshot-Bytes\");\n}\n";
         assert_eq!(rules("crates/telemetry/src/persist.rs", bad_chars), vec![Rule::Metric]);
+        let bad_compact =
+            "fn f(r: &Registry) {\n    let _ = r.counter(\"hcl_persist_compactErrors\");\n}\n";
+        assert_eq!(rules("crates/telemetry/src/persist.rs", bad_compact), vec![Rule::Metric]);
+    }
+
+    #[test]
+    fn pipeline_steps_outside_shard_rs_flagged() {
+        // The negative controls for the SHARD acceptance criterion: each
+        // step of the server-side pipeline, hand-threaded into a container
+        // module, must produce a finding.
+        let log = "fn put(&self) {\n    self.log.log_mutation(&rec, 0, ident);\n}\n";
+        assert_eq!(rules("crates/core/src/unordered.rs", log), vec![Rule::Shard]);
+        let fence = "fn len(&self) -> u64 {\n    self.log.read_fence();\n    0\n}\n";
+        assert_eq!(rules("crates/core/src/queue.rs", fence), vec![Rule::Shard]);
+        let compact = "fn end(&self) {\n    let _ = self.log.compact(snap.iter());\n}\n";
+        assert_eq!(rules("crates/core/src/ordered.rs", compact), vec![Rule::Shard]);
+        let repl = "fn put(&self) {\n    self.repl.forward(&w, 0, &s, 1, id, &b);\n}\n";
+        assert_eq!(rules("crates/core/src/multimap.rs", repl), vec![Rule::Shard]);
+        let fwd = "fn put(&self) {\n    self.repl.forward_to(&w, to, id, &b);\n}\n";
+        assert_eq!(rules("crates/core/src/pqueue.rs", fwd), vec![Rule::Shard]);
+        let mig = "fn mig_install(&self, k: K, v: V) -> bool {\n    true\n}\n";
+        assert_eq!(rules("crates/core/src/unordered.rs", mig), vec![Rule::Shard]);
+        let fm = "fn forward_migration(&self, k: &K) {\n    let _ = k;\n}\n";
+        assert_eq!(rules("crates/core/src/ordered.rs", fm), vec![Rule::Shard]);
+    }
+
+    #[test]
+    fn shard_rule_exempts_the_pipeline_and_the_definers() {
+        let all = concat!(
+            "fn mig_apply(&self) {\n",
+            "    self.log.log_mutation(&rec, 0, ident);\n",
+            "    self.log.read_fence();\n",
+            "    self.repl.forward_to(&w, to, id, &b);\n",
+            "    let _ = self.log.compact(snap.iter());\n",
+            "}\n"
+        );
+        assert!(rules("crates/core/src/shard.rs", all).is_empty());
+        // The log's own module may call the log, the forwarder's module the
+        // forwarder — but neither may grow the other's group or a `mig_*`.
+        let log_only = "fn record(&self) {\n    self.log.log_mutation(&rec, 0, ident);\n}\n";
+        assert!(rules("crates/core/src/persist.rs", log_only).is_empty());
+        assert_eq!(rules("crates/core/src/dispatch.rs", log_only), vec![Rule::Shard]);
+        let fwd_only = "fn go(&self) {\n    self.repl.forward_to(&w, to, id, &b);\n}\n";
+        assert!(rules("crates/core/src/dispatch.rs", fwd_only).is_empty());
+        assert_eq!(rules("crates/core/src/persist.rs", fwd_only), vec![Rule::Shard]);
+        let mig = "fn mig_end(&self) {}\n";
+        assert_eq!(rules("crates/core/src/persist.rs", mig), vec![Rule::Shard]);
+        // Outside the core crate, in its test tree, in `#[cfg(test)]`
+        // modules, and inside strings or comments the rule does not apply.
+        assert!(rules("crates/persist/src/wal.rs", all).is_empty());
+        assert!(rules("crates/core/tests/shard_conformance.rs", all).is_empty());
+        let in_mod = concat!(
+            "#[cfg(test)]\n",
+            "mod tests {\n",
+            "    fn f(log: &OpLog<u64>) {\n",
+            "        log.compact(snap.iter()).unwrap();\n",
+            "    }\n",
+            "}\n"
+        );
+        assert!(rules("crates/core/src/persist.rs", in_mod).is_empty());
+        let prose = "fn f() {\n    // never call log.read_fence() here\n    let _ = \"fn mig_x\";\n}\n";
+        assert!(rules("crates/core/src/queue.rs", prose).is_empty());
     }
 
     #[test]
