@@ -9,9 +9,7 @@
 //!   carries the snapshot schema (rank, counters, gauges, histograms with
 //!   count/sum/max/p50/p90/p99) with the expected core/rpc/fabric metrics;
 //! * the Prometheus text exposition renders counters, gauges and summary
-//!   quantiles;
-//! * the committed `BENCH_pr5.json` acceptance artifact is present with the
-//!   batched telemetry overhead ratio inside the 5% band.
+//!   quantiles.
 
 use hcl::{Queue, UnorderedMap};
 use hcl_fabric::LatencyModel;
@@ -107,26 +105,6 @@ fn main() {
         assert!(prom.contains(needle), "prometheus exposition missing {needle:?}");
     }
     println!("telemetry-smoke: prometheus exposition OK ({} lines)", prom.lines().count());
-
-    // --- committed acceptance artifact -----------------------------------
-    let bench = std::fs::read_to_string("BENCH_pr5.json")
-        .expect("BENCH_pr5.json missing (run `cargo run --release -p hcl-bench --bin pr5`)");
-    assert!(bench.contains("\"pr5_telemetry_overhead\""), "BENCH_pr5.json: wrong bench id");
-    let ratio: f64 = bench
-        .split("\"overhead_ratio_batched\": ")
-        .nth(1)
-        .expect("BENCH_pr5.json: missing overhead_ratio_batched")
-        .split(|c: char| c == ',' || c == '\n' || c == '}')
-        .next()
-        .unwrap()
-        .trim()
-        .parse()
-        .expect("parsable overhead ratio");
-    assert!(
-        (0.95..=1.05).contains(&ratio),
-        "BENCH_pr5.json: batched telemetry overhead ratio {ratio:.4} outside the 5% band"
-    );
-    println!("telemetry-smoke: BENCH_pr5.json OK (batched overhead ratio {ratio:.4})");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

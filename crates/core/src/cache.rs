@@ -44,8 +44,6 @@ pub struct LeaseConfig {
     /// Total cached entries across all shards (capacity-bounded; an insert
     /// into a full shard evicts an expired entry, or failing that any one).
     pub capacity: usize,
-    /// Lock shards (each a `Mutex<HashMap>`); keys spread by stable hash.
-    pub shards: usize,
     /// Reads of a key (while in the top-k sketch) before it earns a lease.
     pub hot_threshold: u64,
     /// Width of the space-saving top-k sketch.
@@ -57,7 +55,6 @@ impl Default for LeaseConfig {
         LeaseConfig {
             ttl: Duration::from_millis(2),
             capacity: 4096,
-            shards: 8,
             hot_threshold: 3,
             topk: 64,
         }
@@ -95,6 +92,10 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// Lock shards of a [`LeaseCache`] (each a `Mutex<HashMap>`); keys spread by
+/// stable hash.
+const LOCK_SHARDS: usize = 8;
+
 /// The per-handle, sharded, capacity-bounded lease cache.
 ///
 /// The hit path is zero-allocation (pinned by a counting-allocator test):
@@ -117,10 +118,9 @@ where
 {
     /// Build a cache for a container with `nparts` partitions.
     pub fn new(cfg: LeaseConfig, nparts: usize, metrics: CacheMetrics) -> Self {
-        let shards = cfg.shards.max(1);
-        let per_shard_cap = (cfg.capacity / shards).max(1);
+        let per_shard_cap = (cfg.capacity / LOCK_SHARDS).max(1);
         LeaseCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..LOCK_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             per_shard_cap,
             observed: (0..nparts.max(1)).map(|_| AtomicU64::new(0)).collect(),
             detector: Arc::new(HotKeyDetector::new(&cfg)),
@@ -380,7 +380,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_holds_and_evictions_count() {
-        let cfg = LeaseConfig { capacity: 8, shards: 2, ..LeaseConfig::default() };
+        let cfg = LeaseConfig { capacity: 8, ..LeaseConfig::default() };
         let c = cache(cfg, 1);
         for k in 0..64u64 {
             c.insert(k, k, 0, Some(k), 1, 1, far(), 0);

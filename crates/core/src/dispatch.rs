@@ -13,10 +13,13 @@
 //!   explicit placement) and cached endpoint lookup ([`EpCache`] — no per-op
 //!   `ep_of` recomputation); keyed sync ops tag their RPC with the resolved
 //!   epoch and transparently re-resolve on a typed
-//!   [`RpcError::WrongEpoch`] rejection (see [`Dispatcher::sync_keyed`]);
+//!   [`RpcError::WrongEpoch`] rejection (`Dispatcher::sync_keyed`);
 //! * the hybrid local bypass decision;
 //! * sync, async (coalesced, §III-B) and bulk (`FLAG_BATCH` aggregated)
-//!   issue, with flush-before-sync program ordering preserved;
+//!   issue, with flush-before-sync program ordering preserved — four entry
+//!   points (`sync` at an explicit owner, `sync_keyed`, `dispatch_async`,
+//!   `bulk`), each taking its arguments owned or borrowed, the two
+//!   synchronous ones over one body;
 //! * downed-rank graceful degradation ([`DownedRegistry`]): any degradable
 //!   op against a marked-down owner fails fast with
 //!   [`HclError::OwnerDown`] instead of hanging — replica reads opt out so
@@ -161,9 +164,9 @@ pub struct OpEvent<'e> {
     pub owner: u32,
     /// Element count for bulk/scaled ops (1 for single-element ops).
     pub n: u64,
-    /// Stable hash of the op's key for keyed dispatches (`_keyed` variants);
-    /// 0 when the op has no single key or the caller did not supply it. The
-    /// hot-key detector ([`crate::cache::HotKeyDetector`]) reads this.
+    /// Stable hash of the op's key for keyed dispatches; 0 when the op has
+    /// no single key or the caller did not supply it. The hot-key detector
+    /// ([`crate::cache::HotKeyDetector`]) reads this.
     pub key_hash: u64,
 }
 
@@ -194,6 +197,29 @@ pub trait OpObserver: Send + Sync {
     /// does not need clocks on the local fast path).
     fn wants_latency(&self) -> bool {
         false
+    }
+}
+
+/// The arguments of one dispatch as its caller holds them: owned (`A`
+/// itself — the local apply consumes them, e.g. `put(key, value)`) or
+/// borrowed (`&A`, e.g. `get(&key)`). The local arm receives them as held;
+/// the remote arm only ever borrows the wire form.
+pub(crate) trait OpArgs<A> {
+    /// The value that travels.
+    fn wire(&self) -> &A;
+}
+
+impl<A: DataBox> OpArgs<A> for A {
+    #[inline]
+    fn wire(&self) -> &A {
+        self
+    }
+}
+
+impl<A: DataBox> OpArgs<A> for &A {
+    #[inline]
+    fn wire(&self) -> &A {
+        self
     }
 }
 
@@ -522,54 +548,29 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// One synchronous remote invocation, stamped when a version sink is
-    /// installed (plain otherwise). Flush-before-sync ordering is preserved
-    /// by both [`Rank::invoke`] and [`Rank::invoke_stamped`].
-    fn invoke_sync<A, R>(&self, owner: u32, fn_id: FnId, args: &A) -> RpcResult<R>
+    /// One synchronous remote invocation: epoch-tagged
+    /// ([`hcl_rpc::FLAG_EPOCH`]) when `tag` is set, stamped when a version
+    /// sink is installed, plain otherwise. Flush-before-sync ordering is
+    /// preserved by every [`Rank`] invoke variant. The sink only sees stamps
+    /// of *executed* requests — a rejection moved no partition version.
+    fn invoke_sync<A, R>(&self, owner: u32, fn_id: FnId, tag: Option<u64>, args: &A) -> RpcResult<R>
     where
         A: DataBox,
         R: DataBox,
     {
-        match &self.version_sink {
-            Some(sink) => {
-                self.rank.invoke_stamped(self.ep(owner), fn_id, args).map(|(stamp, v)| {
-                    if stamp != 0 {
-                        sink(owner, stamp);
-                    }
-                    v
-                })
-            }
-            None => self.rank.invoke(self.ep(owner), fn_id, args),
-        }
-    }
-
-    /// One synchronous remote invocation carrying an ownership-epoch tag
-    /// ([`hcl_rpc::FLAG_EPOCH`]); stamped when a version sink is installed.
-    /// The sink only sees stamps of *executed* requests — a rejection moved
-    /// no partition version.
-    fn invoke_sync_tagged<A, R>(
-        &self,
-        owner: u32,
-        fn_id: FnId,
-        tag: Option<u64>,
-        args: &A,
-    ) -> RpcResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let Some(epoch) = tag else {
-            return self.invoke_sync(owner, fn_id, args);
-        };
+        let ep = self.ep(owner);
         let stamped = self.version_sink.is_some();
-        self.rank.invoke_epoch(self.ep(owner), fn_id, epoch, stamped, args).map(|(stamp, v)| {
-            if stamp != 0 {
-                if let Some(sink) = &self.version_sink {
-                    sink(owner, stamp);
-                }
+        let (stamp, v) = match tag {
+            Some(epoch) => self.rank.invoke_epoch(ep, fn_id, epoch, stamped, args)?,
+            None if stamped => self.rank.invoke_stamped(ep, fn_id, args)?,
+            None => return self.rank.invoke(ep, fn_id, args),
+        };
+        if stamp != 0 {
+            if let Some(sink) = &self.version_sink {
+                sink(owner, stamp);
             }
-            v
-        })
+        }
+        Ok(v)
     }
 
     /// Count a wrong-epoch rejection against the membership counters (live
@@ -580,208 +581,130 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Synchronous dispatch of a keyed op whose arguments are consumed by
-    /// the local apply (`put(key, value)`-shaped ops): the engine resolves
-    /// the owner from the owner map, tags the RPC with the resolved epoch
-    /// (live maps), and on a [`RpcError::WrongEpoch`] rejection re-resolves
-    /// and retries up to [`EPOCH_RETRY_MAX`] times before giving up typed
+    /// The event of one plain op at an explicit `owner`: one element, no
+    /// key hash. Ops that carry more say so by struct update —
+    /// `OpEvent { n, ..d.event(op, owner) }`.
+    pub(crate) fn event<'e>(&self, op: &'e OpDescriptor, owner: u32) -> OpEvent<'e> {
+        OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 }
+    }
+
+    /// The one synchronous dispatch body: *gate → local bypass | (on_issue →
+    /// invoke → finish_remote)* for the resolved `ev`. `local` receives the
+    /// owner and the arguments as the caller holds them; the remote arm only
+    /// borrows them. An invocation the owner rejected as stale — only one
+    /// carrying an epoch `tag` can be — is counted, completed as failed, and
+    /// hands `args` and `local` back inside `Err`, with the typed error to
+    /// give up with, so [`Dispatcher::sync_keyed`] can re-resolve with
+    /// neither consumed.
+    #[inline]
+    fn attempt<A, P, R, L>(
+        &self,
+        ev: &OpEvent<'_>,
+        mode: IssueMode,
+        tag: Option<u64>,
+        args: P,
+        local: L,
+    ) -> Result<HclResult<R>, (P, L, HclError)>
+    where
+        A: DataBox,
+        P: OpArgs<A>,
+        R: DataBox,
+        L: FnOnce(u32, P) -> R,
+    {
+        if let Err(down) = self.gate(ev) {
+            return Ok(Err(down));
+        }
+        if self.is_local(ev.owner) {
+            return Ok(Ok(self.run_local(ev, || local(ev.owner, args))));
+        }
+        let t0 = self.now();
+        self.each(|o| o.on_issue(ev, mode));
+        match self.invoke_sync(ev.owner, self.fn_base + ev.op.fn_off, tag, args.wire()) {
+            Err(RpcError::WrongEpoch { sent, current }) => {
+                self.note_wrong_epoch();
+                self.each(|o| o.on_complete(ev, Locality::Remote, Self::elapsed(t0), false));
+                Err((args, local, HclError::WrongEpoch { sent, current }))
+            }
+            res => Ok(self.finish_remote(ev, t0, res)),
+        }
+    }
+
+    /// Synchronous dispatch of `ev` at its explicit owner, untagged (the
+    /// fan-out legs of len/snapshot/flush, migration control, the
+    /// single-partition containers). `args` is owned — handed to `local`,
+    /// which consumes it (`push(value)`-shaped ops) — or borrowed
+    /// (`get(&key)`-shaped ops); see [`OpArgs`]. `mode` is how the one
+    /// message is classified: [`IssueMode::Sync`], or `Bulk { ops: 1 }` for a
+    /// single-message bulk op whose `ev.n` elements scale the local charge
+    /// (Table I `F + L + E·R/W`).
+    pub(crate) fn sync<A, P, R>(
+        &self,
+        ev: OpEvent<'_>,
+        mode: IssueMode,
+        args: P,
+        local: impl FnOnce(P) -> R,
+    ) -> HclResult<R>
+    where
+        A: DataBox,
+        P: OpArgs<A>,
+        R: DataBox,
+    {
+        self.attempt(&ev, mode, None, args, |_, args| local(args)).unwrap_or_else(|(.., e)| Err(e))
+    }
+
+    /// Synchronous dispatch of a keyed op: the engine resolves the owner
+    /// from the owner map, tags the RPC with the resolved epoch (live maps),
+    /// and on a [`RpcError::WrongEpoch`] rejection re-resolves and retries up
+    /// to [`EPOCH_RETRY_MAX`] times before giving up typed
     /// ([`HclError::WrongEpoch`]). `local` receives the resolved owner rank
-    /// so the container can pick its co-located partition.
-    pub fn sync_keyed<A, R>(
+    /// so the container can pick its co-located partition, and `args` as in
+    /// [`Dispatcher::sync`].
+    pub(crate) fn sync_keyed<A, P, R>(
         &self,
         op: &'static OpDescriptor,
         key_hash: u64,
-        args: A,
-        local: impl FnOnce(u32, A) -> R,
+        mut args: P,
+        mut local: impl FnOnce(u32, P) -> R,
     ) -> HclResult<R>
     where
         A: DataBox,
+        P: OpArgs<A>,
         R: DataBox,
     {
-        // Option-wrapped so the borrow checker accepts the FnOnce/owned-args
-        // consumption inside the retry loop: the local arm (the only
-        // consumer) is terminal.
-        let mut slot = Some((args, local));
         let mut rejects = 0u32;
         loop {
             let (owner, tag) = self.resolve(key_hash);
-            let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash };
-            self.gate(&ev)?;
-            if self.is_local(owner) {
-                let (args, local) = slot.take().expect("local arm is terminal");
-                return Ok(self.run_local(&ev, || local(owner, args)));
-            }
-            let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Sync));
-            let args = &slot.as_ref().expect("args retained across retries").0;
-            let res = self.invoke_sync_tagged(owner, self.fn_base + op.fn_off, tag, args);
-            match res {
-                Err(RpcError::WrongEpoch { sent, current }) => {
-                    self.note_wrong_epoch();
-                    self.each(|o| o.on_complete(&ev, Locality::Remote, Self::elapsed(t0), false));
+            let ev = OpEvent { key_hash, ..self.event(op, owner) };
+            match self.attempt(&ev, IssueMode::Sync, tag, args, local) {
+                Ok(done) => return done,
+                Err((a, l, stale)) => {
                     rejects += 1;
                     if rejects > EPOCH_RETRY_MAX {
-                        return Err(HclError::WrongEpoch { sent, current });
+                        return Err(stale);
                     }
+                    (args, local) = (a, l);
                 }
-                res => return self.finish_remote(&ev, t0, res),
             }
-        }
-    }
-
-    /// [`Dispatcher::sync_keyed`] with borrowed arguments (`get(&key)`-
-    /// shaped ops).
-    pub fn sync_keyed_ref<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        key_hash: u64,
-        args: &A,
-        local: impl FnOnce(u32) -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let mut local = Some(local);
-        let mut rejects = 0u32;
-        loop {
-            let (owner, tag) = self.resolve(key_hash);
-            let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash };
-            self.gate(&ev)?;
-            if self.is_local(owner) {
-                let local = local.take().expect("local arm is terminal");
-                return Ok(self.run_local(&ev, || local(owner)));
-            }
-            let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Sync));
-            let res = self.invoke_sync_tagged(owner, self.fn_base + op.fn_off, tag, args);
-            match res {
-                Err(RpcError::WrongEpoch { sent, current }) => {
-                    self.note_wrong_epoch();
-                    self.each(|o| o.on_complete(&ev, Locality::Remote, Self::elapsed(t0), false));
-                    rejects += 1;
-                    if rejects > EPOCH_RETRY_MAX {
-                        return Err(HclError::WrongEpoch { sent, current });
-                    }
-                }
-                res => return self.finish_remote(&ev, t0, res),
-            }
-        }
-    }
-
-    /// Synchronous dispatch of an op whose arguments are consumed by the
-    /// local apply (`put(key, value)`-shaped ops). The remote path borrows
-    /// the arguments; flush-before-sync ordering is preserved by
-    /// [`Rank::invoke`].
-    pub fn sync<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        args: A,
-        local: impl FnOnce(A) -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
-        self.gate(&ev)?;
-        if self.is_local(owner) {
-            Ok(self.run_local(&ev, || local(args)))
-        } else {
-            let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Sync));
-            let res = self.invoke_sync(owner, self.fn_base + op.fn_off, &args);
-            self.finish_remote(&ev, t0, res)
-        }
-    }
-
-    /// Synchronous dispatch of an op with borrowed arguments (`get(&key)`-
-    /// shaped ops; also the fan-out legs of len/snapshot/flush).
-    pub fn sync_ref<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        args: &A,
-        local: impl FnOnce() -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        self.sync_ref_keyed(op, owner, 0, args, local)
-    }
-
-    /// [`Dispatcher::sync_ref`] carrying the op's stable key hash in its
-    /// [`OpEvent`], so keyed observers (the hot-key detector) can attribute
-    /// the dispatch to a key without re-hashing. Pass 0 for keyless ops.
-    pub fn sync_ref_keyed<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        key_hash: u64,
-        args: &A,
-        local: impl FnOnce() -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash };
-        self.gate(&ev)?;
-        if self.is_local(owner) {
-            Ok(self.run_local(&ev, local))
-        } else {
-            let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Sync));
-            let res = self.invoke_sync(owner, self.fn_base + op.fn_off, args);
-            self.finish_remote(&ev, t0, res)
-        }
-    }
-
-    /// Synchronous dispatch of a single-message bulk op carrying `n`
-    /// elements (queue/pq `push_bulk`/`pop_bulk`): the local charge scales
-    /// by `n` per the descriptor's cost signature; the remote charge is one
-    /// invocation classified as batched (Table I `F + L + E·R/W`).
-    pub fn sync_scaled<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        n: u64,
-        args: A,
-        local: impl FnOnce(A) -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let ev = OpEvent { container: self.container, op, owner, n, key_hash: 0 };
-        self.gate(&ev)?;
-        if self.is_local(owner) {
-            Ok(self.run_local(&ev, || local(args)))
-        } else {
-            let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Bulk { ops: 1 }));
-            let res = self.invoke_sync(owner, self.fn_base + op.fn_off, &args);
-            self.finish_remote(&ev, t0, res)
         }
     }
 
     /// Asynchronous dispatch (§III-C4): local bypass resolves immediately;
     /// remote ops stage on the rank's op coalescer and may ride a batched
-    /// message with neighbouring async ops (§III-B).
-    pub fn dispatch_async<A, R>(
+    /// message with neighbouring async ops (§III-B). `args` as in
+    /// [`Dispatcher::sync`].
+    pub(crate) fn dispatch_async<A, P, R>(
         &self,
         op: &'static OpDescriptor,
         owner: u32,
-        args: A,
-        local: impl FnOnce(A) -> R,
+        args: P,
+        local: impl FnOnce(P) -> R,
     ) -> HclResult<HclFuture<R>>
     where
         A: DataBox,
+        P: OpArgs<A>,
         R: DataBox,
     {
-        let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
+        let ev = self.event(op, owner);
         self.gate(&ev)?;
         if self.is_local(owner) {
             Ok(HclFuture::Ready(self.run_local(&ev, || local(args))))
@@ -791,34 +714,7 @@ impl<'a> Dispatcher<'a> {
             Ok(HclFuture::Coalesced(self.rank.invoke_coalesced(
                 self.ep(owner),
                 self.fn_base + op.fn_off,
-                &args,
-            )?))
-        }
-    }
-
-    /// [`Dispatcher::dispatch_async`] with borrowed arguments.
-    pub fn dispatch_async_ref<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        args: &A,
-        local: impl FnOnce() -> R,
-    ) -> HclResult<HclFuture<R>>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
-        self.gate(&ev)?;
-        if self.is_local(owner) {
-            Ok(HclFuture::Ready(self.run_local(&ev, local)))
-        } else {
-            let coalesced = self.rank.coalescing_enabled();
-            self.each(|o| o.on_issue(&ev, IssueMode::Async { coalesced }));
-            Ok(HclFuture::Coalesced(self.rank.invoke_coalesced(
-                self.ep(owner),
-                self.fn_base + op.fn_off,
-                args,
+                args.wire(),
             )?))
         }
     }
@@ -828,81 +724,37 @@ impl<'a> Dispatcher<'a> {
     /// signature per element); the remote path packs the whole group into
     /// one arena and ships a single `FLAG_BATCH` message. Staged async ops
     /// for the destination are flushed first so the explicit batch keeps
-    /// per-destination program order.
-    pub fn bulk<A, R>(
+    /// per-destination program order. Items are owned (`put_batch`) or
+    /// borrowed (`get_batch`); results align with `items` order in both
+    /// paths.
+    pub(crate) fn bulk<A, P, R>(
         &self,
         op: &'static OpDescriptor,
         owner: u32,
-        items: Vec<A>,
-        mut local: impl FnMut(A) -> R,
+        items: Vec<P>,
+        mut local: impl FnMut(P) -> R,
     ) -> HclResult<BulkReply<R>>
     where
         A: DataBox,
+        P: OpArgs<A>,
         R: DataBox,
     {
-        self.gate(&OpEvent { container: self.container, op, owner, n: items.len() as u64, key_hash: 0 })?;
+        let n = items.len() as u64;
+        let group = OpEvent { n, ..self.event(op, owner) };
+        self.gate(&group)?;
         if self.is_local(owner) {
-            let out = items
-                .into_iter()
-                .map(|a| {
-                    let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
-                    self.run_local(&ev, || local(a))
-                })
-                .collect();
+            let ev = self.event(op, owner);
+            let out = items.into_iter().map(|a| self.run_local(&ev, || local(a))).collect();
             Ok(BulkReply::Ready(out))
         } else {
-            let n = items.len() as u64;
-            let ev = OpEvent { container: self.container, op, owner, n, key_hash: 0 };
-            self.each(|o| o.on_issue(&ev, IssueMode::Bulk { ops: n }));
+            self.each(|o| o.on_issue(&group, IssueMode::Bulk { ops: n }));
             let mut arena = BatchArena::with_capacity(
                 self.fn_base + op.fn_off,
                 items.len(),
-                items.first().map_or(16, |a| a.size_hint()),
+                items.first().map_or(16, |a| a.wire().size_hint()),
             );
             for a in &items {
-                arena.push(a);
-            }
-            let ep = self.ep(owner);
-            self.rank.coalescer().flush(ep);
-            let fut = self.rank.client().invoke_batch_slices(ep, arena.calls())?;
-            Ok(BulkReply::Pending(fut, PhantomData))
-        }
-    }
-
-    /// [`Dispatcher::bulk`] over borrowed items (`get_batch`-shaped ops).
-    /// Results align with `items` order in both paths.
-    pub fn bulk_ref<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        items: &[&A],
-        mut local: impl FnMut(&A) -> R,
-    ) -> HclResult<BulkReply<R>>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        self.gate(&OpEvent { container: self.container, op, owner, n: items.len() as u64, key_hash: 0 })?;
-        if self.is_local(owner) {
-            let out = items
-                .iter()
-                .map(|a| {
-                    let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
-                    self.run_local(&ev, || local(a))
-                })
-                .collect();
-            Ok(BulkReply::Ready(out))
-        } else {
-            let n = items.len() as u64;
-            let ev = OpEvent { container: self.container, op, owner, n, key_hash: 0 };
-            self.each(|o| o.on_issue(&ev, IssueMode::Bulk { ops: n }));
-            let mut arena = BatchArena::with_capacity(
-                self.fn_base + op.fn_off,
-                items.len(),
-                items.first().map_or(16, |a| a.size_hint()),
-            );
-            for a in items {
-                arena.push(*a);
+                arena.push(a.wire());
             }
             let ep = self.ep(owner);
             self.rank.coalescer().flush(ep);

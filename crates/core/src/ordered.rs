@@ -22,7 +22,7 @@ use hcl_databox::DataBox;
 use hcl_runtime::Rank;
 
 use crate::cost::CostSnapshot;
-use crate::dispatch::{CostSig, OpClass, OpDescriptor};
+use crate::dispatch::{CostSig, IssueMode, OpClass, OpDescriptor};
 use crate::persist::PersistConfig;
 use crate::shard::{
     keyed_ops, KeyedClient, KeyedOps, KeyedShard, KeyedSpec, KeyedStore, KEYED_FNS,
@@ -258,7 +258,7 @@ where
     /// node-by-node so this is trivially satisfied).
     pub fn resize(&self, partition_id: usize, new_size: usize) -> HclResult<bool> {
         let owner = self.c.owner_of_partition(partition_id)?;
-        self.c.d.sync_ref(&RESIZE, owner, &(new_size as u64), || true)
+        self.c.d.sync(self.c.d.event(&RESIZE, owner), IssueMode::Sync, &(new_size as u64), |_| true)
     }
 
     /// Persist a globally sorted snapshot of the whole map to `path`

@@ -19,7 +19,9 @@ use hcl_databox::DataBox;
 use hcl_runtime::Rank;
 
 use crate::cost::CostSnapshot;
-use crate::dispatch::{hist_invoke, hist_return, CostSig, OpClass, OpDescriptor};
+use crate::dispatch::{
+    hist_invoke, hist_return, CostSig, IssueMode, OpClass, OpDescriptor,
+};
 use crate::queue::QueueConfig;
 use crate::shard::{seq_ops, SeqClient, SeqOps, SeqShard, SeqStore, SEQ_FNS};
 use crate::{HclFuture, HclResult};
@@ -134,7 +136,8 @@ where
     /// Push one element (Table I: `F + L·log(N) + W`).
     pub fn push(&self, value: T) -> HclResult<bool> {
         let tok = hist_invoke!(self.c.d, crate::DsOp::PqPush { value: crate::history_enc(&value) });
-        let result = self.c.d.sync(&OPS.push, self.owner(), value, |v| self.c.shard.push(v));
+        let ev = self.c.d.event(&OPS.push, self.owner());
+        let result = self.c.d.sync(ev, IssueMode::Sync, value, |v| self.c.shard.push(v));
         hist_return!(self.c.d, tok, &result, |acked| crate::DsRet::Pushed(*acked));
         result
     }

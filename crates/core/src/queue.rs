@@ -18,7 +18,7 @@ use hcl_databox::DataBox;
 use hcl_runtime::Rank;
 
 use crate::cost::CostSnapshot;
-use crate::dispatch::{hist_invoke, hist_return};
+use crate::dispatch::{hist_invoke, hist_return, IssueMode};
 use crate::persist::PersistConfig;
 use crate::shard::{seq_ops, SeqClient, SeqOps, SeqShard, SeqStore};
 use crate::{HclFuture, HclResult};
@@ -125,7 +125,8 @@ where
     pub fn push(&self, value: T) -> HclResult<bool> {
         let tok =
             hist_invoke!(self.c.d, crate::DsOp::QueuePush { value: crate::history_enc(&value) });
-        let result = self.c.d.sync(&OPS.push, self.owner(), value, |v| self.c.shard.push(v));
+        let ev = self.c.d.event(&OPS.push, self.owner());
+        let result = self.c.d.sync(ev, IssueMode::Sync, value, |v| self.c.shard.push(v));
         hist_return!(self.c.d, tok, &result, |acked| crate::DsRet::Pushed(*acked));
         result
     }

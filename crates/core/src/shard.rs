@@ -38,7 +38,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::cost::{CostCounters, CostSnapshot};
 use crate::dispatch::{
-    hist_invoke, hist_return, Dispatcher, OpDescriptor, OwnerMap, ReplForwarder,
+    hist_invoke, hist_return, Dispatcher, IssueMode, OpDescriptor, OpEvent, OwnerMap,
+    ReplForwarder,
 };
 use crate::persist::{Flusher, PersistConfig, ShardLog, Wal};
 use crate::queue::QueueConfig;
@@ -234,7 +235,7 @@ fn compact_to<Rec: DataBox>(
 }
 
 /// The strict read barrier of a shard's log, if it has one: called *after*
-/// the observation it covers (see [`crate::OpLog::read_fence`]).
+/// the observation it covers (see [`ShardLog::read_fence`]).
 fn fence<Rec: DataBox>(log: &Option<ShardLog<Rec>>) {
     if let Some(log) = log {
         log.read_fence();
@@ -327,7 +328,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
     /// The record is only built when there is a log to take it.
     fn log_op(&self, fn_off: u32, rec: impl FnOnce() -> KeyedRec<K, V>) {
         if let Some(log) = &self.log {
-            log.record(&rec(), fn_off);
+            log.record_op(&rec(), fn_off);
         }
     }
 
@@ -385,7 +386,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
 
     /// The strict read barrier: run `read` against the live structure and
     /// hand its result back only under the barrier of whatever logged
-    /// mutation it may reflect (see [`crate::OpLog::read_fence`]). Every
+    /// mutation it may reflect (see [`ShardLog::read_fence`]). Every
     /// read of a shard — common or container-specific — goes through here.
     pub(crate) fn read<R>(&self, read: impl FnOnce(&S) -> R) -> R {
         let out = read(&self.store);
@@ -648,8 +649,9 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                         match rec {
                             (TAG_ADD, k, Some(v)) => drop(store.insert(k, v)),
                             (TAG_REMOVE, k, None) => drop(store.remove(&k)),
-                            _ => {}
+                            _ => return false,
                         }
+                        true
                     })
                     .expect("open partition op log")
                 });
@@ -760,11 +762,12 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> ShardMigrator for KeyedMigrator<K, V, 
         let vp = mv.vpart as u64;
         // Arm the target first: its window bookkeeping must be clean before
         // the source starts forwarding writes into it.
-        let _: bool = d.sync_ref(&core.ops.mig_arm, mv.to, &vp, || {
+        let _: bool = d.sync(d.event(&core.ops.mig_arm, mv.to), IssueMode::Sync, &vp, |_| {
             core.shard(mv.to).mig_arm(mv.vpart);
             true
         })?;
-        let _: bool = d.sync_ref(&core.ops.mig_begin, mv.from, &(vp, mv.to), || {
+        let begin = d.event(&core.ops.mig_begin, mv.from);
+        let _: bool = d.sync(begin, IssueMode::Sync, &(vp, mv.to), |_| {
             core.shard(mv.from).mig_begin(mv.vpart, mv.to);
             true
         })?;
@@ -773,10 +776,10 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> ShardMigrator for KeyedMigrator<K, V, 
 
     fn transfer(&self, rank: &Rank, mv: &ShardMove) -> HclResult<(u64, u64)> {
         let (core, d) = (&self.core, self.core.dispatcher(rank));
-        let entries: Vec<(K, V)> =
-            d.sync_ref(&core.ops.mig_extract, mv.from, &(mv.vpart as u64), || {
-                core.shard(mv.from).mig_extract(mv.vpart)
-            })?;
+        let extract = d.event(&core.ops.mig_extract, mv.from);
+        let entries: Vec<(K, V)> = d.sync(extract, IssueMode::Sync, &(mv.vpart as u64), |_| {
+            core.shard(mv.from).mig_extract(mv.vpart)
+        })?;
         let keys = entries.len() as u64;
         let bytes: u64 = entries.iter().map(|e| e.to_bytes().len() as u64).sum();
         if !entries.is_empty() {
@@ -793,12 +796,13 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> ShardMigrator for KeyedMigrator<K, V, 
         let vp = mv.vpart as u64;
         // Source first: it stops forwarding, flushes in-flight forwards to
         // the target, then (on commit) purges the moved entries.
-        let at_source = d.sync_ref(&core.ops.mig_end, mv.from, &(vp, committed, true), || {
-            core.shard(mv.from).mig_end(mv.vpart, committed, true)
-        })?;
-        let at_target = d.sync_ref(&core.ops.mig_end, mv.to, &(vp, committed, false), || {
-            core.shard(mv.to).mig_end(mv.vpart, committed, false)
-        })?;
+        let end_at = |host: u32, source: bool| {
+            d.sync(d.event(&core.ops.mig_end, host), IssueMode::Sync, &(vp, committed, source), |_| {
+                core.shard(host).mig_end(mv.vpart, committed, source)
+            })
+        };
+        let at_source = end_at(mv.from, true)?;
+        let at_target = end_at(mv.to, false)?;
         at_source.and(at_target).map_err(HclError::Persist)
     }
 }
@@ -900,7 +904,7 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
         let result = if self.d.is_down(owner) && self.core.spec.replicas >= 1 {
             self.get_from_replica(hash, key)
         } else {
-            self.d.sync_keyed_ref(&self.core.ops.get, hash, key, |owner| {
+            self.d.sync_keyed(&self.core.ops.get, hash, key, |owner, key| {
                 self.core.shard(owner).apply_get(key)
             })
         };
@@ -913,7 +917,7 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
     pub(crate) fn erase(&self, key: &K) -> HclResult<Option<V>> {
         let tok = hist_invoke!(self.d, crate::DsOp::MapErase { key: crate::history_enc(key) });
         let hash = crate::stable_hash(key);
-        let result = self.d.sync_keyed_ref(&self.core.ops.erase, hash, key, |owner| {
+        let result = self.d.sync_keyed(&self.core.ops.erase, hash, key, |owner, key| {
             self.core.shard(owner).apply_erase(key)
         });
         hist_return!(self.d, tok, &result, |v| crate::DsRet::Value(
@@ -931,7 +935,9 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
         local: impl Fn(&KeyedShard<K, V, S>) -> R,
     ) -> HclResult<Vec<R>> {
         let owners = self.map();
-        let call = |&o: &u32| self.d.sync_ref(op, o, args, || local(self.core.shard(o)));
+        let call = |&o: &u32| {
+            self.d.sync(self.d.event(op, o), IssueMode::Sync, args, |_| local(self.core.shard(o)))
+        };
         owners.members().iter().map(call).collect()
     }
 
@@ -952,15 +958,17 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
         let servers = &self.core.servers;
         let succ = self.core.repl_map.member_index_of_hash(hash) + 1;
         let host = servers[if succ >= servers.len() { succ - servers.len() } else { succ }];
-        self.d
-            .sync_ref(&self.core.ops.repl_get, host, key, || self.core.shard(host).replica.get(key))
+        self.d.sync(self.d.event(&self.core.ops.repl_get, host), IssueMode::Sync, key, |key| {
+            self.core.shard(host).replica.get(key)
+        })
     }
 
     /// Wait until every partition's outstanding replication forwards have
     /// been acknowledged.
     pub(crate) fn flush_replication(&self) -> HclResult<()> {
         for &owner in &self.core.servers {
-            let _: bool = self.d.sync_ref(&self.core.ops.repl_flush, owner, &(), || {
+            let flush = self.d.event(&self.core.ops.repl_flush, owner);
+            let _: bool = self.d.sync(flush, IssueMode::Sync, &(), |_| {
                 self.core.shard(owner).repl.flush();
                 true
             })?;
@@ -1002,7 +1010,7 @@ pub struct SeqShard<T, S> {
 impl<T: Val, S: SeqStore<T>> SeqShard<T, S> {
     pub(crate) fn push(&self, value: T) -> bool {
         if let Some(log) = &self.log {
-            log.record(&(TAG_ADD, Some(value.clone())), sfn::PUSH);
+            log.record_op(&(TAG_ADD, Some(value.clone())), sfn::PUSH);
         }
         self.store.push(value);
         true
@@ -1010,7 +1018,7 @@ impl<T: Val, S: SeqStore<T>> SeqShard<T, S> {
 
     pub(crate) fn pop(&self) -> Option<T> {
         let v = self.store.pop();
-        self.log_pops(v.is_some() as usize, |log, rec| log.record(rec, sfn::POP));
+        self.log_pops(v.is_some() as usize, |log, rec| log.record_op(rec, sfn::POP));
         v
     }
 
@@ -1113,10 +1121,13 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
             let flusher =
                 cfg.persist.as_ref().and_then(|p| p.policy.interval()).map(Flusher::spawn);
             let log = cfg.persist.as_ref().map(|p| {
-                ShardLog::open(p, name, owner, pmetrics, flusher.as_ref(), |rec| match rec {
-                    (TAG_ADD, Some(v)) => store.push(v),
-                    (TAG_REMOVE, _) => drop(store.pop()),
-                    _ => {}
+                ShardLog::open(p, name, owner, pmetrics, flusher.as_ref(), |rec| {
+                    match rec {
+                        (TAG_ADD, Some(v)) => store.push(v),
+                        (TAG_REMOVE, _) => drop(store.pop()),
+                        _ => return false,
+                    }
+                    true
                 })
                 .expect("open single-partition op log")
             });
@@ -1148,18 +1159,19 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
         op: &'static OpDescriptor,
         local: impl FnOnce(&SeqShard<T, S>) -> R,
     ) -> HclResult<R> {
-        self.d.sync_ref(op, self.owner(), &(), || local(&self.shard))
+        self.d.sync(self.d.event(op, self.owner()), IssueMode::Sync, &(), |_| local(&self.shard))
     }
 
+    /// One aggregated message carrying `values.len()` elements.
     pub(crate) fn push_bulk(&self, values: Vec<T>) -> HclResult<u64> {
-        let n = values.len() as u64;
-        self.d.sync_scaled(&self.ops.push_bulk, self.owner(), n, values, |vs| {
-            self.shard.push_bulk(vs)
-        })
+        let ev = OpEvent { n: values.len() as u64, ..self.d.event(&self.ops.push_bulk, self.owner()) };
+        self.d.sync(ev, IssueMode::Bulk { ops: 1 }, values, |vs| self.shard.push_bulk(vs))
     }
 
+    /// One aggregated message asking for up to `max` elements.
     pub(crate) fn pop_bulk(&self, max: u64) -> HclResult<Vec<T>> {
-        self.d.sync_scaled(&self.ops.pop_bulk, self.owner(), max, max, |m| self.shard.pop_bulk(m))
+        let ev = OpEvent { n: max, ..self.d.event(&self.ops.pop_bulk, self.owner()) };
+        self.d.sync(ev, IssueMode::Bulk { ops: 1 }, max, |m| self.shard.pop_bulk(m))
     }
 
     pub(crate) fn len(&self) -> HclResult<u64> {

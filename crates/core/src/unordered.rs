@@ -34,7 +34,9 @@ use hcl_telemetry::CacheMetrics;
 
 use crate::cache::{CacheStats, LeaseCache, LeaseConfig};
 use crate::cost::CostSnapshot;
-use crate::dispatch::{hist_invoke, hist_return, BulkReply, CostSig, OpClass, OpDescriptor};
+use crate::dispatch::{
+    hist_invoke, hist_return, BulkReply, CostSig, IssueMode, OpClass, OpDescriptor, OpEvent,
+};
 use crate::persist::PersistConfig;
 use crate::shard::{
     keyed_ops, KeyedClient, KeyedOps, KeyedShard, KeyedSpec, KeyedStore, KEYED_FNS,
@@ -361,8 +363,11 @@ where
         // staleness from the moment the server could have read the value,
         // not from when the response arrived.
         let granted = Instant::now();
+        // Explicit owner (the one the lease bookkeeping above is about),
+        // keyed event: the hash feeds the hot-key detector.
+        let ev = OpEvent { key_hash: hash, ..d.event(&GET_LEASED, owner) };
         let result = d
-            .sync_ref_keyed(&GET_LEASED, owner, hash, key, || {
+            .sync(ev, IssueMode::Sync, key, |key| {
                 apply_get_leased(self.shard_at(owner), self.lease_ttl_micros, key)
             })
             .map(|(version, ttl_micros, value)| {
@@ -387,7 +392,7 @@ where
     /// Asynchronous lookup; remote lookups stage on the op coalescer.
     pub fn get_async(&self, key: &K) -> HclResult<HclFuture<Option<V>>> {
         let owner = self.c.owner_now(crate::stable_hash(key));
-        self.c.d.dispatch_async_ref(&OPS.get, owner, key, || self.shard_at(owner).apply_get(key))
+        self.c.d.dispatch_async(&OPS.get, owner, key, |key| self.shard_at(owner).apply_get(key))
     }
 
     /// Atomically merge `value` into the entry for `key` using the
@@ -454,7 +459,7 @@ where
         for (owner, idxs) in by_owner {
             let refs: Vec<&K> = idxs.iter().map(|&i| &keys[i]).collect();
             let reply =
-                self.c.d.bulk_ref(&OPS.get, owner, &refs, |k| self.shard_at(owner).apply_get(k))?;
+                self.c.d.bulk(&OPS.get, owner, refs, |k| self.shard_at(owner).apply_get(k))?;
             match reply {
                 BulkReply::Ready(results) => {
                     for (i, r) in idxs.into_iter().zip(results) {
@@ -499,7 +504,7 @@ where
     /// partition."
     pub fn resize(&self, partition_id: usize, new_buckets: usize) -> HclResult<bool> {
         let owner = self.c.owner_of_partition(partition_id)?;
-        self.c.d.sync_ref(&RESIZE, owner, &(new_buckets as u64), || {
+        self.c.d.sync(self.c.d.event(&RESIZE, owner), IssueMode::Sync, &(new_buckets as u64), |_| {
             self.shard_at(owner).store().resize_to(new_buckets);
             true
         })

@@ -14,8 +14,10 @@
 //! `UnorderedMap`/`OrderedMap` and for `Queue`/`PriorityQueue` — a sixth
 //! container earns all of it by adding one impl block here.
 //!
-//! Last, the window's install/erase race (DESIGN.md §15) is stressed
-//! directly at the shard over both keyed stores.
+//! Then, outside the scripts: the window's install/erase race (DESIGN.md §15)
+//! stressed directly at the shard over both keyed stores; replay over a log
+//! holding a frame it cannot decode (skipped, counted, traced — for all four
+//! containers); and the fsync signature of each sync policy.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -23,13 +25,14 @@ use std::sync::Barrier;
 
 use hcl::shard::{KeyedShard, KeyedStore, SeqShard, SeqStore};
 use hcl::{
-    drain_rank, HclError, HclResult, MigratorRegistry, OrderedMap, PersistConfig, PriorityQueue,
-    Queue, ShardMigrator, UnorderedMap, UnorderedMapConfig,
+    drain_rank, HclError, HclResult, MigratorRegistry, OrderedMap, PersistConfig, PersistMetrics,
+    PriorityQueue, Queue, ShardMigrator, SyncPolicy, UnorderedMap, UnorderedMapConfig,
 };
 use hcl::{ordered::OrderedConfig, queue::QueueConfig};
 use hcl_databox::DataBox;
-use hcl_persist::Wal;
+use hcl_persist::{Wal, WalRecord, DEFAULT_SEGMENT_BYTES};
 use hcl_runtime::{Rank, ShardMove, World, WorldConfig};
+use hcl_telemetry::EventKind;
 
 fn two_node_world() -> WorldConfig {
     WorldConfig { nodes: 2, ranks_per_node: 1, ..WorldConfig::small() }
@@ -557,6 +560,188 @@ fn mig_install_racing_a_forwarded_erase_never_resurrects() {
         install_never_resurrects_an_erased_key::<UnorderedMap<u64, u64>>(rank);
         install_never_resurrects_an_erased_key::<OrderedMap<u64, u64>>(rank);
     });
+}
+
+// ---------------------------------------------------------------------------
+// Replay skips what it cannot decode — counted and traced, never silently
+// ---------------------------------------------------------------------------
+
+/// Leave behind, before any world runs, the log of the shard of container
+/// `name` hosted on rank 0: the two `valid` records with one frame between
+/// them that passes its checksum but is no record of any container.
+fn seed_garbled_log(dir: &Path, name: &str, [first, second]: &[Vec<u8>; 2]) {
+    let stem = PersistConfig::strict(dir).stem(name, 0);
+    let metrics = PersistMetrics::detached();
+    let (wal, _) =
+        Wal::open(stem, SyncPolicy::Strict, DEFAULT_SEGMENT_BYTES, metrics, |_| {}).unwrap();
+    for (seq, payload) in [first, &vec![0xEE], second].into_iter().enumerate() {
+        wal.append(WalRecord { op: 0, rank: 9, seq: seq as u64 + 1, payload }).unwrap();
+    }
+}
+
+/// Exactly one frame was skipped, and the open that skipped it said so once.
+fn assert_one_record_skipped(rank: &Rank, who: &str) {
+    let skipped = world_counter(rank, "hcl_persist_replay_undecodable");
+    assert_eq!(skipped, 1, "{who}: undecodable records counted");
+    // The trace lives in the flight ring of whichever rank opened the log.
+    let traces: Vec<(EventKind, u64)> = rank
+        .telemetry()
+        .flight()
+        .events()
+        .iter()
+        .filter(|e| e.op == "wal.replay")
+        .map(|e| (e.kind, e.n))
+        .collect();
+    let all = rank.allreduce(traces, |mut a, b| {
+        a.extend(b);
+        a
+    });
+    assert_eq!(all, vec![(EventKind::PersistError, 1)], "{who}: one trace carrying the count");
+}
+
+fn keyed_recovers_around_garbage<'a, C: Keyed<'a>>(rank: &'a Rank, dir: &Path) {
+    let c = C::open(rank, "garbled", Some(PersistConfig::strict(dir)));
+    rank.barrier();
+    let mut recovered = c.shard_at(0).store().snapshot();
+    recovered.sort_unstable();
+    assert_eq!(recovered, vec![(1, 10), (2, 20)], "{}: the valid records, nothing else", C::PREFIX);
+    assert_one_record_skipped(rank, C::PREFIX);
+}
+
+fn seq_recovers_around_garbage<'a, C: Seq<'a>>(rank: &'a Rank, dir: &Path) {
+    let persist = Some(PersistConfig::strict(dir));
+    let q = C::open(rank, "garbled", QueueConfig { owner: 0, persist, ..Default::default() });
+    rank.barrier();
+    let recovered = q.shard().store().snapshot();
+    assert_eq!(recovered, vec![1, 2], "{}: the valid records, nothing else", C::PREFIX);
+    assert_one_record_skipped(rank, C::PREFIX);
+}
+
+#[test]
+fn replay_counts_the_records_it_cannot_decode() {
+    let put = |k: u64, v: u64| (0u8, k, Some(v)).to_bytes().to_vec();
+    let push = |v: u64| (0u8, Some(v)).to_bytes().to_vec();
+    let keyed = [put(1, 10), put(2, 20)];
+    let seq = [push(1), push(2)];
+    let recover = |who: &str, valid: &[Vec<u8>; 2], script: fn(&Rank, &Path)| {
+        let dir = scratch(&format!("garbled-{who}"));
+        seed_garbled_log(&dir, "garbled", valid);
+        let d = dir.clone();
+        World::run(two_node_world(), move |rank| script(rank, &d));
+        let _ = std::fs::remove_dir_all(&dir);
+    };
+    recover("umap", &keyed, |r, d| keyed_recovers_around_garbage::<UnorderedMap<u64, u64>>(r, d));
+    recover("omap", &keyed, |r, d| keyed_recovers_around_garbage::<OrderedMap<u64, u64>>(r, d));
+    recover("queue", &seq, |r, d| seq_recovers_around_garbage::<Queue<u64>>(r, d));
+    recover("pq", &seq, |r, d| seq_recovers_around_garbage::<PriorityQueue<u64>>(r, d));
+}
+
+// ---------------------------------------------------------------------------
+// The fsync signature of each sync policy
+// ---------------------------------------------------------------------------
+
+const WINDOWS: u64 = 128;
+const WINDOW: u64 = 16;
+const SYNC_PUTS: u64 = 2_000;
+
+/// Windows of [`WINDOW`] `put_async`, each awaited to its last ack.
+fn async_windows(map: &Umap<'_>) {
+    for w in 0..WINDOWS {
+        let acks: Vec<_> =
+            (0..WINDOW).map(|i| map.put_async(w * WINDOW + i, w).unwrap()).collect();
+        for ack in acks {
+            ack.wait().unwrap();
+        }
+    }
+}
+
+fn sync_puts(map: &Umap<'_>) {
+    for i in 0..SYNC_PUTS {
+        map.put(i % 512, i).unwrap();
+    }
+}
+
+/// What the world's logs had done when the last ack of a phase was in.
+#[derive(Debug, Clone, Copy)]
+struct Logged {
+    appended: u64,
+    durable: u64,
+    fsyncs: u64,
+    /// Coalesced messages sent: the requests an async phase had acknowledged.
+    batches: u64,
+}
+
+/// Drive `phases` from rank 0, one after the other, against a map under
+/// `policy` with the bypass off (every put is a request some NIC worker
+/// acknowledges); what each phase added, sampled right after its last ack.
+fn logged_under(policy: Option<SyncPolicy>, phases: &'static [fn(&Umap<'_>)]) -> Vec<Logged> {
+    let dir = scratch("policy");
+    let persist = policy.map(|policy| PersistConfig { policy, ..PersistConfig::strict(&dir) });
+    let mut per_rank = World::run(two_node_world(), move |rank| {
+        let cfg = UnorderedMapConfig { hybrid: false, persist: persist.clone(), ..Default::default() };
+        let map: Umap<'_> = UnorderedMap::with_config(rank, "policy", cfg);
+        // The logs count into the registry of whichever rank created the
+        // container: nobody reads a counter before the phase is over.
+        let sample = || {
+            rank.barrier();
+            Logged {
+                appended: world_counter(rank, "hcl_persist_appended"),
+                durable: world_counter(rank, "hcl_persist_durable"),
+                fsyncs: world_counter(rank, "hcl_persist_fsyncs"),
+                batches: rank.allreduce(rank.coalesce_stats().batches, |a, b| a + b),
+            }
+        };
+        let mut before = sample();
+        let mut added = Vec::new();
+        for phase in phases {
+            if rank.id() == 0 {
+                phase(&map);
+            }
+            let after = sample();
+            added.push(Logged {
+                appended: after.appended - before.appended,
+                durable: after.durable - before.durable,
+                fsyncs: after.fsyncs - before.fsyncs,
+                batches: after.batches - before.batches,
+            });
+            before = after;
+        }
+        added
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    per_rank.swap_remove(0)
+}
+
+/// The invariants the deleted `bench-persist-smoke` gated, without its
+/// throughput ratios: strict leaves nothing un-durable behind an ack at no
+/// more than one barrier per acknowledged request, relaxed logs every put
+/// behind barriers an order of magnitude rarer, no persistence logs nothing.
+#[test]
+fn sync_policies_keep_their_fsync_signatures() {
+    let strict = logged_under(Some(SyncPolicy::Strict), &[async_windows, sync_puts]);
+    let (windows, one_by_one) = (strict[0], strict[1]);
+    assert_eq!(windows.appended, WINDOWS * WINDOW, "strict windows: acks outran the WAL");
+    assert_eq!(windows.durable, windows.appended, "strict windows: an ack outran its commit");
+    assert!(
+        windows.fsyncs <= windows.batches,
+        "strict windows: more than one barrier per acknowledged request: {windows:?}"
+    );
+    assert_eq!(one_by_one.appended, SYNC_PUTS, "strict: acks outran the WAL");
+    assert_eq!(one_by_one.durable, SYNC_PUTS, "strict: an ack outran its commit");
+    assert!(one_by_one.fsyncs <= SYNC_PUTS, "strict: {one_by_one:?}");
+
+    let gap = std::time::Duration::from_millis(20);
+    let relaxed = logged_under(Some(SyncPolicy::Relaxed { interval: gap }), &[sync_puts])[0];
+    assert_eq!(relaxed.appended, SYNC_PUTS, "relaxed: acks outran the WAL");
+    assert!(
+        relaxed.fsyncs * 10 <= one_by_one.fsyncs,
+        "flush gap collapsed: strict {} fsyncs, relaxed {}",
+        one_by_one.fsyncs,
+        relaxed.fsyncs
+    );
+
+    let none = logged_under(None, &[sync_puts])[0];
+    assert_eq!(none.appended, 0, "persistence off appended WAL records");
 }
 
 // ---------------------------------------------------------------------------

@@ -16,16 +16,15 @@
 //! * [`SegmentAllocator`] — a coalescing free-list allocator used for
 //!   variable-length entries; this is what lets HCL avoid BCL's "static
 //!   predefined data entry size" limitation (§I(f) of the paper).
-//! * [`persist`] — file-backed segments with strict (per-operation) or
-//!   relaxed (background) write-back, standing in for the paper's
-//!   memory-mapped NVMe backing (§III-C6). See DESIGN.md substitution #7.
+//!
+//! Segments are volatile. The paper's memory-mapped NVMe persistence
+//! (§III-C6) is reproduced one layer up, as per-partition write-ahead logs
+//! (`hcl-persist`; DESIGN.md substitution #7 and §16).
 
 pub mod alloc;
-pub mod persist;
 pub mod segment;
 
 pub use alloc::{AllocError, SegmentAllocator};
-pub use persist::{Backing, SyncPolicy};
 pub use segment::{MemError, Segment};
 
 /// Round `n` up to the next multiple of 8 (the word size used by [`Segment`]).

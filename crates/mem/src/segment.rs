@@ -5,8 +5,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::persist::Backing;
-
 /// Errors produced by segment operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemError {
@@ -21,8 +19,6 @@ pub enum MemError {
     },
     /// An atomic op was requested at an offset not aligned to 8 bytes.
     Unaligned(usize),
-    /// An I/O error from the persistence backing (message form).
-    Io(String),
 }
 
 impl std::fmt::Display for MemError {
@@ -33,7 +29,6 @@ impl std::fmt::Display for MemError {
                 "segment access out of bounds: offset={offset} len={len} segment_len={segment_len}"
             ),
             MemError::Unaligned(off) => write!(f, "atomic op at unaligned offset {off}"),
-            MemError::Io(e) => write!(f, "segment backing I/O error: {e}"),
         }
     }
 }
@@ -79,39 +74,14 @@ impl Storage {
 /// the same contract real one-sided RDMA gives. Synchronisation between
 /// conflicting accesses is the responsibility of the protocol layered on top
 /// (CAS words in BCL, the RPC work queue in HCL).
-///
-/// A segment may optionally carry a persistence [`Backing`]; mutating
-/// operations then record dirty ranges which are written back to the backing
-/// file according to its [`SyncPolicy`](crate::persist::SyncPolicy).
 pub struct Segment {
     storage: RwLock<Storage>,
-    backing: Option<Backing>,
 }
 
 impl Segment {
     /// Create an in-memory segment of `len_bytes`, zero-filled.
     pub fn new(len_bytes: usize) -> Arc<Self> {
-        Arc::new(Segment { storage: RwLock::new(Storage::with_len(len_bytes)), backing: None })
-    }
-
-    /// Create a segment backed by a file (see [`crate::persist`]).
-    ///
-    /// If the file already exists and is non-empty its contents are loaded
-    /// (recovery); otherwise the segment starts zero-filled with `len_bytes`.
-    pub fn with_backing(len_bytes: usize, backing: Backing) -> Result<Arc<Self>, MemError> {
-        let existing = backing.load_all().map_err(|e| MemError::Io(e.to_string()))?;
-        let seg = Segment {
-            storage: RwLock::new(Storage::with_len(len_bytes.max(existing.len()))),
-            backing: Some(backing),
-        };
-        if !existing.is_empty() {
-            seg.write(0, &existing)?;
-            // Loading from the file must not immediately mark everything dirty.
-            if let Some(b) = &seg.backing {
-                b.clear_dirty();
-            }
-        }
-        Ok(Arc::new(seg))
+        Arc::new(Segment { storage: RwLock::new(Storage::with_len(len_bytes)) })
     }
 
     /// Current length in bytes.
@@ -212,11 +182,6 @@ impl Segment {
                 i += 1;
             }
         }
-        drop(storage);
-        if let Some(b) = &self.backing {
-            b.mark_dirty(offset, src.len());
-            b.maybe_flush(self)?;
-        }
         Ok(())
     }
 
@@ -232,95 +197,56 @@ impl Segment {
 
     /// Atomically store the u64 at `offset` (must be 8-aligned), release order.
     pub fn store_u64(&self, offset: usize, val: u64) -> Result<(), MemError> {
-        {
-            let storage = self.storage.read();
-            self.check(&storage, offset, 8)?;
-            if offset % 8 != 0 {
-                return Err(MemError::Unaligned(offset));
-            }
-            storage.words[offset / 8].store(val, Ordering::Release);
+        let storage = self.storage.read();
+        self.check(&storage, offset, 8)?;
+        if offset % 8 != 0 {
+            return Err(MemError::Unaligned(offset));
         }
-        if let Some(b) = &self.backing {
-            b.mark_dirty(offset, 8);
-            b.maybe_flush(self)?;
-        }
+        storage.words[offset / 8].store(val, Ordering::Release);
         Ok(())
     }
 
     /// Compare-and-swap on the u64 at `offset`; returns the previous value.
     /// This is the primitive BCL's client-side protocol is built on.
     pub fn cas_u64(&self, offset: usize, expected: u64, new: u64) -> Result<u64, MemError> {
-        let prev = {
-            let storage = self.storage.read();
-            self.check(&storage, offset, 8)?;
-            if offset % 8 != 0 {
-                return Err(MemError::Unaligned(offset));
-            }
-            match storage.words[offset / 8].compare_exchange(
-                expected,
-                new,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(p) => p,
-                Err(p) => p,
-            }
-        };
-        if prev == expected {
-            if let Some(b) = &self.backing {
-                b.mark_dirty(offset, 8);
-                b.maybe_flush(self)?;
-            }
+        let storage = self.storage.read();
+        self.check(&storage, offset, 8)?;
+        if offset % 8 != 0 {
+            return Err(MemError::Unaligned(offset));
         }
-        Ok(prev)
+        match storage.words[offset / 8].compare_exchange(
+            expected,
+            new,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(p) | Err(p) => Ok(p),
+        }
     }
 
     /// Fetch-and-add on the u64 at `offset`; returns the previous value.
     pub fn fadd_u64(&self, offset: usize, delta: u64) -> Result<u64, MemError> {
-        let prev = {
-            let storage = self.storage.read();
-            self.check(&storage, offset, 8)?;
-            if offset % 8 != 0 {
-                return Err(MemError::Unaligned(offset));
-            }
-            storage.words[offset / 8].fetch_add(delta, Ordering::AcqRel)
-        };
-        if let Some(b) = &self.backing {
-            b.mark_dirty(offset, 8);
-            b.maybe_flush(self)?;
+        let storage = self.storage.read();
+        self.check(&storage, offset, 8)?;
+        if offset % 8 != 0 {
+            return Err(MemError::Unaligned(offset));
         }
-        Ok(prev)
+        Ok(storage.words[offset / 8].fetch_add(delta, Ordering::AcqRel))
     }
 
-    /// Read a whole snapshot of the segment (used by persistence flushing and
-    /// by tests; not a linearizable snapshot under concurrent writers).
+    /// Read a whole snapshot of the segment (diagnostics and tests; not a
+    /// linearizable snapshot under concurrent writers).
     pub fn snapshot(&self) -> Vec<u8> {
         let len = self.len();
         let mut out = vec![0u8; len];
         self.read(0, &mut out).expect("snapshot read in-bounds");
         out
     }
-
-    /// Flush all dirty ranges to the backing file, if any. No-op otherwise.
-    pub fn sync(&self) -> Result<(), MemError> {
-        if let Some(b) = &self.backing {
-            b.flush_dirty(self).map_err(|e| MemError::Io(e.to_string()))?;
-        }
-        Ok(())
-    }
-
-    /// Access the persistence backing, if configured.
-    pub fn backing(&self) -> Option<&Backing> {
-        self.backing.as_ref()
-    }
 }
 
 impl std::fmt::Debug for Segment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Segment")
-            .field("len", &self.len())
-            .field("backed", &self.backing.is_some())
-            .finish()
+        f.debug_struct("Segment").field("len", &self.len()).finish()
     }
 }
 
@@ -479,11 +405,14 @@ mod tests {
                     }
                     stop.store(1, Ordering::Release);
                 });
-                s.spawn(move || {
-                    while stop.load(Ordering::Acquire) == 0 {
-                        seg.fadd_u64(0, 1).unwrap();
-                        let mut b = [0u8; 16];
-                        seg.read(16, &mut b).unwrap();
+                s.spawn(move || loop {
+                    seg.fadd_u64(0, 1).unwrap();
+                    let mut b = [0u8; 16];
+                    seg.read(16, &mut b).unwrap();
+                    // Checked last: the grower may finish before this
+                    // thread is first scheduled.
+                    if stop.load(Ordering::Acquire) != 0 {
+                        break;
                     }
                 });
             });

@@ -23,8 +23,7 @@
 //!   ([`Wal::append`] does so itself; the RPC server does it once per
 //!   request, see DESIGN.md §16) — `Relaxed` bounds the flush gap with a
 //!   background [`Flusher`], `Manual` leaves scheduling to the caller. One
-//!   policy type — the old `core::persist::PersistMode` /
-//!   `mem::persist::FlushMode` duplicates both resolve here.
+//!   policy type for the whole tree.
 //! * **Detectable recovery descriptors**: every record carries the dispatch
 //!   op id plus the client `(rank, seq)` identity — the same scheme as the
 //!   RPC server's dedup window — so replay after a crash is exactly-once
@@ -43,8 +42,8 @@ use std::time::Duration;
 
 /// When (and how durably) log appends reach stable storage.
 ///
-/// The single sync-policy type for the whole tree: container op logs,
-/// snapshot persistence, and `hcl-mem`'s file-backed segments all take this.
+/// The single sync-policy type for the whole tree: every container's
+/// per-partition op log takes this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Durable before acknowledged: no outcome of a logged mutation — its

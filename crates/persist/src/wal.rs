@@ -699,9 +699,10 @@ mod tests {
             assert_eq!(wal.records(), 2);
         }
         let mut seen = Vec::new();
-        let (_, rep) = open(&stem, SyncPolicy::Strict, DEFAULT_SEGMENT_BYTES, &mut seen);
+        let (wal, rep) = open(&stem, SyncPolicy::Strict, DEFAULT_SEGMENT_BYTES, &mut seen);
         assert_eq!(rep.replayed, 2);
         assert_eq!(rep.recovered, 2);
+        assert_eq!(wal.records(), 2, "replayed records count as live");
         assert_eq!(
             seen,
             vec![(1, 3, 10, b"alpha".to_vec()), (2, 3, 11, b"beta".to_vec())]
@@ -804,6 +805,11 @@ mod tests {
         assert_eq!(rep.replayed, 4);
         assert_eq!(rep.deduped, 1);
         assert_eq!(rep.recovered, 3);
+        assert_eq!(
+            seen.iter().map(|(_, _, _, p)| p.as_slice()).collect::<Vec<_>>(),
+            vec![b"once".as_slice(), b"anon", b"anon"],
+            "the duplicate identity replays once, in log order"
+        );
         cleanup(&stem);
     }
 
@@ -816,6 +822,7 @@ mod tests {
             wal.append(WalRecord { op: 0, rank: 1, seq: i + 1, payload: &i.to_le_bytes() })
                 .unwrap();
         }
+        assert_eq!(wal.records(), 100);
         wal.compact([42u64, 43].iter().map(|v| (0u16, packing(*v)))).unwrap();
         assert_eq!(wal.records(), 2);
         wal.append(WalRecord { op: 0, rank: 1, seq: 200, payload: &44u64.to_le_bytes() })
@@ -1010,6 +1017,21 @@ mod tests {
         // Past the gap, the next append carries the barrier.
         wal.append(WalRecord::anonymous(0, b"barrier")).unwrap();
         assert!(!wal.sync_if_dirty().unwrap(), "gap-elapsed append already synced");
+        cleanup(&stem);
+
+        // Under a gap that never elapses nothing is owed to the disk until
+        // someone asks: an explicit `sync()` is that barrier, and a reopen
+        // beside the still-open log reads the record back.
+        let stem = scratch_stem("relaxed-explicit");
+        let hour = SyncPolicy::Relaxed { interval: Duration::from_secs(3600) };
+        let (wal, _) = open(&stem, hour, DEFAULT_SEGMENT_BYTES, &mut none);
+        wal.append(WalRecord::anonymous(0, b"on request")).unwrap();
+        assert_eq!((wal.appended_lsn(), wal.durable_lsn()), (1, 0));
+        wal.sync().unwrap();
+        assert_eq!(wal.durable_lsn(), 1);
+        let mut seen = Vec::new();
+        open(&stem, SyncPolicy::Strict, DEFAULT_SEGMENT_BYTES, &mut seen);
+        assert_eq!(seen, vec![(0, 0, 0, b"on request".to_vec())]);
         cleanup(&stem);
     }
 }

@@ -9,7 +9,7 @@
 //! triggers fires:
 //!
 //! * **size** — the op count reaches the adaptive target (or the staged
-//!   bytes reach [`CoalesceConfig::max_bytes`]);
+//!   bytes reach 48 KiB);
 //! * **age** — a background flusher notices the oldest staged op has waited
 //!   [`CoalesceConfig::max_delay`];
 //! * **demand** — a handle is waited on, or a *synchronous* op to the same
@@ -43,6 +43,10 @@ use parking_lot::Mutex;
 use crate::client::{BatchFuture, RawFuture, RpcClient};
 use crate::{FnId, RpcError, RpcResult};
 
+/// Flush a destination queue once its staged argument bytes reach this,
+/// whatever the op count.
+const MAX_BATCH_BYTES: usize = 48 * 1024;
+
 /// Coalescing policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoalesceConfig {
@@ -51,8 +55,6 @@ pub struct CoalesceConfig {
     pub enabled: bool,
     /// Hard ceiling on ops per batch (also the AIMD target's ceiling).
     pub max_ops: usize,
-    /// Flush when the staged argument bytes reach this.
-    pub max_bytes: usize,
     /// Maximum time a staged op may wait before the age flusher sends it.
     pub max_delay: Duration,
     /// AIMD adaptation of the per-destination size target; disabled, the
@@ -65,7 +67,6 @@ impl Default for CoalesceConfig {
         CoalesceConfig {
             enabled: true,
             max_ops: 64,
-            max_bytes: 48 * 1024,
             max_delay: Duration::from_micros(200),
             adaptive: true,
         }
@@ -319,7 +320,7 @@ impl Coalescer {
         self.stats.coalesced_ops.fetch_add(1, Ordering::Relaxed);
         let target = if self.cfg.adaptive { g.target_ops } else { self.cfg.max_ops };
         if g.fn_ids.len() >= target.clamp(1, self.cfg.max_ops)
-            || g.args.len() >= self.cfg.max_bytes
+            || g.args.len() >= MAX_BATCH_BYTES
         {
             self.flush_queue(&mut g, FlushCause::Size);
         }

@@ -594,9 +594,14 @@ pub struct PersistMetrics {
     /// Replayed ops actually re-applied after `(rank, seq)` recovery-
     /// descriptor dedup — the exactly-once count.
     pub recovered_ops: Arc<Counter>,
+    /// Checksum-valid frames replay had to skip because their payload did
+    /// not decode as the container's record type (or carried a tag/shape it
+    /// does not know): state the log held that the recovered structure lacks.
+    pub replay_undecodable: Arc<Counter>,
     /// Size of the last snapshot written or loaded, bytes.
     pub snapshot_bytes: Arc<Gauge>,
-    /// Where append/commit/compaction failures are recorded ([`EventKind::PersistError`]).
+    /// Where append/commit/compaction failures and skipped replay records are
+    /// recorded ([`EventKind::PersistError`]).
     pub flight: Arc<FlightRecorder>,
 }
 
@@ -615,6 +620,7 @@ impl PersistMetrics {
             replayed: reg.counter("hcl_persist_replayed"),
             truncated_tail: reg.counter("hcl_persist_truncated_tail"),
             recovered_ops: reg.counter("hcl_persist_recovered_ops"),
+            replay_undecodable: reg.counter("hcl_persist_replay_undecodable"),
             snapshot_bytes: reg.gauge("hcl_persist_snapshot_bytes"),
             flight,
         }
@@ -666,12 +672,13 @@ mod tests {
         m.replayed.add(3);
         m.truncated_tail.add(7);
         m.recovered_ops.add(2);
+        m.replay_undecodable.inc();
         m.snapshot_bytes.set(4096);
         let (counters, gauges, _) = reg.snapshot();
         for (name, _) in counters.iter().chain(gauges.iter()) {
             assert!(valid_metric_name(name), "persist metric breaks convention: {name}");
         }
-        assert_eq!(counters.len(), 10);
+        assert_eq!(counters.len(), 11);
         assert_eq!(gauges.len(), 1);
         // Shared handles: a second resolve sees the same counters.
         let again = PersistMetrics::from_registry(&reg, flight);

@@ -1,6 +1,8 @@
 # Task runner recipes. Install `just`, or copy the commands by hand.
 
-# Full build + test sweep (tier-1).
+# The full gate: every member crate's unit and conformance tests plus the
+# root package's integration suites. (Tier-1, `cargo build --release && cargo
+# test -q`, runs the root package's integration suites only.)
 default: test
 
 build:
@@ -44,11 +46,15 @@ test-membership-soak:
             -- --ignored soak_partitioned_victim_drain_env_seed
     done
 
-# Concurrency-hygiene static pass: unsafe blocks need `// SAFETY:`, relaxed
-# atomics in containers/mem/rpc need `// ORDERING:`, raw epoch derefs need a
-# guard in scope, no modulo owner math outside the partition map.
+# The two xtask passes. Concurrency hygiene: unsafe blocks need
+# `// SAFETY:`, relaxed atomics in containers/mem/rpc need `// ORDERING:`,
+# raw epoch derefs need a guard in scope, no modulo owner math outside the
+# partition map, the shard pipeline stays in shard.rs. FIG artifact
+# provenance: every committed FIG_*.json must record its seed, measured rank
+# counts, and per-cell workload mix.
 lint:
     cargo run -p xtask -- lint
+    cargo run -p xtask -- artifacts
 
 # Deterministic schedule exploration: rebuild the lock-free containers with
 # the `conc_check` atomics facade and race them through >= 1000 distinct
@@ -114,25 +120,17 @@ check-lin-soak:
 check-lin-lease-soak:
     cargo test --release --features history --test linearizability -- --ignored lease_soak_many_seeds
 
-# ~10 s subset of the PR 3 RPC hot-path bench (8-rank memory-fabric
-# put/get, baseline vs batched), then validate the committed
-# BENCH_pr3.json: schema keys, non-zero throughputs, >= 2x headline
-# speedup. The full regeneration is `cargo run --release -p hcl-bench
-# --bin pr3`.
+# The one benchmark's own test suite (`benchmark/` is its own workspace, so
+# nothing else in `ci` compiles it): every hclbench workload at 2 %, traced
+# and untraced, every verification on. Guards the harness against library
+# API changes; numbers come from `cargo run --release --manifest-path
+# benchmark/Cargo.toml -- run` (benchmark/README.md).
 bench-smoke:
-    cargo run --release -p hcl-bench --bin pr3 -- --smoke
-
-# Read-path cache gate: a reduced 8-rank zipfian get sweep (uncached vs
-# lease-cached), gating a fresh >= 1.5x cached speedup with live cache
-# hits, then validating the committed BENCH_pr8.json (>= 2x cached speedup, lower cached p99). The full
-# regeneration is `cargo run --release -p hcl-bench --bin pr8`.
-bench-cache-smoke:
-    cargo run --release -p hcl-bench --bin pr8 -- --smoke
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Telemetry export gate: 4-rank memory workload with HCL_TELEMETRY_DIR set,
-# validating the per-rank JSON snapshot schema, the Prometheus exposition,
-# and the committed BENCH_pr5.json overhead artifact. The full overhead
-# bench is `cargo run --release -p hcl-bench --bin pr5`.
+# validating the per-rank JSON snapshot schema and the Prometheus
+# exposition.
 telemetry-smoke:
     cargo run --release -p hcl-bench --bin telemetry_smoke
 
@@ -143,13 +141,6 @@ telemetry-smoke:
 # regeneration is `cargo run --release -p hcl-bench --bin scenarios`.
 scenario-smoke:
     cargo run --release -p hcl-bench --bin scenarios -- --smoke
-
-# Live-rebalance bench gate: a reduced 8-rank zipfian get sweep measuring
-# steady-state vs mid-migration throughput/p99, gating typed-only errors and
-# zero lost keys, then validating the committed BENCH_pr9.json. The full
-# regeneration is `cargo run --release -p hcl-bench --bin pr9`.
-bench-rebalance-smoke:
-    cargo run --release -p hcl-bench --bin pr9 -- --smoke
 
 # Durability suite: the WAL crate's unit tests (CRC, torn-tail truncation,
 # snapshot compaction, replay dedup), the per-container live-vs-recovered
@@ -170,23 +161,9 @@ crash-soak iters="3" seed="12648430":
     HCL_SOAK_ITERS={{iters}} HCL_SOAK_SEED={{seed}} \
         cargo test --release --test crash_recovery -- --ignored --exact crash_soak --nocapture
 
-# Sync-epoch bench gate: a reduced 8-rank zipfian durable-put sweep (no
-# persistence vs strict vs relaxed), gating the flush-gap signature —
-# every durable put logged, every strict log fully durable at the last ack
-# with at most one fsync per put, relaxed fsyncs >= 10x rarer, relaxed
-# throughput not collapsed — then validating the committed
-# BENCH_pr10.json. The full regeneration is `cargo run --release -p
-# hcl-bench --bin pr10`.
-bench-persist-smoke:
-    cargo run --release -p hcl-bench --bin pr10 -- --smoke
-
-# FIG artifact provenance: every committed FIG_*.json must record its seed,
-# measured rank counts, and per-cell workload mix.
-check-artifacts:
-    cargo run -p xtask -- artifacts
-
-# Everything CI runs: build, tier-1 tests, hygiene lint, fault suite,
-# membership/rebalance suite, durability suite + crash soak, schedule
-# exploration, linearizability histories, bench smoke-checks,
-# scenario-matrix gate, artifact provenance.
-ci: build test lint test-faults test-membership test-persist crash-soak check-conc check-races check-lin bench-smoke bench-cache-smoke telemetry-smoke scenario-smoke bench-rebalance-smoke bench-persist-smoke check-artifacts
+# Everything CI runs: build, the full test gate (every member crate plus the
+# root integration suites — `test-faults`, `test-membership` and
+# `test-persist` are shortcuts into subsets of it), the xtask passes, crash
+# soak, schedule exploration, race checking, linearizability histories,
+# telemetry export, scenario matrix, and the hclbench harness.
+ci: build test lint crash-soak check-conc check-races check-lin telemetry-smoke scenario-smoke bench-smoke

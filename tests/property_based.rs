@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) on the core invariants:
-//! serialization roundtrips, log replay equivalence, container-vs-model
-//! equivalence, and ISx validation.
+//! serialization roundtrips, container-vs-model equivalence, and ISx
+//! validation. (Log replay equivalence is checked through the real
+//! containers in `persist_property.rs`.)
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -87,49 +88,6 @@ proptest! {
         let mut want = values.clone();
         want.sort_unstable();
         prop_assert_eq!(drained, want);
-    }
-
-    /// Op-log replay reconstructs exactly the map state that produced it.
-    #[test]
-    fn oplog_replay_reconstructs_state(
-        ops in proptest::collection::vec((0u8..2, 0u64..32, any::<u64>()), 0..200)
-    ) {
-        // Deterministic scratch dir: named by the case seed so a failing
-        // case replays against the same path under HCL_PROPTEST_SEED.
-        let dir = std::env::temp_dir().join(format!(
-            "hcl-prop-oplog-{}-{:016x}",
-            std::process::id(),
-            proptest::current_case_seed().expect("inside a proptest case")
-        ));
-        let _ = std::fs::remove_dir_all(&dir); // stale dir from an aborted earlier run
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("p.log");
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        {
-            let log: hcl::OpLog<(u8, u64, Option<u64>)> =
-                hcl::OpLog::open(&path, hcl::SyncPolicy::Strict, |_| {}).unwrap();
-            for (op, k, v) in ops {
-                if op == 0 {
-                    log.append(&(0, k, Some(v))).unwrap();
-                    model.insert(k, v);
-                } else {
-                    log.append(&(1, k, None)).unwrap();
-                    model.remove(&k);
-                }
-            }
-        }
-        let mut replayed: HashMap<u64, u64> = HashMap::new();
-        let _: hcl::OpLog<(u8, u64, Option<u64>)> =
-            hcl::OpLog::open(&path, hcl::SyncPolicy::Strict, |(op, k, v): (u8, u64, Option<u64>)| {
-                if op == 0 {
-                    replayed.insert(k, v.unwrap());
-                } else {
-                    replayed.remove(&k);
-                }
-            })
-            .unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-        prop_assert_eq!(replayed, model);
     }
 
     /// ISx bucket assignment is total and order-preserving across buckets.

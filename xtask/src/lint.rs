@@ -61,7 +61,8 @@
 //!    exemption, by name; `#[cfg(test)]` modules are exempt as usual.
 //! 7. **SHARD** — in `crates/core/src/` the server-side pipeline lives in
 //!    `shard.rs` and nowhere else: no other file may log a mutation
-//!    (`.log_mutation(`), take the strict read fence (`.read_fence(`),
+//!    (`.record_op(` / `.record_local(`), take the strict read fence
+//!    (`.read_fence(`),
 //!    compact an op log (`.compact(`), forward to replicas or a migration
 //!    target (`.forward(` / `.forward_to(`), or define `fn mig_*` /
 //!    `fn forward_migration`. A container that hand-threads any of these is
@@ -138,7 +139,7 @@ const MEMBERSHIP_PATHS: &[&str] = &["crates/core/src/", "crates/runtime/src/"];
 /// SHARD-rule tokens, grouped by the file (besides `shard.rs`) that defines
 /// the primitive and may therefore mention it.
 const SHARD_TOKENS: &[(&str, &[&str])] = &[
-    ("persist.rs", &[".log_mutation(", ".read_fence(", ".compact("]),
+    ("persist.rs", &[".record_op(", ".record_local(", ".read_fence(", ".compact("]),
     ("dispatch.rs", &[".forward(", ".forward_to("]),
     ("", &["fn mig_", "fn forward_migration"]),
 ];
@@ -1390,7 +1391,8 @@ mod tests {
             "    let k = reg.counter(\"hcl_persist_commit_errors\");\n",
             "    let l = reg.gauge(\"hcl_rpc_server_ack_failures\");\n",
             "    let m = reg.counter(\"hcl_persist_compact_errors\");\n",
-            "    drop((a, b, c, d, e, g, h, i, j, k, l, m));\n",
+            "    let n = reg.counter(\"hcl_persist_replay_undecodable\");\n",
+            "    drop((a, b, c, d, e, g, h, i, j, k, l, m, n));\n",
             "}\n"
         );
         assert!(rules("crates/telemetry/src/persist.rs", src).is_empty());
@@ -1411,6 +1413,9 @@ mod tests {
         let bad_compact =
             "fn f(r: &Registry) {\n    let _ = r.counter(\"hcl_persist_compactErrors\");\n}\n";
         assert_eq!(rules("crates/telemetry/src/persist.rs", bad_compact), vec![Rule::Metric]);
+        let bad_replay =
+            "fn f(r: &Registry) {\n    let _ = r.counter(\"hcl_persist_replay-undecodable\");\n}\n";
+        assert_eq!(rules("crates/telemetry/src/persist.rs", bad_replay), vec![Rule::Metric]);
     }
 
     #[test]
@@ -1418,8 +1423,10 @@ mod tests {
         // The negative controls for the SHARD acceptance criterion: each
         // step of the server-side pipeline, hand-threaded into a container
         // module, must produce a finding.
-        let log = "fn put(&self) {\n    self.log.log_mutation(&rec, 0, ident);\n}\n";
+        let log = "fn put(&self) {\n    self.log.record_op(&rec, 0);\n}\n";
         assert_eq!(rules("crates/core/src/unordered.rs", log), vec![Rule::Shard]);
+        let bulk = "fn push_bulk(&self) {\n    self.log.record_local(&rec, 2);\n}\n";
+        assert_eq!(rules("crates/core/src/queue.rs", bulk), vec![Rule::Shard]);
         let fence = "fn len(&self) -> u64 {\n    self.log.read_fence();\n    0\n}\n";
         assert_eq!(rules("crates/core/src/queue.rs", fence), vec![Rule::Shard]);
         let compact = "fn end(&self) {\n    let _ = self.log.compact(snap.iter());\n}\n";
@@ -1438,7 +1445,8 @@ mod tests {
     fn shard_rule_exempts_the_pipeline_and_the_definers() {
         let all = concat!(
             "fn mig_apply(&self) {\n",
-            "    self.log.log_mutation(&rec, 0, ident);\n",
+            "    self.log.record_op(&rec, 0);\n",
+            "    self.log.record_local(&rec, 0);\n",
             "    self.log.read_fence();\n",
             "    self.repl.forward_to(&w, to, id, &b);\n",
             "    let _ = self.log.compact(snap.iter());\n",
@@ -1447,7 +1455,7 @@ mod tests {
         assert!(rules("crates/core/src/shard.rs", all).is_empty());
         // The log's own module may call the log, the forwarder's module the
         // forwarder — but neither may grow the other's group or a `mig_*`.
-        let log_only = "fn record(&self) {\n    self.log.log_mutation(&rec, 0, ident);\n}\n";
+        let log_only = "fn record(&self) {\n    self.log.record_op(&rec, 0);\n}\n";
         assert!(rules("crates/core/src/persist.rs", log_only).is_empty());
         assert_eq!(rules("crates/core/src/dispatch.rs", log_only), vec![Rule::Shard]);
         let fwd_only = "fn go(&self) {\n    self.repl.forward_to(&w, to, id, &b);\n}\n";
@@ -1462,7 +1470,7 @@ mod tests {
         let in_mod = concat!(
             "#[cfg(test)]\n",
             "mod tests {\n",
-            "    fn f(log: &OpLog<u64>) {\n",
+            "    fn f(log: &ShardLog<u64>) {\n",
             "        log.compact(snap.iter()).unwrap();\n",
             "    }\n",
             "}\n"
@@ -1470,6 +1478,10 @@ mod tests {
         assert!(rules("crates/core/src/persist.rs", in_mod).is_empty());
         let prose = "fn f() {\n    // never call log.read_fence() here\n    let _ = \"fn mig_x\";\n}\n";
         assert!(rules("crates/core/src/queue.rs", prose).is_empty());
+        // Recording a histogram sample or a flight event is not logging a
+        // mutation.
+        let sample = "fn f(&self) {\n    self.op_hist(name).record(ns);\n    self.flight().record(ev);\n}\n";
+        assert!(rules("crates/core/src/telemetry.rs", sample).is_empty());
     }
 
     #[test]
@@ -1502,7 +1514,7 @@ mod tests {
         assert!(rules("crates/core/src/unordered.rs", recorder).is_empty());
         // Outside the container modules the rule does not apply at all.
         let raw = "fn f(rank: &Rank) {\n    let _ = rank.invoke(ep, 0, &());\n}\n";
-        assert!(rules("crates/bench/src/bin/pr3.rs", raw).is_empty());
+        assert!(rules("crates/bench/src/bin/table1.rs", raw).is_empty());
         assert!(rules("tests/end_to_end.rs", raw).is_empty());
     }
 
