@@ -17,22 +17,19 @@
 //!    carries its current version (`FLAG_STAMPED`); a stamp newer than the
 //!    leased version proves a mutation happened after the grant.
 //!
-//! Which keys get leases is decided by a [`HotKeyDetector`] — a
-//! space-saving top-k sketch fed through the dispatch engine's
-//! [`OpObserver`] seam — so cold keys never pay the cache-maintenance cost.
+//! Which keys get leases is decided by a hot-key sketch — space-saving
+//! top-k, fed by the lease path itself with every read that misses the
+//! cache — so cold keys never pay the cache-maintenance cost.
 //!
 //! [`DownedRegistry`]: hcl_runtime::DownedRegistry
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hcl_telemetry::CacheMetrics;
 use parking_lot::Mutex;
-
-use crate::dispatch::{IssueMode, OpClass, OpEvent, OpObserver};
 
 /// Configuration for the lease-based read cache ([`crate::UnorderedMapConfig::lease`]).
 #[derive(Debug, Clone)]
@@ -107,7 +104,8 @@ pub struct LeaseCache<K, V> {
     /// Per-partition version watermark folded (monotone max) from
     /// `FLAG_STAMPED` response stamps by the dispatcher's version sink.
     observed: Vec<AtomicU64>,
-    detector: Arc<HotKeyDetector>,
+    /// Which keys have earned a lease.
+    hot: Mutex<HotKeys>,
     metrics: CacheMetrics,
 }
 
@@ -123,7 +121,7 @@ where
             shards: (0..LOCK_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             per_shard_cap,
             observed: (0..nparts.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            detector: Arc::new(HotKeyDetector::new(&cfg)),
+            hot: Mutex::new(HotKeys::new(&cfg)),
             metrics,
         }
     }
@@ -210,19 +208,15 @@ where
         self.metrics.lease_grants.inc();
     }
 
-    /// True when the detector has seen enough reads of `hash` to lease it.
+    /// True when the sketch has seen enough reads of `hash` to lease it.
     pub fn is_hot(&self, hash: u64) -> bool {
-        self.detector.is_hot(hash)
+        self.hot.lock().is_hot(hash)
     }
 
-    /// The hot-key sketch, as an installable [`OpObserver`].
-    pub fn detector(&self) -> Arc<HotKeyDetector> {
-        Arc::clone(&self.detector)
-    }
-
-    /// The telemetry handle bundle this cache records into.
-    pub fn metrics(&self) -> &CacheMetrics {
-        &self.metrics
+    /// Count one read of `hash` that missed the cache and goes to the
+    /// fabric — the sketch's only input.
+    pub fn observe_read(&self, hash: u64) {
+        self.hot.lock().observe(hash);
     }
 
     /// Cached entries currently held (diagnostics; takes every shard lock).
@@ -252,75 +246,54 @@ where
 /// Space-saving top-k hot-key sketch.
 ///
 /// Fixed-width: `topk` `(key_hash, count)` slots scanned linearly (the
-/// width is small enough that a scan beats a heap) and periodic count-halving decay every `2 * topk * hot_threshold`
-/// observations — deterministic cooling with no clocks, so tests and the
-/// simulator see identical decisions for identical op sequences.
-pub struct HotKeyDetector {
-    inner: Mutex<HotInner>,
-    hot_threshold: u64,
-}
-
-struct HotInner {
+/// width is small enough that a scan beats a heap) and periodic
+/// count-halving decay every `2 * topk * hot_threshold` observations —
+/// deterministic cooling with no clocks, so tests and the simulator see
+/// identical decisions for identical op sequences.
+struct HotKeys {
     entries: Vec<(u64, u64)>,
     observed: u64,
     decay_every: u64,
+    threshold: u64,
 }
 
-impl HotKeyDetector {
+impl HotKeys {
     fn new(cfg: &LeaseConfig) -> Self {
         let topk = cfg.topk.max(1);
-        HotKeyDetector {
-            inner: Mutex::new(HotInner {
-                entries: Vec::with_capacity(topk),
-                observed: 0,
-                decay_every: 2u64
-                    .saturating_mul(topk as u64)
-                    .saturating_mul(cfg.hot_threshold.max(1))
-                    .max(1),
-            }),
-            hot_threshold: cfg.hot_threshold,
+        HotKeys {
+            entries: Vec::with_capacity(topk),
+            observed: 0,
+            decay_every: 2u64
+                .saturating_mul(topk as u64)
+                .saturating_mul(cfg.hot_threshold.max(1))
+                .max(1),
+            threshold: cfg.hot_threshold,
         }
     }
 
     /// Count one read of `hash`. Space-saving admission:
     /// an unseen key displaces the minimum-count slot and inherits its
     /// count + 1, so recently-hot keys are never undercounted.
-    pub fn observe_read(&self, hash: u64) {
-        let mut inner = self.inner.lock();
-        inner.observed += 1;
-        if inner.observed % inner.decay_every == 0 {
-            for e in &mut inner.entries {
+    fn observe(&mut self, hash: u64) {
+        self.observed += 1;
+        if self.observed.is_multiple_of(self.decay_every) {
+            for e in &mut self.entries {
                 e.1 /= 2;
             }
-            inner.entries.retain(|e| e.1 > 0);
+            self.entries.retain(|e| e.1 > 0);
         }
-        if let Some(e) = inner.entries.iter_mut().find(|e| e.0 == hash) {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == hash) {
             e.1 += 1;
-        } else if inner.entries.len() < inner.entries.capacity() {
-            inner.entries.push((hash, 1));
-        } else if let Some(min) = inner.entries.iter_mut().min_by_key(|e| e.1) {
+        } else if self.entries.len() < self.entries.capacity() {
+            self.entries.push((hash, 1));
+        } else if let Some(min) = self.entries.iter_mut().min_by_key(|e| e.1) {
             *min = (hash, min.1 + 1);
         }
     }
 
-    /// True when `hash` has accumulated `hot_threshold` sketch counts.
-    pub fn is_hot(&self, hash: u64) -> bool {
-        self.inner
-            .lock()
-            .entries
-            .iter()
-            .any(|e| e.0 == hash && e.1 >= self.hot_threshold)
-    }
-
-}
-
-impl OpObserver for HotKeyDetector {
-    /// Remote reads with a known key hash feed the sketch; local-bypass
-    /// reads never reach the cache path, so they are not observed.
-    fn on_issue(&self, ev: &OpEvent<'_>, _mode: IssueMode) {
-        if ev.key_hash != 0 && ev.op.class == OpClass::Read {
-            self.observe_read(ev.key_hash);
-        }
+    /// True when `hash` has accumulated `threshold` sketch counts.
+    fn is_hot(&self, hash: u64) -> bool {
+        self.entries.iter().any(|e| e.0 == hash && e.1 >= self.threshold)
     }
 }
 
@@ -392,7 +365,7 @@ mod tests {
     #[test]
     fn detector_heats_keys_and_decays_them() {
         let cfg = LeaseConfig { hot_threshold: 3, topk: 4, ..LeaseConfig::default() };
-        let d = HotKeyDetector::new(&cfg);
+        let d = cache(cfg, 1);
         for _ in 0..2 {
             d.observe_read(99);
         }
@@ -410,7 +383,7 @@ mod tests {
     #[test]
     fn space_saving_displaces_the_minimum_slot() {
         let cfg = LeaseConfig { hot_threshold: 2, topk: 2, ..LeaseConfig::default() };
-        let d = HotKeyDetector::new(&cfg);
+        let d = cache(cfg, 1);
         d.observe_read(1);
         d.observe_read(2);
         d.observe_read(2);

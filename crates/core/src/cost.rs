@@ -7,11 +7,12 @@
 //! *"each high-level data structure operation is compiled down to only one
 //! remote invocation and a few local operations"*.
 //!
-//! Every container instance carries a [`CostCounters`] block: the client
-//! side counts `F` (one per RPC issued) and the local-path `L`/`R`/`W`
-//! terms; partition handlers count their `L`/`R`/`W` server-side. The
-//! `table1` bench binary and the `table1_costs` integration test read these
-//! to verify the cost model empirically.
+//! Every container handle carries a [`CostCounters`] block in its
+//! dispatcher's op meter: the client side counts `F` (one per RPC issued)
+//! and the local-path `L`/`R`/`W` terms; partition handlers count their
+//! `L`/`R`/`W` server-side. The `table1` bench binary and
+//! `crates/core/tests/dispatch_conformance.rs` read these to verify the
+//! cost model empirically.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,16 +84,6 @@ impl CostCounters {
             fu: self.unbatched_remote_ops.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset all counters (benchmark harness convenience).
-    pub fn reset(&self) {
-        self.remote_invocations.store(0, Ordering::Relaxed);
-        self.local_ops.store(0, Ordering::Relaxed);
-        self.local_reads.store(0, Ordering::Relaxed);
-        self.local_writes.store(0, Ordering::Relaxed);
-        self.batched_remote_ops.store(0, Ordering::Relaxed);
-        self.unbatched_remote_ops.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of [`CostCounters`].
@@ -137,55 +128,6 @@ impl CostSnapshot {
     }
 }
 
-/// The cost layer's [`OpObserver`](crate::dispatch::OpObserver)
-/// implementation: translates dispatch-engine events into Table I counter
-/// increments. One instance is installed by every
-/// [`Dispatcher`](crate::dispatch::Dispatcher), so containers charge their
-/// client-side costs purely by declaring [`CostSig`](crate::dispatch::CostSig)
-/// signatures — no hand-written counter calls on the access path.
-#[derive(Debug, Default)]
-pub struct CostObserver {
-    counters: CostCounters,
-}
-
-impl CostObserver {
-    /// Copy the accumulated counters out.
-    pub fn snapshot(&self) -> CostSnapshot {
-        self.counters.snapshot()
-    }
-
-    /// Reset the counters (benchmark harness convenience).
-    pub fn reset(&self) {
-        self.counters.reset();
-    }
-}
-
-impl crate::dispatch::OpObserver for CostObserver {
-    fn on_local_bypass(&self, ev: &crate::dispatch::OpEvent<'_>) {
-        let sig = &ev.op.cost;
-        if sig.l > 0 {
-            self.counters.l(sig.l);
-        }
-        if sig.r > 0 {
-            self.counters.r(if sig.scale_r { sig.r * ev.n } else { sig.r });
-        }
-        if sig.w > 0 {
-            self.counters.w(if sig.scale_w { sig.w * ev.n } else { sig.w });
-        }
-    }
-
-    fn on_issue(&self, _ev: &crate::dispatch::OpEvent<'_>, mode: crate::dispatch::IssueMode) {
-        use crate::dispatch::IssueMode;
-        self.counters.f();
-        match mode {
-            IssueMode::Sync => self.counters.fu(),
-            IssueMode::Async { coalesced: true } => self.counters.fb(1),
-            IssueMode::Async { coalesced: false } => self.counters.fu(),
-            IssueMode::Bulk { ops } => self.counters.fb(ops),
-        }
-    }
-}
-
 impl std::fmt::Display for CostSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -212,8 +154,6 @@ mod tests {
         assert_eq!(s, CostSnapshot { f: 2, l: 3, r: 1, w: 2, fb: 0, fu: 0 });
         let s2 = c.snapshot().since(&s);
         assert_eq!(s2, CostSnapshot::default());
-        c.reset();
-        assert_eq!(c.snapshot(), CostSnapshot::default());
     }
 
     #[test]
@@ -226,7 +166,5 @@ mod tests {
         assert_eq!(s.fb, 3);
         assert_eq!(s.fu, 1);
         assert!((s.batch_hit_rate() - 0.75).abs() < 1e-9);
-        c.reset();
-        assert_eq!(c.snapshot(), CostSnapshot::default());
     }
 }

@@ -24,9 +24,10 @@
 //!   op against a marked-down owner fails fast with
 //!   [`HclError::OwnerDown`] instead of hanging — replica reads opt out so
 //!   failover keeps working;
-//! * Table I cost accounting, routed through the [`OpObserver`] hook
-//!   ([`crate::cost::CostObserver`] is the one observer installed today;
-//!   the trait is the seam for future tracing/metrics layers);
+//! * metering: every op's Table I cost and, when the rank runs with
+//!   telemetry, its metrics and flight events, through the handle's one
+//!   `OpMeter` (`meter.rs`) — called directly at the gate, the bypass, each
+//!   issue and each completion;
 //! * `feature = "history"` invoke/return recording for the linearizability
 //!   checker.
 //!
@@ -37,7 +38,7 @@
 
 use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hcl_databox::DataBox;
 use hcl_fabric::EpId;
@@ -47,11 +48,12 @@ use hcl_rpc::{FnId, RpcError, RpcResult};
 use hcl_runtime::{DownedRegistry, EpCache, Membership, PartitionMap, Rank, WorldShared};
 use parking_lot::Mutex;
 
-use crate::cost::{CostObserver, CostSnapshot};
+use crate::cost::CostSnapshot;
+use crate::meter::OpMeter;
 use crate::{HclError, HclFuture, HclResult};
 
-/// What an operation does to the structure — observer/metrics label and the
-/// basis for future per-class policies (e.g. read-only replica routing).
+/// What an operation does to the structure — the meter's class label (its
+/// class views are indexed in declaration order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
     /// Pure lookup.
@@ -107,7 +109,7 @@ impl CostSig {
 /// needs to execute it besides the arguments themselves.
 #[derive(Debug, Clone, Copy)]
 pub struct OpDescriptor {
-    /// Stable label, `"container.op"` (observer/metrics key).
+    /// Stable label, `"container.op"` (metrics and flight-event key).
     pub name: &'static str,
     /// What the op does to the structure.
     pub class: OpClass,
@@ -115,11 +117,6 @@ pub struct OpDescriptor {
     pub fn_off: u32,
     /// Client-side Table I cost signature of the local bypass.
     pub cost: CostSig,
-    /// True when re-executing the op is harmless. All ops currently travel
-    /// under the rank-level retry policy (which tags retried requests
-    /// idempotent and dedups server-side); this flag is the descriptor seam
-    /// for per-op retry policy selection.
-    pub idempotent: bool,
     /// Degradable ops fail fast with [`HclError::OwnerDown`] when the owner
     /// is marked down. Replica reads and replication control set this to
     /// `false` so failover paths still reach their (possibly marked) hosts.
@@ -144,60 +141,15 @@ pub enum IssueMode {
     },
 }
 
-/// Where an op was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Locality {
-    /// Hybrid shared-memory bypass (§III-C5) — no RPC.
-    LocalBypass,
-    /// One RPC to the owner partition.
-    Remote,
-}
-
-/// One dispatched operation, as seen by observers.
+/// One dispatched operation, as the meter sees it.
 #[derive(Debug, Clone, Copy)]
-pub struct OpEvent<'e> {
-    /// Container label (`"umap"`, `"queue"`, ...).
-    pub container: &'static str,
+pub(crate) struct OpEvent<'e> {
     /// The operation's descriptor.
     pub op: &'e OpDescriptor,
     /// Resolved owner rank.
     pub owner: u32,
     /// Element count for bulk/scaled ops (1 for single-element ops).
     pub n: u64,
-    /// Stable hash of the op's key for keyed dispatches; 0 when the op has
-    /// no single key or the caller did not supply it. The hot-key detector
-    /// ([`crate::cache::HotKeyDetector`]) reads this.
-    pub key_hash: u64,
-}
-
-/// Hook trait for layers that want to see every dispatched op: the cost
-/// layer implements it today ([`CostObserver`]); tracing/metrics layers plug
-/// into the same seam. All methods default to no-ops.
-pub trait OpObserver: Send + Sync {
-    /// The op was served by the hybrid local bypass.
-    fn on_local_bypass(&self, _ev: &OpEvent<'_>) {}
-
-    /// The op was issued remotely (counted before the response arrives).
-    fn on_issue(&self, _ev: &OpEvent<'_>, _mode: IssueMode) {}
-
-    /// A synchronously-awaited op finished. `latency` is zero unless some
-    /// installed observer returns true from [`OpObserver::wants_latency`].
-    fn on_complete(&self, _ev: &OpEvent<'_>, _locality: Locality, _latency: Duration, _ok: bool) {}
-
-    /// A remote op exhausted its retry budget after `attempts` attempts.
-    fn on_retry(&self, _ev: &OpEvent<'_>, _attempts: u32) {}
-
-    /// The op fast-failed at the degradation gate: its owner is marked
-    /// down. Fired *instead of* issue/complete hooks — the op never touched
-    /// memory or fabric.
-    fn on_owner_down(&self, _ev: &OpEvent<'_>) {}
-
-    /// Return true to make the engine timestamp synchronous ops so
-    /// `on_complete` receives real latencies (off by default: the cost layer
-    /// does not need clocks on the local fast path).
-    fn wants_latency(&self) -> bool {
-        false
-    }
 }
 
 /// The arguments of one dispatch as its caller holds them: owned (`A`
@@ -294,16 +246,14 @@ pub(crate) use {hist_invoke, hist_return};
 /// their descriptor tables, server-side handlers, and data-shaping logic.
 pub struct Dispatcher<'a> {
     rank: &'a Rank,
-    container: &'static str,
     fn_base: FnId,
     hybrid: bool,
     eps: EpCache,
     owners: OwnerMap,
     downed: DownedRegistry,
-    cost: Arc<CostObserver>,
-    observers: Vec<Arc<dyn OpObserver>>,
-    /// True when any observer wants real latencies on `on_complete`.
-    timed: bool,
+    /// Table I cost and, with telemetry, metrics and flight events of every
+    /// op this handle dispatches.
+    meter: OpMeter,
     /// When set, synchronous remote invokes travel `FLAG_STAMPED` and the
     /// piggybacked partition-version stamp of every response is fed here as
     /// `(owner_rank, stamp)` — the lease cache's invalidation channel.
@@ -348,37 +298,25 @@ const EPOCH_RETRY_MAX: u32 = 4;
 impl<'a> Dispatcher<'a> {
     /// Build the engine for one container handle. `hybrid` enables the
     /// shared-memory bypass for node-local owners (§III-C5).
-    pub fn new(rank: &'a Rank, container: &'static str, fn_base: FnId, hybrid: bool) -> Self {
+    pub fn new(rank: &'a Rank, fn_base: FnId, hybrid: bool) -> Self {
         let eps = EpCache::new(rank.world().config());
-        let cost = Arc::new(CostObserver::default());
         let membership = Arc::clone(rank.world().membership());
         // One source of truth for epochs: the downed registry shares the
         // membership's cell, so lease grants snapshot the same counter that
         // membership commits bump.
         let downed = DownedRegistry::with_epoch_cell(membership.epoch_cell());
-        let mut d = Dispatcher {
+        Dispatcher {
             rank,
-            container,
             fn_base,
             hybrid,
             eps,
             owners: OwnerMap::Live(membership),
             downed,
-            observers: vec![Arc::clone(&cost) as Arc<dyn OpObserver>],
-            cost,
-            timed: false,
+            meter: OpMeter::new(rank.telemetry()),
             version_sink: None,
             #[cfg(feature = "history")]
             recorder: None,
-        };
-        // Telemetry is the second resident of the observer seam: installed
-        // whenever the rank's world runs with telemetry enabled.
-        if rank.telemetry().enabled() {
-            d.add_observer(Arc::new(crate::telemetry::TelemetryObserver::new(Arc::clone(
-                rank.telemetry(),
-            ))));
         }
-        d
     }
 
     /// The rank this handle dispatches from.
@@ -386,16 +324,9 @@ impl<'a> Dispatcher<'a> {
         self.rank
     }
 
-    /// Install an additional [`OpObserver`] (the cost layer is always
-    /// installed).
-    pub fn add_observer(&mut self, obs: Arc<dyn OpObserver>) {
-        self.timed = self.timed || obs.wants_latency();
-        self.observers.push(obs);
-    }
-
     /// Client-side Table I counters observed through this handle.
     pub fn costs(&self) -> CostSnapshot {
-        self.cost.snapshot()
+        self.meter.costs()
     }
 
     /// Pin this handle's owner resolution to a fixed placement (containers
@@ -482,70 +413,23 @@ impl<'a> Dispatcher<'a> {
 
     /// Graceful-degradation gate: degradable ops against a downed owner
     /// return [`HclError::OwnerDown`] without touching memory or fabric.
-    /// Observers see the rejection through [`OpObserver::on_owner_down`] —
-    /// the one dispatch outcome that fires no issue/complete hooks.
+    /// The rejection is the op's one metered outcome — no issue, no
+    /// completion.
     #[inline]
     fn gate(&self, ev: &OpEvent<'_>) -> HclResult<()> {
         if ev.op.degradable && self.downed.is_down(ev.owner) {
-            self.each(|o| o.on_owner_down(ev));
+            self.meter.owner_down(ev);
             return Err(HclError::OwnerDown(ev.owner));
         }
         Ok(())
     }
 
+    /// Run the local bypass for one op started at `t0`, then meter it.
     #[inline]
-    fn each(&self, f: impl Fn(&dyn OpObserver)) {
-        for o in &self.observers {
-            f(o.as_ref());
-        }
-    }
-
-    #[inline]
-    fn now(&self) -> Option<Instant> {
-        if self.timed {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn elapsed(t0: Option<Instant>) -> Duration {
-        t0.map(|t| t.elapsed()).unwrap_or_default()
-    }
-
-    /// Run the local bypass for one op, firing observer hooks around it.
-    fn run_local<R>(&self, ev: &OpEvent<'_>, local: impl FnOnce() -> R) -> R {
-        let t0 = self.now();
-        self.each(|o| o.on_local_bypass(ev));
+    fn run_local<R>(&self, ev: &OpEvent<'_>, t0: Option<Instant>, local: impl FnOnce() -> R) -> R {
         let out = local();
-        let dt = Self::elapsed(t0);
-        self.each(|o| o.on_complete(ev, Locality::LocalBypass, dt, true));
+        self.meter.local(ev, t0);
         out
-    }
-
-    /// Resolve a synchronous remote result, firing completion/retry hooks.
-    fn finish_remote<R>(
-        &self,
-        ev: &OpEvent<'_>,
-        t0: Option<Instant>,
-        res: RpcResult<R>,
-    ) -> HclResult<R> {
-        let dt = Self::elapsed(t0);
-        match res {
-            Ok(v) => {
-                self.each(|o| o.on_complete(ev, Locality::Remote, dt, true));
-                Ok(v)
-            }
-            Err(e) => {
-                if let RpcError::RetriesExhausted { attempts, .. } = &e {
-                    let attempts = *attempts;
-                    self.each(|o| o.on_retry(ev, attempts));
-                }
-                self.each(|o| o.on_complete(ev, Locality::Remote, dt, false));
-                Err(HclError::Rpc(e))
-            }
-        }
     }
 
     /// One synchronous remote invocation: epoch-tagged
@@ -573,35 +457,28 @@ impl<'a> Dispatcher<'a> {
         Ok(v)
     }
 
-    /// Count a wrong-epoch rejection against the membership counters (live
-    /// maps only; pinned maps cannot be rejected).
-    fn note_wrong_epoch(&self) {
-        if let OwnerMap::Live(m) = &self.owners {
-            m.counters().wrong_epoch_rejects.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    /// The event of one plain op at an explicit `owner`: one element, no
-    /// key hash. Ops that carry more say so by struct update —
-    /// `OpEvent { n, ..d.event(op, owner) }`.
+    /// The event of one plain op at an explicit `owner`: one element. Bulk
+    /// ops say how many by struct update — `OpEvent { n, ..d.event(op, owner) }`.
     pub(crate) fn event<'e>(&self, op: &'e OpDescriptor, owner: u32) -> OpEvent<'e> {
-        OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 }
+        OpEvent { op, owner, n: 1 }
     }
 
-    /// The one synchronous dispatch body: *gate → local bypass | (on_issue →
-    /// invoke → finish_remote)* for the resolved `ev`. `local` receives the
-    /// owner and the arguments as the caller holds them; the remote arm only
-    /// borrows them. An invocation the owner rejected as stale — only one
-    /// carrying an epoch `tag` can be — is counted, completed as failed, and
-    /// hands `args` and `local` back inside `Err`, with the typed error to
-    /// give up with, so [`Dispatcher::sync_keyed`] can re-resolve with
-    /// neither consumed.
+    /// The one synchronous dispatch body: *gate → local bypass | (issue →
+    /// invoke → complete)* for the resolved `ev` of an op started at `t0`.
+    /// `local` receives the owner and the arguments as the caller holds
+    /// them; the remote arm only borrows them. An invocation the owner
+    /// rejected as stale — only one carrying an epoch `tag` can be — is
+    /// counted against the membership (live maps only) and hands `args` and
+    /// `local` back inside `Err`, with the typed error to give up with, so
+    /// [`Dispatcher::sync_keyed`] can re-resolve with neither consumed; the
+    /// op is not complete yet.
     #[inline]
     fn attempt<A, P, R, L>(
         &self,
         ev: &OpEvent<'_>,
         mode: IssueMode,
         tag: Option<u64>,
+        t0: Option<Instant>,
         args: P,
         local: L,
     ) -> Result<HclResult<R>, (P, L, HclError)>
@@ -615,28 +492,31 @@ impl<'a> Dispatcher<'a> {
             return Ok(Err(down));
         }
         if self.is_local(ev.owner) {
-            return Ok(Ok(self.run_local(ev, || local(ev.owner, args))));
+            return Ok(Ok(self.run_local(ev, t0, || local(ev.owner, args))));
         }
-        let t0 = self.now();
-        self.each(|o| o.on_issue(ev, mode));
-        match self.invoke_sync(ev.owner, self.fn_base + ev.op.fn_off, tag, args.wire()) {
-            Err(RpcError::WrongEpoch { sent, current }) => {
-                self.note_wrong_epoch();
-                self.each(|o| o.on_complete(ev, Locality::Remote, Self::elapsed(t0), false));
-                Err((args, local, HclError::WrongEpoch { sent, current }))
+        self.meter.issue(ev, mode);
+        let res = self.invoke_sync(ev.owner, self.fn_base + ev.op.fn_off, tag, args.wire());
+        if let Err(RpcError::WrongEpoch { sent, current }) = res {
+            if let OwnerMap::Live(m) = &self.owners {
+                m.counters().wrong_epoch_rejects.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            res => Ok(self.finish_remote(ev, t0, res)),
+            return Err((args, local, HclError::WrongEpoch { sent, current }));
         }
+        if let Err(RpcError::RetriesExhausted { attempts, .. }) = &res {
+            self.meter.retries_exhausted(ev, *attempts);
+        }
+        self.meter.remote_done(ev, t0, res.is_ok());
+        Ok(res.map_err(HclError::Rpc))
     }
 
-    /// Synchronous dispatch of `ev` at its explicit owner, untagged (the
-    /// fan-out legs of len/snapshot/flush, migration control, the
-    /// single-partition containers). `args` is owned — handed to `local`,
-    /// which consumes it (`push(value)`-shaped ops) — or borrowed
-    /// (`get(&key)`-shaped ops); see [`OpArgs`]. `mode` is how the one
-    /// message is classified: [`IssueMode::Sync`], or `Bulk { ops: 1 }` for a
-    /// single-message bulk op whose `ev.n` elements scale the local charge
-    /// (Table I `F + L + E·R/W`).
+    /// Synchronous dispatch of `ev` at its explicit owner, untagged — so
+    /// never rejected as stale (the fan-out legs of len/snapshot/flush,
+    /// migration control, the single-partition containers). `args` is
+    /// owned — handed to `local`, which consumes it (`push(value)`-shaped
+    /// ops) — or borrowed (`get(&key)`-shaped ops); see [`OpArgs`]. `mode`
+    /// is how the one message is classified: [`IssueMode::Sync`], or
+    /// `Bulk { ops: 1 }` for a single-message bulk op whose `ev.n` elements
+    /// scale the local charge (Table I `F + L + E·R/W`).
     pub(crate) fn sync<A, P, R>(
         &self,
         ev: OpEvent<'_>,
@@ -649,16 +529,19 @@ impl<'a> Dispatcher<'a> {
         P: OpArgs<A>,
         R: DataBox,
     {
-        self.attempt(&ev, mode, None, args, |_, args| local(args)).unwrap_or_else(|(.., e)| Err(e))
+        let t0 = self.meter.start();
+        let done = self.attempt(&ev, mode, None, t0, args, |_, args| local(args));
+        done.unwrap_or_else(|(.., e)| Err(e))
     }
 
     /// Synchronous dispatch of a keyed op: the engine resolves the owner
     /// from the owner map, tags the RPC with the resolved epoch (live maps),
     /// and on a [`RpcError::WrongEpoch`] rejection re-resolves and retries up
     /// to [`EPOCH_RETRY_MAX`] times before giving up typed
-    /// ([`HclError::WrongEpoch`]). `local` receives the resolved owner rank
-    /// so the container can pick its co-located partition, and `args` as in
-    /// [`Dispatcher::sync`].
+    /// ([`HclError::WrongEpoch`]). However many attempts it takes, the op
+    /// completes once, timed from the first. `local` receives the resolved
+    /// owner rank so the container can pick its co-located partition, and
+    /// `args` as in [`Dispatcher::sync`].
     pub(crate) fn sync_keyed<A, P, R>(
         &self,
         op: &'static OpDescriptor,
@@ -671,15 +554,17 @@ impl<'a> Dispatcher<'a> {
         P: OpArgs<A>,
         R: DataBox,
     {
+        let t0 = self.meter.start();
         let mut rejects = 0u32;
         loop {
             let (owner, tag) = self.resolve(key_hash);
-            let ev = OpEvent { key_hash, ..self.event(op, owner) };
-            match self.attempt(&ev, IssueMode::Sync, tag, args, local) {
+            let ev = self.event(op, owner);
+            match self.attempt(&ev, IssueMode::Sync, tag, t0, args, local) {
                 Ok(done) => return done,
                 Err((a, l, stale)) => {
                     rejects += 1;
                     if rejects > EPOCH_RETRY_MAX {
+                        self.meter.remote_done(&ev, t0, false);
                         return Err(stale);
                     }
                     (args, local) = (a, l);
@@ -707,10 +592,10 @@ impl<'a> Dispatcher<'a> {
         let ev = self.event(op, owner);
         self.gate(&ev)?;
         if self.is_local(owner) {
-            Ok(HclFuture::Ready(self.run_local(&ev, || local(args))))
+            Ok(HclFuture::Ready(self.run_local(&ev, self.meter.start(), || local(args))))
         } else {
             let coalesced = self.rank.coalescing_enabled();
-            self.each(|o| o.on_issue(&ev, IssueMode::Async { coalesced }));
+            self.meter.issue(&ev, IssueMode::Async { coalesced });
             Ok(HclFuture::Coalesced(self.rank.invoke_coalesced(
                 self.ep(owner),
                 self.fn_base + op.fn_off,
@@ -744,10 +629,13 @@ impl<'a> Dispatcher<'a> {
         self.gate(&group)?;
         if self.is_local(owner) {
             let ev = self.event(op, owner);
-            let out = items.into_iter().map(|a| self.run_local(&ev, || local(a))).collect();
+            let out = items
+                .into_iter()
+                .map(|a| self.run_local(&ev, self.meter.start(), || local(a)))
+                .collect();
             Ok(BulkReply::Ready(out))
         } else {
-            self.each(|o| o.on_issue(&group, IssueMode::Bulk { ops: n }));
+            self.meter.issue(&group, IssueMode::Bulk { ops: n });
             let mut arena = BatchArena::with_capacity(
                 self.fn_base + op.fn_off,
                 items.len(),

@@ -41,7 +41,6 @@ static FIRST: OpDescriptor = OpDescriptor {
     class: OpClass::Read,
     fn_off: FN_FIRST,
     cost: CostSig::ZERO,
-    idempotent: true,
     degradable: true,
 };
 static RANGE: OpDescriptor = OpDescriptor {
@@ -49,7 +48,6 @@ static RANGE: OpDescriptor = OpDescriptor {
     class: OpClass::Read,
     fn_off: FN_RANGE,
     cost: CostSig::ZERO,
-    idempotent: true,
     degradable: true,
 };
 static RESIZE: OpDescriptor = OpDescriptor {
@@ -57,7 +55,6 @@ static RESIZE: OpDescriptor = OpDescriptor {
     class: OpClass::Admin,
     fn_off: FN_RESIZE,
     cost: CostSig::ZERO,
-    idempotent: true,
     degradable: true,
 };
 

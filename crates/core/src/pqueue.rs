@@ -38,7 +38,6 @@ static PEEK: OpDescriptor = OpDescriptor {
     class: OpClass::Read,
     fn_off: FN_PEEK,
     cost: CostSig::lrw(1, 1, 0),
-    idempotent: true,
     degradable: true,
 };
 static PURGE: OpDescriptor = OpDescriptor {
@@ -46,7 +45,6 @@ static PURGE: OpDescriptor = OpDescriptor {
     class: OpClass::Admin,
     fn_off: FN_PURGE,
     cost: CostSig::ZERO,
-    idempotent: true,
     degradable: true,
 };
 

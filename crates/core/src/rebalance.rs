@@ -67,8 +67,8 @@ pub trait ShardMigrator: Send + Sync {
 
 /// World-shared registry of [`ShardMigrator`]s, one entry per container
 /// instance. Obtained with [`MigratorRegistry::shared`]; containers register
-/// at construction time on every rank (idempotently — the registry is one
-/// world-level object).
+/// at construction time on every rank (a repeat registration is a no-op —
+/// the registry is one world-level object).
 #[derive(Default)]
 pub struct MigratorRegistry {
     inner: Mutex<Vec<(String, Arc<dyn ShardMigrator>)>>,

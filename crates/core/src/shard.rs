@@ -88,8 +88,8 @@ pub(crate) const SEQ_FNS: u32 = 7;
 /// Table I descriptors of the common keyed ops, one table per container
 /// prefix ([`keyed_ops!`]).
 pub(crate) struct KeyedOps {
-    /// Container label (`"umap"`, `"omap"`): dispatcher name, shared-object
-    /// and migrator key prefix.
+    /// Container label (`"umap"`, `"omap"`): shared-object and migrator key
+    /// prefix.
     pub prefix: &'static str,
     pub put: OpDescriptor,
     pub get: OpDescriptor,
@@ -119,11 +119,10 @@ pub(crate) struct SeqOps {
 }
 
 /// Build a descriptor table: one row per common op — `field: class, fn
-/// offset, Table I local cost, idempotent, degradable;` — named
-/// `"<prefix>.<field>"`.
+/// offset, Table I local cost, degradable;` — named `"<prefix>.<field>"`.
 macro_rules! op_table {
     ($table:ident, $fns:ident, $p:literal, {
-        $($op:ident: $class:ident, $off:ident, $cost:expr, $idem:literal, $degr:literal;)*
+        $($op:ident: $class:ident, $off:ident, $cost:expr, $degr:literal;)*
     }) => {
         $crate::shard::$table {
             prefix: $p,
@@ -132,7 +131,6 @@ macro_rules! op_table {
                 class: $crate::dispatch::OpClass::$class,
                 fn_off: $crate::shard::$fns::$off,
                 cost: $cost,
-                idempotent: $idem,
                 degradable: $degr,
             },)*
         }
@@ -148,18 +146,18 @@ macro_rules! keyed_ops {
     ($p:literal) => {{
         use $crate::dispatch::CostSig;
         $crate::shard::op_table!(KeyedOps, kfn, $p, {
-            put:         Write, PUT,         CostSig::lrw(1, 0, 1), false, true;
-            get:         Read,  GET,         CostSig::lrw(1, 1, 0), true,  true;
-            erase:       Write, ERASE,       CostSig::lrw(1, 0, 1), false, true;
-            len:         Admin, LEN,         CostSig::ZERO,         true,  true;
-            snapshot:    Admin, SNAPSHOT,    CostSig::ZERO,         true,  true;
-            repl_get:    Read,  REPL_GET,    CostSig::ZERO,         true,  false;
-            repl_flush:  Admin, REPL_FLUSH,  CostSig::ZERO,         true,  false;
-            mig_arm:     Admin, MIG_ARM,     CostSig::ZERO,         true,  true;
-            mig_begin:   Admin, MIG_BEGIN,   CostSig::ZERO,         true,  true;
-            mig_extract: Admin, MIG_EXTRACT, CostSig::ZERO,         true,  true;
-            mig_install: Write, MIG_INSTALL, CostSig::lrw(1, 0, 1), true,  true;
-            mig_end:     Admin, MIG_END,     CostSig::ZERO,         true,  true;
+            put:         Write, PUT,         CostSig::lrw(1, 0, 1), true;
+            get:         Read,  GET,         CostSig::lrw(1, 1, 0), true;
+            erase:       Write, ERASE,       CostSig::lrw(1, 0, 1), true;
+            len:         Admin, LEN,         CostSig::ZERO,         true;
+            snapshot:    Admin, SNAPSHOT,    CostSig::ZERO,         true;
+            repl_get:    Read,  REPL_GET,    CostSig::ZERO,         false;
+            repl_flush:  Admin, REPL_FLUSH,  CostSig::ZERO,         false;
+            mig_arm:     Admin, MIG_ARM,     CostSig::ZERO,         true;
+            mig_begin:   Admin, MIG_BEGIN,   CostSig::ZERO,         true;
+            mig_extract: Admin, MIG_EXTRACT, CostSig::ZERO,         true;
+            mig_install: Write, MIG_INSTALL, CostSig::lrw(1, 0, 1), true;
+            mig_end:     Admin, MIG_END,     CostSig::ZERO,         true;
         })
     }};
 }
@@ -169,13 +167,13 @@ macro_rules! seq_ops {
     ($p:literal) => {{
         use $crate::dispatch::CostSig;
         $crate::shard::op_table!(SeqOps, sfn, $p, {
-            push:        Write,     PUSH,        CostSig::lrw(1, 0, 1),       false, true;
-            pop:         ReadWrite, POP,         CostSig::lrw(1, 1, 0),       false, true;
-            push_bulk:   Write,     PUSH_BULK,   CostSig::write_scaled(1, 1), false, true;
-            pop_bulk:    ReadWrite, POP_BULK,    CostSig::read_scaled(1, 1),  false, true;
-            len:         Admin,     LEN,         CostSig::ZERO,               true,  true;
-            snapshot:    Admin,     SNAPSHOT,    CostSig::ZERO,               true,  true;
-            mig_extract: ReadWrite, MIG_EXTRACT, CostSig::ZERO,               false, true;
+            push:        Write,     PUSH,        CostSig::lrw(1, 0, 1),       true;
+            pop:         ReadWrite, POP,         CostSig::lrw(1, 1, 0),       true;
+            push_bulk:   Write,     PUSH_BULK,   CostSig::write_scaled(1, 1), true;
+            pop_bulk:    ReadWrite, POP_BULK,    CostSig::read_scaled(1, 1),  true;
+            len:         Admin,     LEN,         CostSig::ZERO,               true;
+            snapshot:    Admin,     SNAPSHOT,    CostSig::ZERO,               true;
+            mig_extract: ReadWrite, MIG_EXTRACT, CostSig::ZERO,               true;
         })
     }};
 }
@@ -739,7 +737,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
 
     /// An engine addressing explicit ranks of this container.
     fn dispatcher<'r>(&self, rank: &'r Rank) -> Dispatcher<'r> {
-        Dispatcher::new(rank, self.ops.prefix, self.fn_base, self.spec.hybrid)
+        Dispatcher::new(rank, self.fn_base, self.spec.hybrid)
     }
 }
 
@@ -1144,7 +1142,7 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
             bind_extra(&b);
             (fn_base, shard)
         });
-        let d = Dispatcher::new(rank, ops.prefix, shared.0, hybrid);
+        let d = Dispatcher::new(rank, shared.0, hybrid);
         SeqClient { ops, shard: Arc::clone(&shared.1), d }
     }
 

@@ -35,7 +35,7 @@ use hcl_telemetry::CacheMetrics;
 use crate::cache::{CacheStats, LeaseCache, LeaseConfig};
 use crate::cost::CostSnapshot;
 use crate::dispatch::{
-    hist_invoke, hist_return, BulkReply, CostSig, IssueMode, OpClass, OpDescriptor, OpEvent,
+    hist_invoke, hist_return, BulkReply, CostSig, IssueMode, OpClass, OpDescriptor,
 };
 use crate::persist::PersistConfig;
 use crate::shard::{
@@ -55,7 +55,6 @@ static MERGE: OpDescriptor = OpDescriptor {
     class: OpClass::ReadWrite,
     fn_off: FN_MERGE,
     cost: CostSig::lrw(1, 1, 1),
-    idempotent: false,
     degradable: true,
 };
 static RESIZE: OpDescriptor = OpDescriptor {
@@ -63,7 +62,6 @@ static RESIZE: OpDescriptor = OpDescriptor {
     class: OpClass::Admin,
     fn_off: FN_RESIZE,
     cost: CostSig::ZERO,
-    idempotent: true,
     degradable: true,
 };
 static GET_LEASED: OpDescriptor = OpDescriptor {
@@ -71,7 +69,6 @@ static GET_LEASED: OpDescriptor = OpDescriptor {
     class: OpClass::Read,
     fn_off: FN_GET_LEASED,
     cost: CostSig::lrw(1, 1, 0),
-    idempotent: true,
     degradable: true,
 };
 
@@ -251,9 +248,6 @@ where
             c.d.set_version_sink(Arc::new(move |owner, stamp| {
                 sink_cache.observe_version(owner as usize, stamp);
             }));
-            // The hot-key sketch rides the observer seam: every keyed
-            // remote read dispatch feeds it.
-            c.d.add_observer(cache.detector());
         }
         UnorderedMap { c, merger, lease_ttl_micros, cache }
     }
@@ -351,7 +345,12 @@ where
             ));
             return result;
         }
-        if !cache.is_hot(hash) {
+        // A miss goes to the fabric and feeds the hot-key sketch — after
+        // the hotness check, so the read that makes a key hot is not yet
+        // the one that earns its lease.
+        let hot = cache.is_hot(hash);
+        cache.observe_read(hash);
+        if !hot {
             return self.c.get_at(hash, owner, key);
         }
         let tok = hist_invoke!(d, crate::DsOp::MapGet { key: crate::history_enc(key) });
@@ -363,11 +362,9 @@ where
         // staleness from the moment the server could have read the value,
         // not from when the response arrived.
         let granted = Instant::now();
-        // Explicit owner (the one the lease bookkeeping above is about),
-        // keyed event: the hash feeds the hot-key detector.
-        let ev = OpEvent { key_hash: hash, ..d.event(&GET_LEASED, owner) };
+        // Explicit owner: the one the lease bookkeeping above is about.
         let result = d
-            .sync(ev, IssueMode::Sync, key, |key| {
+            .sync(d.event(&GET_LEASED, owner), IssueMode::Sync, key, |key| {
                 apply_get_leased(self.shard_at(owner), self.lease_ttl_micros, key)
             })
             .map(|(version, ttl_micros, value)| {

@@ -11,7 +11,7 @@
 //! codec overhaul left in place — so it sits outside the measured region.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bytes::BytesMut;
 use hcl_databox::DataBox;
@@ -19,20 +19,25 @@ use hcl_rpc::{encode_batch_into, encode_request_header_into};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap calls made by this thread: the tests of this file run on
+    /// parallel threads, and only the measuring thread's own calls count.
+    /// Const-initialised and drop-free, so touching it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 // SAFETY: delegates every allocation verbatim to `System`; the counter is
 // the only addition and does not affect layout or pointer validity.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Encode one small-value request (header + `(k, v)` args) into `buf`.

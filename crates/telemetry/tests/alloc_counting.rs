@@ -8,26 +8,31 @@
 //! touches the heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hcl_telemetry::{EventKind, FlightEvent, FlightRecorder, Histogram, Outcome, Registry};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap calls made by this thread: the tests of this file run on
+    /// parallel threads, and only the measuring thread's own calls count.
+    /// Const-initialised and drop-free, so touching it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 // SAFETY: delegates every allocation verbatim to `System`; the counter is
 // the only addition and does not affect layout or pointer validity.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]

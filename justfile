@@ -5,8 +5,10 @@
 # test -q`, runs the root package's integration suites only.)
 default: test
 
+# Every target of every member — libraries, binaries, examples, tests — so a
+# target nothing runs still has to compile.
 build:
-    cargo build --workspace --release
+    cargo build --workspace --release --all-targets
 
 test:
     cargo test --workspace --release
@@ -161,9 +163,9 @@ crash-soak iters="3" seed="12648430":
     HCL_SOAK_ITERS={{iters}} HCL_SOAK_SEED={{seed}} \
         cargo test --release --test crash_recovery -- --ignored --exact crash_soak --nocapture
 
-# Everything CI runs: build, the full test gate (every member crate plus the
-# root integration suites — `test-faults`, `test-membership` and
-# `test-persist` are shortcuts into subsets of it), the xtask passes, crash
-# soak, schedule exploration, race checking, linearizability histories,
-# telemetry export, scenario matrix, and the hclbench harness.
+# Everything CI runs: build (every target), the full test gate (every member
+# crate plus the root integration suites — `test-faults`, `test-membership`
+# and `test-persist` are shortcuts into subsets of it), the xtask passes,
+# crash soak, schedule exploration, race checking, linearizability
+# histories, telemetry export, scenario matrix, and the hclbench harness.
 ci: build test lint crash-soak check-conc check-races check-lin telemetry-smoke scenario-smoke bench-smoke

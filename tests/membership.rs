@@ -266,6 +266,58 @@ fn ops_straddling_epoch_commits_see_only_typed_errors() {
     });
 }
 
+/// An op whose stale-epoch attempt is rejected and whose re-resolved
+/// attempt then succeeds is *one* op, and the meter completes it once:
+/// after enough drain/admit rounds under a put/get thread to provoke at
+/// least one `WrongEpoch` rejection, each rank's `hcl_core_ops_err` equals
+/// the number of `Err`s its client thread actually got back.
+#[test]
+fn wrong_epoch_rejections_complete_each_op_once() {
+    const MAX_ROUNDS: usize = 40;
+    let per_rank = World::run(ww(2, 2), |rank| {
+        let _umap: UnorderedMap<u64, u64> = UnorderedMap::new(rank, "mem.meter");
+        rank.barrier();
+        let (me, mut seen) = (rank.id() as u64, 0u64);
+        let ops_err = || {
+            let snap = rank.telemetry().snapshot();
+            snap.counters.iter().find(|(k, _)| k == "hcl_core_ops_err").map_or(0, |(_, v)| *v)
+        };
+        let err0 = ops_err();
+        for round in 1..=MAX_ROUNDS {
+            let stop = AtomicBool::new(false);
+            seen += std::thread::scope(|s| {
+                let client = s.spawn(|| {
+                    let m: UnorderedMap<u64, u64> = UnorderedMap::new(rank, "mem.meter");
+                    let mut errs = 0u64;
+                    for k in (me * 1_000_000..).take_while(|_| !stop.load(Ordering::Relaxed)) {
+                        errs += m.put(k, k).is_err() as u64 + m.get(&k).is_err() as u64;
+                    }
+                    errs
+                });
+                assert!(drain_rank(rank, 2).unwrap().committed);
+                assert!(admit_rank(rank, 2).unwrap().committed);
+                stop.store(true, Ordering::Relaxed);
+                client.join().unwrap()
+            });
+            // Every client has stopped: the world-wide reject count is
+            // settled, and rank 0's reading decides for everyone.
+            rank.barrier();
+            let counters = rank.world().membership().counters();
+            let rejects = counters.wrong_epoch_rejects.load(Ordering::Relaxed);
+            if rank.broadcast(0, (rank.id() == 0).then_some(rejects)) > 0 {
+                break;
+            }
+            assert!(round < MAX_ROUNDS, "no op straddled an epoch commit in {MAX_ROUNDS} rounds");
+        }
+        (ops_err() - err0, seen)
+    });
+    // Asserted once every rank is done, so one rank's mismatch cannot leave
+    // the others waiting at a barrier.
+    for (r, (metered, returned)) in per_rank.into_iter().enumerate() {
+        assert_eq!(metered, returned, "rank {r}: hcl_core_ops_err vs Errs returned");
+    }
+}
+
 /// Leases are epoch-scoped: a 30-second lease granted before a membership
 /// commit must not serve another read after it — the unified ownership
 /// epoch (failure marks *and* membership commits share one cell) kills it.

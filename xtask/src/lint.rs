@@ -1321,7 +1321,7 @@ mod tests {
             "    drop((c, g, h, d));\n",
             "}\n"
         );
-        assert!(rules("crates/core/src/telemetry.rs", src).is_empty());
+        assert!(rules("crates/core/src/meter.rs", src).is_empty());
     }
 
     #[test]
@@ -1334,7 +1334,7 @@ mod tests {
         let no_metric = "fn f(r: &Registry) {\n    let _ = r.gauge(\"hcl_rpc\");\n}\n";
         assert_eq!(rules("crates/rpc/src/client.rs", no_metric), vec![Rule::Metric]);
         let bad_chars = "fn f(r: &Registry) {\n    let _ = r.histogram(\"hcl_core_Op-Lat\");\n}\n";
-        assert_eq!(rules("crates/core/src/telemetry.rs", bad_chars), vec![Rule::Metric]);
+        assert_eq!(rules("crates/core/src/meter.rs", bad_chars), vec![Rule::Metric]);
     }
 
     #[test]
@@ -1481,7 +1481,7 @@ mod tests {
         // Recording a histogram sample or a flight event is not logging a
         // mutation.
         let sample = "fn f(&self) {\n    self.op_hist(name).record(ns);\n    self.flight().record(ev);\n}\n";
-        assert!(rules("crates/core/src/telemetry.rs", sample).is_empty());
+        assert!(rules("crates/core/src/meter.rs", sample).is_empty());
     }
 
     #[test]
@@ -1503,7 +1503,7 @@ mod tests {
     #[test]
     fn metric_name_in_comment_is_ignored() {
         let src = "fn f() {\n    // e.g. reg.counter(\"bogus name\") would be rejected\n}\n";
-        assert!(rules("crates/core/src/telemetry.rs", src).is_empty());
+        assert!(rules("crates/core/src/meter.rs", src).is_empty());
     }
 
     #[test]
