@@ -13,9 +13,10 @@
 //! 2. **ownership-epoch bump** — the dispatcher's [`DownedRegistry`]
 //!    epoch moved (a `mark_down`/`mark_up` transition), so failover may have
 //!    redirected writes around the owner that granted the lease;
-//! 3. **version piggyback** — any RPC response from the granting partition
-//!    carries its current version (`FLAG_STAMPED`); a stamp newer than the
-//!    leased version proves a mutation happened after the grant.
+//! 3. **version piggyback** — any sync response from the granting partition
+//!    carries its current version (`FLAG_STAMPED`, read by the `Guard` the
+//!    container binds with every function); a stamp newer than the leased
+//!    version proves a mutation happened after the grant.
 //!
 //! Which keys get leases is decided by a hot-key sketch — space-saving
 //! top-k, fed by the lease path itself with every read that misses the

@@ -44,7 +44,7 @@ use hcl_databox::DataBox;
 use hcl_fabric::EpId;
 use hcl_rpc::batch::BatchArena;
 use hcl_rpc::client::{BatchFuture, RawFuture, RpcClient};
-use hcl_rpc::{FnId, RpcError, RpcResult};
+use hcl_rpc::{FnId, RpcError, RpcResult, Tag};
 use hcl_runtime::{DownedRegistry, EpCache, Membership, PartitionMap, Rank, WorldShared};
 use parking_lot::Mutex;
 
@@ -128,12 +128,8 @@ pub struct OpDescriptor {
 pub enum IssueMode {
     /// Synchronous invocation; travels as its own message.
     Sync,
-    /// Asynchronous: staged on the op coalescer (`coalesced`) or sent
-    /// directly when coalescing is disabled.
-    Async {
-        /// True when the op staged on the coalescer.
-        coalesced: bool,
-    },
+    /// Asynchronous: staged on the op coalescer, to ride a batched message.
+    Async,
     /// Explicit aggregation: one `FLAG_BATCH` message carrying `ops` calls.
     Bulk {
         /// Operations riding the aggregated message.
@@ -255,8 +251,9 @@ pub struct Dispatcher<'a> {
     /// op this handle dispatches.
     meter: OpMeter,
     /// When set, synchronous remote invokes travel `FLAG_STAMPED` and the
-    /// piggybacked partition-version stamp of every response is fed here as
-    /// `(owner_rank, stamp)` — the lease cache's invalidation channel.
+    /// partition-version stamp the owner's guard piggybacks on every
+    /// response is fed here as `(owner_rank, stamp)` — the lease cache's
+    /// invalidation channel.
     version_sink: Option<VersionSink>,
     #[cfg(feature = "history")]
     recorder: Option<crate::HistoryRecorder>,
@@ -432,23 +429,23 @@ impl<'a> Dispatcher<'a> {
         out
     }
 
-    /// One synchronous remote invocation: epoch-tagged
-    /// ([`hcl_rpc::FLAG_EPOCH`]) when `tag` is set, stamped when a version
-    /// sink is installed, plain otherwise. Flush-before-sync ordering is
-    /// preserved by every [`Rank`] invoke variant. The sink only sees stamps
-    /// of *executed* requests — a rejection moved no partition version.
-    fn invoke_sync<A, R>(&self, owner: u32, fn_id: FnId, tag: Option<u64>, args: &A) -> RpcResult<R>
+    /// One synchronous remote invocation ([`Rank::invoke_tagged`]):
+    /// epoch-tagged when `epoch` is set, stamped when a version sink is
+    /// installed. The sink only sees stamps of *executed* requests — a
+    /// rejection moved no partition version.
+    fn invoke_sync<A, R>(
+        &self,
+        owner: u32,
+        fn_id: FnId,
+        epoch: Option<u64>,
+        args: &A,
+    ) -> RpcResult<R>
     where
         A: DataBox,
         R: DataBox,
     {
-        let ep = self.ep(owner);
-        let stamped = self.version_sink.is_some();
-        let (stamp, v) = match tag {
-            Some(epoch) => self.rank.invoke_epoch(ep, fn_id, epoch, stamped, args)?,
-            None if stamped => self.rank.invoke_stamped(ep, fn_id, args)?,
-            None => return self.rank.invoke(ep, fn_id, args),
-        };
+        let tag = Tag { epoch, stamped: self.version_sink.is_some() };
+        let (stamp, v) = self.rank.invoke_tagged(self.ep(owner), fn_id, tag, args)?;
         if stamp != 0 {
             if let Some(sink) = &self.version_sink {
                 sink(owner, stamp);
@@ -594,13 +591,12 @@ impl<'a> Dispatcher<'a> {
         if self.is_local(owner) {
             Ok(HclFuture::Ready(self.run_local(&ev, self.meter.start(), || local(args))))
         } else {
-            let coalesced = self.rank.coalescing_enabled();
-            self.meter.issue(&ev, IssueMode::Async { coalesced });
+            self.meter.issue(&ev, IssueMode::Async);
             Ok(HclFuture::Coalesced(self.rank.invoke_coalesced(
                 self.ep(owner),
                 self.fn_base + op.fn_off,
                 args.wire(),
-            )?))
+            )))
         }
     }
 
@@ -636,13 +632,10 @@ impl<'a> Dispatcher<'a> {
             Ok(BulkReply::Ready(out))
         } else {
             self.meter.issue(&group, IssueMode::Bulk { ops: n });
-            let mut arena = BatchArena::with_capacity(
-                self.fn_base + op.fn_off,
-                items.len(),
-                items.first().map_or(16, |a| a.wire().size_hint()),
-            );
+            let hint = items.first().map_or(16, |a| a.wire().size_hint());
+            let mut arena = BatchArena::with_capacity(items.len(), hint);
             for a in &items {
-                arena.push(a.wire());
+                arena.push(self.fn_base + op.fn_off, a.wire());
             }
             let ep = self.ep(owner);
             self.rank.coalescer().flush(ep);

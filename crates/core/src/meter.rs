@@ -81,13 +81,13 @@ impl OpMeter {
     pub(crate) fn issue(&self, ev: &OpEvent<'_>, mode: IssueMode) {
         self.costs.f();
         match mode {
-            IssueMode::Sync | IssueMode::Async { coalesced: false } => self.costs.fu(),
-            IssueMode::Async { coalesced: true } => self.costs.fb(1),
+            IssueMode::Sync => self.costs.fu(),
+            IssueMode::Async => self.costs.fb(1),
             IssueMode::Bulk { ops } => self.costs.fb(ops),
         }
         if let Some(m) = &self.metrics {
             m.issued.inc();
-            if !matches!(mode, IssueMode::Async { .. }) {
+            if mode != IssueMode::Async {
                 m.flight(EventKind::Issue, ev, ev.n, Outcome::Pending, 0);
             }
         }

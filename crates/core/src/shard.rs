@@ -11,7 +11,7 @@
 //!   taken under the strict read fence; the live-migration write-forwarding
 //!   window (`mig_arm/begin/extract/install/apply/end`) lives here and only
 //!   here, as do the handler bindings, the construction of the per-host
-//!   shards (hosts, log open + replay, flusher, epoch gate), the
+//!   shards (hosts, log open + replay, flusher, stamp-and-epoch guard), the
 //!   [`ShardMigrator`] and the handle-side fan-outs both maps share
 //!   ([`KeyedClient`]).
 //! * [`SeqShard`] over a [`SeqStore`] (FIFO queue, priority queue): each of
@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use hcl_databox::DataBox;
 use hcl_fabric::EpId;
-use hcl_rpc::FnId;
+use hcl_rpc::{FnId, Guard};
 use hcl_runtime::{Membership, PartitionMap, Rank, ShardMove, WorldShared};
 use parking_lot::{Mutex, RwLock};
 
@@ -253,11 +253,14 @@ fn hosted<P>(world_size: u32, shards: impl IntoIterator<Item = (u32, Arc<P>)>) -
 }
 
 /// Binds typed handlers for one container's fn-id range; `f` receives the
-/// shard hosted on the serving rank.
+/// shard hosted on the serving rank. Every function is bound behind the
+/// container's `guard`, so the request envelope is gated and stamped the
+/// same way whichever of its functions a request names.
 pub(crate) struct Binder<'b, P> {
     world: &'b Arc<WorldShared>,
     fn_base: FnId,
     parts: &'b Hosted<P>,
+    guard: Option<Guard>,
 }
 
 impl<P: Send + Sync + 'static> Binder<'_, P> {
@@ -267,7 +270,8 @@ impl<P: Send + Sync + 'static> Binder<'_, P> {
         R: DataBox + 'static,
     {
         let parts = Arc::clone(self.parts);
-        self.world.registry().bind_typed(self.fn_base + fn_off, move |server: EpId, _, args: A| {
+        let id = self.fn_base + fn_off;
+        self.world.registry().bind_guarded(id, self.guard.clone(), move |server: EpId, _, args: A| {
             let shard = parts[server.rank as usize].as_deref();
             f(shard.expect("request served at a host of the container"), args)
         });
@@ -306,7 +310,7 @@ pub struct KeyedShard<K, V, S> {
     costs: CostCounters,
     /// Monotone mutation version: bumped *after* every applied mutation,
     /// read *before* the value on a lease grant, and piggybacked on every
-    /// `FLAG_STAMPED` response (the stamper in [`KeyedCore::open`]). That
+    /// `FLAG_STAMPED` response (the guard bound in [`KeyedCore::open`]). That
     /// ordering guarantees a mutation racing a grant always yields a stamp
     /// strictly newer than the granted version.
     version: AtomicU64,
@@ -607,7 +611,8 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
     /// Fetch-or-create the world-shared core of container `name`: build one
     /// shard per host (replaying its log), bind the common handlers plus
     /// whatever `bind_extra` adds at offsets `KEYED_FNS..KEYED_FNS +
-    /// extra_fns`, and install the version stamper and the epoch gate.
+    /// extra_fns`, every one behind the container's version-stamp and
+    /// epoch guard.
     fn open(
         rank: &Rank,
         ops: &'static KeyedOps,
@@ -626,8 +631,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
             // exactly the historical static placement.
             let elastic = spec.servers.is_none();
             let servers = spec.servers.clone().unwrap_or_else(|| default_servers(&world));
-            let n_fns = KEYED_FNS + extra_fns;
-            let fn_base = world.alloc_fn_ids(n_fns);
+            let fn_base = world.alloc_fn_ids(KEYED_FNS + extra_fns);
             let repl_map = Arc::new(PartitionMap::round_robin(&servers, 1));
             let hosts: Vec<u32> =
                 if elastic { (0..world.config().world_size()).collect() } else { servers.clone() };
@@ -676,7 +680,21 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                 shards.push((home, Arc::new(shard)));
             }
             let parts = hosted(world.config().world_size(), shards);
-            let b = Binder { world: &world, fn_base, parts: &parts };
+            // Every `FLAG_STAMPED` response from this container piggybacks
+            // the serving shard's current mutation version — the lease
+            // cache's third invalidation channel (after TTL and epoch).
+            // Elastic containers also gate on the membership epoch: the
+            // server rejects mismatches typed (`WrongEpoch`) so an op routed
+            // by a stale map is never served by the wrong rank.
+            let p = Arc::clone(&parts);
+            let guard = Guard {
+                epoch: elastic.then(|| world.membership().epoch_cell()),
+                version: Arc::new(move |server: EpId| {
+                    let shard = p.get(server.rank as usize).and_then(Option::as_deref);
+                    shard.map_or(0, KeyedShard::version)
+                }),
+            };
+            let b = Binder { world: &world, fn_base, parts: &parts, guard: Some(guard) };
             b.bind(kfn::PUT, |s, (k, v): (K, V)| s.apply_put(k, v));
             b.bind(kfn::GET, |s, k: K| s.apply_get(&k));
             b.bind(kfn::ERASE, |s, k: K| s.apply_erase(&k));
@@ -709,23 +727,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                 s.mig_end(vpart as usize, committed, source)
             });
             bind_extra(&b);
-            // Every `FLAG_STAMPED` response from this container's fn-id range
-            // piggybacks the serving shard's current mutation version — the
-            // lease cache's third invalidation channel (after TTL and epoch).
-            let p = Arc::clone(&parts);
-            world.registry().set_stamper(fn_base, n_fns, move |server: EpId| {
-                let shard = p.get(server.rank as usize).and_then(Option::as_deref);
-                shard.map_or(0, KeyedShard::version)
-            });
-            if elastic {
-                // Keyed mutations carry the client's membership epoch; the
-                // server rejects mismatches typed (`WrongEpoch`) so an op
-                // routed by a stale map is never served by the wrong rank.
-                let cell = world.membership().epoch_cell();
-                world
-                    .registry()
-                    .set_epoch_gate(fn_base, n_fns, move || cell.load(Ordering::Acquire));
-            }
             KeyedCore { ops, fn_base, servers, repl_map, parts, spec, _flusher: flusher }
         })
     }
@@ -1131,7 +1132,7 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
             });
             let shard = Arc::new(SeqShard { owner, store, log, _flusher: flusher });
             let parts = hosted(world.config().world_size(), [(owner, Arc::clone(&shard))]);
-            let b = Binder { world: &world, fn_base, parts: &parts };
+            let b = Binder { world: &world, fn_base, parts: &parts, guard: None };
             b.bind(sfn::PUSH, |s, v: T| s.push(v));
             b.bind(sfn::POP, |s, ()| s.pop());
             b.bind(sfn::PUSH_BULK, |s, vs: Vec<T>| s.push_bulk(vs));

@@ -242,8 +242,9 @@ where
             Arc::new(LeaseCache::new(lease, rank.world_size() as usize, metrics))
         });
         if let Some(cache) = &cache {
-            // Responses travel FLAG_STAMPED; fold each owner's piggybacked
-            // version into the cache's watermark.
+            // Sync responses travel FLAG_STAMPED, stamped by the container's
+            // guard; fold each owner's piggybacked version into the
+            // cache's watermark.
             let sink_cache = Arc::clone(cache);
             c.d.set_version_sink(Arc::new(move |owner, stamp| {
                 sink_cache.observe_version(owner as usize, stamp);

@@ -215,16 +215,12 @@ fn async_remote_ops_classified_by_coalescing_state() {
         rank.barrier();
         if rank.id() == 0 {
             let rk = key_owned_by(&map, 1);
-            // Async remote op while coalescing is on: F + one batched op.
+            // Async remote op: F + one batched op (it stages on the coalescer).
             let s = map.costs();
             let f = map.put_async(rk, 1).unwrap();
             let issued = delta(map.costs(), s);
             assert_eq!(issued.f, 1);
-            if rank.coalescing_enabled() {
-                assert_eq!((issued.fb, issued.fu), (1, 0));
-            } else {
-                assert_eq!((issued.fb, issued.fu), (0, 1));
-            }
+            assert_eq!((issued.fb, issued.fu), (1, 0));
             f.wait().unwrap();
             // Async local op: pure bypass, resolves immediately.
             let lk = key_owned_by(&map, 0);

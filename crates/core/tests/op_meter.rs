@@ -16,17 +16,25 @@ use std::collections::BTreeMap;
 
 use hcl::queue::QueueConfig;
 use hcl::{CostSnapshot, HclError, Queue, UnorderedMap};
+use std::time::Duration;
+
 use hcl_rpc::coalesce::CoalesceConfig;
 use hcl_runtime::{Rank, World, WorldConfig};
 use hcl_telemetry::{EventKind, Outcome, TelemetryConfig};
 
-/// Two nodes, one rank each. Coalescing is off so an async op is its own
-/// message: no background batch flush can land in the ring mid-script.
+/// Two nodes, one rank each. The coalescer is pinned so neither the size
+/// trigger nor the age flusher can send a staged async op: only awaiting it
+/// may, so no background batch flush can land in the ring mid-script.
 fn two_node_world(telemetry: TelemetryConfig) -> WorldConfig {
     WorldConfig {
         nodes: 2,
         ranks_per_node: 1,
-        coalesce: CoalesceConfig::disabled(),
+        coalesce: CoalesceConfig {
+            max_ops: 64,
+            adaptive: false,
+            max_delay: Duration::from_secs(30),
+            ..CoalesceConfig::default()
+        },
         telemetry,
         ..WorldConfig::small()
     }
@@ -79,6 +87,9 @@ enum Want {
     Issued(Op, Option<u64>),
     /// Rejected at the gate: the owner-down outcome and event only.
     OwnerDown(Op),
+    /// No core metric; the coalescer demand-flushed one staged op as a
+    /// batch of its own.
+    Flushed,
     /// Nothing at all.
     Nothing,
 }
@@ -90,7 +101,7 @@ impl Want {
             Want::Remote(op, _) => ("hcl_core_ops_issued", Some((op, "remote", 1))),
             Want::Issued(..) => ("hcl_core_ops_issued", None),
             Want::OwnerDown(_) => ("hcl_core_ops_owner_down", None),
-            Want::Nothing => return BTreeMap::new(),
+            Want::Flushed | Want::Nothing => return BTreeMap::new(),
         };
         let mut m = BTreeMap::from([(counter.to_string(), done.map_or(1, |(.., n)| n))]);
         if let Some((Op(name, class, sig), at, n)) = done {
@@ -119,6 +130,7 @@ impl Want {
             Want::OwnerDown(Op(name, ..)) => {
                 vec![(EventKind::OwnerDown, name, 1, Outcome::OwnerDown)]
             }
+            Want::Flushed => vec![(EventKind::BatchFlush, "rpc.batch.demand", 1, Outcome::Pending)],
             _ => vec![],
         }
     }
@@ -173,12 +185,13 @@ fn unordered_map_ops_meter_exactly() {
             let get = || assert_eq!(map.get(&rk).unwrap(), None);
             step(rank, costs, get, Want::Remote(UMAP_GET, 1), (1, 0, 0, 0, 0, 1));
 
-            // Async: counted at issue; awaiting it adds nothing.
+            // Async: counted at issue as a batched op; awaiting it flushes
+            // its batch and adds no cost.
             let mut fut = None;
             let put_async = || fut = Some(map.put_async(rk, 2).unwrap());
-            step(rank, costs, put_async, Want::Issued(UMAP_PUT, None), (1, 0, 0, 0, 0, 1));
+            step(rank, costs, put_async, Want::Issued(UMAP_PUT, None), (1, 0, 0, 0, 1, 0));
             let wait = || assert!(fut.unwrap().wait().unwrap());
-            step(rank, costs, wait, Want::Nothing, (0, 0, 0, 0, 0, 0));
+            step(rank, costs, wait, Want::Flushed, (0, 0, 0, 0, 0, 0));
 
             // Remote bulk: one aggregated message of three ops.
             let batch: Vec<(u64, u64)> = remote.by_ref().take(3).map(|k| (k, k)).collect();
@@ -211,9 +224,9 @@ fn queue_ops_meter_exactly() {
 
             let mut fut = None;
             let push_async = || fut = Some(q1.push_async(5).unwrap());
-            step(rank, costs, push_async, Want::Issued(QUEUE_PUSH, None), (1, 0, 0, 0, 0, 1));
+            step(rank, costs, push_async, Want::Issued(QUEUE_PUSH, None), (1, 0, 0, 0, 1, 0));
             let wait = || assert!(fut.unwrap().wait().unwrap());
-            step(rank, costs, wait, Want::Nothing, (0, 0, 0, 0, 0, 0));
+            step(rank, costs, wait, Want::Flushed, (0, 0, 0, 0, 0, 0));
 
             // A single-message bulk op is synchronous: issued, completed and
             // timed like any sync op, under the write-scaled signature.

@@ -15,9 +15,10 @@ use parking_lot::Mutex;
 
 use hcl_fabric::FabricError;
 
+use crate::server::unframe;
 use crate::{
-    decode_batch_response, encode_batch_into, encode_request_header_into, resp_key, slot_offset,
-    FnId, RetryPolicy, RpcError, RpcResult, FLAG_BATCH, FLAG_EPOCH, FLAG_IDEMPOTENT, FLAG_STAMPED,
+    decode, decode_batch_response, encode_batch_into, encode_request_header_into, resp_key,
+    slot_offset, FnId, RetryPolicy, RpcError, RpcResult, Tag, FLAG_BATCH, FLAG_IDEMPOTENT,
     SLOTS_PER_CLIENT, SLOT_HDR,
 };
 
@@ -310,32 +311,6 @@ pub fn wait_all(futs: &[RawFuture]) -> Vec<RpcResult<Bytes>> {
     results.into_iter().map(|r| r.expect("swept to completion")).collect()
 }
 
-/// Block until any one future completes; returns its index and result.
-/// `None` when `futs` is empty. Like [`wait_all`], each poll iteration is
-/// one sweep over the pending slots.
-pub fn wait_any(futs: &[RawFuture]) -> Option<(usize, RpcResult<Bytes>)> {
-    if futs.is_empty() {
-        return None;
-    }
-    let deadline = futs
-        .iter()
-        .filter_map(|f| f.attempt_budget())
-        .min()
-        .map(|b| Instant::now() + b);
-    let mut spins = 0u32;
-    loop {
-        for (i, f) in futs.iter().enumerate() {
-            if let Some(r) = f.try_get() {
-                return Some((i, r));
-            }
-        }
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            return Some((0, futs[0].wait()));
-        }
-        poll_backoff(&mut spins);
-    }
-}
-
 /// A typed asynchronous RPC result (paper §III-C4: "Each function invocation
 /// creates a future object ... synchronous and asynchronous models is a
 /// matter of timing when the caller waits").
@@ -347,15 +322,12 @@ pub struct RpcFuture<T> {
 impl<T: DataBox> RpcFuture<T> {
     /// Block for the response and decode it.
     pub fn wait(&self) -> RpcResult<T> {
-        let b = self.raw.wait()?;
-        T::from_bytes(&b).map_err(|e| RpcError::Decode(e.to_string()))
+        decode(&self.raw.wait()?)
     }
 
     /// Non-blocking completion check.
     pub fn try_get(&self) -> Option<RpcResult<T>> {
-        self.raw.try_get().map(|r| {
-            r.and_then(|b| T::from_bytes(&b).map_err(|e| RpcError::Decode(e.to_string())))
-        })
+        self.raw.try_get().map(|r| r.and_then(|b| decode(&b)))
     }
 
     /// True once the response has arrived.
@@ -377,27 +349,22 @@ impl BatchFuture {
 
     /// Block for all responses.
     pub fn wait(&self) -> RpcResult<Vec<Bytes>> {
-        let b = self.raw.wait()?;
-        decode_batch_response(&b).ok_or_else(|| RpcError::Decode("batch response".into()))
+        Self::split(self.raw.wait())
     }
 
     /// Non-blocking completion probe: `Some` once the aggregate response
     /// has been pulled and decoded.
     pub fn try_wait(&self) -> Option<RpcResult<Vec<Bytes>>> {
-        self.raw.try_get().map(|r| {
-            r.and_then(|b| {
-                decode_batch_response(&b)
-                    .ok_or_else(|| RpcError::Decode("batch response".into()))
-            })
-        })
+        self.raw.try_get().map(Self::split)
+    }
+
+    fn split(raw: RpcResult<Bytes>) -> RpcResult<Vec<Bytes>> {
+        decode_batch_response(&raw?).ok_or_else(|| RpcError::Decode("batch response".into()))
     }
 
     /// Block and decode every response as `T`.
     pub fn wait_typed<T: DataBox>(&self) -> RpcResult<Vec<T>> {
-        self.wait()?
-            .iter()
-            .map(|b| T::from_bytes(b).map_err(|e| RpcError::Decode(e.to_string())))
-            .collect()
+        self.wait()?.iter().map(|b| decode(b)).collect()
     }
 }
 
@@ -448,11 +415,6 @@ impl RpcClient {
     /// execute each request id at most once.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// This client's endpoint.
@@ -535,96 +497,48 @@ impl RpcClient {
         A: DataBox,
         R: DataBox,
     {
-        let hint = A::FIXED_SIZE.unwrap_or(16);
-        let raw = self.issue_with(server, &[fn_id], 0, hint, |out| args.pack(out))?;
-        Ok(RpcFuture { raw, _t: PhantomData })
+        self.invoke_chain(server, &[fn_id], args)
     }
 
-    /// Synchronous invocation: issue and wait.
+    /// Synchronous invocation: [`RpcClient::invoke_tagged`] untagged.
     pub fn invoke<A, R>(&self, server: EpId, fn_id: FnId, args: &A) -> RpcResult<R>
     where
         A: DataBox,
         R: DataBox,
     {
-        self.invoke_async::<A, R>(server, fn_id, args)?.wait()
+        Ok(self.invoke_tagged(server, fn_id, Tag::default(), args)?.1)
     }
 
-    /// Synchronous invocation requesting a [`FLAG_STAMPED`] response:
-    /// returns `(stamp, value)`, where the stamp is the serving partition's
-    /// version after the handler ran (0 when no stamper covers `fn_id`).
-    /// Lease caches feed the stamp into their observed-version watermark —
-    /// every sync RPC to a partition then doubles as an invalidation probe.
-    pub fn invoke_stamped<A, R>(&self, server: EpId, fn_id: FnId, args: &A) -> RpcResult<(u64, R)>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let hint = A::FIXED_SIZE.unwrap_or(16);
-        let raw =
-            self.issue_with(server, &[fn_id], FLAG_STAMPED, hint, |out| args.pack(out))?;
-        let b = raw.wait()?;
-        let bytes = b.as_slice();
-        if bytes.len() < 8 {
-            return Err(RpcError::Decode("stamped response shorter than its stamp".into()));
-        }
-        let stamp = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte stamp"));
-        let v = R::from_bytes(&bytes[8..]).map_err(|e| RpcError::Decode(e.to_string()))?;
-        Ok((stamp, v))
-    }
-
-    /// Synchronous invocation tagged with the caller's ownership epoch
-    /// ([`FLAG_EPOCH`]): the args travel behind an 8-byte LE epoch prefix,
-    /// and the server's gate executes the handler only when its current
-    /// epoch matches — a mismatch surfaces as [`RpcError::WrongEpoch`], a
+    /// Synchronous single call tagged with `tag`: [`FLAG_EPOCH`](crate::FLAG_EPOCH) carries
+    /// the caller's ownership epoch as an 8-byte LE prefix of the args, and
+    /// the server's guard runs the handler only when its current epoch
+    /// matches — a mismatch surfaces as [`RpcError::WrongEpoch`], a
     /// *delivered* rejection the retry machinery never retransmits (callers
-    /// re-resolve the owner and issue a fresh request). `stamped` requests a
-    /// [`FLAG_STAMPED`] version stamp as well; the returned stamp is 0
-    /// otherwise (and meaningless on rejection).
-    pub fn invoke_epoch<A, R>(
+    /// re-resolve the owner and issue a fresh request). [`FLAG_STAMPED`](crate::FLAG_STAMPED)
+    /// asks for the serving partition's version after the handler ran.
+    /// Returns `(stamp, value)`; the stamp is 0 unless `tag.stamped` (and 0
+    /// when the function has no guard).
+    pub fn invoke_tagged<A, R>(
         &self,
         server: EpId,
         fn_id: FnId,
-        epoch: u64,
-        stamped: bool,
+        tag: Tag,
         args: &A,
     ) -> RpcResult<(u64, R)>
     where
         A: DataBox,
         R: DataBox,
     {
-        let hint = 8 + A::FIXED_SIZE.unwrap_or(16);
-        let flags = FLAG_EPOCH | if stamped { FLAG_STAMPED } else { 0 };
-        let raw = self.issue_with(server, &[fn_id], flags, hint, |out| {
-            out.extend_from_slice(&epoch.to_le_bytes());
+        let hint = 8 * tag.epoch.is_some() as usize + A::FIXED_SIZE.unwrap_or(16);
+        let raw = self.issue_with(server, &[fn_id], tag.flags(), hint, |out| {
+            if let Some(epoch) = tag.epoch {
+                out.extend_from_slice(&epoch.to_le_bytes());
+            }
             args.pack(out);
         })?;
         let b = raw.wait()?;
-        let mut bytes = b.as_slice();
-        let mut stamp = 0u64;
-        if stamped {
-            if bytes.len() < 8 {
-                return Err(RpcError::Decode("stamped response shorter than its stamp".into()));
-            }
-            stamp = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte stamp"));
-            bytes = &bytes[8..];
-        }
-        let Some((&status, rest)) = bytes.split_first() else {
-            return Err(RpcError::Decode("epoch-tagged response missing status byte".into()));
-        };
-        match status {
-            0 => {
-                let v = R::from_bytes(rest).map_err(|e| RpcError::Decode(e.to_string()))?;
-                Ok((stamp, v))
-            }
-            1 => {
-                if rest.len() < 8 {
-                    return Err(RpcError::Decode("epoch rejection missing current epoch".into()));
-                }
-                let current = u64::from_le_bytes(rest[..8].try_into().expect("8-byte epoch"));
-                Err(RpcError::WrongEpoch { sent: epoch, current })
-            }
-            other => Err(RpcError::Decode(format!("unknown epoch status byte {other}"))),
-        }
+        let (stamp, body) = unframe(tag, b.as_slice())?;
+        Ok((stamp, decode(body)?))
     }
 
     /// Invoke a *callback chain* (§III-C3): `chain[0]` receives `args`, each
@@ -634,7 +548,7 @@ impl RpcClient {
     pub fn invoke_chain<A, R>(
         &self,
         server: EpId,
-        chain: Vec<FnId>,
+        chain: &[FnId],
         args: &A,
     ) -> RpcResult<RpcFuture<R>>
     where
@@ -642,7 +556,7 @@ impl RpcClient {
         R: DataBox,
     {
         let hint = A::FIXED_SIZE.unwrap_or(16);
-        let raw = self.issue_with(server, &chain, 0, hint, |out| args.pack(out))?;
+        let raw = self.issue_with(server, chain, 0, hint, |out| args.pack(out))?;
         Ok(RpcFuture { raw, _t: PhantomData })
     }
 

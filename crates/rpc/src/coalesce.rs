@@ -3,7 +3,7 @@
 //! transparently to asynchronous container operations.
 //!
 //! Each `(client rank, destination server)` pair owns a submission queue.
-//! Async ops stage their `(fn_id, args)` into the queue's argument arena
+//! Async ops stage their `(fn_id, args)` into the queue's [`BatchArena`]
 //! (one growing buffer, not a `Vec` per op) and get back a [`CallHandle`].
 //! The queue flushes as one [`crate::FLAG_BATCH`] request when any of three
 //! triggers fires:
@@ -40,8 +40,9 @@ use hcl_fabric::EpId;
 use hcl_telemetry::{CoalesceMetrics, EventKind, FlightEvent, Outcome};
 use parking_lot::Mutex;
 
-use crate::client::{BatchFuture, RawFuture, RpcClient};
-use crate::{FnId, RpcError, RpcResult};
+use crate::batch::BatchArena;
+use crate::client::{BatchFuture, RpcClient};
+use crate::{decode, FnId, RpcError, RpcResult};
 
 /// Flush a destination queue once its staged argument bytes reach this,
 /// whatever the op count.
@@ -50,9 +51,6 @@ const MAX_BATCH_BYTES: usize = 48 * 1024;
 /// Coalescing policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoalesceConfig {
-    /// Master switch; disabled, every submit degrades to a direct single-op
-    /// invocation (no behavioral change, no flusher thread).
-    pub enabled: bool,
     /// Hard ceiling on ops per batch (also the AIMD target's ceiling).
     pub max_ops: usize,
     /// Maximum time a staged op may wait before the age flusher sends it.
@@ -65,19 +63,10 @@ pub struct CoalesceConfig {
 impl Default for CoalesceConfig {
     fn default() -> Self {
         CoalesceConfig {
-            enabled: true,
             max_ops: 64,
             max_delay: Duration::from_micros(200),
             adaptive: true,
         }
-    }
-}
-
-impl CoalesceConfig {
-    /// Coalescing off: every op is its own message (the pre-coalescer
-    /// behavior, used as the bench baseline).
-    pub fn disabled() -> Self {
-        CoalesceConfig { enabled: false, ..Default::default() }
     }
 }
 
@@ -86,7 +75,6 @@ impl CoalesceConfig {
 struct CoalesceStats {
     batches: AtomicU64,
     coalesced_ops: AtomicU64,
-    direct_ops: AtomicU64,
     size_flushes: AtomicU64,
     age_flushes: AtomicU64,
     demand_flushes: AtomicU64,
@@ -99,8 +87,6 @@ pub struct CoalesceSnapshot {
     pub batches: u64,
     /// Ops that went through the coalescing path.
     pub coalesced_ops: u64,
-    /// Ops bypassing coalescing (disabled config).
-    pub direct_ops: u64,
     /// Flushes triggered by the size/bytes thresholds.
     pub size_flushes: u64,
     /// Flushes triggered by the age flusher.
@@ -120,19 +106,16 @@ impl CoalesceSnapshot {
     }
 }
 
+/// Where one coalesced op is; cloned out of its lock and acted on outside
+/// it.
+#[derive(Clone)]
 enum CallState {
     /// Staged in a destination queue, not yet on the wire.
     Queued,
-    /// Sent alone (coalescing disabled).
-    Direct(RawFuture),
     /// Sent as entry `index` of a flushed batch.
     Sent { batch: Arc<SentBatch>, index: usize },
     /// The flush-time send failed; every op of the batch observes the error.
     Failed(RpcError),
-}
-
-struct CallShared {
-    state: Mutex<CallState>,
 }
 
 /// One flushed batch: the future plus a decoded-response cache so each of
@@ -170,16 +153,19 @@ impl SentBatch {
         }
         c.clone()
     }
+
+    /// Entry `index` of the decoded responses.
+    fn entry(resps: RpcResult<Vec<Bytes>>, index: usize) -> RpcResult<Bytes> {
+        resps?.get(index).cloned().ok_or_else(|| RpcError::Decode("batch response index".into()))
+    }
 }
 
-/// Per-destination submission queue: staged fn ids, an argument arena with
-/// per-call end offsets (no per-op allocation), and the pending handles.
+/// Per-destination submission queue: the staged calls (no per-op
+/// allocation) and their pending handles.
 struct DestQueue {
     dest: EpId,
-    fn_ids: Vec<FnId>,
-    ends: Vec<usize>,
-    args: Vec<u8>,
-    handles: Vec<Arc<CallShared>>,
+    calls: BatchArena,
+    handles: Vec<Arc<Mutex<CallState>>>,
     opened: Option<Instant>,
     /// AIMD size target for this destination.
     target_ops: usize,
@@ -189,9 +175,7 @@ impl DestQueue {
     fn new(dest: EpId) -> Self {
         DestQueue {
             dest,
-            fn_ids: Vec::new(),
-            ends: Vec::new(),
-            args: Vec::new(),
+            calls: BatchArena::default(),
             handles: Vec::new(),
             opened: None,
             // Start small: the first flush is cheap, and bulk phases double
@@ -232,7 +216,7 @@ impl Coalescer {
             stats: CoalesceStats::default(),
             metrics: std::sync::OnceLock::new(),
         });
-        if cfg.enabled && cfg.max_delay > Duration::ZERO {
+        if cfg.max_delay > Duration::ZERO {
             let weak = Arc::downgrade(&c);
             let tick = cfg.max_delay.max(Duration::from_micros(50));
             std::thread::Builder::new()
@@ -253,22 +237,11 @@ impl Coalescer {
         let _ = self.metrics.set(metrics);
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> CoalesceConfig {
-        self.cfg
-    }
-
-    /// The underlying RPC client.
-    pub fn client(&self) -> &Arc<RpcClient> {
-        &self.client
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CoalesceSnapshot {
         CoalesceSnapshot {
             batches: self.stats.batches.load(Ordering::Relaxed),
             coalesced_ops: self.stats.coalesced_ops.load(Ordering::Relaxed),
-            direct_ops: self.stats.direct_ops.load(Ordering::Relaxed),
             size_flushes: self.stats.size_flushes.load(Ordering::Relaxed),
             age_flushes: self.stats.age_flushes.load(Ordering::Relaxed),
             demand_flushes: self.stats.demand_flushes.load(Ordering::Relaxed),
@@ -287,19 +260,7 @@ impl Coalescer {
         dest: EpId,
         fn_id: FnId,
         pack: impl FnOnce(&mut Vec<u8>),
-    ) -> RpcResult<CallHandle> {
-        if !self.cfg.enabled {
-            // ORDERING: Relaxed statistic.
-            self.stats.direct_ops.fetch_add(1, Ordering::Relaxed);
-            let mut args = Vec::new();
-            pack(&mut args);
-            let raw = self.client.invoke_raw(dest, fn_id, &args)?;
-            return Ok(CallHandle {
-                shared: Arc::new(CallShared { state: Mutex::new(CallState::Direct(raw)) }),
-                dest,
-                coal: Arc::clone(self),
-            });
-        }
+    ) -> CallHandle {
         let q = {
             let mut dests = self.dests.lock();
             Arc::clone(
@@ -307,24 +268,20 @@ impl Coalescer {
             )
         };
         let mut g = q.lock();
-        if g.fn_ids.is_empty() {
+        if g.calls.is_empty() {
             g.opened = Some(Instant::now());
         }
-        g.fn_ids.push(fn_id);
-        pack(&mut g.args);
-        let end = g.args.len();
-        g.ends.push(end);
-        let shared = Arc::new(CallShared { state: Mutex::new(CallState::Queued) });
+        g.calls.push_with(fn_id, pack);
+        let shared = Arc::new(Mutex::new(CallState::Queued));
         g.handles.push(Arc::clone(&shared));
         // ORDERING: Relaxed statistic.
         self.stats.coalesced_ops.fetch_add(1, Ordering::Relaxed);
         let target = if self.cfg.adaptive { g.target_ops } else { self.cfg.max_ops };
-        if g.fn_ids.len() >= target.clamp(1, self.cfg.max_ops)
-            || g.args.len() >= MAX_BATCH_BYTES
-        {
+        let full = g.calls.len() >= target.clamp(1, self.cfg.max_ops);
+        if full || g.calls.bytes() >= MAX_BATCH_BYTES {
             self.flush_queue(&mut g, FlushCause::Size);
         }
-        Ok(CallHandle { shared, dest, coal: Arc::clone(self) })
+        CallHandle { shared, dest, coal: Arc::clone(self) }
     }
 
     /// Typed submit: pack `args`, decode the response as `R` on wait.
@@ -333,25 +290,22 @@ impl Coalescer {
         dest: EpId,
         fn_id: FnId,
         args: &A,
-    ) -> RpcResult<CoalescedFuture<R>>
+    ) -> CoalescedFuture<R>
     where
         A: DataBox,
         R: DataBox,
     {
-        Ok(self.submit(dest, fn_id, |out| args.pack(out))?.typed())
+        self.submit(dest, fn_id, |out| args.pack(out)).typed()
     }
 
     /// Send anything staged for `dest` now. Call before a synchronous op to
     /// the same destination: the batch reaches the wire (and, per-dest FIFO,
     /// the server) ahead of the sync request.
     pub fn flush(&self, dest: EpId) {
-        if !self.cfg.enabled {
-            return;
-        }
         let q = self.dests.lock().get(&dest).cloned();
         if let Some(q) = q {
             let mut g = q.lock();
-            if !g.fn_ids.is_empty() {
+            if !g.calls.is_empty() {
                 self.flush_queue(&mut g, FlushCause::Demand);
             }
         }
@@ -362,7 +316,7 @@ impl Coalescer {
         let qs: Vec<_> = self.dests.lock().values().cloned().collect();
         for q in qs {
             let mut g = q.lock();
-            if !g.fn_ids.is_empty() {
+            if !g.calls.is_empty() {
                 self.flush_queue(&mut g, FlushCause::Demand);
             }
         }
@@ -373,7 +327,7 @@ impl Coalescer {
         let qs: Vec<_> = self.dests.lock().values().cloned().collect();
         for q in qs {
             let mut g = q.lock();
-            if !g.fn_ids.is_empty()
+            if !g.calls.is_empty()
                 && g.opened.is_some_and(|t0| now.duration_since(t0) >= self.cfg.max_delay)
             {
                 self.flush_queue(&mut g, FlushCause::Age);
@@ -394,17 +348,7 @@ impl Coalescer {
                 FlushCause::Age => {}
             }
         }
-        let result = {
-            let n = g.fn_ids.len();
-            let fn_ids = &g.fn_ids;
-            let ends = &g.ends;
-            let args = &g.args;
-            let calls = (0..n).map(move |i| {
-                let start = if i == 0 { 0 } else { ends[i - 1] };
-                (fn_ids[i], &args[start..ends[i]])
-            });
-            self.client.invoke_batch_slices(g.dest, calls)
-        };
+        let result = self.client.invoke_batch_slices(g.dest, g.calls.calls());
         // ORDERING: Relaxed statistics.
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         let cause_ctr = match cause {
@@ -415,7 +359,7 @@ impl Coalescer {
         // ORDERING: Relaxed statistics.
         cause_ctr.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = self.metrics.get() {
-            m.batch_size.record(g.fn_ids.len() as u64);
+            m.batch_size.record(g.calls.len() as u64);
             // One flight event per batch, not per op: async ops are captured
             // in aggregate at batch granularity (see DESIGN.md §11).
             m.flight.record(FlightEvent::op(
@@ -426,8 +370,8 @@ impl Coalescer {
                     FlushCause::Demand => "rpc.batch.demand",
                 },
                 g.dest.rank,
-                g.args.len() as u64,
-                g.fn_ids.len() as u64,
+                g.calls.bytes() as u64,
+                g.calls.len() as u64,
                 Outcome::Pending,
                 0,
             ));
@@ -441,83 +385,51 @@ impl Coalescer {
                     metrics: self.metrics.get().cloned(),
                 });
                 for (i, h) in g.handles.iter().enumerate() {
-                    *h.state.lock() = CallState::Sent { batch: Arc::clone(&batch), index: i };
+                    *h.lock() = CallState::Sent { batch: Arc::clone(&batch), index: i };
                 }
             }
             Err(e) => {
                 for h in &g.handles {
-                    *h.state.lock() = CallState::Failed(e.clone());
+                    *h.lock() = CallState::Failed(e.clone());
                 }
             }
         }
-        g.fn_ids.clear();
-        g.ends.clear();
-        g.args.clear();
+        g.calls.clear();
         g.handles.clear();
         g.opened = None;
     }
 }
 
-/// What a resolution step found (extracted under the state lock, acted on
-/// outside it).
-enum Step {
-    Flush,
-    Direct(RawFuture),
-    Batch(Arc<SentBatch>, usize),
-    Fail(RpcError),
-}
-
 /// Handle to one coalesced op; resolves to the op's own response bytes.
 pub struct CallHandle {
-    shared: Arc<CallShared>,
+    shared: Arc<Mutex<CallState>>,
     dest: EpId,
     coal: Arc<Coalescer>,
 }
 
 impl CallHandle {
-    fn step(&self) -> Step {
-        let st = self.shared.state.lock();
-        match &*st {
-            CallState::Queued => Step::Flush,
-            CallState::Direct(raw) => Step::Direct(raw.clone()),
-            CallState::Sent { batch, index } => Step::Batch(Arc::clone(batch), *index),
-            CallState::Failed(e) => Step::Fail(e.clone()),
-        }
-    }
-
     /// Block for this op's response. A still-queued op demand-flushes its
     /// destination first.
     pub fn wait(&self) -> RpcResult<Bytes> {
         loop {
-            match self.step() {
-                Step::Flush => self.coal.flush(self.dest),
-                Step::Direct(raw) => return raw.wait(),
-                Step::Batch(b, i) => {
-                    let resps = b.result()?;
-                    return resps
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| RpcError::Decode("batch response index".into()));
-                }
-                Step::Fail(e) => return Err(e),
+            let state = self.shared.lock().clone();
+            match state {
+                CallState::Queued => self.coal.flush(self.dest),
+                CallState::Sent { batch, index } => return SentBatch::entry(batch.result(), index),
+                CallState::Failed(e) => return Err(e),
             }
         }
     }
 
     /// Non-blocking probe; `None` while queued or in flight.
     pub fn try_get(&self) -> Option<RpcResult<Bytes>> {
-        match self.step() {
-            Step::Flush => None,
-            Step::Direct(raw) => raw.try_get(),
-            Step::Batch(b, i) => b.try_result().map(|r| {
-                r.and_then(|resps| {
-                    resps
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| RpcError::Decode("batch response index".into()))
-                })
-            }),
-            Step::Fail(e) => Some(Err(e)),
+        let state = self.shared.lock().clone();
+        match state {
+            CallState::Queued => None,
+            CallState::Sent { batch, index } => {
+                batch.try_result().map(|r| SentBatch::entry(r, index))
+            }
+            CallState::Failed(e) => Some(Err(e)),
         }
     }
 
@@ -541,15 +453,12 @@ pub struct CoalescedFuture<T> {
 impl<T: DataBox> CoalescedFuture<T> {
     /// Block for the response and decode it.
     pub fn wait(&self) -> RpcResult<T> {
-        let b = self.handle.wait()?;
-        T::from_bytes(&b).map_err(|e| RpcError::Decode(e.to_string()))
+        decode(&self.handle.wait()?)
     }
 
     /// Non-blocking completion check.
     pub fn try_get(&self) -> Option<RpcResult<T>> {
-        self.handle.try_get().map(|r| {
-            r.and_then(|b| T::from_bytes(&b).map_err(|e| RpcError::Decode(e.to_string())))
-        })
+        self.handle.try_get().map(|r| r.and_then(|b| decode(&b)))
     }
 
     /// True once the response has arrived.
@@ -583,7 +492,7 @@ mod tests {
             server_ep,
             Arc::clone(&fabric),
             registry,
-            ServerConfig { max_clients: 4, slot_cap: 1024, nic_cores: 1, dedup_window: 64 },
+            ServerConfig { max_clients: 4, slot_cap: 1024, nic_cores: 1 },
         );
         let client = Arc::new(RpcClient::new(client_ep, fabric, 1024));
         let coal = Coalescer::spawn(client, cfg);
@@ -600,7 +509,7 @@ mod tests {
         };
         let (coal, server, dest, execs) = harness(cfg);
         let futs: Vec<CoalescedFuture<u64>> =
-            (0..8u64).map(|i| coal.submit_typed(dest, 9, &i).unwrap()).collect();
+            (0..8u64).map(|i| coal.submit_typed(dest, 9, &i)).collect();
         for (i, f) in futs.iter().enumerate() {
             assert_eq!(f.wait().unwrap(), i as u64 * 2);
         }
@@ -620,7 +529,7 @@ mod tests {
             ..Default::default()
         };
         let (coal, server, dest, _) = harness(cfg);
-        let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &21u64).unwrap();
+        let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &21u64);
         assert_eq!(f.wait().unwrap(), 42);
         let st = coal.stats();
         assert_eq!(st.batches, 1);
@@ -636,7 +545,7 @@ mod tests {
             ..Default::default()
         };
         let (coal, server, dest, _) = harness(cfg);
-        let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &5u64).unwrap();
+        let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &5u64);
         // No wait, no size trigger: only the age flusher can send it.
         let deadline = Instant::now() + Duration::from_secs(5);
         while !f.is_ready() && Instant::now() < deadline {
@@ -657,28 +566,16 @@ mod tests {
         let (coal, server, dest, _) = harness(cfg);
         // Fill batches: target starts at 4 and doubles per size flush.
         let futs: Vec<CoalescedFuture<u64>> =
-            (0..12u64).map(|i| coal.submit_typed(dest, 9, &i).unwrap()).collect();
+            (0..12u64).map(|i| coal.submit_typed(dest, 9, &i)).collect();
         // 4-op flush (target -> 8), then 8-op flush (target -> 16).
         assert_eq!(coal.target_ops(dest), Some(16));
         for f in &futs {
             f.wait().unwrap();
         }
         // A demand flush halves it.
-        let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &1u64).unwrap();
+        let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &1u64);
         f.wait().unwrap();
         assert_eq!(coal.target_ops(dest), Some(8));
-        server.shutdown();
-    }
-
-    #[test]
-    fn disabled_coalescer_is_direct_passthrough() {
-        let (coal, server, dest, execs) = harness(CoalesceConfig::disabled());
-        let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &3u64).unwrap();
-        assert_eq!(f.wait().unwrap(), 6);
-        let st = coal.stats();
-        assert_eq!(st.direct_ops, 1);
-        assert_eq!(st.batches, 0);
-        assert_eq!(execs.load(Ordering::Relaxed), 1);
         server.shutdown();
     }
 
@@ -700,7 +597,7 @@ mod tests {
             server_ep,
             Arc::clone(&fabric),
             registry,
-            ServerConfig { max_clients: 4, slot_cap: 1024, nic_cores: 1, dedup_window: 64 },
+            ServerConfig { max_clients: 4, slot_cap: 1024, nic_cores: 1 },
         );
         let client = Arc::new(RpcClient::new(client_ep, fabric, 1024));
         let coal = Coalescer::spawn(
@@ -708,7 +605,7 @@ mod tests {
             CoalesceConfig { max_delay: Duration::from_secs(10), ..Default::default() },
         );
         for i in 0..3u64 {
-            let _ = coal.submit_typed::<u64, u64>(server_ep, 1, &i).unwrap();
+            let _ = coal.submit_typed::<u64, u64>(server_ep, 1, &i);
         }
         coal.flush(server_ep);
         let _: u64 = client.invoke(server_ep, 1, &99u64).unwrap();
@@ -738,7 +635,7 @@ mod low_core_regression {
             EpId::new(0, 0),
             Arc::clone(fabric),
             registry,
-            ServerConfig { max_clients, slot_cap: 1024, nic_cores: 2, dedup_window: 1024 },
+            ServerConfig { max_clients, slot_cap: 1024, nic_cores: 2 },
         )
     }
 
@@ -747,7 +644,7 @@ mod low_core_regression {
         while i < ops {
             let end = (i + 256).min(ops);
             let futs: Vec<CoalescedFuture<u64>> =
-                (i..end).map(|v| coal.submit_typed(dest, 9, &v).unwrap()).collect();
+                (i..end).map(|v| coal.submit_typed(dest, 9, &v)).collect();
             for (j, f) in futs.iter().enumerate() {
                 assert_eq!(f.wait().unwrap(), (i + j as u64) * 2);
             }

@@ -3,7 +3,7 @@
 //! The RoR protocol, step by step as in Fig. 2, and where each step lives
 //! here:
 //!
-//! 1. users submit functions with [`RpcRegistry::bind`] (*"calling the
+//! 1. users submit functions with [`RpcRegistry::bind_typed`] (*"calling the
 //!    `bind()` method that maps them to an RPC invocation registry"*);
 //! 2. [`RpcClient::invoke`] marshals the request and `RDMA_SEND`s it into
 //!    the server's request buffer ([`hcl_fabric::Fabric::send`]);
@@ -21,8 +21,9 @@
 //!
 //! Also implemented: **request aggregation** (§III-B: "aggregate multiple
 //! instructions before execution") via [`RpcClient::invoke_batch`], and
-//! **asynchronous RPC** (§III-C4) — every invocation returns an
-//! [`RpcFuture`]; synchronous execution is just `invoke(...).wait()`.
+//! **asynchronous RPC** (§III-C4) — [`client::RpcClient::invoke_async`]
+//! returns an [`client::RpcFuture`]; a synchronous call issues the same
+//! request and waits on its slot.
 
 pub mod batch;
 pub mod client;
@@ -32,6 +33,7 @@ pub mod server;
 pub use batch::BatchArena;
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
@@ -50,7 +52,7 @@ pub type FnId = u32;
 /// *appended* to `response_out`, a per-worker scratch buffer the NIC core
 /// reuses across requests, so the hot path executes without a per-call
 /// response allocation.
-pub type Handler = Arc<dyn Fn(EpId, EpId, &[u8], &mut Vec<u8>) + Send + Sync>;
+pub type Handler = Box<dyn Fn(EpId, EpId, &[u8], &mut Vec<u8>) + Send + Sync>;
 
 /// Reserved region id for a server's response buffer.
 pub const RESP_REGION: u32 = 0xFFFF_0000;
@@ -75,8 +77,6 @@ pub enum RpcError {
     Decode(String),
     /// No response arrived within the configured timeout.
     Timeout,
-    /// The server reported an unknown function id.
-    UnknownFunction(FnId),
     /// Every attempt allowed by the [`RetryPolicy`] failed; `last` is the
     /// error of the final attempt (typically [`RpcError::Timeout`] when the
     /// target is unreachable).
@@ -117,7 +117,6 @@ impl std::fmt::Display for RpcError {
             RpcError::Fabric(e) => write!(f, "rpc fabric error: {e}"),
             RpcError::Decode(e) => write!(f, "rpc decode error: {e}"),
             RpcError::Timeout => write!(f, "rpc timeout"),
-            RpcError::UnknownFunction(id) => write!(f, "unknown rpc function {id}"),
             RpcError::RetriesExhausted { attempts, last } => {
                 write!(f, "rpc failed after {attempts} attempts: {last}")
             }
@@ -139,47 +138,57 @@ impl From<FabricError> for RpcError {
 /// Result alias for RPC operations.
 pub type RpcResult<T> = Result<T, RpcError>;
 
-/// The invocation registry: fn id -> handler (paper's `bind()`).
+/// Decode a response body as `T`.
+pub(crate) fn decode<T: DataBox>(body: &[u8]) -> RpcResult<T> {
+    T::from_bytes(body).map_err(|e| RpcError::Decode(e.to_string()))
+}
+
+/// What the server checks and stamps around every call to a guarded
+/// function: the container-level state a request envelope refers to,
+/// attached once, at bind time, to each function of the container.
+#[derive(Clone)]
+pub struct Guard {
+    /// The ownership epoch a [`FLAG_EPOCH`] request must carry to execute;
+    /// `None` admits every tag. Containers whose owners can move share the
+    /// world's unified epoch cell here.
+    pub epoch: Option<Arc<AtomicU64>>,
+    /// The version of the partition the serving endpoint hosts, read *after*
+    /// the handler ran: the [`FLAG_STAMPED`] response prefix.
+    pub version: Arc<dyn Fn(EpId) -> u64 + Send + Sync>,
+}
+
+impl Guard {
+    /// `Err(current)` when a request tagged with epoch `sent` must not run.
+    pub fn admit(&self, sent: u64) -> Result<(), u64> {
+        match &self.epoch {
+            Some(cell) => {
+                let current = cell.load(Ordering::Acquire);
+                if current == sent { Ok(()) } else { Err(current) }
+            }
+            None => Ok(()),
+        }
+    }
+}
+
+/// One registered function: its handler and its container's guard.
+pub struct Binding {
+    /// The handler the NIC core executes.
+    pub handler: Handler,
+    /// Gates [`FLAG_EPOCH`] requests and stamps [`FLAG_STAMPED`] responses;
+    /// `None` admits every tag and stamps 0.
+    pub guard: Option<Guard>,
+}
+
+/// The invocation registry: fn id -> binding (paper's `bind()`).
 #[derive(Default)]
 pub struct RpcRegistry {
-    fns: RwLock<HashMap<FnId, Handler>>,
-    /// Version stampers by fn-id range: `[lo, hi)` → stamper. Containers
-    /// register one range covering all their functions at bind time.
-    stampers: RwLock<Vec<(FnId, FnId, Stamper)>>,
-    /// Ownership-epoch gates by fn-id range: `[lo, hi)` → gate. A
-    /// [`FLAG_EPOCH`]-tagged request whose epoch differs from the gate's
-    /// current value is rejected with [`RpcError::WrongEpoch`] instead of
-    /// executing.
-    epoch_gates: RwLock<Vec<(FnId, FnId, EpochGate)>>,
+    fns: RwLock<HashMap<FnId, Arc<Binding>>>,
 }
 
 impl RpcRegistry {
     /// Create an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Bind a raw handler returning an owned response buffer (the
-    /// pre-zero-copy signature, kept for handlers whose response naturally
-    /// materializes as a `Vec`).
-    pub fn bind(
-        &self,
-        id: FnId,
-        f: impl Fn(EpId, EpId, &[u8]) -> Vec<u8> + Send + Sync + 'static,
-    ) {
-        self.bind_into(id, move |server, caller, raw, out| {
-            out.extend_from_slice(&f(server, caller, raw));
-        });
-    }
-
-    /// Bind a raw handler that appends its response to the worker's scratch
-    /// buffer (the zero-copy fast path).
-    pub fn bind_into(
-        &self,
-        id: FnId,
-        f: impl Fn(EpId, EpId, &[u8], &mut Vec<u8>) + Send + Sync + 'static,
-    ) {
-        self.fns.write().insert(id, Arc::new(f));
     }
 
     /// Bind a typed handler: args and return value cross the wire as
@@ -190,76 +199,34 @@ impl RpcRegistry {
         A: DataBox + 'static,
         R: DataBox + 'static,
     {
-        self.bind_into(id, move |server, caller, raw, out| {
+        self.bind_guarded(id, None, f);
+    }
+
+    /// [`RpcRegistry::bind_typed`] behind `guard`: requests to `id` are
+    /// epoch-gated and version-stamped by it.
+    pub fn bind_guarded<A, R>(
+        &self,
+        id: FnId,
+        guard: Option<Guard>,
+        f: impl Fn(EpId, EpId, A) -> R + Send + Sync + 'static,
+    ) where
+        A: DataBox + 'static,
+        R: DataBox + 'static,
+    {
+        let handler: Handler = Box::new(move |server, caller, raw, out| {
             let args = A::from_bytes(raw).expect("rpc argument decode");
-            let ret = f(server, caller, args);
-            ret.pack(out);
+            f(server, caller, args).pack(out);
         });
+        self.fns.write().insert(id, Arc::new(Binding { handler, guard }));
     }
 
-    /// Remove a binding (container teardown).
-    pub fn unbind(&self, id: FnId) {
-        self.fns.write().remove(&id);
-    }
-
-    /// Register a version stamper for the fn-id range `[base, base + n)`.
-    /// [`FLAG_STAMPED`] responses to any function in the range are prefixed
-    /// with `f(server_endpoint)` — typically the owning partition's mutation
-    /// counter, read *after* the handler executed.
-    pub fn set_stamper(&self, base: FnId, n: u32, f: impl Fn(EpId) -> u64 + Send + Sync + 'static) {
-        self.stampers.write().push((base, base + n, Arc::new(f)));
-    }
-
-    /// The stamp for `id` served by `server`, if a stamper covers it.
-    pub fn stamp_for(&self, id: FnId, server: EpId) -> Option<u64> {
-        let stampers = self.stampers.read();
-        for (lo, hi, f) in stampers.iter() {
-            if id >= *lo && id < *hi {
-                return Some(f(server));
-            }
-        }
-        None
-    }
-
-    /// Register an ownership-epoch gate for the fn-id range `[base, base +
-    /// n)`. A [`FLAG_EPOCH`]-tagged request to any function in the range
-    /// executes only when its 8-byte epoch prefix equals `f()`'s current
-    /// value — otherwise the server answers with a [`RpcError::WrongEpoch`]
-    /// rejection carrying the current epoch, and the handler never runs.
-    /// Containers register one gate reading the world's unified ownership
-    /// epoch.
-    pub fn set_epoch_gate(&self, base: FnId, n: u32, f: impl Fn() -> u64 + Send + Sync + 'static) {
-        self.epoch_gates.write().push((base, base + n, Arc::new(f)));
-    }
-
-    /// The current gate epoch covering `id`, if any gate is registered.
-    pub fn gate_epoch_for(&self, id: FnId) -> Option<u64> {
-        let gates = self.epoch_gates.read();
-        for (lo, hi, f) in gates.iter() {
-            if id >= *lo && id < *hi {
-                return Some(f());
-            }
-        }
-        None
-    }
-
-    /// Look up a handler.
-    pub fn get(&self, id: FnId) -> Option<Handler> {
+    /// Look up a binding.
+    pub fn get(&self, id: FnId) -> Option<Arc<Binding>> {
         self.fns.read().get(&id).cloned()
-    }
-
-    /// Number of bound functions.
-    pub fn len(&self) -> usize {
-        self.fns.read().len()
-    }
-
-    /// True when nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.fns.read().is_empty()
     }
 }
 
-/// Wire header of a request message.
+/// Wire header of a request message, as a client builds it.
 ///
 /// `[req_id u64][slot u32][flags u8][chain_len u8][fn_ids u32×chain][args]`
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,7 +235,7 @@ pub struct RequestHeader {
     pub req_id: u64,
     /// Response slot index within the caller's slot ring.
     pub slot: u32,
-    /// Bit 0: batch request.
+    /// `FLAG_*` bits.
     pub flags: u8,
     /// The callback chain: `chain[0]` receives the args, each subsequent
     /// function receives the previous function's output (§III-C3).
@@ -284,33 +251,44 @@ pub const FLAG_BATCH: u8 = 1;
 pub const FLAG_IDEMPOTENT: u8 = 2;
 
 /// Flag bit: the caller wants the response prefixed with an 8-byte LE
-/// **version stamp** drawn from the [`RpcRegistry`]'s stamper for the
-/// invoked function (0 when none is registered). Containers register a
-/// stamper over their fn-id range that reads the target partition's mutation
-/// counter, so every stamped response piggybacks the partition version —
-/// the invalidation signal for client-side lease caches. Only non-batch
-/// requests are stamped; the stamp reflects the partition state *after* the
-/// handler ran, and dedup republishes cache the stamped bytes verbatim
+/// **version stamp** read from the [`Guard`] bound with the first invoked
+/// function (0 when it has none). Containers bind every function with a
+/// guard reading the target partition's mutation counter, so every stamped
+/// response piggybacks the partition version — the invalidation signal for
+/// client-side lease caches. Only non-batch requests are stamped; the stamp
+/// reflects the partition state *after* the handler ran and its durability
+/// barrier settled, and dedup republishes cache the stamped bytes verbatim
 /// (safe: clients fold stamps in with a monotone max).
 pub const FLAG_STAMPED: u8 = 4;
 
 /// Flag bit: the first 8 bytes of the args are an LE **ownership epoch**.
-/// The server checks it against the [`RpcRegistry`]'s epoch gate for the
-/// invoked function *before* executing: on mismatch the handler is skipped
-/// and the response is a rejection carrying the server's current epoch
-/// (surfaced to callers as [`RpcError::WrongEpoch`]); on match (or when no
-/// gate covers the function) the handler runs on the remaining args. Either
-/// way the response body is prefixed with a status byte (`0` = executed,
-/// `1` = rejected), inside any [`FLAG_STAMPED`] stamp prefix. Only
-/// non-batch, single-link requests are epoch-tagged.
+/// The server checks it against the [`Guard`] bound with the first invoked
+/// function *before* executing: on mismatch the handler is skipped and the
+/// response is a rejection carrying the server's current epoch (surfaced to
+/// callers as [`RpcError::WrongEpoch`]); on match (or when the guard gates
+/// nothing) the handler runs on the remaining args. Either way the response
+/// body is prefixed with a status byte (`0` = executed, `1` = rejected),
+/// inside any [`FLAG_STAMPED`] stamp prefix. Ignored on batch requests.
 pub const FLAG_EPOCH: u8 = 8;
 
-/// A server-side version stamper: maps the serving endpoint to the current
-/// version of the partition it hosts.
-pub type Stamper = Arc<dyn Fn(EpId) -> u64 + Send + Sync>;
+/// How a single call is tagged ([`client::RpcClient::invoke_tagged`]): the
+/// ownership epoch it was routed under, and whether it wants the partition
+/// version stamp. `Tag::default()` is a plain call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tag {
+    /// Travel [`FLAG_EPOCH`] with this epoch.
+    pub epoch: Option<u64>,
+    /// Travel [`FLAG_STAMPED`].
+    pub stamped: bool,
+}
 
-/// A server-side ownership-epoch gate: reads the current unified epoch.
-pub type EpochGate = Arc<dyn Fn() -> u64 + Send + Sync>;
+impl Tag {
+    /// The request flags this tag sets.
+    pub fn flags(self) -> u8 {
+        let epoch = if self.epoch.is_some() { FLAG_EPOCH } else { 0 };
+        epoch | if self.stamped { FLAG_STAMPED } else { 0 }
+    }
+}
 
 /// Client-side retry policy: attempts, capped exponential backoff with
 /// deterministic jitter, and a per-attempt response timeout.
@@ -404,51 +382,59 @@ fn jitter_unit(seed: u64, k: u32) -> f64 {
 }
 
 impl RequestHeader {
-    /// Encoded size of the header alone (before the args).
-    pub fn encoded_len(&self) -> usize {
-        14 + 4 * self.chain.len()
-    }
-
-    /// Append the header (without args) to a builder — the zero-copy encode
-    /// path: callers follow up by packing args directly into the same buffer
-    /// and freezing once, so the whole request costs one allocation.
-    pub fn encode_header_into(&self, out: &mut BytesMut) {
-        encode_request_header_into(self.req_id, self.slot, self.flags, &self.chain, out);
-    }
-
-    /// Append the header followed by `args` to a builder.
-    pub fn encode_into(&self, args: &[u8], out: &mut BytesMut) {
-        out.reserve(self.encoded_len() + args.len());
-        self.encode_header_into(out);
-        out.extend_from_slice(args);
-    }
-
     /// Serialize the header followed by `args` into one message.
     pub fn encode(&self, args: &[u8]) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.encoded_len() + args.len());
-        self.encode_into(args, &mut out);
+        let mut out = BytesMut::with_capacity(14 + 4 * self.chain.len() + args.len());
+        encode_request_header_into(self.req_id, self.slot, self.flags, &self.chain, &mut out);
+        out.extend_from_slice(args);
         out.freeze()
     }
+}
 
-    /// Parse a request message; returns the header and the args offset.
-    pub fn decode(msg: &[u8]) -> Option<(RequestHeader, usize)> {
-        if msg.len() < 14 {
+/// A request as the server reads it: borrowed from the received message,
+/// with the [`FLAG_EPOCH`] tag already split off the args.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Request<'m> {
+    /// Per-client request id.
+    pub req_id: u64,
+    /// Response slot index.
+    pub slot: u32,
+    /// `FLAG_*` bits.
+    pub flags: u8,
+    /// The chain's fn ids, still in wire form (4 LE bytes each).
+    chain: &'m [u8],
+    /// The ownership epoch of a non-batch [`FLAG_EPOCH`] request.
+    pub epoch: Option<u64>,
+    /// The args (or batch payload) after the header and any epoch tag.
+    pub args: &'m [u8],
+}
+
+impl<'m> Request<'m> {
+    /// Parse a request message. `None` when it is malformed: shorter than
+    /// its header, cut inside its chain, or tagged [`FLAG_EPOCH`] without
+    /// the 8 bytes of the tag.
+    pub fn decode(msg: &'m [u8]) -> Option<Request<'m>> {
+        let (fixed, rest) = msg.split_first_chunk::<14>()?;
+        let req_id = u64::from_le_bytes(fixed[0..8].try_into().ok()?);
+        let slot = u32::from_le_bytes(fixed[8..12].try_into().ok()?);
+        let flags = fixed[12];
+        let chain_bytes = 4 * fixed[13] as usize;
+        if rest.len() < chain_bytes {
             return None;
         }
-        let req_id = u64::from_le_bytes(msg[0..8].try_into().ok()?);
-        let slot = u32::from_le_bytes(msg[8..12].try_into().ok()?);
-        let flags = msg[12];
-        let chain_len = msg[13] as usize;
-        let mut chain = Vec::with_capacity(chain_len);
-        let mut off = 14;
-        for _ in 0..chain_len {
-            if msg.len() < off + 4 {
-                return None;
-            }
-            chain.push(u32::from_le_bytes(msg[off..off + 4].try_into().ok()?));
-            off += 4;
+        let (chain, mut args) = rest.split_at(chain_bytes);
+        let mut epoch = None;
+        if flags & FLAG_EPOCH != 0 && flags & FLAG_BATCH == 0 {
+            let (tag, tail) = args.split_first_chunk::<8>()?;
+            epoch = Some(u64::from_le_bytes(*tag));
+            args = tail;
         }
-        Some((RequestHeader { req_id, slot, flags, chain }, off))
+        Some(Request { req_id, slot, flags, chain, epoch, args })
+    }
+
+    /// The callback chain, first link first.
+    pub fn chain(&self) -> impl Iterator<Item = FnId> + 'm {
+        self.chain.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4-byte fn id")))
     }
 }
 
@@ -530,20 +516,9 @@ pub fn decode_batch(buf: &[u8]) -> Option<Vec<(FnId, &[u8])>> {
     Some(out)
 }
 
-/// Encode a batch *response*: `[count u32][(len u32, resp)...]`.
-pub fn encode_batch_response(resps: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(resps.len() as u32).to_le_bytes());
-    for r in resps {
-        out.extend_from_slice(&(r.len() as u32).to_le_bytes());
-        out.extend_from_slice(r);
-    }
-    out
-}
-
-/// Decode a batch response (client side). Each per-call response is a
-/// zero-copy [`Bytes::slice`] window into the pulled message — one shared
-/// backing buffer for the whole batch.
+/// Decode a batch response `[count u32][(len u32, resp)...]` (client side).
+/// Each per-call response is a zero-copy [`Bytes::slice`] window into the
+/// pulled message — one shared backing buffer for the whole batch.
 pub fn decode_batch_response(buf: &Bytes) -> Option<Vec<Bytes>> {
     if buf.len() < 4 {
         return None;
@@ -570,30 +545,19 @@ pub fn decode_batch_response(buf: &Bytes) -> Option<Vec<Bytes>> {
 mod tests {
     use super::*;
 
-    fn call(h: &Handler, server: EpId, caller: EpId, args: &[u8]) -> Vec<u8> {
+    fn call(b: &Binding, server: EpId, caller: EpId, args: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        h(server, caller, args, &mut out);
+        (b.handler)(server, caller, args, &mut out);
         out
-    }
-
-    #[test]
-    fn registry_bind_lookup_unbind() {
-        let r = RpcRegistry::new();
-        assert!(r.is_empty());
-        r.bind(7, |_, _, args| args.to_vec());
-        assert_eq!(r.len(), 1);
-        let h = r.get(7).unwrap();
-        assert_eq!(call(&h, EpId::new(0, 0), EpId::new(0, 1), b"echo"), b"echo");
-        assert!(r.get(8).is_none());
-        r.unbind(7);
-        assert!(r.get(7).is_none());
     }
 
     #[test]
     fn typed_binding_roundtrips() {
         let r = RpcRegistry::new();
         r.bind_typed(1, |_, _, (a, b): (u64, u64)| a + b);
+        assert!(r.get(2).is_none());
         let h = r.get(1).unwrap();
+        assert!(h.guard.is_none());
         let resp = call(&h, EpId::new(0, 0), EpId::new(0, 1), &(20u64, 22u64).to_bytes());
         assert_eq!(u64::from_bytes(&resp).unwrap(), 42);
     }
@@ -607,7 +571,7 @@ mod tests {
         r.bind_typed(1, |_, _, x: u64| x + 1);
         let h = r.get(1).unwrap();
         let mut out = vec![0xAB];
-        h(EpId::new(0, 0), EpId::new(0, 1), &41u64.to_bytes(), &mut out);
+        (h.handler)(EpId::new(0, 0), EpId::new(0, 1), &41u64.to_bytes(), &mut out);
         assert_eq!(out[0], 0xAB);
         assert_eq!(u64::from_bytes(&out[1..]).unwrap(), 42);
     }
@@ -616,17 +580,10 @@ mod tests {
     fn request_header_roundtrip() {
         let hdr = RequestHeader { req_id: 99, slot: 3, flags: FLAG_BATCH, chain: vec![1, 2, 3] };
         let msg = hdr.encode(b"argbytes");
-        let (got, off) = RequestHeader::decode(&msg).unwrap();
-        assert_eq!(got, hdr);
-        assert_eq!(&msg[off..], b"argbytes");
-    }
-
-    #[test]
-    fn request_header_rejects_truncation() {
-        let hdr = RequestHeader { req_id: 1, slot: 0, flags: 0, chain: vec![1, 2] };
-        let msg = hdr.encode(b"");
-        assert!(RequestHeader::decode(&msg[..10]).is_none());
-        assert!(RequestHeader::decode(&msg[..15]).is_none());
+        let req = Request::decode(&msg).unwrap();
+        assert_eq!((req.req_id, req.slot, req.flags, req.epoch), (99, 3, FLAG_BATCH, None));
+        assert_eq!(req.chain().collect::<Vec<_>>(), hdr.chain);
+        assert_eq!(req.args, b"argbytes");
     }
 
     #[test]
@@ -638,8 +595,7 @@ mod tests {
         assert_eq!(dec[0], (1, &b"one"[..]));
         assert_eq!(dec[1], (2, &b""[..]));
         assert_eq!(dec[2], (3, &b"three"[..]));
-        let resps = vec![b"r1".to_vec(), vec![], b"r3".to_vec()];
-        let enc = Bytes::from(encode_batch_response(&resps));
+        let enc = Bytes::from(b"\x03\0\0\0\x02\0\0\0r1\0\0\0\0\x02\0\0\0r3".to_vec());
         let dec = decode_batch_response(&enc).unwrap();
         assert_eq!(dec, vec![Bytes::from_static(b"r1"), Bytes::new(), Bytes::from_static(b"r3")]);
         // Zero-copy: each entry must point into the shared backing buffer.

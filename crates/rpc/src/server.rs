@@ -10,8 +10,8 @@ use hcl_mem::{Segment, SegmentAllocator};
 use parking_lot::Mutex;
 
 use crate::{
-    decode_batch, resp_key, slot_offset, RequestHeader, RpcRegistry, FLAG_BATCH, FLAG_EPOCH,
-    FLAG_IDEMPOTENT, FLAG_STAMPED, SLOTS_PER_CLIENT, SLOT_HDR,
+    decode_batch, resp_key, slot_offset, Binding, Request, RpcError, RpcRegistry, RpcResult, Tag,
+    FLAG_BATCH, FLAG_IDEMPOTENT, FLAG_STAMPED, SLOTS_PER_CLIENT, SLOT_HDR,
 };
 
 /// Server configuration.
@@ -24,26 +24,18 @@ pub struct ServerConfig {
     /// Worker threads — the emulated NIC cores (Mellanox BlueField-class
     /// NICs are multi-core, §I).
     pub nic_cores: usize,
-    /// Seen-request window capacity for [`FLAG_IDEMPOTENT`] dedup: how many
-    /// recently executed `(caller, req_id)` pairs (with their cached
-    /// responses) are remembered. `0` disables dedup — retransmitted
-    /// requests re-execute.
-    pub dedup_window: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            max_clients: 64,
-            slot_cap: crate::DEFAULT_SLOT_CAP,
-            nic_cores: 2,
-            dedup_window: DEFAULT_DEDUP_WINDOW,
-        }
+        ServerConfig { max_clients: 64, slot_cap: crate::DEFAULT_SLOT_CAP, nic_cores: 2 }
     }
 }
 
-/// Default [`ServerConfig::dedup_window`] capacity.
-pub const DEFAULT_DEDUP_WINDOW: usize = 1024;
+/// Seen-request window capacity for [`FLAG_IDEMPOTENT`] dedup: how many
+/// recently executed `(caller, req_id)` pairs (with their cached responses)
+/// are remembered.
+const DEDUP_WINDOW: usize = 1024;
 
 thread_local! {
     /// The `(caller rank, composed seq)` identity of the request the current
@@ -269,6 +261,26 @@ pub struct ServerStats {
     /// barrier they registered failed (or a handler could not log): never
     /// acknowledged, never re-executed; the caller ends in its retry budget.
     pub ack_failures: AtomicU64,
+    /// Received messages that did not parse as a request — shorter than the
+    /// header, cut inside the chain, or tagged with an epoch they do not
+    /// carry — and were dropped unanswered.
+    pub malformed: AtomicU64,
+}
+
+impl ServerStats {
+    fn snapshot(&self) -> ServerStatsSnapshot {
+        // ORDERING: Relaxed statistics.
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ServerStatsSnapshot {
+            requests: get(&self.requests),
+            busy_ns: get(&self.busy_ns),
+            overflow_responses: get(&self.overflow_responses),
+            deduped: get(&self.deduped),
+            wrong_epoch: get(&self.wrong_epoch),
+            ack_failures: get(&self.ack_failures),
+            malformed: get(&self.malformed),
+        }
+    }
 }
 
 /// A point-in-time copy of [`ServerStats`].
@@ -286,6 +298,294 @@ pub struct ServerStatsSnapshot {
     pub wrong_epoch: u64,
     /// Executed requests dropped unacknowledged on a failed ack barrier.
     pub ack_failures: u64,
+    /// Messages dropped because they did not parse as a request.
+    pub malformed: u64,
+}
+
+/// What every NIC core of one server shares.
+struct Pipeline {
+    ep: EpId,
+    registry: Arc<RpcRegistry>,
+    dedup: Mutex<DedupWindow>,
+    stats: Arc<ServerStats>,
+}
+
+impl Pipeline {
+    fn new(ep: EpId, registry: Arc<RpcRegistry>) -> Arc<Pipeline> {
+        let dedup = Mutex::new(DedupWindow::new(DEDUP_WINDOW));
+        Arc::new(Pipeline { ep, registry, dedup, stats: Arc::default() })
+    }
+}
+
+/// One NIC core's request pipeline and the scratch it reuses across
+/// requests: what every server worker runs on each received message.
+///
+/// Usable on any thread, one per thread: it marks its thread as an RPC
+/// worker for the lifetime of the core, so handlers defer their durability
+/// barriers to the request they run under ([`defer_to_ack_scope`]).
+pub struct NicCore {
+    pipe: Arc<Pipeline>,
+    /// The framed response under construction.
+    resp: Vec<u8>,
+    /// Intermediate outputs of a callback chain.
+    chain: Vec<u8>,
+    ack: AckScope,
+}
+
+/// A framed response and the slot it belongs in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reply<'a> {
+    /// The caller's response slot.
+    pub slot: u32,
+    /// The request id the slot's sequence word will carry.
+    pub req_id: u64,
+    /// The bytes to publish.
+    pub bytes: &'a [u8],
+}
+
+impl NicCore {
+    /// A standalone core serving `registry` as endpoint `ep`, with its own
+    /// dedup window and counters.
+    pub fn new(ep: EpId, registry: Arc<RpcRegistry>) -> NicCore {
+        NicCore::on(Pipeline::new(ep, registry))
+    }
+
+    fn on(pipe: Arc<Pipeline>) -> NicCore {
+        // Sized for the common small response: handlers append into it
+        // (out-param contract), so steady-state requests allocate nothing.
+        NicCore { pipe, resp: Vec::with_capacity(1024), chain: Vec::new(), ack: AckScope::enter() }
+    }
+
+    /// Serve one received message from `caller`: decode, dedup, guard gate,
+    /// execute (batch | chain), settle the ack scope, frame, record for
+    /// dedup. `None` when nothing may be published: a malformed message, a
+    /// duplicate of a request still executing, or a request whose
+    /// durability barrier failed.
+    ///
+    /// The response of a non-batch request is framed
+    /// `[stamp u64 if FLAG_STAMPED][status u8 if FLAG_EPOCH][body]`: both
+    /// prefixes are reserved before the body and back-patched, the stamp
+    /// last — after `settle`, so it covers what this request made durable.
+    /// [`unframe`] is the exact inverse.
+    pub fn serve(&mut self, caller: EpId, msg: &[u8]) -> Option<Reply<'_>> {
+        let NicCore { pipe, resp, chain, ack } = self;
+        let stats = &pipe.stats;
+        let Some(req) = Request::decode(msg) else {
+            // ORDERING: Relaxed statistic.
+            stats.malformed.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        resp.clear();
+        // Retransmittable request: execute at most once.
+        let dedup_key = (caller.rank, req.req_id);
+        let idempotent = req.flags & FLAG_IDEMPOTENT != 0;
+        if idempotent {
+            let mut w = pipe.dedup.lock();
+            if let Some(seen) = w.check_or_claim(dedup_key) {
+                // ORDERING: Relaxed statistic.
+                stats.deduped.fetch_add(1, Ordering::Relaxed);
+                // In progress: another core runs the original and will
+                // publish. Done: the response may have been lost to the
+                // requester, so publish it again.
+                let DedupEntry::Done(cached) = seen else { return None };
+                resp.extend_from_slice(cached);
+                return Some(Reply { slot: req.slot, req_id: req.req_id, bytes: resp });
+            }
+        }
+        let t0 = Instant::now();
+        let single = req.flags & FLAG_BATCH == 0;
+        let stamped = single && req.flags & FLAG_STAMPED != 0;
+        if stamped {
+            resp.extend_from_slice(&[0; 8]);
+        }
+        if req.epoch.is_some() {
+            resp.push(0);
+        }
+        let first = req.chain().next().filter(|_| single).and_then(|id| pipe.registry.get(id));
+        let guard = first.as_deref().and_then(|b| b.guard.as_ref());
+        // Ownership-epoch gate, *before* executing: a stale epoch means
+        // ownership may have moved since the caller resolved this server, so
+        // the handler must not run here. The rejection is still an answer
+        // (published and dedup-cached), so the transport never retransmits
+        // it; the dispatch layer re-resolves and re-issues.
+        let stale = match (req.epoch, guard) {
+            (Some(sent), Some(g)) => g.admit(sent).err(),
+            _ => None,
+        };
+        if let Some(current) = stale {
+            // ORDERING: Relaxed statistic.
+            stats.wrong_epoch.fetch_add(1, Ordering::Relaxed);
+            *resp.last_mut().expect("status byte reserved") = 1;
+            resp.extend_from_slice(&current.to_le_bytes());
+        } else if single {
+            // ORDERING: Relaxed statistic.
+            stats.requests.fetch_add(1, Ordering::Relaxed);
+            run_chain(pipe, resp, chain, caller, &req, first.as_deref());
+        } else {
+            run_batch(pipe, resp, caller, &req);
+        }
+        // Ack barrier: whatever the handlers deferred (strict-durability log
+        // commits) happens here, once per request, before anything below can
+        // tell anyone the request succeeded.
+        let settled = ack.settle();
+        // ORDERING: Relaxed statistic.
+        stats.busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if settled.is_err() {
+            // Not durable, so not acknowledged: no response, and the dedup
+            // entry stays `InProgress` so retransmissions are dropped instead
+            // of re-executing. The caller runs out its retry budget.
+            // ORDERING: Relaxed statistic.
+            stats.ack_failures.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        if stamped {
+            let stamp = guard.map_or(0, |g| (g.version)(pipe.ep));
+            resp[..8].copy_from_slice(&stamp.to_le_bytes());
+        }
+        if idempotent {
+            pipe.dedup.lock().complete(dedup_key, resp.clone());
+        }
+        Some(Reply { slot: req.slot, req_id: req.req_id, bytes: resp })
+    }
+}
+
+/// Run a callback chain, appending the last link's output to `resp`. The
+/// first link (`first`, already looked up for the guard) reads the request
+/// args in place; later links ping-pong between `resp`'s body and `scratch`.
+/// An unbound link leaves the body empty; no links echo the args.
+fn run_chain(
+    pipe: &Pipeline,
+    resp: &mut Vec<u8>,
+    scratch: &mut Vec<u8>,
+    caller: EpId,
+    req: &Request<'_>,
+    first: Option<&Binding>,
+) {
+    let start = resp.len();
+    let mut links = req.chain();
+    if links.next().is_none() {
+        resp.extend_from_slice(req.args);
+        return;
+    }
+    let Some(b) = first else { return };
+    let run = |b: &Binding, input: &[u8], out: &mut Vec<u8>| {
+        let _id = IdentityScope::enter(caller.rank, req.req_id, 0);
+        (b.handler)(pipe.ep, caller, input, out);
+    };
+    run(b, req.args, resp);
+    let mut in_scratch = false;
+    for id in links {
+        let Some(b) = pipe.registry.get(id) else {
+            resp.truncate(start);
+            return;
+        };
+        if in_scratch {
+            resp.truncate(start);
+            run(&b, scratch, resp);
+        } else {
+            scratch.clear();
+            run(&b, &resp[start..], scratch);
+        }
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        resp.truncate(start);
+        resp.extend_from_slice(scratch);
+    }
+}
+
+/// Run every call of an aggregated request, assembling `[count][(len,
+/// resp)...]` in `resp` with length back-patching — no per-call Vec.
+fn run_batch(pipe: &Pipeline, resp: &mut Vec<u8>, caller: EpId, req: &Request<'_>) {
+    let calls = decode_batch(req.args).unwrap_or_default();
+    resp.extend_from_slice(&(calls.len() as u32).to_le_bytes());
+    for (i, (id, args)) in calls.into_iter().enumerate() {
+        // ORDERING: Relaxed statistic.
+        pipe.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let len_pos = resp.len();
+        resp.extend_from_slice(&0u32.to_le_bytes());
+        if let Some(b) = pipe.registry.get(id) {
+            let _id = IdentityScope::enter(caller.rank, req.req_id, i as u64 + 1);
+            (b.handler)(pipe.ep, caller, args, resp);
+        }
+        let n = (resp.len() - len_pos - 4) as u32;
+        resp[len_pos..len_pos + 4].copy_from_slice(&n.to_le_bytes());
+    }
+}
+
+/// Open a response [`NicCore::serve`] framed for a single call sent under
+/// `tag`: the exact inverse of its framing. Returns `(stamp, body)`; the
+/// stamp is 0 unless `tag.stamped`, and a rejected epoch comes back as
+/// [`RpcError::WrongEpoch`].
+pub(crate) fn unframe(tag: Tag, bytes: &[u8]) -> RpcResult<(u64, &[u8])> {
+    let decode = |what: &str| RpcError::Decode(what.into());
+    let (mut stamp, mut rest) = (0, bytes);
+    if tag.stamped {
+        let (s, tail) = rest
+            .split_first_chunk::<8>()
+            .ok_or_else(|| decode("stamped response shorter than its stamp"))?;
+        (stamp, rest) = (u64::from_le_bytes(*s), tail);
+    }
+    let Some(sent) = tag.epoch else { return Ok((stamp, rest)) };
+    match rest.split_first() {
+        Some((0, body)) => Ok((stamp, body)),
+        Some((1, current)) => {
+            let current = current
+                .first_chunk::<8>()
+                .ok_or_else(|| decode("epoch rejection missing current epoch"))?;
+            Err(RpcError::WrongEpoch { sent, current: u64::from_le_bytes(*current) })
+        }
+        Some((other, _)) => Err(RpcError::Decode(format!("unknown epoch status byte {other}"))),
+        None => Err(decode("epoch-tagged response missing status byte")),
+    }
+}
+
+/// The response side of one server: the slot region clients pull from and
+/// its overflow area.
+struct Outbox {
+    resp_seg: Arc<Segment>,
+    overflow: SegmentAllocator,
+    /// The overflow block each `(caller rank, slot)` holds right now.
+    overflow_live: Mutex<HashMap<(u32, u32), usize>>,
+    slot_cap: usize,
+    stats: Arc<ServerStats>,
+}
+
+impl Outbox {
+    /// Publish `reply` into `caller_rank`'s slot: payload (inline or
+    /// spilled), then length, then the sequence word last — the completion
+    /// the client polls for.
+    ///
+    /// Publication is skipped when the slot already carries a sequence at or
+    /// beyond the reply's: request ids on one slot strictly increase, so a
+    /// smaller id means this is a late duplicate of a request whose caller
+    /// has already consumed the response and moved on — overwriting would
+    /// wedge the slot's current occupant.
+    fn publish(&self, caller_rank: u32, reply: Reply<'_>) {
+        let Reply { slot, req_id, bytes } = reply;
+        let slot_off = slot_offset(caller_rank, slot, self.slot_cap);
+        if self.resp_seg.load_u64(slot_off).expect("slot seq read") >= req_id {
+            return;
+        }
+        let payload_off = slot_off + SLOT_HDR;
+        // Free the overflow block this slot used last time (its response was
+        // necessarily consumed: the client may not reuse a slot before that).
+        if let Some(prev) = self.overflow_live.lock().remove(&(caller_rank, slot)) {
+            let _ = self.overflow.free(prev);
+        }
+        if bytes.len() <= self.slot_cap {
+            self.resp_seg.write(payload_off, bytes).expect("slot payload write");
+        } else {
+            // ORDERING: Relaxed statistic.
+            self.stats.overflow_responses.fetch_add(1, Ordering::Relaxed);
+            let off = self.overflow.alloc(bytes.len()).expect("overflow allocation");
+            self.resp_seg.write(off, bytes).expect("overflow write");
+            self.resp_seg.store_u64(payload_off, off as u64).expect("overflow pointer write");
+            self.overflow_live.lock().insert((caller_rank, slot), off);
+        }
+        self.resp_seg.store_u64(slot_off + 8, bytes.len() as u64).expect("slot len write");
+        self.resp_seg.store_u64(slot_off, req_id).expect("slot seq write");
+    }
 }
 
 /// The RPC server bound to one endpoint.
@@ -299,7 +599,8 @@ pub struct RpcServer {
 
 impl RpcServer {
     /// Start a server on `ep`: registers the response buffer region and
-    /// spawns `cfg.nic_cores` worker threads pulling from the request queue.
+    /// spawns `cfg.nic_cores` worker threads, each looping *receive →
+    /// [`NicCore::serve`] → publish*.
     pub fn start(
         ep: EpId,
         fabric: Arc<dyn Fabric>,
@@ -307,252 +608,45 @@ impl RpcServer {
         cfg: ServerConfig,
     ) -> Self {
         let slot_size = SLOT_HDR + cfg.slot_cap;
-        let header_area =
-            cfg.max_clients as usize * SLOTS_PER_CLIENT as usize * slot_size;
+        let header_area = cfg.max_clients as usize * SLOTS_PER_CLIENT as usize * slot_size;
         let resp_seg = Segment::new(header_area + 4096);
         fabric.register_endpoint(ep).expect("register server endpoint");
         fabric
             .register_region(resp_key(ep), Arc::clone(&resp_seg))
             .expect("register response region");
-        let overflow = Arc::new(SegmentAllocator::new(Arc::clone(&resp_seg), header_area));
-        let overflow_live: Arc<Mutex<HashMap<(u32, u32), usize>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let dedup = Arc::new(Mutex::new(DedupWindow::new(cfg.dedup_window)));
+        let pipe = Pipeline::new(ep, registry);
+        let stats = Arc::clone(&pipe.stats);
+        let outbox = Arc::new(Outbox {
+            resp_seg: Arc::clone(&resp_seg),
+            overflow: SegmentAllocator::new(Arc::clone(&resp_seg), header_area),
+            overflow_live: Mutex::new(HashMap::new()),
+            slot_cap: cfg.slot_cap,
+            stats: Arc::clone(&stats),
+        });
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ServerStats::default());
-        let mut workers = Vec::with_capacity(cfg.nic_cores);
-        for core in 0..cfg.nic_cores {
-            let fabric = Arc::clone(&fabric);
-            let registry = Arc::clone(&registry);
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let resp_seg = Arc::clone(&resp_seg);
-            let overflow = Arc::clone(&overflow);
-            let overflow_live = Arc::clone(&overflow_live);
-            let dedup = Arc::clone(&dedup);
-            workers.push(
+        let workers = (0..cfg.nic_cores)
+            .map(|core| {
+                let (fabric, stop) = (Arc::clone(&fabric), Arc::clone(&stop));
+                let (pipe, outbox) = (Arc::clone(&pipe), Arc::clone(&outbox));
                 std::thread::Builder::new()
                     .name(format!("hcl-nic-{ep}-c{core}"))
                     .spawn(move || {
-                        // Per-worker scratch buffers, reused across requests:
-                        // handlers append into them (out-param contract), so
-                        // the steady-state request loop allocates nothing for
-                        // responses.
-                        let mut resp_buf: Vec<u8> = Vec::with_capacity(1024);
-                        let mut chain_buf: Vec<u8> = Vec::new();
-                        let ack_scope = AckScope::enter();
+                        let mut nic = NicCore::on(pipe);
                         while !stop.load(Ordering::Acquire) {
-                            let msg = match fabric.recv(ep, Some(Duration::from_millis(20))) {
+                            let wait = Some(Duration::from_millis(20));
+                            let (caller, msg) = match fabric.recv(ep, wait) {
                                 Ok(Some(m)) => m,
                                 Ok(None) => continue,
                                 Err(_) => break,
                             };
-                            let (caller, payload) = msg;
-                            let Some((hdr, args_off)) = RequestHeader::decode(&payload) else {
-                                continue;
-                            };
-                            // Retransmittable request: execute at most once.
-                            let dedup_key = (caller.rank, hdr.req_id);
-                            let dedup_active =
-                                hdr.flags & FLAG_IDEMPOTENT != 0 && cfg.dedup_window > 0;
-                            if dedup_active {
-                                let mut w = dedup.lock();
-                                match w.check_or_claim(dedup_key) {
-                                    Some(DedupEntry::InProgress) => {
-                                        // Another core is running the
-                                        // original; it will publish.
-                                        // ORDERING: Relaxed statistic.
-                                        stats.deduped.fetch_add(1, Ordering::Relaxed);
-                                        continue;
-                                    }
-                                    Some(DedupEntry::Done(cached)) => {
-                                        // The response may have been lost to
-                                        // the requester; republish it.
-                                        let cached = cached.clone();
-                                        drop(w);
-                                        // ORDERING: Relaxed statistic.
-                                        stats.deduped.fetch_add(1, Ordering::Relaxed);
-                                        publish_response(
-                                            &resp_seg,
-                                            &overflow,
-                                            &overflow_live,
-                                            &stats,
-                                            cfg.slot_cap,
-                                            caller.rank,
-                                            hdr.slot,
-                                            hdr.req_id,
-                                            &cached,
-                                        );
-                                        continue;
-                                    }
-                                    None => {}
-                                }
+                            if let Some(reply) = nic.serve(caller, &msg) {
+                                outbox.publish(caller.rank, reply);
                             }
-                            // Ownership-epoch gate: an epoch-tagged request
-                            // carries its caller's resolved epoch as an
-                            // 8-byte LE args prefix. Check it against the
-                            // registered gate *before* executing — a stale
-                            // epoch means ownership may have moved since the
-                            // caller resolved this server, so the mutation
-                            // must not run here.
-                            let mut args_off = args_off;
-                            let epoch_tagged =
-                                hdr.flags & FLAG_EPOCH != 0 && hdr.flags & FLAG_BATCH == 0;
-                            let mut epoch_reject: Option<u64> = None;
-                            if epoch_tagged {
-                                if payload.len() < args_off + 8 {
-                                    continue;
-                                }
-                                let sent = u64::from_le_bytes(
-                                    payload[args_off..args_off + 8]
-                                        .try_into()
-                                        .expect("8-byte epoch prefix"),
-                                );
-                                args_off += 8;
-                                if let Some(cur) = hdr
-                                    .chain
-                                    .first()
-                                    .and_then(|id| registry.gate_epoch_for(*id))
-                                {
-                                    if cur != sent {
-                                        epoch_reject = Some(cur);
-                                    }
-                                }
-                            }
-                            let t0 = Instant::now();
-                            resp_buf.clear();
-                            if let Some(cur) = epoch_reject {
-                                // Rejection body: status 1 + current epoch.
-                                // Still published (and dedup-cached) like any
-                                // response — the request was *answered*, so
-                                // the transport never retransmits it; the
-                                // dispatch layer re-resolves and re-issues
-                                // under a fresh request id.
-                                // ORDERING: Relaxed statistic.
-                                stats.wrong_epoch.fetch_add(1, Ordering::Relaxed);
-                                resp_buf.push(1);
-                                resp_buf.extend_from_slice(&cur.to_le_bytes());
-                            } else if hdr.flags & FLAG_BATCH != 0 {
-                                // Aggregated request: run every bundled call,
-                                // assembling `[count][(len, resp)...]` in the
-                                // scratch buffer with length back-patching —
-                                // no per-call response Vec.
-                                let calls = decode_batch(&payload[args_off..])
-                                    .unwrap_or_default();
-                                resp_buf
-                                    .extend_from_slice(&(calls.len() as u32).to_le_bytes());
-                                for (i, (id, args)) in calls.into_iter().enumerate() {
-                                    // ORDERING: Relaxed statistic.
-                                    stats.requests.fetch_add(1, Ordering::Relaxed);
-                                    let len_pos = resp_buf.len();
-                                    resp_buf.extend_from_slice(&0u32.to_le_bytes());
-                                    let start = resp_buf.len();
-                                    if let Some(h) = registry.get(id) {
-                                        let _id =
-                                            IdentityScope::enter(caller.rank, hdr.req_id, i as u64 + 1);
-                                        h(ep, caller, args, &mut resp_buf);
-                                    }
-                                    let n = (resp_buf.len() - start) as u32;
-                                    resp_buf[len_pos..len_pos + 4]
-                                        .copy_from_slice(&n.to_le_bytes());
-                                }
-                            } else {
-                                // Callback chain: the first link reads the
-                                // request payload in place (the borrow that
-                                // replaces the old per-request `to_vec`);
-                                // later links ping-pong between the two
-                                // scratch buffers.
-                                // ORDERING: Relaxed statistic.
-                                stats.requests.fetch_add(1, Ordering::Relaxed);
-                                if hdr.chain.is_empty() {
-                                    resp_buf.extend_from_slice(&payload[args_off..]);
-                                }
-                                let mut first = true;
-                                for id in &hdr.chain {
-                                    match registry.get(*id) {
-                                        Some(h) => {
-                                            chain_buf.clear();
-                                            let _id =
-                                                IdentityScope::enter(caller.rank, hdr.req_id, 0);
-                                            if first {
-                                                h(ep, caller, &payload[args_off..], &mut chain_buf);
-                                                first = false;
-                                            } else {
-                                                h(ep, caller, &resp_buf, &mut chain_buf);
-                                            }
-                                            std::mem::swap(&mut resp_buf, &mut chain_buf);
-                                        }
-                                        None => {
-                                            resp_buf.clear();
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            // Executed epoch-tagged request: status byte 0
-                            // ahead of the payload (the rejection arm wrote
-                            // its own status-1 body above). Sits *inside*
-                            // any FLAG_STAMPED stamp prefix.
-                            if epoch_tagged && epoch_reject.is_none() {
-                                chain_buf.clear();
-                                chain_buf.push(0);
-                                chain_buf.extend_from_slice(&resp_buf);
-                                std::mem::swap(&mut resp_buf, &mut chain_buf);
-                            }
-                            // Ack barrier: whatever the handlers deferred
-                            // (strict-durability log commits) happens here,
-                            // once per request, before anything below can
-                            // tell anyone the request succeeded.
-                            let settled = ack_scope.settle();
-                            // ORDERING: Relaxed statistic.
-                            stats
-                                .busy_ns
-                                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            if settled.is_err() {
-                                // Not durable, so not acknowledged: no
-                                // response, and the dedup entry stays
-                                // `InProgress` so retransmissions are dropped
-                                // instead of re-executing. The caller runs
-                                // out its retry budget.
-                                // ORDERING: Relaxed statistic.
-                                stats.ack_failures.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            // Version-stamped response: prefix the partition
-                            // version (read *after* the handler ran, so any
-                            // mutation this request performed is covered by
-                            // its own stamp). Reuses the chain scratch — no
-                            // per-request allocation.
-                            if hdr.flags & FLAG_STAMPED != 0 && hdr.flags & FLAG_BATCH == 0 {
-                                let stamp = hdr
-                                    .chain
-                                    .first()
-                                    .and_then(|id| registry.stamp_for(*id, ep))
-                                    .unwrap_or(0);
-                                chain_buf.clear();
-                                chain_buf.extend_from_slice(&stamp.to_le_bytes());
-                                chain_buf.extend_from_slice(&resp_buf);
-                                std::mem::swap(&mut resp_buf, &mut chain_buf);
-                            }
-                            if dedup_active {
-                                dedup.lock().complete(dedup_key, resp_buf.clone());
-                            }
-                            publish_response(
-                                &resp_seg,
-                                &overflow,
-                                &overflow_live,
-                                &stats,
-                                cfg.slot_cap,
-                                caller.rank,
-                                hdr.slot,
-                                hdr.req_id,
-                                &resp_buf,
-                            );
                         }
                     })
-                    .expect("spawn NIC worker"),
-            );
-        }
+                    .expect("spawn NIC worker")
+            })
+            .collect();
         RpcServer { ep, stop, workers, stats, resp_seg }
     }
 
@@ -563,14 +657,7 @@ impl RpcServer {
 
     /// Profiling counters.
     pub fn stats(&self) -> ServerStatsSnapshot {
-        ServerStatsSnapshot {
-            requests: self.stats.requests.load(Ordering::Relaxed),
-            busy_ns: self.stats.busy_ns.load(Ordering::Relaxed),
-            overflow_responses: self.stats.overflow_responses.load(Ordering::Relaxed),
-            deduped: self.stats.deduped.load(Ordering::Relaxed),
-            wrong_epoch: self.stats.wrong_epoch.load(Ordering::Relaxed),
-            ack_failures: self.stats.ack_failures.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Current size of the response segment (memory-profiling hook).
@@ -597,55 +684,11 @@ impl Drop for RpcServer {
     }
 }
 
-/// Publish `response` into the caller's slot: payload (inline or spilled),
-/// then length, then the sequence word last — the completion the client
-/// polls for.
-///
-/// Publication is skipped when the slot already carries a sequence at or
-/// beyond `req_id`: request ids on one slot strictly increase, so a smaller
-/// id means this is a late duplicate of a request whose caller has already
-/// consumed the response and moved on — overwriting would wedge the slot's
-/// current occupant.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn publish_response(
-    resp_seg: &Arc<Segment>,
-    overflow: &Arc<SegmentAllocator>,
-    overflow_live: &Arc<Mutex<HashMap<(u32, u32), usize>>>,
-    stats: &Arc<ServerStats>,
-    slot_cap: usize,
-    caller_rank: u32,
-    slot: u32,
-    req_id: u64,
-    response: &[u8],
-) {
-    let slot_off = slot_offset(caller_rank, slot, slot_cap);
-    if resp_seg.load_u64(slot_off).expect("slot seq read") >= req_id {
-        return;
-    }
-    let payload_off = slot_off + SLOT_HDR;
-    // Free the overflow block this slot used last time (its response was
-    // necessarily consumed: the client may not reuse a slot before that).
-    if let Some(prev) = overflow_live.lock().remove(&(caller_rank, slot)) {
-        let _ = overflow.free(prev);
-    }
-    if response.len() <= slot_cap {
-        resp_seg.write(payload_off, response).expect("slot payload write");
-    } else {
-        // ORDERING: Relaxed statistic.
-        stats.overflow_responses.fetch_add(1, Ordering::Relaxed);
-        let off = overflow.alloc(response.len()).expect("overflow allocation");
-        resp_seg.write(off, response).expect("overflow write");
-        resp_seg.store_u64(payload_off, off as u64).expect("overflow pointer write");
-        overflow_live.lock().insert((caller_rank, slot), off);
-    }
-    resp_seg.store_u64(slot_off + 8, response.len() as u64).expect("slot len write");
-    resp_seg.store_u64(slot_off, req_id).expect("slot seq write");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RequestHeader;
+    use crate::client::RpcClient;
+    use crate::{Guard, RequestHeader};
     use hcl_fabric::memory::MemoryFabric;
 
     #[test]
@@ -670,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn dedup_window_claims_then_answers_from_cache() {
+    fn dedup_claims_then_answers_from_cache() {
         let mut w = DedupWindow::new(8);
         assert!(w.check_or_claim((0, 1)).is_none());
         assert!(matches!(w.check_or_claim((0, 1)), Some(DedupEntry::InProgress)));
@@ -684,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn dedup_window_evicts_oldest_at_capacity() {
+    fn dedup_evicts_oldest_at_capacity() {
         let mut w = DedupWindow::new(2);
         assert!(w.check_or_claim((0, 1)).is_none());
         assert!(w.check_or_claim((0, 2)).is_none());
@@ -707,30 +750,34 @@ mod tests {
         assert!(w.check_or_claim((0, 1)).is_none(), "evicted completion not resurrected");
     }
 
+    /// A server with `nic_cores` workers over a memory fabric, and a client
+    /// of it at rank 1.
+    fn rig(registry: RpcRegistry, nic_cores: usize) -> (Arc<dyn Fabric>, RpcServer, RpcClient) {
+        let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
+        let server = RpcServer::start(
+            EpId::new(0, 0),
+            Arc::clone(&fabric),
+            Arc::new(registry),
+            ServerConfig { max_clients: 4, slot_cap: 256, nic_cores },
+        );
+        let client = RpcClient::new(EpId::new(0, 1), Arc::clone(&fabric), 256);
+        (fabric, server, client)
+    }
+
     /// Run a server over a raw fabric, send `copies` of one request, and
     /// return (handler executions, server deduped counter).
-    fn run_duplicates(flags: u8, copies: usize, dedup_window: usize) -> (u64, u64) {
-        use std::sync::atomic::AtomicU64;
-        let fabric: Arc<dyn hcl_fabric::Fabric> = Arc::new(MemoryFabric::new());
-        let server_ep = hcl_fabric::EpId::new(0, 0);
-        let client_ep = hcl_fabric::EpId::new(0, 1);
-        fabric.register_endpoint(client_ep).unwrap();
-        let registry = Arc::new(RpcRegistry::new());
+    fn run_duplicates(flags: u8, copies: usize) -> (u64, u64) {
+        let registry = RpcRegistry::new();
         let executions = Arc::new(AtomicU64::new(0));
         let e2 = Arc::clone(&executions);
-        registry.bind(7, move |_, _, args| {
+        registry.bind_typed(7, move |_, _, x: u64| {
             e2.fetch_add(1, Ordering::Relaxed);
-            args.to_vec()
+            x
         });
-        let server = RpcServer::start(
-            server_ep,
-            Arc::clone(&fabric),
-            registry,
-            ServerConfig { max_clients: 4, slot_cap: 256, nic_cores: 2, dedup_window },
-        );
-        let msg = RequestHeader { req_id: 1, slot: 1, flags, chain: vec![7] }.encode(b"x");
+        let (fabric, server, client) = rig(registry, 2);
+        let msg = RequestHeader { req_id: 1, slot: 1, flags, chain: vec![7] }.encode(&[0; 8]);
         for _ in 0..copies {
-            fabric.send(client_ep, server_ep, msg.clone()).unwrap();
+            fabric.send(client.endpoint(), server.endpoint(), msg.clone()).unwrap();
         }
         // Wait until every copy has been consumed one way or the other.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -748,22 +795,15 @@ mod tests {
 
     #[test]
     fn flagged_duplicates_execute_once() {
-        let (execs, deduped) = run_duplicates(FLAG_IDEMPOTENT, 3, 64);
+        let (execs, deduped) = run_duplicates(FLAG_IDEMPOTENT, 3);
         assert_eq!(execs, 1, "handler must run exactly once");
         assert_eq!(deduped, 2, "both duplicates absorbed");
     }
 
     #[test]
     fn unflagged_duplicates_re_execute() {
-        let (execs, deduped) = run_duplicates(0, 3, 64);
+        let (execs, deduped) = run_duplicates(0, 3);
         assert_eq!(execs, 3, "no dedup without the idempotent flag");
-        assert_eq!(deduped, 0);
-    }
-
-    #[test]
-    fn zero_window_disables_dedup() {
-        let (execs, deduped) = run_duplicates(FLAG_IDEMPOTENT, 2, 0);
-        assert_eq!(execs, 2);
         assert_eq!(deduped, 0);
     }
 
@@ -786,17 +826,14 @@ mod tests {
     /// A one-core server over a memory fabric whose fn 7 defers its `u64`
     /// argument as an LSN on a gated barrier (and echoes it), fn 8 echoes
     /// without touching the ack scope, and fn 9 poisons the scope.
-    fn gated_server(
-        dedup_window: usize,
-    ) -> (Arc<dyn hcl_fabric::Fabric>, RpcServer, Arc<AtomicU64>, Gate) {
-        let fabric: Arc<dyn hcl_fabric::Fabric> = Arc::new(MemoryFabric::new());
+    fn gated_server() -> (Arc<dyn Fabric>, RpcServer, RpcClient, Arc<AtomicU64>, Gate) {
         let (entered_tx, entered_rx) = std::sync::mpsc::channel();
         let (outcome_tx, outcome_rx) = std::sync::mpsc::channel();
         let barrier: Arc<dyn AckBarrier> = Arc::new(GatedBarrier {
             entered: Mutex::new(entered_tx),
             outcome: Mutex::new(outcome_rx),
         });
-        let registry = Arc::new(RpcRegistry::new());
+        let registry = RpcRegistry::new();
         let executions = Arc::new(AtomicU64::new(0));
         let e2 = Arc::clone(&executions);
         registry.bind_typed(7, move |_, _, lsn: u64| {
@@ -809,22 +846,15 @@ mod tests {
             poison_ack_scope();
             x
         });
-        let server = RpcServer::start(
-            hcl_fabric::EpId::new(0, 0),
-            Arc::clone(&fabric),
-            registry,
-            ServerConfig { max_clients: 4, slot_cap: 256, nic_cores: 1, dedup_window },
-        );
-        (fabric, server, executions, (entered_rx, outcome_tx))
+        let (fabric, server, client) = rig(registry, 1);
+        (fabric, server, client, executions, (entered_rx, outcome_tx))
     }
 
     #[test]
     fn ack_barrier_commits_once_per_request_before_publish() {
-        use crate::client::RpcClient;
         use hcl_databox::DataBox;
-        let (fabric, server, _, (entered, outcome)) = gated_server(64);
+        let (_, server, client, _, (entered, outcome)) = gated_server();
         let server_ep = server.endpoint();
-        let client = RpcClient::new(hcl_fabric::EpId::new(0, 1), Arc::clone(&fabric), 256);
         let wait = Duration::from_secs(10);
 
         // Single call: the worker is parked inside the commit, and nothing
@@ -836,7 +866,7 @@ mod tests {
         assert_eq!(single.wait().unwrap(), 5);
 
         // Callback chain: both links defer; one commit, after the last link.
-        let chained = client.invoke_chain::<u64, u64>(server_ep, vec![7, 7], &6).unwrap();
+        let chained = client.invoke_chain::<u64, u64>(server_ep, &[7, 7], &6).unwrap();
         assert_eq!(entered.recv_timeout(wait).unwrap(), 6);
         assert!(chained.try_get().is_none());
         outcome.send(Ok(())).unwrap();
@@ -861,10 +891,8 @@ mod tests {
 
     #[test]
     fn failed_ack_barrier_publishes_nothing_and_blocks_reexecution() {
-        let (fabric, server, executions, (entered, outcome)) = gated_server(64);
-        let server_ep = server.endpoint();
-        let client_ep = hcl_fabric::EpId::new(0, 1);
-        fabric.register_endpoint(client_ep).unwrap();
+        let (fabric, server, client, executions, (entered, outcome)) = gated_server();
+        let (server_ep, client_ep) = (server.endpoint(), client.endpoint());
         let slot_seq = |slot: u32| {
             server.resp_seg.load_u64(slot_offset(client_ep.rank, slot, 256)).unwrap()
         };
@@ -928,48 +956,49 @@ mod tests {
         assert!(scope.settle().is_ok(), "the off-scope poison left nothing behind");
     }
 
+    /// A guard gating on `epoch` and stamping `version`.
+    fn guard(epoch: Option<&Arc<AtomicU64>>, version: &Arc<AtomicU64>) -> Option<Guard> {
+        let version = Arc::clone(version);
+        Some(Guard {
+            epoch: epoch.cloned(),
+            version: Arc::new(move |_| version.load(Ordering::Relaxed)),
+        })
+    }
+
     #[test]
     fn epoch_gate_rejects_stale_and_admits_current() {
-        use crate::client::RpcClient;
         use crate::RpcError;
-        let fabric: Arc<dyn hcl_fabric::Fabric> = Arc::new(MemoryFabric::new());
-        let server_ep = hcl_fabric::EpId::new(0, 0);
-        let registry = Arc::new(RpcRegistry::new());
+        let registry = RpcRegistry::new();
         let epoch = Arc::new(AtomicU64::new(3));
-        registry.bind_typed(50, |_, _, x: u64| x + 1);
-        registry.bind_typed(60, |_, _, x: u64| x * 10); // outside the gated range
-        let e2 = Arc::clone(&epoch);
-        registry.set_epoch_gate(50, 2, move || e2.load(Ordering::Relaxed));
-        let server = RpcServer::start(
-            server_ep,
-            Arc::clone(&fabric),
-            Arc::clone(&registry),
-            ServerConfig { max_clients: 4, slot_cap: 256, nic_cores: 1, dedup_window: 64 },
-        );
-        let client = RpcClient::new(hcl_fabric::EpId::new(0, 1), Arc::clone(&fabric), 256);
+        let version = Arc::new(AtomicU64::new(0));
+        registry.bind_guarded(50, guard(Some(&epoch), &version), |_, _, x: u64| x + 1);
+        registry.bind_typed(60, |_, _, x: u64| x * 10); // no guard
+        let (_, server, client) = rig(registry, 1);
+        let server_ep = server.endpoint();
+        let tagged = |epoch, stamped| Tag { epoch: Some(epoch), stamped };
         // Matching epoch: executes.
-        let (stamp, r): (u64, u64) = client.invoke_epoch(server_ep, 50, 3, false, &1u64).unwrap();
+        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 50, tagged(3, false), &1u64).unwrap();
         assert_eq!((stamp, r), (0, 2));
         assert_eq!(server.stats().wrong_epoch, 0);
         // Stale epoch: typed rejection carrying the current epoch, handler
         // skipped.
-        let err = client.invoke_epoch::<u64, u64>(server_ep, 50, 2, false, &1u64).unwrap_err();
+        let err = client.invoke_tagged::<u64, u64>(server_ep, 50, tagged(2, false), &1u64).unwrap_err();
         assert_eq!(err, RpcError::WrongEpoch { sent: 2, current: 3 });
         assert_eq!(server.stats().wrong_epoch, 1);
         // Epoch moved: yesterday's epoch now rejects, today's admits.
         epoch.store(4, Ordering::Relaxed);
-        let err = client.invoke_epoch::<u64, u64>(server_ep, 50, 3, false, &1u64).unwrap_err();
+        let err = client.invoke_tagged::<u64, u64>(server_ep, 50, tagged(3, false), &1u64).unwrap_err();
         assert_eq!(err, RpcError::WrongEpoch { sent: 3, current: 4 });
-        let (_, r): (u64, u64) = client.invoke_epoch(server_ep, 50, 4, false, &1u64).unwrap();
+        let (_, r): (u64, u64) = client.invoke_tagged(server_ep, 50, tagged(4, false), &1u64).unwrap();
         assert_eq!(r, 2);
         // FLAG_STAMPED composes: stamp is the outer prefix on both outcomes.
-        registry.set_stamper(50, 2, |_| 77);
-        let (stamp, r): (u64, u64) = client.invoke_epoch(server_ep, 50, 4, true, &5u64).unwrap();
+        version.store(77, Ordering::Relaxed);
+        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 50, tagged(4, true), &5u64).unwrap();
         assert_eq!((stamp, r), (77, 6));
-        let err = client.invoke_epoch::<u64, u64>(server_ep, 50, 9, true, &5u64).unwrap_err();
+        let err = client.invoke_tagged::<u64, u64>(server_ep, 50, tagged(9, true), &5u64).unwrap_err();
         assert_eq!(err, RpcError::WrongEpoch { sent: 9, current: 4 });
-        // No gate over fn 60: the tag is stripped and the handler runs.
-        let (_, r): (u64, u64) = client.invoke_epoch(server_ep, 60, 999, false, &7u64).unwrap();
+        // No guard on fn 60: the tag is stripped and the handler runs.
+        let (_, r): (u64, u64) = client.invoke_tagged(server_ep, 60, tagged(999, false), &7u64).unwrap();
         assert_eq!(r, 70);
         // Plain invocations through the same server stay un-prefixed.
         let plain: u64 = client.invoke(server_ep, 50, &10u64).unwrap();
@@ -979,30 +1008,21 @@ mod tests {
 
     #[test]
     fn stamped_responses_carry_the_registered_version() {
-        use crate::client::RpcClient;
-        let fabric: Arc<dyn hcl_fabric::Fabric> = Arc::new(MemoryFabric::new());
-        let server_ep = hcl_fabric::EpId::new(0, 0);
-        let registry = Arc::new(RpcRegistry::new());
+        let registry = RpcRegistry::new();
         let version = Arc::new(AtomicU64::new(7));
-        registry.bind_typed(40, |_, _, x: u64| x + 1);
-        registry.bind_typed(41, |_, _, x: u64| x * 2);
-        registry.bind_typed(99, |_, _, x: u64| x); // outside the stamped range
-        let v2 = Arc::clone(&version);
-        registry.set_stamper(40, 2, move |_| v2.load(Ordering::Relaxed));
-        let server = RpcServer::start(
-            server_ep,
-            Arc::clone(&fabric),
-            Arc::clone(&registry),
-            ServerConfig { max_clients: 4, slot_cap: 256, nic_cores: 1, dedup_window: 64 },
-        );
-        let client = RpcClient::new(hcl_fabric::EpId::new(0, 1), Arc::clone(&fabric), 256);
-        let (stamp, r): (u64, u64) = client.invoke_stamped(server_ep, 40, &1u64).unwrap();
+        registry.bind_guarded(40, guard(None, &version), |_, _, x: u64| x + 1);
+        registry.bind_guarded(41, guard(None, &version), |_, _, x: u64| x * 2);
+        registry.bind_typed(99, |_, _, x: u64| x); // no guard
+        let (_, server, client) = rig(registry, 1);
+        let server_ep = server.endpoint();
+        let stamped = Tag { epoch: None, stamped: true };
+        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 40, stamped, &1u64).unwrap();
         assert_eq!((stamp, r), (7, 2));
         version.store(9, Ordering::Relaxed);
-        let (stamp, r): (u64, u64) = client.invoke_stamped(server_ep, 41, &3u64).unwrap();
+        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 41, stamped, &3u64).unwrap();
         assert_eq!((stamp, r), (9, 6), "stamp tracks the live version");
-        // No stamper over fn 99: the stamp prefix is still present, zeroed.
-        let (stamp, r): (u64, u64) = client.invoke_stamped(server_ep, 99, &5u64).unwrap();
+        // No guard on fn 99: the stamp prefix is still present, zeroed.
+        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 99, stamped, &5u64).unwrap();
         assert_eq!((stamp, r), (0, 5));
         // Unstamped invocations through the same server stay un-prefixed.
         let plain: u64 = client.invoke(server_ep, 40, &10u64).unwrap();

@@ -10,12 +10,20 @@
 //! allocates once per request — it is the single retained allocation the
 //! codec overhaul left in place — so it sits outside the measured region.)
 
+mod support;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use bytes::BytesMut;
 use hcl_databox::DataBox;
-use hcl_rpc::{encode_batch_into, encode_request_header_into};
+use hcl_fabric::EpId;
+use hcl_rpc::server::NicCore;
+use hcl_rpc::{
+    encode_batch_into, encode_request_header_into, BatchArena, RequestHeader, RpcRegistry,
+    FLAG_EPOCH, FLAG_STAMPED,
+};
 
 struct CountingAlloc;
 
@@ -78,42 +86,52 @@ fn small_value_encode_path_is_allocation_free_at_steady_state() {
 
 #[test]
 fn batch_encode_path_is_allocation_free_at_steady_state() {
-    // The coalescer's flush path: N staged arg windows borrowed from one
-    // arena, batch-encoded into a reusable payload buffer.
-    let mut arena: Vec<u8> = Vec::with_capacity(1024);
-    let mut ends: Vec<usize> = Vec::with_capacity(16);
+    // The coalescer's flush path: N calls staged in one reused arena,
+    // batch-encoded into a reusable payload buffer.
+    let mut arena = BatchArena::with_capacity(16, 16);
     let mut payload: Vec<u8> = Vec::with_capacity(2048);
-    let stage = |arena: &mut Vec<u8>, ends: &mut Vec<usize>| {
+    let mut flush = || {
         arena.clear();
-        ends.clear();
         for i in 0..16u64 {
-            (i, i * 5).pack(arena);
-            ends.push(arena.len());
+            arena.push_with(7, |out| (i, i * 5).pack(out));
         }
+        payload.clear();
+        encode_batch_into(arena.calls(), &mut payload);
     };
     // Warm-up.
     for _ in 0..8 {
-        stage(&mut arena, &mut ends);
-        payload.clear();
-        let calls = (0..ends.len()).map(|i| {
-            let start = if i == 0 { 0 } else { ends[i - 1] };
-            (7u32, &arena[start..ends[i]])
-        });
-        encode_batch_into(calls, &mut payload);
+        flush();
     }
     let before = allocs();
     for _ in 0..1_000 {
-        stage(&mut arena, &mut ends);
-        payload.clear();
-        let calls = (0..ends.len()).map(|i| {
-            let start = if i == 0 { 0 } else { ends[i - 1] };
-            (7u32, &arena[start..ends[i]])
-        });
-        encode_batch_into(calls, &mut payload);
+        flush();
     }
     let delta = allocs() - before;
     assert_eq!(
         delta, 0,
         "steady-state batch encode touched the heap {delta} times over 1k flushes"
     );
+}
+
+#[test]
+fn serving_a_tagged_single_call_is_allocation_free_at_steady_state() {
+    // The whole server pipeline for the sync path's fullest envelope: decode,
+    // epoch gate, execute, settle, stamp and frame, run in-thread.
+    let registry = Arc::new(RpcRegistry::new());
+    support::bind_guarded(&registry, 7, 3, 9, |x| x ^ 6);
+    let mut nic = NicCore::new(EpId::new(0, 0), registry);
+    let caller = EpId::new(0, 1);
+    let hdr = RequestHeader { req_id: 1, slot: 1, flags: FLAG_EPOCH | FLAG_STAMPED, chain: vec![7] };
+    let msg = hdr.encode(&[3u64.to_le_bytes(), 5u64.to_le_bytes()].concat());
+    let want = [&9u64.to_le_bytes()[..], &[0], &3u64.to_le_bytes()].concat();
+    // Warm-up.
+    for _ in 0..64 {
+        assert_eq!(nic.serve(caller, &msg).expect("answered").bytes, &want[..]);
+    }
+    let before = allocs();
+    for _ in 0..10_000 {
+        assert!(nic.serve(caller, &msg).is_some());
+    }
+    let delta = allocs() - before;
+    assert_eq!(delta, 0, "steady-state serve touched the heap {delta} times over 10k requests");
 }

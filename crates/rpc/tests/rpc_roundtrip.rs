@@ -2,14 +2,17 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hcl_fabric::memory::MemoryFabric;
 use hcl_fabric::tcp::TcpFabric;
 use hcl_fabric::{EpId, Fabric};
 use hcl_rpc::client::RpcClient;
 use hcl_rpc::server::{RpcServer, ServerConfig};
-use hcl_rpc::{RpcRegistry, DEFAULT_SLOT_CAP};
+use hcl_rpc::{
+    resp_key, slot_offset, RequestHeader, RpcRegistry, DEFAULT_SLOT_CAP, FLAG_EPOCH,
+    SLOTS_PER_CLIENT,
+};
 
 const FN_ADD: u32 = 1;
 const FN_ECHO: u32 = 2;
@@ -57,7 +60,7 @@ fn run_suite(fabric: Arc<dyn Fabric>) {
 
     // Callback chain: double twice = ×4.
     let f = client
-        .invoke_chain::<u64, u64>(server_ep, vec![FN_DOUBLE, FN_DOUBLE], &5u64)
+        .invoke_chain::<u64, u64>(server_ep, &[FN_DOUBLE, FN_DOUBLE], &5u64)
         .unwrap();
     assert_eq!(f.wait().unwrap(), 20);
 
@@ -141,23 +144,6 @@ fn slot_reuse_discipline_allows_unbounded_async_stream() {
     for (i, f) in futs.iter().enumerate() {
         assert_eq!(f.wait().unwrap(), 2 * i as u64);
     }
-}
-
-#[test]
-fn unknown_function_yields_empty_response_not_hang() {
-    let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
-    let server_ep = EpId::new(0, 0);
-    let _server = RpcServer::start(
-        server_ep,
-        Arc::clone(&fabric),
-        Arc::new(RpcRegistry::new()),
-        ServerConfig::default(),
-    );
-    let mut client = RpcClient::new(EpId::new(1, 1), Arc::clone(&fabric), DEFAULT_SLOT_CAP);
-    client.set_timeout(Duration::from_secs(5));
-    // An unknown fn produces an empty response, which fails to decode as u64.
-    let got: Result<u64, _> = client.invoke(server_ep, 999, &1u64);
-    assert!(got.is_err());
 }
 
 #[test]
@@ -281,13 +267,6 @@ fn wait_all_sweeps_mixed_latency_futures() {
         let got = u64::from_bytes(r.as_ref().unwrap()).unwrap();
         assert_eq!(got, i as u64 * 3);
     }
-    // wait_any on fresh futures returns some completed index.
-    let raws: Vec<_> = (0..3u64)
-        .map(|i| client.invoke_raw(server_ep, 1, &(i, 5u64).to_bytes()).unwrap())
-        .collect();
-    let (idx, r) = hcl_rpc::client::wait_any(&raws).unwrap();
-    let got = u64::from_bytes(&r.unwrap()).unwrap();
-    assert_eq!(got, idx as u64 * 3);
 }
 
 #[test]
@@ -307,4 +286,50 @@ fn single_rank_world_degenerate_but_functional() {
     let client = RpcClient::new(server_ep, Arc::clone(&fabric), 256);
     let got: u64 = client.invoke(server_ep, 1, &9u64).unwrap();
     assert_eq!(got, 81);
+}
+
+#[test]
+fn malformed_requests_are_counted_and_never_answered() {
+    let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
+    let counter = Arc::new(AtomicU64::new(0));
+    let server = RpcServer::start(
+        EpId::new(0, 0),
+        Arc::clone(&fabric),
+        registry(counter),
+        ServerConfig { max_clients: 4, slot_cap: 256, nic_cores: 1 },
+    );
+    let server_ep = server.endpoint();
+    let raw = EpId::new(0, 1);
+    fabric.register_endpoint(raw).unwrap();
+    let well_formed = |flags, chain: Vec<u32>| RequestHeader { req_id: 1, slot: 1, flags, chain };
+    let whole = well_formed(0, vec![FN_DOUBLE, FN_DOUBLE]).encode(&7u64.to_le_bytes());
+    let shapes = [
+        // Shorter than the fixed 14-byte header.
+        whole.slice(0, 10),
+        // Cut inside its two-link chain.
+        whole.slice(0, 18),
+        // Tagged with an epoch it does not carry.
+        well_formed(FLAG_EPOCH, vec![FN_DOUBLE]).encode(&[0; 7]),
+    ];
+    for msg in shapes {
+        fabric.send(raw, server_ep, msg).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().malformed < 3 {
+        assert!(Instant::now() < deadline, "malformed requests were not counted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let st = server.stats();
+    assert_eq!((st.malformed, st.requests), (3, 0));
+    for slot in 0..SLOTS_PER_CLIENT as u32 {
+        let seq = fabric.read_u64(raw, resp_key(server_ep), slot_offset(raw.rank, slot, 256)).unwrap();
+        assert_eq!(seq, 0, "slot {slot} was published for a malformed request");
+    }
+    // The worker that dropped them still serves the next request.
+    let client = RpcClient::new(EpId::new(0, 2), Arc::clone(&fabric), 256);
+    assert_eq!(client.invoke::<u64, u64>(server_ep, FN_DOUBLE, &21).unwrap(), 42);
+    // An unbound function is well-formed: answered empty, which fails to
+    // decode as a `u64` instead of hanging the caller.
+    assert!(client.invoke::<u64, u64>(server_ep, 999, &1).is_err());
+    assert_eq!(server.stats().malformed, 3);
 }

@@ -36,7 +36,7 @@ use hcl_fabric::{EpId, Fabric, LatencyModel, TrafficSnapshot};
 use hcl_rpc::client::RpcClient;
 use hcl_rpc::coalesce::{CoalesceConfig, CoalesceSnapshot, CoalescedFuture, Coalescer};
 use hcl_rpc::server::{RpcServer, ServerConfig, ServerStatsSnapshot};
-use hcl_rpc::{FnId, RetryPolicy, RpcRegistry, RpcResult};
+use hcl_rpc::{FnId, RetryPolicy, RpcRegistry, RpcResult, Tag};
 use hcl_telemetry::{CoalesceMetrics, RpcMetrics, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use parking_lot::Mutex;
 
@@ -315,6 +315,7 @@ impl WorldShared {
             out.deduped += st.deduped;
             out.wrong_epoch += st.wrong_epoch;
             out.ack_failures += st.ack_failures;
+            out.malformed += st.malformed;
         }
         out
     }
@@ -413,7 +414,6 @@ impl Rank {
         let c = self.coalescer.stats();
         reg.gauge("hcl_rpc_coalesce_batches").set(c.batches);
         reg.gauge("hcl_rpc_coalesce_ops").set(c.coalesced_ops);
-        reg.gauge("hcl_rpc_coalesce_direct_ops").set(c.direct_ops);
         reg.gauge("hcl_rpc_coalesce_size_flushes").set(c.size_flushes);
         reg.gauge("hcl_rpc_coalesce_age_flushes").set(c.age_flushes);
         reg.gauge("hcl_rpc_coalesce_demand_flushes").set(c.demand_flushes);
@@ -423,6 +423,7 @@ impl Rank {
         reg.gauge("hcl_rpc_server_overflow_responses").set(s.overflow_responses);
         reg.gauge("hcl_rpc_server_wrong_epoch").set(s.wrong_epoch);
         reg.gauge("hcl_rpc_server_ack_failures").set(s.ack_failures);
+        reg.gauge("hcl_rpc_server_malformed").set(s.malformed);
         let m = self.world.membership.snapshot();
         reg.gauge("hcl_runtime_membership_epoch").set(m.epoch);
         reg.gauge("hcl_runtime_membership_generation").set(m.generation);
@@ -452,11 +453,6 @@ impl Rank {
         self.telemetry.snapshot()
     }
 
-    /// True when async ops stage on the coalescer (vs. going out directly).
-    pub fn coalescing_enabled(&self) -> bool {
-        self.coalescer.config().enabled
-    }
-
     /// Synchronous remote invocation with flush-before-sync semantics: any
     /// ops staged for `server` are sent (in submission order) before the
     /// sync request, so a sync op observes every async op this rank issued
@@ -466,38 +462,18 @@ impl Rank {
         A: DataBox,
         R: DataBox,
     {
-        self.coalescer.flush(server);
-        self.client.invoke(server, fn_id, args)
+        Ok(self.invoke_tagged(server, fn_id, Tag::default(), args)?.1)
     }
 
-    /// Synchronous remote invocation requesting a version-stamped response
-    /// ([`hcl_rpc::FLAG_STAMPED`]); same flush-before-sync semantics as
-    /// [`Rank::invoke`]. Returns `(partition_version, value)`.
-    pub fn invoke_stamped<A, R>(
-        &self,
-        server: EpId,
-        fn_id: FnId,
-        args: &A,
-    ) -> RpcResult<(u64, R)>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        self.coalescer.flush(server);
-        self.client.invoke_stamped(server, fn_id, args)
-    }
-
-    /// Synchronous remote invocation tagged with the caller's resolved
-    /// ownership epoch ([`hcl_rpc::FLAG_EPOCH`]); same flush-before-sync
-    /// semantics as [`Rank::invoke`]. Returns `(stamp, value)` (`stamp` is 0
-    /// unless `stamped`); a stale epoch surfaces as
+    /// [`Rank::invoke`] tagged with `tag` ([`RpcClient::invoke_tagged`]):
+    /// the caller's ownership epoch, the partition-version stamp, or both.
+    /// Returns `(stamp, value)`; a stale epoch surfaces as
     /// [`hcl_rpc::RpcError::WrongEpoch`].
-    pub fn invoke_epoch<A, R>(
+    pub fn invoke_tagged<A, R>(
         &self,
         server: EpId,
         fn_id: FnId,
-        epoch: u64,
-        stamped: bool,
+        tag: Tag,
         args: &A,
     ) -> RpcResult<(u64, R)>
     where
@@ -505,7 +481,7 @@ impl Rank {
         R: DataBox,
     {
         self.coalescer.flush(server);
-        self.client.invoke_epoch(server, fn_id, epoch, stamped, args)
+        self.client.invoke_tagged(server, fn_id, tag, args)
     }
 
     /// Stage an asynchronous remote invocation on the coalescer: it rides a
@@ -516,7 +492,7 @@ impl Rank {
         server: EpId,
         fn_id: FnId,
         args: &A,
-    ) -> RpcResult<CoalescedFuture<R>>
+    ) -> CoalescedFuture<R>
     where
         A: DataBox,
         R: DataBox,

@@ -127,7 +127,14 @@ check-lin-lease-soak:
 # and untraced, every verification on. Guards the harness against library
 # API changes; numbers come from `cargo run --release --manifest-path
 # benchmark/Cargo.toml -- run` (benchmark/README.md).
+# Cargo rewrites `benchmark/Cargo.lock` against the current workspace graph;
+# the committed lock is put back afterwards so the gate leaves the tree clean.
 bench-smoke:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    lock=$(mktemp)
+    cp benchmark/Cargo.lock "$lock"
+    trap 'cp "$lock" benchmark/Cargo.lock; rm -f "$lock"' EXIT
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Telemetry export gate: 4-rank memory workload with HCL_TELEMETRY_DIR set,

@@ -119,6 +119,7 @@ const DISPATCH_PATH: &str = "crates/core/src/";
 /// method too, and those calls are fine anywhere.
 const DISPATCH_TOKENS: &[&str] = &[
     "rank.invoke(",
+    ".invoke_tagged(",
     ".invoke_async(",
     ".invoke_coalesced(",
     ".invoke_batch",
@@ -1284,6 +1285,8 @@ mod tests {
         assert_eq!(rules("crates/core/src/queue.rs", bad), vec![Rule::Dispatch]);
         let coalesced = "fn f(&self) {\n    let _ = self.rank.invoke_coalesced(ep, id, &v);\n}\n";
         assert_eq!(rules("crates/core/src/unordered.rs", coalesced), vec![Rule::Dispatch]);
+        let tagged = "fn f(&self) {\n    let _ = self.rank.invoke_tagged(ep, id, tag, &k);\n}\n";
+        assert_eq!(rules("crates/core/src/cache.rs", tagged), vec![Rule::Dispatch]);
         // One finding per offending line, even when several tokens match.
         let batch = "fn f(&self) {\n    let _ = self.rank.client().invoke_batch_slices(ep, it);\n}\n";
         assert_eq!(rules("crates/core/src/ordered.rs", batch), vec![Rule::Dispatch]);
@@ -1295,6 +1298,9 @@ mod tests {
         let src = concat!(
             "fn f(&self) -> HclResult<bool> {\n",
             "    Ok(self.rank.invoke(ep, fn_id, &args)?)\n",
+            "}\n",
+            "fn g(&self) -> RpcResult<(u64, u64)> {\n",
+            "    self.rank.invoke_tagged(ep, fn_id, tag, &args)\n",
             "}\n"
         );
         assert!(rules("crates/core/src/dispatch.rs", src).is_empty());
