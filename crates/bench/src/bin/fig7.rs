@@ -46,8 +46,8 @@ fn print_points(points: &[scenarios::Fig7Point], paper_bcl: &[f64], paper_hcl: &
     );
 }
 
-/// Print the beyond-paper extrapolation the scenario suite commits in
-/// `FIG_scenarios.json` (same sim backend, extended node list).
+/// Print the beyond-paper extrapolation (same sim backend, extended node
+/// list; `fig7_shapes` pins that HCL wins at these node counts).
 fn print_extended(points: &[scenarios::Fig7Point]) {
     println!("-- extrapolated beyond the paper's sweep --");
     for p in points {

@@ -1,13 +1,11 @@
 //! Shared output helpers for the figure-regeneration binaries, plus the
-//! scenario-suite layer: a YCSB-style mixed-op workload driver
-//! ([`workload`]) and the container × mix × distribution matrix runner
-//! ([`scenario`]) behind the committed `FIG_scenarios.json` artifact.
+//! YCSB-style mixed-op workload driver ([`workload`]) the integration
+//! suites run under faults, membership changes and history recording.
 //!
 //! Every binary prints the simulated/measured series next to the paper's
 //! reference values, plus a shape verdict, so a reader can diff the
 //! reproduction at a glance (EXPERIMENTS.md records the same numbers).
 
-pub mod scenario;
 pub mod workload;
 
 /// Print a section header.

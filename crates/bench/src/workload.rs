@@ -1,4 +1,4 @@
-//! YCSB-style mixed-operation workload driver for the scenario suite.
+//! YCSB-style mixed-operation workload driver.
 //!
 //! The paper's evaluation (and the BCL/DASH evaluations it compares
 //! against) exercises the containers with *mixed* traffic — reads, writes,
@@ -8,14 +8,14 @@
 //! that executes the mix against any of the five public containers through
 //! their normal dispatch path, recording every synchronous op's latency
 //! into a per-run [`Histogram`] *and* into the rank's telemetry registry
-//! (`hcl_bench_workload_*_ns`), which is what the cluster-sim calibration
-//! loop later reads.
+//! (`hcl_bench_workload_*_ns`).
 //!
 //! The driver deliberately takes pre-constructed container handles
-//! (`run_on_*`): tests can attach a linearizability [`recorder`] to the
-//! handle first, so the exact histories the benchmark produces are the
-//! histories the Wing–Gong checker replays (`tests/linearizability.rs`).
-//! [`run_scenario`] is the convenience wrapper the scenario matrix uses.
+//! (`run_on_*`): tests can attach a linearizability [`recorder`], a lease
+//! cache or a WAL to the handle first, so the chaos twins
+//! (`tests/fault_injection.rs`) and the Wing–Gong checker
+//! (`tests/linearizability.rs`) run the same op streams.
+//! [`run_scenario`] builds a default handle for any of the five containers.
 //!
 //! [`recorder`]: hcl::HistoryRecorder
 
@@ -80,24 +80,6 @@ pub enum KeyDist {
         /// Skew: higher is hotter; YCSB uses 0.99.
         theta: f64,
     },
-}
-
-impl KeyDist {
-    /// Stable label for artifacts.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KeyDist::Uniform => "uniform",
-            KeyDist::Zipfian { .. } => "zipfian",
-        }
-    }
-
-    /// The theta parameter (0 for uniform).
-    pub fn theta(&self) -> f64 {
-        match self {
-            KeyDist::Uniform => 0.0,
-            KeyDist::Zipfian { theta } => *theta,
-        }
-    }
 }
 
 /// The YCSB zipfian sampler (Gray et al.'s rejection-free inversion):
@@ -224,8 +206,6 @@ pub enum OpKind {
 /// sum to 100, only be positive in total).
 #[derive(Debug, Clone, Copy)]
 pub struct Mix {
-    /// Stable mix name for artifacts.
-    pub name: &'static str,
     /// Point-read weight.
     pub read: u32,
     /// Write weight.
@@ -238,33 +218,16 @@ pub struct Mix {
 
 impl Mix {
     /// YCSB-A: 50/50 read/update.
-    pub const UPDATE_HEAVY: Mix =
-        Mix { name: "ycsb_a_update_heavy", read: 50, update: 50, scan: 0, remove: 0 };
+    pub const UPDATE_HEAVY: Mix = Mix { read: 50, update: 50, scan: 0, remove: 0 };
     /// YCSB-B: 95/5 read/update.
-    pub const READ_HEAVY: Mix =
-        Mix { name: "ycsb_b_read_heavy", read: 95, update: 5, scan: 0, remove: 0 };
+    pub const READ_HEAVY: Mix = Mix { read: 95, update: 5, scan: 0, remove: 0 };
     /// YCSB-E-flavored scan mix with a removal trickle.
-    pub const SCAN_HEAVY: Mix =
-        Mix { name: "scan_heavy", read: 45, update: 10, scan: 40, remove: 5 };
+    pub const SCAN_HEAVY: Mix = Mix { read: 45, update: 10, scan: 40, remove: 5 };
     /// Producer/consumer queue mix (push/pop with a len probe).
-    pub const QUEUE_MIX: Mix =
-        Mix { name: "queue_push_pop", read: 5, update: 50, scan: 0, remove: 45 };
+    pub const QUEUE_MIX: Mix = Mix { read: 5, update: 50, scan: 0, remove: 45 };
     /// Map mix with erases, used by the linearizability-checked runs
     /// (every op it draws is history-recorded: get/put/erase).
-    pub const CHURN: Mix = Mix { name: "churn", read: 45, update: 45, scan: 0, remove: 10 };
-
-    /// Look a built-in mix up by its artifact name.
-    pub fn by_name(name: &str) -> Option<Mix> {
-        [Mix::UPDATE_HEAVY, Mix::READ_HEAVY, Mix::SCAN_HEAVY, Mix::QUEUE_MIX, Mix::CHURN]
-            .into_iter()
-            .find(|m| m.name == name)
-    }
-
-    /// Fraction of ops that are reads or scans (feeds sim calibration).
-    pub fn read_fraction(&self) -> f64 {
-        let total = (self.read + self.update + self.scan + self.remove).max(1) as f64;
-        (self.read + self.scan) as f64 / total
-    }
+    pub const CHURN: Mix = Mix { read: 45, update: 45, scan: 0, remove: 10 };
 
     /// Draw the next op kind.
     pub fn pick(&self, rng: &mut WorkloadRng) -> OpKind {
@@ -282,7 +245,7 @@ impl Mix {
     }
 }
 
-/// Which public container a scenario cell drives.
+/// Which public container [`run_scenario`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerKind {
     /// `hcl::UnorderedMap`.
@@ -298,7 +261,7 @@ pub enum ContainerKind {
 }
 
 impl ContainerKind {
-    /// Stable label for artifacts.
+    /// Stable label for test messages and container names.
     pub fn label(&self) -> &'static str {
         match self {
             ContainerKind::UnorderedMap => "unordered_map",
@@ -387,30 +350,6 @@ pub struct WorkloadStats {
     pub elapsed_s: f64,
     /// Per-op latency distribution of the synchronous ops.
     pub latency: HistogramSnapshot,
-}
-
-impl WorkloadStats {
-    /// Aggregate ops/s of this run (0 when nothing ran).
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.elapsed_s <= 0.0 {
-            return 0.0;
-        }
-        self.ops as f64 / self.elapsed_s
-    }
-
-    /// Fold another rank's stats in: counters add, elapsed takes the
-    /// slowest rank, histograms merge.
-    pub fn merge(&mut self, other: &WorkloadStats) {
-        self.ops += other.ops;
-        self.reads += other.reads;
-        self.updates += other.updates;
-        self.scans += other.scans;
-        self.removes += other.removes;
-        self.empties += other.empties;
-        self.errors += other.errors;
-        self.elapsed_s = self.elapsed_s.max(other.elapsed_s);
-        self.latency.merge(&other.latency);
-    }
 }
 
 /// Deterministic value payload for `(key, writer rank, op index)`.
@@ -845,12 +784,5 @@ mod tests {
         assert!((frac(1) - 0.10).abs() < 0.02, "update {}", frac(1));
         assert!((frac(2) - 0.40).abs() < 0.02, "scan {}", frac(2));
         assert!((frac(3) - 0.05).abs() < 0.02, "remove {}", frac(3));
-        assert!((Mix::SCAN_HEAVY.read_fraction() - 0.85).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mix_lookup_by_name() {
-        assert_eq!(Mix::by_name("ycsb_a_update_heavy").unwrap().update, 50);
-        assert!(Mix::by_name("nope").is_none());
     }
 }

@@ -25,14 +25,12 @@
 //! Everything is deterministic: a seeded xorshift RNG drives collision
 //! retries, so repeated runs regenerate identical tables.
 
-pub mod calibrate;
 pub mod engine;
 pub mod protocol;
 pub mod rng;
 pub mod scenarios;
 pub mod spec;
 
-pub use calibrate::{simulate_workload, Calibration, SimPoint, WorkloadSimParams};
 pub use engine::{Engine, Metrics, Phase, Resource, ResourceId};
 pub use rng::SimRng;
 pub use spec::ClusterSpec;

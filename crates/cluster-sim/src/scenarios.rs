@@ -548,8 +548,8 @@ pub fn fig7_isx(keys_per_rank: u64) -> Vec<Fig7Point> {
     fig7_isx_at(&[8, 16, 32, 64], keys_per_rank)
 }
 
-/// [`fig7_isx`] over an arbitrary node list — the scenario suite extends
-/// the paper's 8–64 sweep out to 512 simulated nodes.
+/// [`fig7_isx`] over an arbitrary node list — `fig7` extends the paper's
+/// 8–64 sweep out to 512 simulated nodes.
 pub fn fig7_isx_at(node_list: &[u32], keys_per_rank: u64) -> Vec<Fig7Point> {
     node_list
         .iter()
@@ -722,5 +722,17 @@ mod tests {
         let k8 = kmer[0].bcl_s / kmer[0].hcl_s;
         let k64 = kmer[3].bcl_s / kmer[3].hcl_s;
         assert!(k8 > 1.2 && k64 > k8, "k-mer ratios {k8} -> {k64}");
+
+        // The node counts `fig7` extrapolates to beyond the paper's sweep:
+        // HCL still wins every point.
+        let beyond = [128, 256, 512];
+        for (app, pts) in [
+            ("ISx", fig7_isx_at(&beyond, 300)),
+            ("k-mer", fig7_meraculous_at(&beyond, false, 300)),
+        ] {
+            for p in &pts {
+                assert!(p.bcl_s > p.hcl_s, "HCL must win {app} at {} nodes", p.nodes);
+            }
+        }
     }
 }

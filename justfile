@@ -48,15 +48,12 @@ test-membership-soak:
             -- --ignored soak_partitioned_victim_drain_env_seed
     done
 
-# The two xtask passes. Concurrency hygiene: unsafe blocks need
-# `// SAFETY:`, relaxed atomics in containers/mem/rpc need `// ORDERING:`,
-# raw epoch derefs need a guard in scope, no modulo owner math outside the
-# partition map, the shard pipeline stays in shard.rs. FIG artifact
-# provenance: every committed FIG_*.json must record its seed, measured rank
-# counts, and per-cell workload mix.
+# Concurrency hygiene: unsafe blocks need `// SAFETY:`, relaxed atomics in
+# containers/mem/rpc need `// ORDERING:`, raw epoch derefs need a guard in
+# scope, no modulo owner math outside the partition map, the shard pipeline
+# stays in shard.rs.
 lint:
     cargo run -p xtask -- lint
-    cargo run -p xtask -- artifacts
 
 # Deterministic schedule exploration: rebuild the lock-free containers with
 # the `conc_check` atomics facade and race them through >= 1000 distinct
@@ -109,7 +106,7 @@ check-races-soak schedules="2000":
 check-lin:
     cargo test --release --features history --test linearizability
 
-# Seeded linearizability soak over the scenario driver's zipfian mixed-op
+# Seeded linearizability soak over the workload driver's zipfian mixed-op
 # histories. `HCL_LIN_SEED` pins the base seed, `HCL_LIN_SOAK_ITERS` the
 # round count, so any failing seed replays exactly.
 check-lin-soak:
@@ -137,20 +134,6 @@ bench-smoke:
     trap 'cp "$lock" benchmark/Cargo.lock; rm -f "$lock"' EXIT
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-# Telemetry export gate: 4-rank memory workload with HCL_TELEMETRY_DIR set,
-# validating the per-rank JSON snapshot schema and the Prometheus
-# exposition.
-telemetry-smoke:
-    cargo run --release -p hcl-bench --bin telemetry_smoke
-
-# Scenario-matrix gate: re-run the smoke subset of the YCSB-style scenario
-# suite (2 containers x 2 mixes, each with a ChaosFabric-faulted twin) and
-# compare medians against the committed FIG_scenarios.json, then re-derive
-# every committed sim series from its recorded calibration. The full matrix
-# regeneration is `cargo run --release -p hcl-bench --bin scenarios`.
-scenario-smoke:
-    cargo run --release -p hcl-bench --bin scenarios -- --smoke
-
 # Durability suite: the WAL crate's unit tests (CRC, torn-tail truncation,
 # snapshot compaction, replay dedup), the per-container live-vs-recovered
 # byte-identity proptests, and the subprocess crash harness (kill -9
@@ -171,8 +154,9 @@ crash-soak iters="3" seed="12648430":
         cargo test --release --test crash_recovery -- --ignored --exact crash_soak --nocapture
 
 # Everything CI runs: build (every target), the full test gate (every member
-# crate plus the root integration suites — `test-faults`, `test-membership`
-# and `test-persist` are shortcuts into subsets of it), the xtask passes,
-# crash soak, schedule exploration, race checking, linearizability
-# histories, telemetry export, scenario matrix, and the hclbench harness.
-ci: build test lint crash-soak check-conc check-races check-lin telemetry-smoke scenario-smoke bench-smoke
+# crate plus the root integration suites, the telemetry export and chaos
+# twins included — `test-faults`, `test-membership` and `test-persist` are
+# shortcuts into subsets of it), the xtask lint, crash soak, schedule
+# exploration, race checking, linearizability histories, and the hclbench
+# harness.
+ci: build test lint crash-soak check-conc check-races check-lin bench-smoke

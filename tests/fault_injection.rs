@@ -11,7 +11,10 @@
 //! * the fault plan is deterministic — two runs with the same seed observe
 //!   the identical fault counters;
 //! * a fully partitioned endpoint surfaces a typed, timeout-derived error
-//!   after the retry budget is exhausted, instead of hanging.
+//!   after the retry budget is exhausted, instead of hanging;
+//! * real workloads — the mixed-op driver, leased reads, a strict-WAL
+//!   restart, the ISx and k-mer kernels — finish error-free under a
+//!   drop+delay plan that demonstrably fires (the chaos twins).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -21,6 +24,9 @@ use hcl::ordered::OrderedConfig;
 use hcl::queue::QueueConfig;
 use hcl::unordered::UnorderedMapConfig;
 use hcl::{HclError, OrderedMap, OrderedSet, PriorityQueue, Queue, UnorderedMap};
+use hcl_bench::workload::{
+    run_on_unordered_map, run_scenario, value_of, ContainerKind, KeyDist, Mix, WorkloadSpec,
+};
 use hcl_fabric::chaos::{ChaosFabric, ChaosSnapshot, FaultPlan, FaultRule, OpClass};
 use hcl_fabric::memory::MemoryFabric;
 use hcl_fabric::Fabric;
@@ -605,7 +611,6 @@ fn soak_lossy_workload_env_seed() {
 /// async update windows.
 #[test]
 fn delay_plan_scenario_has_bounded_p99_and_flush_events() {
-    use hcl_bench::workload::{run_scenario, ContainerKind, KeyDist, Mix, WorkloadSpec};
     use hcl_telemetry::{EventKind, TelemetryConfig};
 
     let seed = 0xDE1A;
@@ -665,6 +670,274 @@ fn delay_plan_scenario_has_bounded_p99_and_flush_events() {
     let snap = chaos.chaos_stats();
     assert!(snap.delayed_ops > 0, "delay plan never fired: {snap:?}");
     assert_eq!(snap.drops, 0, "delay-only plan must not drop: {snap:?}");
+}
+
+// ------------------------------------------------------------ chaos twins
+//
+// Each twin runs a real workload — the mixed-op driver, leased reads, a
+// strict-WAL restart, the app kernels — over one drop+delay plan under the
+// resilient retry policy. The plan must demonstrably fire and no error may
+// reach the workload.
+
+const TWIN_SEED: u64 = 42;
+
+/// 2% request drops (each costs a full attempt timeout before the
+/// retransmit) plus a 200±200 µs jittered delay on every surviving send.
+fn twin_plan() -> FaultPlan {
+    FaultPlan::new(TWIN_SEED).for_class(
+        OpClass::Send,
+        FaultRule::NONE
+            .drop(0.02)
+            .delay(Duration::from_micros(200))
+            .jitter(Duration::from_micros(200)),
+    )
+}
+
+/// A `nodes × ranks_per_node` world over [`twin_plan`] with 6 attempts of
+/// 250 ms each.
+fn twin_world(nodes: u32, ranks_per_node: u32) -> (Arc<ChaosFabric>, Arc<WorldShared>) {
+    let cfg = WorldConfig {
+        nodes,
+        ranks_per_node,
+        retry: RetryPolicy::resilient(6, TWIN_SEED)
+            .with_attempt_timeout(Duration::from_millis(250)),
+        ..WorldConfig::small()
+    };
+    chaos_shared(cfg, twin_plan())
+}
+
+/// The plan dropped or delayed at least one send.
+fn assert_fired(twin: &str, chaos: &ChaosFabric) {
+    let snap = chaos.chaos_stats();
+    assert!(snap.drops + snap.delayed_ops > 0, "{twin}: the plan injected nothing: {snap:?}");
+}
+
+/// Errors a twin's ranks counted must be zero: the retry policy absorbs
+/// every fault the plan injects.
+fn assert_no_errors(twin: &str, errors: impl Iterator<Item = u64>) {
+    assert_eq!(errors.sum::<u64>(), 0, "{twin}: an error reached the workload");
+}
+
+/// Four ranks, one per node, so every op crosses the dispatcher's remote
+/// path.
+const TWIN_RANKS: u32 = 4;
+
+fn twin_spec(mix: Mix, dist: KeyDist, ops_per_rank: u64) -> WorkloadSpec {
+    WorkloadSpec {
+        seed: TWIN_SEED,
+        ops_per_rank,
+        key_space: 256,
+        value_bytes: 64,
+        dist,
+        mix,
+        async_window: 0,
+        scan_width: 8,
+    }
+}
+
+const ZIPF: KeyDist = KeyDist::Zipfian { theta: 0.99 };
+
+/// The mixed-op driver over three containers and mixes — update-heavy
+/// zipfian map, scan-heavy zipfian ordered map, push/pop queue — finishes
+/// every op under the drop plan.
+#[test]
+fn mixed_op_driver_absorbs_drop_plan() {
+    for (kind, mix, dist) in [
+        (ContainerKind::UnorderedMap, Mix::UPDATE_HEAVY, ZIPF),
+        (ContainerKind::OrderedMap, Mix::SCAN_HEAVY, ZIPF),
+        (ContainerKind::Queue, Mix::QUEUE_MIX, KeyDist::Uniform),
+    ] {
+        let (chaos, shared) = twin_world(TWIN_RANKS, 1);
+        let spec = twin_spec(mix, dist, 120);
+        let name = format!("twin.{}", kind.label());
+        let per_rank = World::run_on(shared, move |rank| run_scenario(rank, kind, &name, &spec));
+        for s in &per_rank {
+            assert_eq!(
+                s.ops,
+                spec.ops_per_rank,
+                "{}: a rank fell short of its op count",
+                kind.label()
+            );
+        }
+        assert_fired(kind.label(), &chaos);
+        assert_no_errors(kind.label(), per_rank.iter().map(|s| s.errors));
+    }
+}
+
+/// Leased reads under the drop plan: the read-heavy zipfian driver hits the
+/// lease cache, and a live lease granted before an ownership-epoch bump
+/// never serves after it. Every rank leases a probe key, the owner
+/// overwrites it (no piggyback reaches the other ranks), `mark_down` /
+/// `mark_up` bump the epoch, and the next read must see the overwrite. The
+/// 250 ms TTL outlives the probe, so expiry cannot be what saves it.
+#[test]
+fn leased_reads_survive_chaos_and_die_at_epoch_bump() {
+    const PROBE: u64 = u64::MAX - 7; // outside the driver's key space
+    let (chaos, shared) = twin_world(TWIN_RANKS, 1);
+    let spec = twin_spec(Mix::READ_HEAVY, ZIPF, 150);
+    let per_rank = World::run_on(shared, move |rank| {
+        let lease = hcl::LeaseConfig {
+            ttl: Duration::from_millis(250),
+            hot_threshold: 1,
+            topk: 256,
+            ..hcl::LeaseConfig::default()
+        };
+        let cfg = UnorderedMapConfig { hybrid: false, lease: Some(lease), ..Default::default() };
+        let map: UnorderedMap<u64, Vec<u8>> = UnorderedMap::with_config(rank, "twin.leased", cfg);
+        let stats = run_on_unordered_map(rank, &map, &spec);
+        let hits = map.cache_stats().expect("lease cache configured").hits;
+        rank.barrier();
+
+        let owner = map.server_of(map.partition_of(&PROBE));
+        if rank.id() == owner {
+            map.put(PROBE, vec![1]).unwrap();
+        }
+        rank.barrier();
+        // Heat, lease, hit: after three reads every rank holds a live lease.
+        for _ in 0..3 {
+            assert_eq!(map.get(&PROBE).unwrap(), Some(vec![1]), "probe prefill lost");
+        }
+        rank.barrier();
+        if rank.id() == owner {
+            map.put(PROBE, vec![2]).unwrap();
+        }
+        rank.barrier();
+        let before = map.cache_stats().unwrap().stale_epoch;
+        map.mark_down(owner);
+        map.mark_up(owner);
+        let got = map.get(&PROBE).unwrap();
+        let kills = map.cache_stats().unwrap().stale_epoch - before;
+        assert_eq!(
+            got,
+            Some(vec![2]),
+            "rank {} read a stale lease across an epoch bump",
+            rank.id()
+        );
+        rank.barrier();
+        (stats.errors, hits, kills)
+    });
+    let hits: u64 = per_rank.iter().map(|r| r.1).sum();
+    let kills: u64 = per_rank.iter().map(|r| r.2).sum();
+    assert!(hits > 0, "read-heavy zipfian must hit the lease cache");
+    assert!(kills >= TWIN_RANKS as u64 - 1, "the epoch bump killed only {kills} leases");
+    assert_fired("leased", &chaos);
+    assert_no_errors("leased", per_rank.iter().map(|r| r.0));
+}
+
+/// Crash-restart under the drop plan. Phase 1 writes a 64-key probe block
+/// and a driver pass under strict sync epochs on a clean fabric, then
+/// exits. Phase 2 reopens the same logs on a faulted fabric, replays them,
+/// and runs the driver in two halves with a `drain_rank` / `admit_rank`
+/// cycle of the last rank between them. The probe block must come back
+/// bit-exact.
+#[test]
+fn strict_restart_under_chaos_survives_drain_admit() {
+    use hcl::{admit_rank, drain_rank};
+    use hcl_runtime::Rank;
+    use std::path::Path;
+
+    const PROBE_BASE: u64 = u64::MAX - 512; // outside the driver's key space
+    const PROBES: u64 = 64;
+    let dir = std::env::temp_dir().join(format!("hcl-twin-strict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    fn strict<'r>(rank: &'r Rank, dir: &Path) -> UnorderedMap<'r, u64, Vec<u8>> {
+        let persist = Some(hcl::PersistConfig::strict(dir));
+        let cfg = UnorderedMapConfig { hybrid: false, persist, ..Default::default() };
+        UnorderedMap::with_config(rank, "twin.strict", cfg)
+    }
+    fn counter(rank: &Rank, name: &str) -> u64 {
+        rank.telemetry().registry().counter(name).get()
+    }
+    let spec = twin_spec(Mix::UPDATE_HEAVY, ZIPF, 120);
+    let probe = move |k: u64| value_of(k, 0, 0xD0, spec.value_bytes);
+
+    let d = dir.clone();
+    let written = World::run(
+        WorldConfig { nodes: TWIN_RANKS, ranks_per_node: 1, ..WorldConfig::small() },
+        move |rank| {
+            let map = strict(rank, &d);
+            rank.barrier();
+            if rank.id() == 0 {
+                for k in PROBE_BASE..PROBE_BASE + PROBES {
+                    map.put(k, probe(k)).unwrap();
+                }
+            }
+            rank.barrier();
+            let stats = run_on_unordered_map(rank, &map, &spec);
+            rank.barrier();
+            (
+                stats.errors,
+                counter(rank, "hcl_persist_appended"),
+                counter(rank, "hcl_persist_fsyncs"),
+            )
+        },
+    );
+    assert_no_errors("clean strict pass", written.iter().map(|w| w.0));
+    let appended: u64 = written.iter().map(|w| w.1).sum();
+    let fsyncs: u64 = written.iter().map(|w| w.2).sum();
+    assert!(appended > 0, "the strict pass logged nothing");
+    assert!(fsyncs >= appended, "strict epochs must fsync every flush barrier");
+
+    let (chaos, shared) = twin_world(TWIN_RANKS, 1);
+    let victim = TWIN_RANKS - 1;
+    let d = dir.clone();
+    let restarted = World::run_on(shared, move |rank| {
+        let map = strict(rank, &d);
+        rank.barrier();
+        let replayed = counter(rank, "hcl_persist_replayed");
+        let recovered = counter(rank, "hcl_persist_recovered_ops");
+        let half = WorkloadSpec { ops_per_rank: spec.ops_per_rank / 2, ..spec };
+        let mut errors = run_on_unordered_map(rank, &map, &half).errors;
+        assert!(drain_rank(rank, victim).expect("drain the victim").committed);
+        assert!(admit_rank(rank, victim).expect("re-admit the victim").committed);
+        errors += run_on_unordered_map(rank, &map, &half).errors;
+        rank.barrier();
+        if rank.id() == 0 {
+            for k in PROBE_BASE..PROBE_BASE + PROBES {
+                assert_eq!(
+                    map.get(&k).unwrap(),
+                    Some(probe(k)),
+                    "probe key {k} lost across the restart"
+                );
+            }
+        }
+        rank.barrier();
+        (errors, replayed, recovered)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(restarted.iter().map(|r| r.1).sum::<u64>() > 0, "the restart replayed no WAL records");
+    assert!(
+        restarted.iter().map(|r| r.2).sum::<u64>() > 0,
+        "the restart recovered no distinct ops"
+    );
+    assert_fired("strict restart", &chaos);
+    assert_no_errors("strict restart", restarted.iter().map(|r| r.0));
+}
+
+/// The ISx and k-mer kernels on a 2×2 world under the drop plan: ISx output
+/// validates, and every rank's k-mer histogram agrees and is non-empty.
+/// The kernels `expect` every op, so a surfaced error fails the run.
+#[test]
+fn app_kernels_valid_under_chaos() {
+    use hcl_apps::genome::{sample_reads, synth_genome};
+    use hcl_apps::isx::{run_hcl, validate, IsxConfig};
+    use hcl_apps::meraculous::count_kmers_hcl;
+
+    let isx = IsxConfig { keys_per_rank: 300, key_space: 1 << 20, seed: TWIN_SEED };
+    let (chaos, shared) = twin_world(2, 2);
+    let sorted = World::run_on(shared, move |rank| run_hcl(rank, &isx));
+    assert!(validate(&sorted, &isx, 4, 2), "ISx output invalid under chaos");
+    assert_fired("isx", &chaos);
+
+    let genome = synth_genome(2_000, TWIN_SEED);
+    let (chaos, shared) = twin_world(2, 2);
+    let counts = World::run_on(shared, move |rank| {
+        let reads = sample_reads(&genome, 120, 40, 0.0, TWIN_SEED + rank.id() as u64);
+        count_kmers_hcl(rank, "twin.kmer", &reads, 15)
+    });
+    assert!(!counts[0].is_empty(), "k-mer counting produced nothing");
+    assert!(counts.iter().all(|c| *c == counts[0]), "ranks disagree on the k-mer histogram");
+    assert_fired("kmer", &chaos);
 }
 
 /// Shared body for the mid-migration kill scenario: the driver (rank 0)
