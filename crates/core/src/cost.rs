@@ -8,9 +8,9 @@
 //! remote invocation and a few local operations"*.
 //!
 //! Every container handle carries a [`CostCounters`] block in its
-//! dispatcher's op meter: the client side counts `F` (one per RPC issued)
-//! and the local-path `L`/`R`/`W` terms; partition handlers count their
-//! `L`/`R`/`W` server-side. The `table1` bench binary and
+//! dispatcher's op meter, counted on the client side: `F` (one per RPC
+//! issued, split batched/unbatched) and the `L`/`R`/`W` terms of ops the
+//! hybrid bypass serves. The `table1` bench binary and
 //! `crates/core/tests/dispatch_conformance.rs` read these to verify the
 //! cost model empirically.
 

@@ -10,8 +10,7 @@
 //!
 //! * owner resolution through the world's epoch-versioned
 //!   [`hcl_runtime::PartitionMap`] (or a pinned map for containers with an
-//!   explicit placement) and cached endpoint lookup ([`EpCache`] — no per-op
-//!   `ep_of` recomputation); keyed sync ops tag their RPC with the resolved
+//!   explicit placement); keyed sync ops tag their RPC with the resolved
 //!   epoch and transparently re-resolve on a typed
 //!   [`RpcError::WrongEpoch`] rejection (`Dispatcher::sync_keyed`);
 //! * the hybrid local bypass decision;
@@ -25,7 +24,8 @@
 //!   [`HclError::OwnerDown`] instead of hanging — replica reads opt out so
 //!   failover keeps working;
 //! * metering: every op's Table I cost and, when the rank runs with
-//!   telemetry, its metrics and flight events, through the handle's one
+//!   telemetry, its outcome counters, its latency in two histograms (its
+//!   locality and its op) and its flight events, through the handle's one
 //!   `OpMeter` (`meter.rs`) — called directly at the gate, the bypass, each
 //!   issue and each completion;
 //! * `feature = "history"` invoke/return recording for the linearizability
@@ -43,28 +43,14 @@ use std::time::Instant;
 use hcl_databox::DataBox;
 use hcl_fabric::EpId;
 use hcl_rpc::batch::BatchArena;
-use hcl_rpc::client::{BatchFuture, RawFuture, RpcClient};
+use hcl_rpc::client::{BatchFuture, RawFuture};
 use hcl_rpc::{FnId, RpcError, RpcResult, Tag};
-use hcl_runtime::{DownedRegistry, EpCache, Membership, PartitionMap, Rank, WorldShared};
+use hcl_runtime::{DownedRegistry, Membership, PartitionMap, Rank, WorldShared};
 use parking_lot::Mutex;
 
 use crate::cost::CostSnapshot;
 use crate::meter::OpMeter;
 use crate::{HclError, HclFuture, HclResult};
-
-/// What an operation does to the structure — the meter's class label (its
-/// class views are indexed in declaration order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
-    /// Pure lookup.
-    Read,
-    /// Pure mutation.
-    Write,
-    /// Read-modify-write executed at the target (e.g. `put_merge`).
-    ReadWrite,
-    /// Control-plane / diagnostics (len, snapshot, resize, flush).
-    Admin,
-}
 
 /// An operation's Table I client-side cost signature: the `L`/`R`/`W` terms
 /// charged when the hybrid bypass serves it locally. (`F`/`fb`/`fu` are not
@@ -111,9 +97,8 @@ impl CostSig {
 pub struct OpDescriptor {
     /// Stable label, `"container.op"` (metrics and flight-event key).
     pub name: &'static str,
-    /// What the op does to the structure.
-    pub class: OpClass,
-    /// Function-id offset from the container's `fn_base`.
+    /// Function-id offset from the container's `fn_base`; unique within a
+    /// container's table (the meter's per-op slot index).
     pub fn_off: u32,
     /// Client-side Table I cost signature of the local bypass.
     pub cost: CostSig,
@@ -244,7 +229,6 @@ pub struct Dispatcher<'a> {
     rank: &'a Rank,
     fn_base: FnId,
     hybrid: bool,
-    eps: EpCache,
     owners: OwnerMap,
     downed: DownedRegistry,
     /// Table I cost and, with telemetry, metrics and flight events of every
@@ -293,10 +277,10 @@ impl OwnerMap {
 const EPOCH_RETRY_MAX: u32 = 4;
 
 impl<'a> Dispatcher<'a> {
-    /// Build the engine for one container handle. `hybrid` enables the
-    /// shared-memory bypass for node-local owners (§III-C5).
-    pub fn new(rank: &'a Rank, fn_base: FnId, hybrid: bool) -> Self {
-        let eps = EpCache::new(rank.world().config());
+    /// Build the engine for one container handle whose op table spans the
+    /// `fns` function ids from `fn_base`. `hybrid` enables the shared-memory
+    /// bypass for node-local owners (§III-C5).
+    pub fn new(rank: &'a Rank, fn_base: FnId, fns: u32, hybrid: bool) -> Self {
         let membership = Arc::clone(rank.world().membership());
         // One source of truth for epochs: the downed registry shares the
         // membership's cell, so lease grants snapshot the same counter that
@@ -306,10 +290,9 @@ impl<'a> Dispatcher<'a> {
             rank,
             fn_base,
             hybrid,
-            eps,
             owners: OwnerMap::Live(membership),
             downed,
-            meter: OpMeter::new(rank.telemetry()),
+            meter: OpMeter::new(rank.telemetry(), fns),
             version_sink: None,
             #[cfg(feature = "history")]
             recorder: None,
@@ -367,16 +350,10 @@ impl<'a> Dispatcher<'a> {
         self.hybrid && self.rank.same_node(owner)
     }
 
-    /// Cached endpoint of `owner` (coherence-checked in debug builds).
+    /// The endpoint of `owner`.
     #[inline]
     pub fn ep(&self, owner: u32) -> EpId {
-        let ep = self.eps.ep_of(owner);
-        debug_assert_eq!(
-            ep,
-            self.rank.world().config().ep_of(owner),
-            "dispatcher endpoint cache incoherent for owner {owner}"
-        );
-        ep
+        self.rank.world().config().ep_of(owner)
     }
 
     /// Mark `owner_rank` as failed: degradable ops against it fail fast.
@@ -672,16 +649,14 @@ impl<'a> Dispatcher<'a> {
     }
 }
 
-/// Server-side replication forwarder (§III-A4): a partition re-hashes its
-/// mutations to the next `replicas` partition owners, asynchronously, over
-/// an auxiliary client whose endpoint sits past the world's rank range.
+/// Server-side write forwarder of one shard: replica writes (§III-A4) and
+/// the live-migration window's dual-applies leave, asynchronously, through
+/// the forward client of the shard's host rank
+/// ([`WorldShared::forward_client`]); the forwarder keeps their futures.
 /// Lives here so container modules contain no direct RPC-client calls (the
 /// `xtask lint` DISPATCH rule enforces that).
+#[derive(Default)]
 pub(crate) struct ReplForwarder {
-    /// The partition's owner rank: fixes the forwarder's auxiliary endpoint
-    /// (`world_size + home` — unique per rank, co-located with the owner).
-    home: u32,
-    client: std::sync::OnceLock<RpcClient>,
     outstanding: Mutex<Vec<RawFuture>>,
 }
 
@@ -692,28 +667,6 @@ pub(crate) struct ReplForwarder {
 const REPL_OUTSTANDING_CAP: usize = 1024;
 
 impl ReplForwarder {
-    pub(crate) fn new(home: u32) -> Self {
-        ReplForwarder {
-            home,
-            client: std::sync::OnceLock::new(),
-            outstanding: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The forwarder's lazily-created auxiliary client: endpoint past the
-    /// world's rank range (the servers' slot tables reserve room for one
-    /// auxiliary client per rank).
-    fn client(&self, world: &Arc<WorldShared>) -> &RpcClient {
-        self.client.get_or_init(|| {
-            let cfg = world.config();
-            let ep = EpId {
-                node: self.home / cfg.ranks_per_node,
-                rank: cfg.world_size() + self.home,
-            };
-            RpcClient::new(ep, Arc::clone(world.fabric()), cfg.slot_cap)
-        })
-    }
-
     /// Drain completed forwards (consume, not drop, so responses and client
     /// slots are reclaimed) and block past the outstanding cap.
     fn reclaim(outstanding: &mut Vec<RawFuture>) {
@@ -734,55 +687,24 @@ impl ReplForwarder {
         }
     }
 
-    /// Forward one encoded mutation to the next `replicas` partitions after
-    /// `index`. Invocation futures are retained for [`ReplForwarder::flush`].
+    /// Forward one encoded mutation from host rank `home` to each rank of
+    /// `targets`. Invocation futures are retained for
+    /// [`ReplForwarder::flush`].
     pub(crate) fn forward(
         &self,
-        world: &Arc<WorldShared>,
-        index: usize,
-        servers: &[u32],
-        replicas: usize,
+        world: &WorldShared,
+        home: u32,
+        targets: impl IntoIterator<Item = u32>,
         fn_id: FnId,
         encoded: &[u8],
     ) {
-        let nparts = servers.len();
-        if nparts <= 1 || replicas == 0 {
-            return;
-        }
-        let client = self.client(world);
+        let client = world.forward_client(home);
         let mut outstanding = self.outstanding.lock();
         Self::reclaim(&mut outstanding);
-        for i in 1..=replicas.min(nparts - 1) {
-            // Ring successor by conditional subtraction: `index + i` is at
-            // most `2 * nparts - 2`, so one wrap suffices (and no owner math
-            // outside the partition map uses `%` — the MEMBERSHIP lint).
-            let succ = index + i;
-            let succ = if succ >= nparts { succ - nparts } else { succ };
-            let target = servers[succ];
-            let target_ep = world.config().ep_of(target);
-            if let Ok(f) = client.invoke_raw(target_ep, fn_id, encoded) {
+        for target in targets {
+            if let Ok(f) = client.invoke_raw(world.config().ep_of(target), fn_id, encoded) {
                 outstanding.push(f);
             }
-        }
-    }
-
-    /// Forward one encoded mutation to a single explicit `target` rank — the
-    /// live-migration write-forwarding window: while a shard drains to its
-    /// new owner, the old owner dual-applies incoming mutations so neither
-    /// side misses writes racing the copy (see [`crate::rebalance`]).
-    pub(crate) fn forward_to(
-        &self,
-        world: &Arc<WorldShared>,
-        target: u32,
-        fn_id: FnId,
-        encoded: &[u8],
-    ) {
-        let client = self.client(world);
-        let mut outstanding = self.outstanding.lock();
-        Self::reclaim(&mut outstanding);
-        let target_ep = world.config().ep_of(target);
-        if let Ok(f) = client.invoke_raw(target_ep, fn_id, encoded) {
-            outstanding.push(f);
         }
     }
 

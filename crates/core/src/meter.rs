@@ -2,16 +2,23 @@
 //! called directly at each moment of a dispatched op's life.
 //!
 //! * **Table I cost**, always: the bypass charges the descriptor's
-//!   [`CostSig`], every remote invocation one `F`, classified batched or
-//!   unbatched by its [`IssueMode`]. [`OpMeter::costs`] is the view.
+//!   [`CostSig`](crate::CostSig), every remote invocation one `F`,
+//!   classified batched or unbatched by its [`IssueMode`].
+//!   [`OpMeter::costs`] is the view.
 //! * **Metrics and flight events**, only when the rank runs with telemetry
 //!   (otherwise no clock is read): outcome counters (`issued`,
 //!   `local_bypass`, `ok`, `err`, `owner_down`, `retries_exhausted`), each
-//!   completed op's latency per locality (the §III-C5 split), per class,
-//!   per cost-signature kind and per op (`hcl_core_op_queue_push_ns`), and
+//!   completed op's latency into exactly two histograms — its locality (the
+//!   §III-C5 split) and its op (`hcl_core_op_queue_push_ns`) — and
 //!   issue/completion/failure events for *synchronously awaited* ops. Async
 //!   ops only count: the coalescer records one `BatchFlush` per batch, since
 //!   a per-op ring write would not fit the batched hot loop (DESIGN.md §11).
+//!
+//! A coarser latency view (by class of op, by cost-signature shape) is a
+//! fixed sum of per-op histograms, so none is recorded. The per-op
+//! histogram sits in a slot indexed by the descriptor's `fn_off`, which is
+//! unique within a handle's table: registered on the op's first completion,
+//! it is afterwards recorded with no lock, no hash and no `Arc` clone.
 //!
 //! Each logical op completes exactly once — `ok`, `err` or `owner_down` —
 //! timed from its first attempt, while `issued` and `F` count every
@@ -20,15 +27,13 @@
 //! flight recorder, so the rank's last events land on stderr next to the
 //! error the caller sees.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use hcl_telemetry::{Counter, EventKind, FlightEvent, Histogram, Outcome, Telemetry};
-use parking_lot::RwLock;
 
 use crate::cost::{CostCounters, CostSnapshot};
-use crate::dispatch::{CostSig, IssueMode, OpEvent};
+use crate::dispatch::{IssueMode, OpDescriptor, OpEvent};
 
 /// Table I counters of one handle, plus its telemetry when the rank has it.
 pub(crate) struct OpMeter {
@@ -37,10 +42,10 @@ pub(crate) struct OpMeter {
 }
 
 impl OpMeter {
-    /// A meter recording into `telemetry` when it is enabled, costs only
-    /// otherwise.
-    pub(crate) fn new(telemetry: &Arc<Telemetry>) -> Self {
-        let metrics = telemetry.enabled().then(|| OpMetrics::new(Arc::clone(telemetry)));
+    /// A meter for a handle whose op table spans `fns` function ids,
+    /// recording into `telemetry` when it is enabled, costs only otherwise.
+    pub(crate) fn new(telemetry: &Arc<Telemetry>, fns: u32) -> Self {
+        let metrics = telemetry.enabled().then(|| OpMetrics::new(Arc::clone(telemetry), fns));
         OpMeter { costs: CostCounters::default(), metrics }
     }
 
@@ -135,18 +140,14 @@ struct OpMetrics {
     retries_exhausted: Arc<Counter>,
     lat_local: Arc<Histogram>,
     lat_remote: Arc<Histogram>,
-    /// Indexed by [`crate::OpClass`] in declaration order.
-    class: [Arc<Histogram>; 4],
-    /// Indexed by cost-signature kind: zero, fixed, read_scaled, write_scaled.
-    sig: [Arc<Histogram>; 4],
-    /// Lazily-created per-op histograms, keyed by descriptor name. One
-    /// allocation per distinct op; afterwards a read-lock + lookup.
-    per_op: RwLock<HashMap<&'static str, Arc<Histogram>>>,
+    /// Per-op histograms indexed by descriptor `fn_off`, each registered on
+    /// its op's first completion.
+    per_op: Box<[OnceLock<Arc<Histogram>>]>,
     telemetry: Arc<Telemetry>,
 }
 
 impl OpMetrics {
-    fn new(telemetry: Arc<Telemetry>) -> Self {
+    fn new(telemetry: Arc<Telemetry>, fns: u32) -> Self {
         let reg = telemetry.registry();
         OpMetrics {
             issued: reg.counter("hcl_core_ops_issued"),
@@ -157,55 +158,27 @@ impl OpMetrics {
             retries_exhausted: reg.counter("hcl_core_ops_retries_exhausted"),
             lat_local: reg.histogram("hcl_core_op_latency_local_ns"),
             lat_remote: reg.histogram("hcl_core_op_latency_remote_ns"),
-            class: [
-                reg.histogram("hcl_core_class_read_ns"),
-                reg.histogram("hcl_core_class_write_ns"),
-                reg.histogram("hcl_core_class_readwrite_ns"),
-                reg.histogram("hcl_core_class_admin_ns"),
-            ],
-            sig: [
-                reg.histogram("hcl_core_sig_zero_ns"),
-                reg.histogram("hcl_core_sig_fixed_ns"),
-                reg.histogram("hcl_core_sig_read_scaled_ns"),
-                reg.histogram("hcl_core_sig_write_scaled_ns"),
-            ],
-            per_op: RwLock::new(HashMap::new()),
+            per_op: (0..fns).map(|_| OnceLock::new()).collect(),
             telemetry,
         }
     }
 
-    fn sig_hist(&self, sig: &CostSig) -> &Histogram {
-        let i = match (sig.scale_r, sig.scale_w) {
-            (true, _) => 2,
-            (_, true) => 3,
-            _ if *sig == CostSig::ZERO => 0,
-            _ => 1,
-        };
-        &self.sig[i]
-    }
-
-    fn op_hist(&self, name: &'static str) -> Arc<Histogram> {
-        if let Some(h) = self.per_op.read().get(name) {
-            return Arc::clone(h);
-        }
-        // `"queue.push"` → the metric-legal `hcl_core_op_queue_push_ns`.
-        let h = self
-            .telemetry
-            .registry()
-            .histogram(&format!("hcl_core_op_{}_ns", name.replace('.', "_")));
-        Arc::clone(self.per_op.write().entry(name).or_insert(h))
+    fn op_hist(&self, op: &OpDescriptor) -> &Histogram {
+        self.per_op[op.fn_off as usize].get_or_init(|| {
+            // `"queue.push"` → the metric-legal `hcl_core_op_queue_push_ns`.
+            let reg = self.telemetry.registry();
+            reg.histogram(&format!("hcl_core_op_{}_ns", op.name.replace('.', "_")))
+        })
     }
 
     /// Count the outcome and record the latency since `t0` into the
-    /// locality view `lat` and the class, signature and per-op views.
-    /// Returns the latency in nanoseconds.
+    /// locality view `lat` and the op's own histogram. Returns the latency
+    /// in nanoseconds.
     fn complete(&self, ev: &OpEvent<'_>, lat: &Histogram, t0: Option<Instant>, ok: bool) -> u64 {
         if ok { &self.ok } else { &self.err }.inc();
         let ns = t0.map_or(0, |t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         lat.record(ns);
-        self.class[ev.op.class as usize].record(ns);
-        self.sig_hist(&ev.op.cost).record(ns);
-        self.op_hist(ev.op.name).record(ns);
+        self.op_hist(ev.op).record(ns);
         ns
     }
 
@@ -218,12 +191,11 @@ impl OpMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{OpClass, OpDescriptor};
+    use crate::dispatch::CostSig;
     use hcl_telemetry::TelemetryConfig;
 
     static PUSH: OpDescriptor = OpDescriptor {
         name: "queue.push",
-        class: OpClass::Write,
         fn_off: 0,
         cost: CostSig::lrw(1, 0, 1),
         degradable: true,
@@ -235,7 +207,7 @@ mod tests {
     #[test]
     fn retries_exhausted_records_attempts_and_dumps() {
         let t = Arc::new(Telemetry::new(1, TelemetryConfig::default()));
-        let meter = OpMeter::new(&t);
+        let meter = OpMeter::new(&t, 1);
         meter.retries_exhausted(&OpEvent { op: &PUSH, owner: 1, n: 1 }, 5);
         let events = t.flight().events();
         assert_eq!(events.len(), 1);

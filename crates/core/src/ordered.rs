@@ -22,7 +22,7 @@ use hcl_databox::DataBox;
 use hcl_runtime::Rank;
 
 use crate::cost::CostSnapshot;
-use crate::dispatch::{CostSig, IssueMode, OpClass, OpDescriptor};
+use crate::dispatch::{CostSig, IssueMode, OpDescriptor};
 use crate::persist::PersistConfig;
 use crate::shard::{
     keyed_ops, KeyedClient, KeyedOps, KeyedShard, KeyedSpec, KeyedStore, KEYED_FNS,
@@ -38,21 +38,18 @@ const EXTRA_FNS: u32 = 3;
 static OPS: KeyedOps = keyed_ops!("omap");
 static FIRST: OpDescriptor = OpDescriptor {
     name: "omap.first",
-    class: OpClass::Read,
     fn_off: FN_FIRST,
     cost: CostSig::ZERO,
     degradable: true,
 };
 static RANGE: OpDescriptor = OpDescriptor {
     name: "omap.range",
-    class: OpClass::Read,
     fn_off: FN_RANGE,
     cost: CostSig::ZERO,
     degradable: true,
 };
 static RESIZE: OpDescriptor = OpDescriptor {
     name: "omap.resize",
-    class: OpClass::Admin,
     fn_off: FN_RESIZE,
     cost: CostSig::ZERO,
     degradable: true,

@@ -20,7 +20,7 @@ use hcl_runtime::Rank;
 
 use crate::cost::CostSnapshot;
 use crate::dispatch::{
-    hist_invoke, hist_return, CostSig, IssueMode, OpClass, OpDescriptor,
+    hist_invoke, hist_return, CostSig, IssueMode, OpDescriptor,
 };
 use crate::queue::QueueConfig;
 use crate::shard::{seq_ops, SeqClient, SeqOps, SeqShard, SeqStore, SEQ_FNS};
@@ -35,14 +35,12 @@ const EXTRA_FNS: u32 = 2;
 static OPS: SeqOps = seq_ops!("pq");
 static PEEK: OpDescriptor = OpDescriptor {
     name: "pq.peek",
-    class: OpClass::Read,
     fn_off: FN_PEEK,
     cost: CostSig::lrw(1, 1, 0),
     degradable: true,
 };
 static PURGE: OpDescriptor = OpDescriptor {
     name: "pq.purge",
-    class: OpClass::Admin,
     fn_off: FN_PURGE,
     cost: CostSig::ZERO,
     degradable: true,

@@ -6,8 +6,8 @@
 //! the target half, generic over the local structure by static dispatch:
 //!
 //! * [`KeyedShard`] over a [`KeyedStore`] (cuckoo hash, skiplist): every
-//!   mutation is *cost-account → log with recovery descriptor → apply → bump
-//!   version → forward if the vpart is migrating → replicate*; every read is
+//!   mutation is *log with recovery descriptor → apply → bump version →
+//!   forward if the vpart is migrating → replicate*; every read is
 //!   taken under the strict read fence; the live-migration write-forwarding
 //!   window (`mig_arm/begin/extract/install/apply/end`) lives here and only
 //!   here, as do the handler bindings, the construction of the per-host
@@ -36,7 +36,6 @@ use hcl_rpc::{FnId, Guard};
 use hcl_runtime::{Membership, PartitionMap, Rank, ShardMove, WorldShared};
 use parking_lot::{Mutex, RwLock};
 
-use crate::cost::{CostCounters, CostSnapshot};
 use crate::dispatch::{
     hist_invoke, hist_return, Dispatcher, IssueMode, OpDescriptor, OpEvent, OwnerMap,
     ReplForwarder,
@@ -118,17 +117,16 @@ pub(crate) struct SeqOps {
     pub mig_extract: OpDescriptor,
 }
 
-/// Build a descriptor table: one row per common op — `field: class, fn
-/// offset, Table I local cost, degradable;` — named `"<prefix>.<field>"`.
+/// Build a descriptor table: one row per common op — `field: fn offset,
+/// Table I local cost, degradable;` — named `"<prefix>.<field>"`.
 macro_rules! op_table {
     ($table:ident, $fns:ident, $p:literal, {
-        $($op:ident: $class:ident, $off:ident, $cost:expr, $degr:literal;)*
+        $($op:ident: $off:ident, $cost:expr, $degr:literal;)*
     }) => {
         $crate::shard::$table {
             prefix: $p,
             $($op: $crate::dispatch::OpDescriptor {
                 name: concat!($p, ".", stringify!($op)),
-                class: $crate::dispatch::OpClass::$class,
                 fn_off: $crate::shard::$fns::$off,
                 cost: $cost,
                 degradable: $degr,
@@ -146,18 +144,18 @@ macro_rules! keyed_ops {
     ($p:literal) => {{
         use $crate::dispatch::CostSig;
         $crate::shard::op_table!(KeyedOps, kfn, $p, {
-            put:         Write, PUT,         CostSig::lrw(1, 0, 1), true;
-            get:         Read,  GET,         CostSig::lrw(1, 1, 0), true;
-            erase:       Write, ERASE,       CostSig::lrw(1, 0, 1), true;
-            len:         Admin, LEN,         CostSig::ZERO,         true;
-            snapshot:    Admin, SNAPSHOT,    CostSig::ZERO,         true;
-            repl_get:    Read,  REPL_GET,    CostSig::ZERO,         false;
-            repl_flush:  Admin, REPL_FLUSH,  CostSig::ZERO,         false;
-            mig_arm:     Admin, MIG_ARM,     CostSig::ZERO,         true;
-            mig_begin:   Admin, MIG_BEGIN,   CostSig::ZERO,         true;
-            mig_extract: Admin, MIG_EXTRACT, CostSig::ZERO,         true;
-            mig_install: Write, MIG_INSTALL, CostSig::lrw(1, 0, 1), true;
-            mig_end:     Admin, MIG_END,     CostSig::ZERO,         true;
+            put:         PUT,         CostSig::lrw(1, 0, 1), true;
+            get:         GET,         CostSig::lrw(1, 1, 0), true;
+            erase:       ERASE,       CostSig::lrw(1, 0, 1), true;
+            len:         LEN,         CostSig::ZERO,         true;
+            snapshot:    SNAPSHOT,    CostSig::ZERO,         true;
+            repl_get:    REPL_GET,    CostSig::ZERO,         false;
+            repl_flush:  REPL_FLUSH,  CostSig::ZERO,         false;
+            mig_arm:     MIG_ARM,     CostSig::ZERO,         true;
+            mig_begin:   MIG_BEGIN,   CostSig::ZERO,         true;
+            mig_extract: MIG_EXTRACT, CostSig::ZERO,         true;
+            mig_install: MIG_INSTALL, CostSig::lrw(1, 0, 1), true;
+            mig_end:     MIG_END,     CostSig::ZERO,         true;
         })
     }};
 }
@@ -167,13 +165,13 @@ macro_rules! seq_ops {
     ($p:literal) => {{
         use $crate::dispatch::CostSig;
         $crate::shard::op_table!(SeqOps, sfn, $p, {
-            push:        Write,     PUSH,        CostSig::lrw(1, 0, 1),       true;
-            pop:         ReadWrite, POP,         CostSig::lrw(1, 1, 0),       true;
-            push_bulk:   Write,     PUSH_BULK,   CostSig::write_scaled(1, 1), true;
-            pop_bulk:    ReadWrite, POP_BULK,    CostSig::read_scaled(1, 1),  true;
-            len:         Admin,     LEN,         CostSig::ZERO,               true;
-            snapshot:    Admin,     SNAPSHOT,    CostSig::ZERO,               true;
-            mig_extract: ReadWrite, MIG_EXTRACT, CostSig::ZERO,               true;
+            push:        PUSH,        CostSig::lrw(1, 0, 1),       true;
+            pop:         POP,         CostSig::lrw(1, 1, 0),       true;
+            push_bulk:   PUSH_BULK,   CostSig::write_scaled(1, 1), true;
+            pop_bulk:    POP_BULK,    CostSig::read_scaled(1, 1),  true;
+            len:         LEN,         CostSig::ZERO,               true;
+            snapshot:    SNAPSHOT,    CostSig::ZERO,               true;
+            mig_extract: MIG_EXTRACT, CostSig::ZERO,               true;
         })
     }};
 }
@@ -306,8 +304,9 @@ pub struct KeyedShard<K, V, S> {
     world: Arc<WorldShared>,
     fn_base: FnId,
     servers: Vec<u32>,
+    /// Ring successors on `servers` this shard replicates to (fewer than
+    /// `servers.len()`).
     replicas: usize,
-    costs: CostCounters,
     /// Monotone mutation version: bumped *after* every applied mutation,
     /// read *before* the value on a lease grant, and piggybacked on every
     /// `FLAG_STAMPED` response (the guard bound in [`KeyedCore::open`]). That
@@ -341,21 +340,23 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
         self.version.fetch_add(1, Ordering::Release);
         self.forward_migration(key, value);
         if self.replicas > 0 {
-            self.repl.forward(
-                &self.world,
-                self.index,
-                &self.servers,
-                self.replicas,
-                self.fn_base + kfn::REPL_PUT,
-                &(key.clone(), value.cloned()).to_bytes(),
-            );
+            let n = self.servers.len();
+            let successors = (1..=self.replicas).map(|i| {
+                // Ring successor by conditional subtraction: `index + i` is
+                // at most `2 * n - 2`, so one wrap suffices (and no owner
+                // math outside the partition map uses `%` — the MEMBERSHIP
+                // lint).
+                let succ = self.index + i;
+                self.servers[if succ >= n { succ - n } else { succ }]
+            });
+            let encoded = (key.clone(), value.cloned()).to_bytes();
+            let fn_id = self.fn_base + kfn::REPL_PUT;
+            self.repl.forward(&self.world, self.home, successors, fn_id, &encoded);
         }
     }
 
     /// Insert or overwrite; `true` when the key was newly inserted.
     pub(crate) fn apply_put(&self, key: K, value: V) -> bool {
-        self.costs.l(1);
-        self.costs.w(1);
         self.log_op(kfn::PUT, || (TAG_ADD, key.clone(), Some(value.clone())));
         let newly = self.store.insert(key.clone(), value.clone()).is_none();
         self.publish(&key, Some(&value));
@@ -364,8 +365,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
 
     /// Remove `key`, returning its value.
     pub(crate) fn apply_erase(&self, key: &K) -> Option<V> {
-        self.costs.l(1);
-        self.costs.w(1);
         self.log_op(kfn::ERASE, || (TAG_REMOVE, key.clone(), None));
         let prev = self.store.remove(key);
         self.publish(key, None);
@@ -377,9 +376,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
     /// is what gets logged — replay must not re-run the computation against
     /// recovered state. Known: the update is applied before it is logged.
     pub(crate) fn apply_rmw(&self, fn_off: u32, key: K, rmw: impl FnOnce(&S, &K) -> V) -> V {
-        self.costs.l(1);
-        self.costs.r(1);
-        self.costs.w(1);
         let stored = rmw(&self.store, &key);
         self.log_op(fn_off, || (TAG_ADD, key.clone(), Some(stored.clone())));
         self.publish(&key, Some(&stored));
@@ -398,8 +394,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
 
     /// Look up `key`.
     pub(crate) fn apply_get(&self, key: &K) -> Option<V> {
-        self.costs.l(1);
-        self.costs.r(1);
         self.read(|s| s.get(key))
     }
 
@@ -469,12 +463,9 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
                 owner
             }
         };
-        self.repl.forward_to(
-            &self.world,
-            target,
-            self.fn_base + kfn::MIG_APPLY,
-            &(key.clone(), value.cloned()).to_bytes(),
-        );
+        let encoded = (key.clone(), value.cloned()).to_bytes();
+        let fn_id = self.fn_base + kfn::MIG_APPLY;
+        self.repl.forward(&self.world, self.home, [target], fn_id, &encoded);
         m.counters().forwarded_writes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -595,6 +586,8 @@ pub(crate) struct KeyedSpec {
 pub(crate) struct KeyedCore<K, V, S> {
     ops: &'static KeyedOps,
     fn_base: FnId,
+    /// Function ids the container's op table spans from `fn_base`.
+    fns: u32,
     servers: Vec<u32>,
     /// Static replica ring over `servers` (one slot per server). Doubles as
     /// the owner map for pinned containers — `owner_of_hash` is bit-identical
@@ -631,7 +624,8 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
             // exactly the historical static placement.
             let elastic = spec.servers.is_none();
             let servers = spec.servers.clone().unwrap_or_else(|| default_servers(&world));
-            let fn_base = world.alloc_fn_ids(KEYED_FNS + extra_fns);
+            let fns = KEYED_FNS + extra_fns;
+            let fn_base = world.alloc_fn_ids(fns);
             let repl_map = Arc::new(PartitionMap::round_robin(&servers, 1));
             let hosts: Vec<u32> =
                 if elastic { (0..world.config().world_size()).collect() } else { servers.clone() };
@@ -646,7 +640,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                 // migrate shards onto them; durability follows ownership.
                 let leader = servers.iter().position(|&s| s == home);
                 let store = make_store();
-                let log = spec.persist.as_ref().filter(|_| leader.is_some() || elastic).map(|p| {
+                let log = spec.persist.as_ref().map(|p| {
                     ShardLog::open(p, name, home, pmetrics.clone(), flusher.as_ref(), |rec| {
                         match rec {
                             (TAG_ADD, k, Some(v)) => drop(store.insert(k, v)),
@@ -663,12 +657,14 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                     store,
                     replica: make_store(),
                     log,
-                    repl: ReplForwarder::new(home),
+                    repl: ReplForwarder::default(),
                     world: Arc::clone(&world),
                     fn_base,
                     servers: servers.clone(),
-                    replicas: if leader.is_some() { spec.replicas } else { 0 },
-                    costs: CostCounters::default(),
+                    replicas: match leader {
+                        Some(_) => spec.replicas.min(servers.len().saturating_sub(1)),
+                        None => 0,
+                    },
                     version: AtomicU64::new(0),
                     membership: elastic.then(|| Arc::clone(world.membership())),
                     forwarding: RwLock::new(HashMap::new()),
@@ -727,7 +723,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                 s.mig_end(vpart as usize, committed, source)
             });
             bind_extra(&b);
-            KeyedCore { ops, fn_base, servers, repl_map, parts, spec, _flusher: flusher }
+            KeyedCore { ops, fn_base, fns, servers, repl_map, parts, spec, _flusher: flusher }
         })
     }
 
@@ -738,7 +734,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
 
     /// An engine addressing explicit ranks of this container.
     fn dispatcher<'r>(&self, rank: &'r Rank) -> Dispatcher<'r> {
-        Dispatcher::new(rank, self.fn_base, self.spec.hybrid)
+        Dispatcher::new(rank, self.fn_base, self.fns, self.spec.hybrid)
     }
 }
 
@@ -980,21 +976,6 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
         let mut local = self.core.servers.iter().filter(|&&o| self.d.rank().same_node(o));
         local.try_for_each(|&o| self.core.shard(o).compact_log().map_err(HclError::Persist))
     }
-
-    /// Aggregated server-side cost counters across all shards.
-    pub(crate) fn server_costs(&self) -> CostSnapshot {
-        let mut out = CostSnapshot::default();
-        for shard in self.core.parts.iter().flatten() {
-            let s = shard.costs.snapshot();
-            out.f += s.f;
-            out.l += s.l;
-            out.r += s.r;
-            out.w += s.w;
-            out.fb += s.fb;
-            out.fu += s.fu;
-        }
-        out
-    }
 }
 
 /// Server-side state of a single-partition container on its owner rank.
@@ -1143,7 +1124,7 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
             bind_extra(&b);
             (fn_base, shard)
         });
-        let d = Dispatcher::new(rank, shared.0, hybrid);
+        let d = Dispatcher::new(rank, shared.0, SEQ_FNS + extra_fns, hybrid);
         SeqClient { ops, shard: Arc::clone(&shared.1), d }
     }
 

@@ -35,7 +35,7 @@ use hcl_telemetry::CacheMetrics;
 use crate::cache::{CacheStats, LeaseCache, LeaseConfig};
 use crate::cost::CostSnapshot;
 use crate::dispatch::{
-    hist_invoke, hist_return, BulkReply, CostSig, IssueMode, OpClass, OpDescriptor,
+    hist_invoke, hist_return, BulkReply, CostSig, IssueMode, OpDescriptor,
 };
 use crate::persist::PersistConfig;
 use crate::shard::{
@@ -52,21 +52,18 @@ const EXTRA_FNS: u32 = 3;
 static OPS: KeyedOps = keyed_ops!("umap");
 static MERGE: OpDescriptor = OpDescriptor {
     name: "umap.put_merge",
-    class: OpClass::ReadWrite,
     fn_off: FN_MERGE,
     cost: CostSig::lrw(1, 1, 1),
     degradable: true,
 };
 static RESIZE: OpDescriptor = OpDescriptor {
     name: "umap.resize",
-    class: OpClass::Admin,
     fn_off: FN_RESIZE,
     cost: CostSig::ZERO,
     degradable: true,
 };
 static GET_LEASED: OpDescriptor = OpDescriptor {
     name: "umap.get_leased",
-    class: OpClass::Read,
     fn_off: FN_GET_LEASED,
     cost: CostSig::lrw(1, 1, 0),
     degradable: true,
@@ -550,11 +547,6 @@ where
     /// Lease-cache counters of this handle (`None` when caching is off).
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Aggregated server-side cost counters across all partitions.
-    pub fn server_costs(&self) -> CostSnapshot {
-        self.c.server_costs()
     }
 }
 

@@ -1,6 +1,7 @@
 //! SPMD integration tests for every HCL container.
 
 use std::collections::HashSet;
+use std::time::{Duration, Instant};
 
 use hcl::{
     OrderedMap, OrderedSet, PersistConfig, PriorityQueue, Queue, UnorderedMap, UnorderedMapConfig,
@@ -430,6 +431,42 @@ fn replication_failover_serves_reads() {
         assert_eq!(via_replica, 50, "replica reads incomplete");
         rank.barrier();
     });
+}
+
+/// Every keyed container hosted on a rank forwards through that rank's one
+/// forward client. With a client per container, two replicated maps on one
+/// host both numbered their forwards from 1 at the same auxiliary endpoint;
+/// the target server skips a reply whose request id its slot has already
+/// passed, so the second map's first forward was never answered and its
+/// flush waited out the 30 s client timeout. Timed inside the world,
+/// asserted after it ends, so a failure cannot strand a rank at a barrier.
+#[test]
+fn replicated_maps_on_one_host_share_its_forward_client() {
+    let cfg = WorldConfig { nodes: 2, ranks_per_node: 1, ..WorldConfig::small() };
+    let took = World::run(cfg, |rank| {
+        let repl = || UnorderedMapConfig { replicas: 1, ..Default::default() };
+        let a: UnorderedMap<u64, u64> = UnorderedMap::with_config(rank, "fwd-a", repl());
+        let b: UnorderedMap<u64, u64> = UnorderedMap::with_config(rank, "fwd-b", repl());
+        rank.barrier();
+        let mut took = Duration::ZERO;
+        if rank.id() == 0 {
+            // Keys rank 0 owns: the bypass applies each put here, and rank
+            // 0's shard replicates it to rank 1.
+            let mut local = (0u64..).filter(|k| a.server_of(a.partition_of(k)) == 0);
+            for k in local.by_ref().take(5) {
+                a.put(k, k).unwrap();
+            }
+            let k = local.next().unwrap();
+            b.put(k, k).unwrap();
+            let t = Instant::now();
+            b.flush_replication().unwrap();
+            a.flush_replication().unwrap();
+            took = t.elapsed();
+        }
+        rank.barrier();
+        took
+    });
+    assert!(took[0] < Duration::from_secs(5), "replication flush took {:?}", took[0]);
 }
 
 #[test]

@@ -6,13 +6,16 @@
 //! world from rank 0 (owner 0 = hybrid bypass, owner 1 = remote): a
 //! local-bypass op, a remote sync op, an async op, bulk ops, then an
 //! owner-down rejection. After every op the script asserts the exact delta
-//! of every `hcl_core_ops_*` counter and of the sample count of every core
-//! latency histogram — locality, class, cost signature, per op — plus the
-//! flight events the op appended and its `costs()` delta. A metric that
-//! moved and is not expected fails the step as surely as an expected one
-//! that did not move.
+//! of every `hcl_core_ops_*` counter and of the sample count of every
+//! `hcl_core_*_ns` latency histogram — a completed op records its locality
+//! and its op, nothing else — plus the flight events the op appended and its
+//! `costs()` delta. A metric that moved and is not expected fails the step
+//! as surely as an expected one that did not move. After the script, the
+//! latency histograms the rank registered are exactly the two locality
+//! views and one per distinct op completed, so no derived view can come
+//! back unnoticed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use hcl::queue::QueueConfig;
 use hcl::{CostSnapshot, HclError, Queue, UnorderedMap};
@@ -40,19 +43,40 @@ fn two_node_world(telemetry: TelemetryConfig) -> WorldConfig {
     }
 }
 
+/// Every `hcl_core_*_ns` latency histogram `rank` registered, with its
+/// sample count.
+fn latency_views(rank: &Rank) -> BTreeMap<String, u64> {
+    let snap = rank.telemetry().snapshot();
+    let views = snap.histograms.into_iter().filter(|(k, _)| k.starts_with("hcl_core_"));
+    views.filter(|(k, _)| k.ends_with("_ns")).map(|(k, h)| (k, h.count)).collect()
+}
+
 /// Every core meter metric of `rank`: `hcl_core_ops_*` counter values and
-/// the sample counts of the `hcl_core_op_*` / `hcl_core_class_*` /
-/// `hcl_core_sig_*` histograms.
+/// the sample counts of its latency views.
 fn core_metrics(rank: &Rank) -> BTreeMap<String, u64> {
     let snap = rank.telemetry().snapshot();
-    let hist_families = ["hcl_core_op_", "hcl_core_class_", "hcl_core_sig_"];
     let counters = snap.counters.into_iter().filter(|(k, _)| k.starts_with("hcl_core_ops_"));
-    let hists = snap
-        .histograms
-        .into_iter()
-        .filter(|(k, _)| hist_families.iter().any(|p| k.starts_with(p)))
-        .map(|(k, h)| (k, h.count));
-    counters.chain(hists).collect()
+    counters.chain(latency_views(rank)).collect()
+}
+
+/// The per-op histogram of descriptor `name`.
+fn op_view(name: Op) -> String {
+    format!("hcl_core_op_{}_ns", name.replace('.', "_"))
+}
+
+/// The names of the latency views `rank` registered.
+fn view_names(rank: &Rank) -> BTreeSet<String> {
+    latency_views(rank).into_keys().collect()
+}
+
+/// `views` are the two locality views plus one per op in `completed`.
+/// Asserted once the world has ended, so a mismatch cannot strand the other
+/// rank at a barrier.
+fn assert_views_are(views: &BTreeSet<String>, completed: &[Op]) {
+    let locality = ["local", "remote"].map(|at| format!("hcl_core_op_latency_{at}_ns"));
+    let per_op = completed.iter().map(|&op| op_view(op));
+    let want: BTreeSet<String> = locality.into_iter().chain(per_op).collect();
+    assert_eq!(views, &want, "registered latency views");
 }
 
 /// One flight event as the script pins it: kind, op name, element count,
@@ -63,15 +87,14 @@ fn ring(rank: &Rank) -> Vec<Ev> {
     rank.telemetry().flight().events().iter().map(|e| (e.kind, e.op, e.n, e.outcome)).collect()
 }
 
-/// A descriptor as the meter labels it: name, class and signature kind.
-#[derive(Clone, Copy)]
-struct Op(&'static str, &'static str, &'static str);
+/// A descriptor as the meter labels it: its name.
+type Op = &'static str;
 
-const UMAP_PUT: Op = Op("umap.put", "write", "fixed");
-const UMAP_GET: Op = Op("umap.get", "read", "fixed");
-const QUEUE_PUSH: Op = Op("queue.push", "write", "fixed");
-const QUEUE_POP: Op = Op("queue.pop", "readwrite", "fixed");
-const QUEUE_PUSH_BULK: Op = Op("queue.push_bulk", "write", "write_scaled");
+const UMAP_PUT: Op = "umap.put";
+const UMAP_GET: Op = "umap.get";
+const QUEUE_PUSH: Op = "queue.push";
+const QUEUE_POP: Op = "queue.pop";
+const QUEUE_PUSH_BULK: Op = "queue.push_bulk";
 
 /// What one step is expected to leave in the meter's views.
 #[derive(Clone, Copy)]
@@ -104,13 +127,11 @@ impl Want {
             Want::Flushed | Want::Nothing => return BTreeMap::new(),
         };
         let mut m = BTreeMap::from([(counter.to_string(), done.map_or(1, |(.., n)| n))]);
-        if let Some((Op(name, class, sig), at, n)) = done {
+        if let Some((op, at, n)) = done {
             m.extend([
                 ("hcl_core_ops_ok".to_string(), n),
                 (format!("hcl_core_op_latency_{at}_ns"), n),
-                (format!("hcl_core_class_{class}_ns"), n),
-                (format!("hcl_core_sig_{sig}_ns"), n),
-                (format!("hcl_core_op_{}_ns", name.replace('.', "_")), n),
+                (op_view(op), n),
             ]);
         }
         m
@@ -118,16 +139,16 @@ impl Want {
 
     fn events(self) -> Vec<Ev> {
         match self {
-            Want::Remote(Op(name, ..), n) => {
+            Want::Remote(name, n) => {
                 vec![
                     (EventKind::Issue, name, n, Outcome::Pending),
                     (EventKind::Complete, name, n, Outcome::Ok),
                 ]
             }
-            Want::Issued(Op(name, ..), Some(n)) => {
+            Want::Issued(name, Some(n)) => {
                 vec![(EventKind::Issue, name, n, Outcome::Pending)]
             }
-            Want::OwnerDown(Op(name, ..)) => {
+            Want::OwnerDown(name) => {
                 vec![(EventKind::OwnerDown, name, 1, Outcome::OwnerDown)]
             }
             Want::Flushed => vec![(EventKind::BatchFlush, "rpc.batch.demand", 1, Outcome::Pending)],
@@ -171,9 +192,10 @@ fn keys_owned_by<'m>(
 
 #[test]
 fn unordered_map_ops_meter_exactly() {
-    World::run(two_node_world(TelemetryConfig::default()), |rank| {
+    let views = World::run(two_node_world(TelemetryConfig::default()), |rank| {
         let map: UnorderedMap<u64, u64> = UnorderedMap::new(rank, "meter-umap");
         rank.barrier();
+        let mut views = BTreeSet::new();
         if rank.id() == 0 {
             let mut local = keys_owned_by(&map, 0);
             let mut remote = keys_owned_by(&map, 1);
@@ -202,18 +224,23 @@ fn unordered_map_ops_meter_exactly() {
             let batch: Vec<(u64, u64)> = local.by_ref().take(2).map(|k| (k, k)).collect();
             let put_batch = || assert_eq!(map.put_batch(batch).unwrap(), 2);
             step(rank, costs, put_batch, Want::Local(UMAP_PUT, 2), (0, 2, 0, 2, 0, 0));
+
+            views = view_names(rank);
         }
         rank.barrier();
+        views
     });
+    assert_views_are(&views[0], &[UMAP_PUT, UMAP_GET]);
 }
 
 #[test]
 fn queue_ops_meter_exactly() {
-    World::run(two_node_world(TelemetryConfig::default()), |rank| {
+    let views = World::run(two_node_world(TelemetryConfig::default()), |rank| {
         let at = |owner| QueueConfig { owner, ..QueueConfig::default() };
         let q0: Queue<u64> = Queue::with_config(rank, "meter-q0", at(0));
         let q1: Queue<u64> = Queue::with_config(rank, "meter-q1", at(1));
         rank.barrier();
+        let mut views = BTreeSet::new();
         if rank.id() == 0 {
             let push = || assert!(q0.push(7).unwrap());
             step(rank, || q0.costs(), push, Want::Local(QUEUE_PUSH, 1), (0, 1, 0, 1, 0, 0));
@@ -241,9 +268,13 @@ fn queue_ops_meter_exactly() {
             let dump = rank.telemetry().flight().last_dump().expect("owner-down dumps the ring");
             assert!(dump.contains("queue.pop rejected: owner 1 marked down"), "{dump}");
             q1.mark_up(1);
+
+            views = view_names(rank);
         }
         rank.barrier();
+        views
     });
+    assert_views_are(&views[0], &[QUEUE_PUSH, QUEUE_POP, QUEUE_PUSH_BULK]);
 }
 
 /// Telemetry off: the Table I view still counts every term, and nothing

@@ -26,7 +26,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::Duration;
 
 use hcl_databox::DataBox;
@@ -115,70 +115,6 @@ impl WorldConfig {
 impl Default for WorldConfig {
     fn default() -> Self {
         Self::small()
-    }
-}
-
-/// Precomputed `rank -> EpId` table.
-///
-/// Container handles resolve an owner endpoint on *every* operation;
-/// recomputing [`WorldConfig::ep_of`] each time puts an integer division on
-/// the hot path. Each container instance builds one `EpCache` at
-/// construction and reads endpoints from it instead. Because world geometry
-/// is immutable for the life of a world, the cache can never go stale — and
-/// `ep_of` re-derives and compares the answer in debug builds, so the whole
-/// test suite doubles as a coherence check.
-#[derive(Debug, Clone)]
-pub struct EpCache {
-    ranks_per_node: u32,
-    eps: Vec<EpId>,
-}
-
-impl EpCache {
-    /// Precompute the endpoint of every rank in `cfg`'s world.
-    pub fn new(cfg: &WorldConfig) -> Self {
-        EpCache {
-            ranks_per_node: cfg.ranks_per_node,
-            eps: (0..cfg.world_size()).map(|r| cfg.ep_of(r)).collect(),
-        }
-    }
-
-    /// The endpoint of `rank`. Ranks beyond the world (auxiliary clients)
-    /// fall back to the arithmetic rule.
-    #[inline]
-    pub fn ep_of(&self, rank: u32) -> EpId {
-        let ep = match self.eps.get(rank as usize) {
-            Some(ep) => *ep,
-            None => EpId { node: rank / self.ranks_per_node, rank },
-        };
-        debug_assert_eq!(
-            ep,
-            EpId { node: rank / self.ranks_per_node, rank },
-            "EpCache incoherent for rank {rank}"
-        );
-        ep
-    }
-
-    /// Number of cached endpoints (= world size at construction).
-    pub fn len(&self) -> usize {
-        self.eps.len()
-    }
-
-    /// True when the cache covers no ranks.
-    pub fn is_empty(&self) -> bool {
-        self.eps.is_empty()
-    }
-
-    /// Panic unless every cached endpoint matches what `cfg` computes —
-    /// the explicit coherence assertion for tests (release builds included).
-    pub fn assert_coherent(&self, cfg: &WorldConfig) {
-        assert_eq!(
-            self.ranks_per_node, cfg.ranks_per_node,
-            "EpCache built for a different node geometry"
-        );
-        assert_eq!(self.eps.len() as u32, cfg.world_size(), "EpCache size mismatch");
-        for r in 0..cfg.world_size() {
-            assert_eq!(self.eps[r as usize], cfg.ep_of(r), "EpCache stale for rank {r}");
-        }
     }
 }
 
@@ -278,6 +214,9 @@ pub struct WorldShared {
     next_fn_id: AtomicU32,
     servers: Mutex<Vec<RpcServer>>,
     membership: Arc<Membership>,
+    /// Per rank, the client its shards forward writes through
+    /// ([`WorldShared::forward_client`]).
+    forward_clients: Vec<OnceLock<RpcClient>>,
 }
 
 impl WorldShared {
@@ -335,6 +274,20 @@ impl WorldShared {
     /// ranks (one per node), matching `hcl_core::default_servers`.
     pub fn membership(&self) -> &Arc<Membership> {
         &self.membership
+    }
+
+    /// The client through which every shard hosted on rank `home` forwards
+    /// replica and migration writes, created on first use at the auxiliary
+    /// endpoint `world_size + home` (the servers reserve slots for one such
+    /// client per rank). There is one per rank because the servers track
+    /// request ids per calling endpoint: two clients numbering from 1 at
+    /// one endpoint would reuse ids whose replies count as published.
+    pub fn forward_client(&self, home: u32) -> &RpcClient {
+        self.forward_clients[home as usize].get_or_init(|| {
+            let cfg = &self.cfg;
+            let ep = EpId { node: home / cfg.ranks_per_node, rank: cfg.world_size() + home };
+            RpcClient::new(ep, Arc::clone(&self.fabric), cfg.slot_cap)
+        })
     }
 }
 
@@ -627,6 +580,7 @@ impl World {
                 (0..cfg.nodes).map(|n| n * cfg.ranks_per_node).collect(),
                 cfg.vparts_per_member,
             )),
+            forward_clients: (0..cfg.world_size()).map(|_| OnceLock::new()).collect(),
         });
         // Every rank hosts a server (any rank may own partitions).
         {
@@ -638,8 +592,8 @@ impl World {
                     Arc::clone(&registry),
                     ServerConfig {
                         // Extra slots beyond the rank count serve auxiliary
-                        // clients: one replication/migration forwarder per
-                        // rank (`world_size + rank`), plus headroom.
+                        // clients: one forward client per rank
+                        // (`world_size + rank`), plus headroom.
                         max_clients: cfg.world_size() * 2 + 64,
                         slot_cap: cfg.slot_cap,
                         nic_cores: cfg.nic_cores,
@@ -839,21 +793,6 @@ mod tests {
             r
         });
         assert_eq!(got, vec![0, 3, 6, 9]);
-    }
-
-    #[test]
-    fn ep_cache_matches_config_for_every_rank() {
-        for (nodes, rpn) in [(1, 1), (2, 2), (3, 4), (8, 1)] {
-            let cfg = WorldConfig { nodes, ranks_per_node: rpn, ..WorldConfig::small() };
-            let cache = EpCache::new(&cfg);
-            cache.assert_coherent(&cfg);
-            for r in 0..cfg.world_size() {
-                assert_eq!(cache.ep_of(r), cfg.ep_of(r));
-            }
-            // Auxiliary ranks past the world fall back to the rule.
-            let aux = cfg.world_size() + 3;
-            assert_eq!(cache.ep_of(aux), cfg.ep_of(aux));
-        }
     }
 
     #[test]

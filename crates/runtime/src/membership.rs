@@ -13,7 +13,7 @@
 //!   atomically published `Arc`, plus the **unified ownership epoch**: one
 //!   shared `AtomicU64` cell bumped on every committed map transition *and*
 //!   every effective [`DownedRegistry`](crate::DownedRegistry)
-//!   `mark_down`/`mark_up` — lease caches, endpoint caches and servers all
+//!   `mark_down`/`mark_up` — lease caches, dispatchers and servers all
 //!   watch the same number, so there is exactly one source of truth for
 //!   "ownership may have moved";
 //! * [`Membership::plan_remove`]/[`Membership::plan_add`] produce a
