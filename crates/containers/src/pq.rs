@@ -4,18 +4,16 @@
 //! Structure follows the paper's description exactly at the API level:
 //! `push` places the new node in order, `pop` locates the minimum and
 //! *marks it for deletion* (logical removal), and "a background process is
-//! used to delete all the marked nodes and compact" — here, an optional
-//! background purge thread that physically unlinks logically deleted
-//! skiplist nodes.
+//! used to delete all the marked nodes and compact" — here, traversals
+//! physically unlink the marked skiplist nodes they pass, and
+//! [`SkipListPq::purge`] (the distributed queue's Table I `purge` op) runs
+//! one full unlinking pass on demand. No thread of its own.
 //!
 //! Duplicate priorities are allowed: each pushed element is keyed by
 //! `(value, sequence)` where the sequence is a global counter, making the
 //! pop order stable for equal priorities.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use conc_check::sync::{AtomicBool, AtomicU64, Ordering};
+use conc_check::sync::{AtomicU64, Ordering};
 
 use crate::skiplist::SkipListMap;
 
@@ -24,10 +22,8 @@ pub struct SkipListPq<T>
 where
     T: Ord + Clone + Send + Sync + 'static,
 {
-    inner: Arc<SkipListMap<(T, u64), ()>>,
+    inner: SkipListMap<(T, u64), ()>,
     seq: AtomicU64,
-    purge_stop: Option<Arc<AtomicBool>>,
-    purge_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl<T> Default for SkipListPq<T>
@@ -43,45 +39,9 @@ impl<T> SkipListPq<T>
 where
     T: Ord + Clone + Send + Sync + 'static,
 {
-    /// Create an empty priority queue (no background purge thread;
-    /// traversals still purge opportunistically).
+    /// Create an empty priority queue.
     pub fn new() -> Self {
-        SkipListPq {
-            inner: Arc::new(SkipListMap::new()),
-            seq: AtomicU64::new(0),
-            purge_stop: None,
-            purge_handle: None,
-        }
-    }
-
-    /// Create a priority queue with a background purge thread running every
-    /// `interval` — the paper's "background purge methodology".
-    ///
-    /// The purge thread is a real OS thread even under `--cfg conc_check`
-    /// (it sleeps on wall-clock time, which the deterministic scheduler does
-    /// not model); scheduler-driven tests construct with [`SkipListPq::new`].
-    pub fn with_background_purge(interval: Duration) -> Self {
-        let inner: Arc<SkipListMap<(T, u64), ()>> = Arc::new(SkipListMap::new());
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("hcl-pq-purge".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::sleep(interval);
-                        inner.purge();
-                    }
-                })
-                .expect("spawn purge thread")
-        };
-        SkipListPq {
-            inner,
-            seq: AtomicU64::new(0),
-            purge_stop: Some(stop),
-            purge_handle: Some(handle),
-        }
+        SkipListPq { inner: SkipListMap::new(), seq: AtomicU64::new(0) }
     }
 
     /// Insert `value`. Equal values pop in insertion order.
@@ -157,23 +117,10 @@ where
     }
 }
 
-impl<T> Drop for SkipListPq<T>
-where
-    T: Ord + Clone + Send + Sync + 'static,
-{
-    fn drop(&mut self) {
-        if let Some(stop) = &self.purge_stop {
-            stop.store(true, Ordering::Release);
-        }
-        if let Some(h) = self.purge_handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn pops_in_priority_order() {
@@ -250,20 +197,6 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 20_000);
-    }
-
-    #[test]
-    fn background_purge_thread_runs_and_stops() {
-        let pq = SkipListPq::with_background_purge(Duration::from_millis(2));
-        for i in 0..1_000u64 {
-            pq.push(i);
-        }
-        for _ in 0..500 {
-            pq.pop();
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(pq.len(), 500);
-        drop(pq); // must join the purge thread without hanging
     }
 
     #[test]

@@ -255,24 +255,6 @@ where
         self.c.d.sync(self.c.d.event(&RESIZE, owner), IssueMode::Sync, &(new_size as u64), |_| true)
     }
 
-    /// Persist a globally sorted snapshot of the whole map to `path`
-    /// (§III-C6 durability for ordered structures).
-    pub fn persist_snapshot(&self, path: impl AsRef<std::path::Path>) -> HclResult<()> {
-        crate::persist::write_snapshot(path.as_ref(), &self.snapshot_sorted()?)
-    }
-
-    /// Reload a snapshot written by [`OrderedMap::persist_snapshot`],
-    /// re-inserting every entry (keys re-distribute over the current
-    /// partitions). Returns the number of restored entries.
-    pub fn restore_snapshot(&self, path: impl AsRef<std::path::Path>) -> HclResult<u64> {
-        let snap: Vec<(K, V)> = crate::persist::read_snapshot(path.as_ref())?;
-        let n = snap.len() as u64;
-        for (k, v) in snap {
-            self.put(k, v)?;
-        }
-        Ok(n)
-    }
-
     /// Flush and compact every *local* partition's op log to a snapshot.
     pub fn compact_local_logs(&self) -> HclResult<()> {
         self.c.compact_local_logs()

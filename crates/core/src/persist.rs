@@ -8,20 +8,21 @@
 //! request (or local-bypass sequence) that produced it, typed replay, and the
 //! placement of the strict policy's barrier — deferred to the request's ack
 //! scope on a NIC worker (one commit per acknowledged request), inline
-//! everywhere else.
+//! everywhere else — and the relaxed policy's flush gap, a deadline on the
+//! world's deadline thread.
 
 use std::marker::PhantomData;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use hcl_databox::{DataBox, Reader};
+use hcl_rpc::deadline::{Deadline, DeadlineJob, Deadlines};
 use hcl_rpc::server::{defer_to_ack_scope, poison_ack_scope, AckBarrier};
 use hcl_telemetry::{EventKind, FlightEvent, Outcome};
 
 pub use hcl_persist::{
-    Flusher, PersistConfig, PersistMetrics, ReplayReport, SyncPolicy, Wal, WalRecord,
-    DEFAULT_SEGMENT_BYTES,
+    PersistConfig, PersistMetrics, ReplayReport, SyncPolicy, Wal, WalRecord, DEFAULT_SEGMENT_BYTES,
 };
 
 /// High bit marking a local-bypass sequence number, so it can never collide
@@ -53,6 +54,36 @@ impl AckBarrier for WalBarrier {
     }
 }
 
+/// The relaxed policy's flush gap: a deadline, armed by the append that
+/// dirties a clean log, that syncs it one interval later.
+struct RelaxedGap {
+    wal: Arc<Wal>,
+    interval: Duration,
+    deadline: Deadline,
+}
+
+impl RelaxedGap {
+    /// Arm the deadline after an append (its lock is the one the sync
+    /// takes), unless one is pending.
+    fn arm(self: &Arc<Self>) {
+        self.deadline.arm(self.interval, self);
+    }
+}
+
+impl DeadlineJob for RelaxedGap {
+    /// Sync the log if it is dirty. A log still dirty after the sync — the
+    /// barrier failed, or an append raced it — re-arms one interval out: a
+    /// failing disk never drops a log from the gap bound.
+    fn fire(&self, _due: Instant) -> Option<Instant> {
+        self.deadline.run(|| {
+            // A failed barrier is counted and flight-recorded by the WAL.
+            let _ = self.wal.sync_if_dirty();
+            let dirty = self.wal.appended_lsn() > self.wal.durable_lsn();
+            dirty.then(|| Instant::now() + self.interval)
+        })
+    }
+}
+
 /// One shard's op log — the whole stack between the shard pipeline
 /// ([`crate::shard`]) and the [`Wal`]: [`DataBox`] records of the partition
 /// hosted on rank `home`, framed and checksummed by the segmented WAL
@@ -64,6 +95,8 @@ pub(crate) struct ShardLog<Rec> {
     /// `Some` under [`SyncPolicy::Strict`]: what an append or a read of a
     /// not-yet-durable value owes before its outcome may leave.
     barrier: Option<Arc<dyn AckBarrier>>,
+    /// `Some` under [`SyncPolicy::Relaxed`]: what an append arms.
+    gap: Option<Arc<RelaxedGap>>,
     home: u32,
     /// Stands in for an RPC identity when a mutation is applied off a NIC
     /// worker.
@@ -74,8 +107,8 @@ pub(crate) struct ShardLog<Rec> {
 impl<Rec: DataBox> ShardLog<Rec> {
     /// Open the log of container `name` hosted on `home` (stems are keyed by
     /// host rank: stable across a restart of the same world shape, unique
-    /// per host), replaying any history through `apply` and putting the log
-    /// under `flusher`'s gap bound when the policy is relaxed. A torn tail
+    /// per host), replaying any history through `apply`; under the relaxed
+    /// policy its flush gap is a deadline armed on `deadlines`. A torn tail
     /// (partial final record from a crash mid-append) is truncated off the
     /// file itself, so later appends never land after garbage.
     ///
@@ -89,7 +122,7 @@ impl<Rec: DataBox> ShardLog<Rec> {
         name: &str,
         home: u32,
         metrics: PersistMetrics,
-        flusher: Option<&Flusher>,
+        deadlines: &Arc<Deadlines>,
         mut apply: impl FnMut(Rec) -> bool,
     ) -> std::io::Result<Self> {
         let mut skipped = 0u64;
@@ -116,10 +149,11 @@ impl<Rec: DataBox> ShardLog<Rec> {
             .policy
             .is_strict()
             .then(|| Arc::new(WalBarrier(Arc::clone(&wal))) as Arc<dyn AckBarrier>);
-        if let Some(f) = flusher {
-            f.register(&wal);
-        }
-        Ok(ShardLog { wal, barrier, home, local_seq: AtomicU64::new(0), _rec: PhantomData })
+        let gap = cfg.policy.interval().map(|interval| {
+            let deadline = Deadline::new(Arc::clone(deadlines));
+            Arc::new(RelaxedGap { wal: Arc::clone(&wal), interval, deadline })
+        });
+        Ok(ShardLog { wal, barrier, gap, home, local_seq: AtomicU64::new(0), _rec: PhantomData })
     }
 
     /// Log one mutation under the ambient request identity (RPC worker) or
@@ -139,15 +173,18 @@ impl<Rec: DataBox> ShardLog<Rec> {
     /// Append one record stamped with its dispatch op index and `(rank,
     /// seq)` recovery descriptor, packed straight into the log's frame
     /// buffer; under the strict policy it is durable before anyone can be
-    /// told about it. An I/O failure has been counted and flight-recorded by
-    /// the WAL; under the strict policy it must also not be acknowledged, so
-    /// on a NIC worker the request's ack scope is poisoned and its response
-    /// dropped.
+    /// told about it; under the relaxed policy it arms the flush gap. An I/O
+    /// failure has been counted and flight-recorded by the WAL; under the
+    /// strict policy it must also not be acknowledged, so on a NIC worker
+    /// the request's ack scope is poisoned and its response dropped.
     fn record(&self, rec: &Rec, fn_off: u32, identity: (u32, u64)) {
         let logged = self
             .wal
             .append_with(fn_off as u16, identity, |buf| rec.pack(buf))
             .and_then(|lsn| self.durable_before_ack(lsn));
+        if let Some(gap) = &self.gap {
+            gap.arm();
+        }
         if logged.is_err() && self.barrier.is_some() {
             poison_ack_scope();
         }
@@ -210,18 +247,6 @@ pub(crate) fn metrics_for(rank: &hcl_runtime::Rank) -> PersistMetrics {
     }
 }
 
-/// Write `snap` to `path` as one DataBox-encoded blob (the containers'
-/// `persist_snapshot`).
-pub(crate) fn write_snapshot<T: DataBox>(path: &Path, snap: &T) -> crate::HclResult<()> {
-    std::fs::write(path, snap.to_bytes()).map_err(|e| crate::HclError::Persist(e.to_string()))
-}
-
-/// Read back a blob written by [`write_snapshot`].
-pub(crate) fn read_snapshot<T: DataBox>(path: &Path) -> crate::HclResult<T> {
-    let bytes = std::fs::read(path).map_err(|e| crate::HclError::Persist(e.to_string()))?;
-    T::from_bytes(&bytes).map_err(|e| crate::HclError::Persist(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,5 +259,42 @@ mod tests {
         assert!(s & LOCAL_SEQ_BIT != 0, "local sequences carry the marker bit");
         let (_, s2) = op_identity(3, &seq);
         assert_ne!(s, s2);
+    }
+
+    #[test]
+    fn relaxed_gap_bounds_the_gap_and_final_pass_covers_shutdown() {
+        let dir = std::env::temp_dir().join(format!("hcl-relaxed-gap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let metrics = PersistMetrics::detached();
+        // Manual: only the gap deadline ever syncs, so the fsync counter
+        // isolates its fires.
+        let (wal, _) = Wal::open(
+            dir.join("g.part0"),
+            SyncPolicy::Manual,
+            DEFAULT_SEGMENT_BYTES,
+            metrics.clone(),
+            |_| {},
+        )
+        .unwrap();
+        let wal = Arc::new(wal);
+        let ticker = hcl_rpc::deadline::DeadlineThread::spawn();
+        let gap = Arc::new(RelaxedGap {
+            wal: Arc::clone(&wal),
+            interval: Duration::from_millis(5),
+            deadline: Deadline::new(Arc::clone(ticker.deadlines())),
+        });
+        wal.append(WalRecord::anonymous(0, b"gap-bounded")).unwrap();
+        gap.arm();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while metrics.fsyncs.get() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(metrics.fsyncs.get() >= 1, "the gap deadline never synced the dirty log");
+        wal.append(WalRecord::anonymous(0, b"shutdown-raced")).unwrap();
+        gap.arm();
+        drop(ticker); // final pass
+        assert!(!wal.sync_if_dirty().unwrap(), "final pass left the log dirty");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

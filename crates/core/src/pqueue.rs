@@ -3,7 +3,7 @@
 //! Single-partitioned like the FIFO queue, but pops deliver the *minimum*
 //! element. The local structure is the lock-free logical-deletion priority
 //! queue of [`hcl_containers::SkipListPq`] (DESIGN.md substitution #6), with
-//! its background purge exposed through [`PriorityQueue::purge`].
+//! its full unlinking pass exposed through [`PriorityQueue::purge`].
 //!
 //! Push cost is `F + L·log(N) + W` (Table I): one invocation, then an
 //! ordered O(log n) placement at local-memory speed on the owner — this is
@@ -209,17 +209,6 @@ where
     /// Migration seam, install half: re-insert extracted elements.
     pub fn install_bulk(&self, values: Vec<T>) -> HclResult<u64> {
         self.push_bulk(values)
-    }
-
-    /// Persist the current contents to `path` (§III-C6).
-    pub fn persist_snapshot(&self, path: impl AsRef<std::path::Path>) -> HclResult<()> {
-        self.c.persist_snapshot(path.as_ref())
-    }
-
-    /// Reload a snapshot written by [`PriorityQueue::persist_snapshot`];
-    /// returns the number of restored elements.
-    pub fn restore_snapshot(&self, path: impl AsRef<std::path::Path>) -> HclResult<u64> {
-        self.c.restore_snapshot(path.as_ref())
     }
 
     /// Client-side cost counters.

@@ -194,19 +194,6 @@ where
         self.push_bulk(values)
     }
 
-    /// Persist the current contents to `path` as a DataBox-encoded snapshot
-    /// (§III-C6 durability for single-partition structures).
-    pub fn persist_snapshot(&self, path: impl AsRef<std::path::Path>) -> HclResult<()> {
-        self.c.persist_snapshot(path.as_ref())
-    }
-
-    /// Reload a snapshot written by [`Queue::persist_snapshot`], appending
-    /// its elements (call on an empty queue for exact recovery). Returns
-    /// the number of restored elements.
-    pub fn restore_snapshot(&self, path: impl AsRef<std::path::Path>) -> HclResult<u64> {
-        self.c.restore_snapshot(path.as_ref())
-    }
-
     /// Client-side cost counters.
     pub fn costs(&self) -> CostSnapshot {
         self.c.d.costs()

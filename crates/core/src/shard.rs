@@ -11,7 +11,7 @@
 //!   taken under the strict read fence; the live-migration write-forwarding
 //!   window (`mig_arm/begin/extract/install/apply/end`) lives here and only
 //!   here, as do the handler bindings, the construction of the per-host
-//!   shards (hosts, log open + replay, flusher, stamp-and-epoch guard), the
+//!   shards (hosts, log open + replay, stamp-and-epoch guard), the
 //!   [`ShardMigrator`] and the handle-side fan-outs both maps share
 //!   ([`KeyedClient`]).
 //! * [`SeqShard`] over a [`SeqStore`] (FIFO queue, priority queue): each of
@@ -40,7 +40,7 @@ use crate::dispatch::{
     hist_invoke, hist_return, Dispatcher, IssueMode, OpDescriptor, OpEvent, OwnerMap,
     ReplForwarder,
 };
-use crate::persist::{Flusher, PersistConfig, ShardLog, Wal};
+use crate::persist::{PersistConfig, ShardLog, Wal};
 use crate::queue::QueueConfig;
 use crate::rebalance::{MigratorRegistry, ShardMigrator};
 use crate::{default_servers, HclError, HclFuture, HclResult};
@@ -595,9 +595,6 @@ pub(crate) struct KeyedCore<K, V, S> {
     repl_map: Arc<PartitionMap>,
     parts: Hosted<KeyedShard<K, V, S>>,
     spec: KeyedSpec,
-    /// Background sync thread bounding the relaxed-policy flush gap across
-    /// all this container's partition logs (`None` for strict/manual).
-    _flusher: Option<Flusher>,
 }
 
 impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
@@ -629,10 +626,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
             let repl_map = Arc::new(PartitionMap::round_robin(&servers, 1));
             let hosts: Vec<u32> =
                 if elastic { (0..world.config().world_size()).collect() } else { servers.clone() };
-            // One relaxed-policy flusher bounds the flush gap of every
-            // partition log this container opens.
-            let flusher =
-                spec.persist.as_ref().and_then(|p| p.policy.interval()).map(Flusher::spawn);
             let mut shards = Vec::new();
             for &home in &hosts {
                 // Non-leader elastic hosts start empty — but under a persist
@@ -641,7 +634,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                 let leader = servers.iter().position(|&s| s == home);
                 let store = make_store();
                 let log = spec.persist.as_ref().map(|p| {
-                    ShardLog::open(p, name, home, pmetrics.clone(), flusher.as_ref(), |rec| {
+                    ShardLog::open(p, name, home, pmetrics.clone(), world.deadlines(), |rec| {
                         match rec {
                             (TAG_ADD, k, Some(v)) => drop(store.insert(k, v)),
                             (TAG_REMOVE, k, None) => drop(store.remove(&k)),
@@ -723,7 +716,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                 s.mig_end(vpart as usize, committed, source)
             });
             bind_extra(&b);
-            KeyedCore { ops, fn_base, fns, servers, repl_map, parts, spec, _flusher: flusher }
+            KeyedCore { ops, fn_base, fns, servers, repl_map, parts, spec }
         })
     }
 
@@ -983,8 +976,6 @@ pub struct SeqShard<T, S> {
     owner: u32,
     store: S,
     log: Option<ShardLog<SeqRec<T>>>,
-    /// Background sync thread bounding the relaxed-policy flush gap.
-    _flusher: Option<Flusher>,
 }
 
 impl<T: Val, S: SeqStore<T>> SeqShard<T, S> {
@@ -1098,10 +1089,8 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
         let shared = rank.get_or_create_shared(&format!("hcl.{}.{name}", ops.prefix), move || {
             let fn_base = world.alloc_fn_ids(SEQ_FNS + extra_fns);
             let store = make_store();
-            let flusher =
-                cfg.persist.as_ref().and_then(|p| p.policy.interval()).map(Flusher::spawn);
             let log = cfg.persist.as_ref().map(|p| {
-                ShardLog::open(p, name, owner, pmetrics, flusher.as_ref(), |rec| {
+                ShardLog::open(p, name, owner, pmetrics, world.deadlines(), |rec| {
                     match rec {
                         (TAG_ADD, Some(v)) => store.push(v),
                         (TAG_REMOVE, _) => drop(store.pop()),
@@ -1111,7 +1100,7 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
                 })
                 .expect("open single-partition op log")
             });
-            let shard = Arc::new(SeqShard { owner, store, log, _flusher: flusher });
+            let shard = Arc::new(SeqShard { owner, store, log });
             let parts = hosted(world.config().world_size(), [(owner, Arc::clone(&shard))]);
             let b = Binder { world: &world, fn_base, parts: &parts, guard: None };
             b.bind(sfn::PUSH, |s, v: T| s.push(v));
@@ -1170,17 +1159,5 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
     /// rank.
     pub(crate) fn compact_log(&self) -> HclResult<()> {
         self.shard.compact_log().map_err(HclError::Persist)
-    }
-
-    /// Persist the current contents to `path` as a DataBox-encoded snapshot
-    /// (§III-C6 durability for single-partition structures).
-    pub(crate) fn persist_snapshot(&self, path: &std::path::Path) -> HclResult<()> {
-        crate::persist::write_snapshot(path, &self.snapshot()?)
-    }
-
-    /// Reload a snapshot written by [`SeqClient::persist_snapshot`],
-    /// appending its elements; returns how many were restored.
-    pub(crate) fn restore_snapshot(&self, path: &std::path::Path) -> HclResult<u64> {
-        self.push_bulk(crate::persist::read_snapshot(path)?)
     }
 }

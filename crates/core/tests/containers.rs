@@ -601,99 +601,6 @@ fn batch_ops_aggregate_requests() {
 }
 
 #[test]
-fn queue_snapshot_persistence_roundtrip() {
-    let dir = std::env::temp_dir().join(format!("hcl-qsnap-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("queue.snap");
-    let path2 = path.clone();
-    World::run(small_world(), move |rank| {
-        let q: Queue<String> = Queue::new(rank, "qsnap");
-        if rank.id() == 1 {
-            for i in 0..20 {
-                q.push(format!("elem-{i}")).unwrap();
-            }
-            // Snapshot does not consume.
-            q.persist_snapshot(&path2).unwrap();
-            assert_eq!(q.len().unwrap(), 20);
-        }
-        rank.barrier();
-    });
-    // A fresh world restores the snapshot.
-    let path2 = path.clone();
-    World::run(small_world(), move |rank| {
-        let q: Queue<String> = Queue::new(rank, "qsnap2");
-        if rank.id() == 0 {
-            assert_eq!(q.restore_snapshot(&path2).unwrap(), 20);
-            for i in 0..20 {
-                assert_eq!(q.pop().unwrap(), Some(format!("elem-{i}")), "order preserved");
-            }
-        }
-        rank.barrier();
-    });
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn priority_queue_snapshot_persistence_roundtrip() {
-    let dir = std::env::temp_dir().join(format!("hcl-pqsnap-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("pq.snap");
-    let path2 = path.clone();
-    World::run(small_world(), move |rank| {
-        let pq: PriorityQueue<u64> = PriorityQueue::new(rank, "pqsnap");
-        if rank.id() == 2 {
-            pq.push_bulk(vec![9, 1, 5, 3, 7]).unwrap();
-            pq.persist_snapshot(&path2).unwrap();
-        }
-        rank.barrier();
-    });
-    let path2 = path.clone();
-    World::run(small_world(), move |rank| {
-        let pq: PriorityQueue<u64> = PriorityQueue::new(rank, "pqsnap2");
-        if rank.id() == 0 {
-            assert_eq!(pq.restore_snapshot(&path2).unwrap(), 5);
-            let mut drained = Vec::new();
-            while let Some(v) = pq.pop().unwrap() {
-                drained.push(v);
-            }
-            assert_eq!(drained, vec![1, 3, 5, 7, 9]);
-        }
-        rank.barrier();
-    });
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn ordered_map_snapshot_persistence_roundtrip() {
-    let dir = std::env::temp_dir().join(format!("hcl-osnap-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("omap.snap");
-    let path2 = path.clone();
-    World::run(small_world(), move |rank| {
-        let m: OrderedMap<u64, String> = OrderedMap::new(rank, "osnap");
-        m.put(rank.id() as u64 * 10, format!("v{}", rank.id())).unwrap();
-        rank.barrier();
-        if rank.id() == 0 {
-            m.persist_snapshot(&path2).unwrap();
-        }
-        rank.barrier();
-    });
-    let path2 = path.clone();
-    World::run(small_world(), move |rank| {
-        let m: OrderedMap<u64, String> = OrderedMap::new(rank, "osnap2");
-        if rank.id() == 3 {
-            assert_eq!(m.restore_snapshot(&path2).unwrap(), 4);
-        }
-        rank.barrier();
-        for r in 0..4u64 {
-            assert_eq!(m.get(&(r * 10)).unwrap(), Some(format!("v{r}")));
-        }
-        rank.barrier();
-    });
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn queue_snapshot_matches_contents_without_consuming() {
     World::run(small_world(), |rank| {
         let q: Queue<u64> = Queue::new(rank, "snapview");

@@ -12,7 +12,9 @@
 //! strict read fence (a value applied but not yet durable is only shown
 //! once the log has caught up). The same script is instantiated for
 //! `UnorderedMap`/`OrderedMap` and for `Queue`/`PriorityQueue` — a sixth
-//! container earns all of it by adding one impl block here.
+//! container earns all of it by adding one impl block here. The
+//! single-partition containers also reopen their logs in a fresh world and
+//! must pop in the same order: FIFO, or priority.
 //!
 //! Then, outside the scripts: the window's install/erase race (DESIGN.md §15)
 //! stressed directly at the shard over both keyed stores; replay over a log
@@ -378,10 +380,12 @@ trait Seq<'a>: Sized {
     }
     fn try_extract_all(&self) -> HclResult<Vec<u64>>;
     fn reads(&self) -> Reads<'_>;
+    /// The order this container pops `pushed` in.
+    fn pop_order(pushed: Vec<u64>) -> Vec<u64>;
 }
 
 macro_rules! impl_seq {
-    ($ty:ident, $store:ty, $prefix:literal, $extra:path) => {
+    ($ty:ident, $store:ty, $prefix:literal, $extra:path, $order:expr) => {
         impl<'a> Seq<'a> for $ty<'a, u64> {
             const PREFIX: &'static str = $prefix;
             type Store = $store;
@@ -414,6 +418,9 @@ macro_rules! impl_seq {
                 reads.extend($extra(self));
                 reads
             }
+            fn pop_order(pushed: Vec<u64>) -> Vec<u64> {
+                $order(pushed)
+            }
         }
     };
 }
@@ -426,8 +433,13 @@ fn pq_extra_reads<'q>(pq: &'q PriorityQueue<'_, u64>) -> Reads<'q> {
     vec![("peek", Box::new(move || ignore(pq.peek().unwrap())))]
 }
 
-impl_seq!(Queue, hcl_containers::LockFreeQueue<u64>, "queue", queue_extra_reads);
-impl_seq!(PriorityQueue, hcl_containers::SkipListPq<u64>, "pq", pq_extra_reads);
+fn sorted(mut v: Vec<u64>) -> Vec<u64> {
+    v.sort();
+    v
+}
+
+impl_seq!(Queue, hcl_containers::LockFreeQueue<u64>, "queue", queue_extra_reads, |v| v);
+impl_seq!(PriorityQueue, hcl_containers::SkipListPq<u64>, "pq", pq_extra_reads, sorted);
 
 fn seq_script<'a, C: Seq<'a>>(rank: &'a Rank, dir: &Path) {
     // One instance hosted on each rank: rank 0 reaches `owner: 0` through
@@ -505,11 +517,46 @@ fn seq_script<'a, C: Seq<'a>>(rank: &'a Rank, dir: &Path) {
     assert_eq!(world_counter(rank, "hcl_persist_compact_errors"), 2, "{who}: compaction failures");
 }
 
+/// Order survives a restart: what one world pushed (one by one and in
+/// bulk) and popped comes back from the replayed logs of the next, in the
+/// container's pop order. The first world runs with `reopen` false and
+/// writes; the second replays and checks.
+fn seq_reopen_script<'a, C: Seq<'a>>(rank: &'a Rank, dir: &Path, reopen: bool) {
+    let hosted: Vec<C> = [0u32, 1]
+        .iter()
+        .map(|&owner| {
+            let persist = Some(PersistConfig::strict(dir));
+            let cfg = QueueConfig { owner, persist, ..Default::default() };
+            C::open(rank, &format!("order{owner}"), cfg)
+        })
+        .collect();
+    rank.barrier();
+    if rank.id() == 0 {
+        let want = C::pop_order(vec![5, 1, 4, 2, 3]);
+        for (owner, q) in hosted.iter().enumerate() {
+            let who = format!("{}@{owner}", C::PREFIX);
+            if reopen {
+                assert_eq!(q.pop(), Some(want[1]), "{who}: first pop after reopen");
+                assert_eq!(q.pop_bulk(10), want[2..], "{who}: the rest after reopen");
+            } else {
+                [5, 1, 4].into_iter().for_each(|v| q.push(v));
+                assert_eq!(q.push_bulk(vec![2, 3]), 2);
+                assert_eq!(q.pop(), Some(want[0]), "{who}: pop before the restart");
+            }
+        }
+    }
+    rank.barrier();
+}
+
 #[test]
 fn queue_shard_conformance() {
     let dir = scratch("queue");
     let d = dir.clone();
     World::run(two_node_world(), move |rank| seq_script::<Queue<u64>>(rank, &d));
+    for reopen in [false, true] {
+        let d = dir.join("reopen");
+        World::run(two_node_world(), move |rank| seq_reopen_script::<Queue<u64>>(rank, &d, reopen));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -518,6 +565,12 @@ fn priority_queue_shard_conformance() {
     let dir = scratch("pq");
     let d = dir.clone();
     World::run(two_node_world(), move |rank| seq_script::<PriorityQueue<u64>>(rank, &d));
+    for reopen in [false, true] {
+        let d = dir.join("reopen");
+        World::run(two_node_world(), move |rank| {
+            seq_reopen_script::<PriorityQueue<u64>>(rank, &d, reopen)
+        });
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

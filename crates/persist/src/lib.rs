@@ -16,23 +16,22 @@
 //!   at most one `flush + fsync`, and costs nothing when another barrier
 //!   already covered it. The log tracks an `appended` / `durable` LSN pair,
 //!   so whoever needs durability — a request about to be acknowledged, a
-//!   read about to expose a value, the flusher — shares barriers (group
-//!   commit) instead of paying one per record.
+//!   read about to expose a value, a relaxed log's gap deadline — shares
+//!   barriers (group commit) instead of paying one per record.
 //! * **Sync epochs** ([`SyncPolicy`]): `Strict` means *durable before
 //!   acknowledged* — the caller commits before it lets the outcome leave
 //!   ([`Wal::append`] does so itself; the RPC server does it once per
-//!   request, see DESIGN.md §16) — `Relaxed` bounds the flush gap with a
-//!   background [`Flusher`], `Manual` leaves scheduling to the caller. One
-//!   policy type for the whole tree.
+//!   request, see DESIGN.md §16) — `Relaxed` bounds the flush gap (the
+//!   containers arm a deadline on their world's deadline thread, and the
+//!   append path syncs once the gap has elapsed), `Manual` leaves
+//!   scheduling to the caller. One policy type for the whole tree.
 //! * **Detectable recovery descriptors**: every record carries the dispatch
 //!   op id plus the client `(rank, seq)` identity — the same scheme as the
 //!   RPC server's dedup window — so replay after a crash is exactly-once
 //!   even when a retransmitted op was logged twice.
 
-mod flusher;
 mod wal;
 
-pub use flusher::Flusher;
 pub use wal::{ReplayReport, Wal, WalRecord, DEFAULT_SEGMENT_BYTES, NO_IDENTITY};
 
 pub use hcl_telemetry::PersistMetrics;
@@ -53,8 +52,9 @@ pub enum SyncPolicy {
     /// append.
     Strict,
     /// Appends buffer; a sync barrier runs at most `interval` behind the
-    /// latest append (enforced by a background [`Flusher`] or by the
-    /// append path itself). A crash may lose up to one flush gap of tail.
+    /// latest append (a [`Wal::sync_if_dirty`] deadline armed by the owner
+    /// of the log, or the append path itself once the gap has elapsed). A
+    /// crash may lose up to one flush gap of tail.
     Relaxed {
         /// The bounded flush gap.
         interval: Duration,

@@ -134,7 +134,7 @@ struct WalInner {
 /// the next log sequence number (LSN, counted from 1 since this open) and
 /// lands in the append buffer; [`Wal::commit`] makes everything up to an LSN
 /// durable with at most one `flush + fsync`, and is free when an earlier
-/// barrier — another thread's commit, the flusher, a full segment — already
+/// barrier — another thread's commit, a gap deadline, a full segment — already
 /// covered it. `appended` and `durable` are the two ends of that gap.
 pub struct Wal {
     stem: PathBuf,
@@ -414,10 +414,10 @@ impl Wal {
     /// Append one record whose payload `pack` writes straight into the frame
     /// buffer, and return its LSN. The record is **not** durable until a
     /// sync barrier covers that LSN: [`Wal::commit`] for `Strict` callers,
-    /// the flush gap (flusher, or this path once the gap has elapsed) under
-    /// `Relaxed`, [`Wal::sync`] under `Manual`. A segment that reaches its
-    /// size threshold is sealed here by a barrier of its own, whatever the
-    /// policy.
+    /// the flush gap (a gap deadline, or this path once the gap has
+    /// elapsed) under `Relaxed`, [`Wal::sync`] under `Manual`. A segment
+    /// that reaches its size threshold is sealed here by a barrier of its
+    /// own, whatever the policy.
     pub fn append_with(
         &self,
         op: u16,
@@ -457,7 +457,7 @@ impl Wal {
     /// Make every record up to `lsn` durable. Free when a barrier already
     /// covered it; otherwise one `flush + fsync` that covers *every* append
     /// so far, so concurrent committers — NIC workers, a bypassing rank
-    /// thread, the flusher — share barriers instead of queueing one each.
+    /// thread, a gap deadline — share barriers instead of queueing one each.
     pub fn commit(&self, lsn: u64) -> std::io::Result<()> {
         if self.durable_lsn() >= lsn {
             return Ok(());
@@ -545,7 +545,7 @@ impl Wal {
     }
 
     /// Sync only if some append is not yet durable. Returns whether a
-    /// barrier ran (the flusher's periodic pass).
+    /// barrier ran (a relaxed log's gap deadline).
     pub fn sync_if_dirty(&self) -> std::io::Result<bool> {
         let mut inner = self.inner.lock();
         if self.durable_lsn() >= self.appended_lsn() {

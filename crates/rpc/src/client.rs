@@ -434,10 +434,44 @@ impl RpcClient {
         size_hint: usize,
         write_args: impl FnOnce(&mut Vec<u8>),
     ) -> RpcResult<RawFuture> {
+        let fut = self.issue(server, chain, flags, size_hint, true, write_args)?;
+        Ok(fut.expect("an issue that may wait for its slot always sends"))
+    }
+
+    /// [`RpcClient::issue_with`]; unless `wait_slot`, `None` — nothing sent
+    /// — when the slot the request would claim still holds an unresolved
+    /// request, whose reply it would otherwise wait for.
+    fn issue(
+        &self,
+        server: EpId,
+        chain: &[FnId],
+        flags: u8,
+        size_hint: usize,
+        wait_slot: bool,
+        write_args: impl FnOnce(&mut Vec<u8>),
+    ) -> RpcResult<Option<RawFuture>> {
         let retrying = self.retry.max_attempts > 1;
         let flags = if retrying { flags | FLAG_IDEMPOTENT } else { flags };
-        // ORDERING: Relaxed — request ids only need uniqueness; the send
-        // itself synchronizes via the fabric.
+        // Ids are drawn under the lock that claims their slot, so each slot is
+        // claimed in id order (the server drops a reply below the slot's id).
+        let mut slots = loop {
+            let slots = self.slots.lock();
+            if wait_slot {
+                break slots;
+            }
+            // ORDERING: Relaxed — the lock orders the allocation.
+            let next = self.next_req.load(Ordering::Relaxed);
+            let occupant = slots.get(&(server, (next % SLOTS_PER_CLIENT) as u32));
+            let Some(prev) = occupant.filter(|p| p.pending().is_ok()).cloned() else {
+                break slots;
+            };
+            // Poll the occupant once, outside the lock.
+            drop(slots);
+            if prev.try_get().is_none() {
+                return Ok(None);
+            }
+        };
+        // ORDERING: Relaxed — the lock orders the allocation.
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
         let slot = (req_id % SLOTS_PER_CLIENT) as u32;
         let mut buf = BytesMut::with_capacity(14 + 4 * chain.len() + size_hint);
@@ -464,7 +498,8 @@ impl RpcClient {
         // slot, and the later response would overwrite the earlier one
         // before it was pulled). Draining before the send keeps the slot's
         // previous response intact until its future has read it.
-        let prev = self.slots.lock().insert((server, slot), fut.clone());
+        let prev = slots.insert((server, slot), fut.clone());
+        drop(slots);
         if let Some(prev) = prev {
             if prev.try_get().is_none() {
                 if let Some(m) = &self.metrics {
@@ -487,7 +522,7 @@ impl RpcClient {
                 return Err(err);
             }
         }
-        Ok(fut)
+        Ok(Some(fut))
     }
 
     /// Asynchronous invocation of `fn_id` on `server`. The args are packed
@@ -580,6 +615,22 @@ impl RpcClient {
             encode_batch_into(calls, out)
         })?;
         Ok(BatchFuture { raw })
+    }
+
+    /// [`RpcClient::invoke_batch_slices`] that never waits for another
+    /// request's reply: `None`, nothing sent, while the slot the batch would
+    /// claim still holds an unresolved request (the coalescer's age flush,
+    /// which runs on the world's deadline thread).
+    pub fn try_invoke_batch_slices<'a>(
+        &self,
+        server: EpId,
+        calls: impl ExactSizeIterator<Item = (FnId, &'a [u8])> + Clone,
+    ) -> RpcResult<Option<BatchFuture>> {
+        let payload_len = 4 + calls.clone().map(|(_, a)| 8 + a.len()).sum::<usize>();
+        let raw = self.issue(server, &[], FLAG_BATCH, payload_len, false, |out| {
+            encode_batch_into(calls, out)
+        })?;
+        Ok(raw.map(|raw| BatchFuture { raw }))
     }
 
     /// Raw-bytes invocation (used by layers that do their own encoding).

@@ -10,8 +10,9 @@
 //!
 //! * **size** — the op count reaches the adaptive target (or the staged
 //!   bytes reach 48 KiB);
-//! * **age** — a background flusher notices the oldest staged op has waited
-//!   [`CoalesceConfig::max_delay`];
+//! * **age** — the oldest staged op has waited [`CoalesceConfig::max_delay`]:
+//!   a deadline on the world's deadline thread ([`crate::deadline`]), armed
+//!   when a queue opens, so an empty coalescer costs no wake-ups;
 //! * **demand** — a handle is waited on, or a *synchronous* op to the same
 //!   destination calls [`Coalescer::flush`] first (flush-before-sync: the
 //!   batch is sent before the sync request, so per-destination FIFO order —
@@ -42,6 +43,7 @@ use parking_lot::Mutex;
 
 use crate::batch::BatchArena;
 use crate::client::{BatchFuture, RpcClient};
+use crate::deadline::{Deadline, DeadlineJob, Deadlines};
 use crate::{decode, FnId, RpcError, RpcResult};
 
 /// Flush a destination queue once its staged argument bytes reach this,
@@ -53,7 +55,8 @@ const MAX_BATCH_BYTES: usize = 48 * 1024;
 pub struct CoalesceConfig {
     /// Hard ceiling on ops per batch (also the AIMD target's ceiling).
     pub max_ops: usize,
-    /// Maximum time a staged op may wait before the age flusher sends it.
+    /// How long a staged op may wait before an age flush sends it (zero
+    /// disables age flushes; DESIGN.md §9 has the bound under load).
     pub max_delay: Duration,
     /// AIMD adaptation of the per-destination size target; disabled, the
     /// target is pinned at `max_ops`.
@@ -89,7 +92,7 @@ pub struct CoalesceSnapshot {
     pub coalesced_ops: u64,
     /// Flushes triggered by the size/bytes thresholds.
     pub size_flushes: u64,
-    /// Flushes triggered by the age flusher.
+    /// Flushes triggered by the age deadline.
     pub age_flushes: u64,
     /// Flushes demanded by a waiter or a flush-before-sync.
     pub demand_flushes: u64,
@@ -192,49 +195,38 @@ enum FlushCause {
     Demand,
 }
 
-/// The per-rank op coalescer. Create with [`Coalescer::spawn`]; share via
-/// `Arc` (handles keep the coalescer alive so they can self-flush).
+/// The per-rank op coalescer. Share via `Arc` (handles keep the coalescer
+/// alive so they can self-flush).
 pub struct Coalescer {
     client: Arc<RpcClient>,
     cfg: CoalesceConfig,
     dests: Mutex<HashMap<EpId, Arc<Mutex<DestQueue>>>>,
     stats: CoalesceStats,
-    /// Telemetry handles, installed once after `spawn` (the coalescer is
-    /// already behind an `Arc` by then, hence `OnceLock` not `&mut`).
-    metrics: std::sync::OnceLock<CoalesceMetrics>,
+    /// Batch-size and batch-latency histograms plus the flight recorder.
+    metrics: Option<CoalesceMetrics>,
+    /// The age flush's deadline.
+    age: Deadline,
+    /// `coalesced_ops` at the last age fire (busy while it moves).
+    ops_at_fire: AtomicU64,
 }
 
 impl Coalescer {
-    /// Create a coalescer over `client` and start its background age
-    /// flusher. The flusher holds only a `Weak` reference and exits on its
-    /// next tick after the last `Arc<Coalescer>` drops.
-    pub fn spawn(client: Arc<RpcClient>, cfg: CoalesceConfig) -> Arc<Coalescer> {
-        let c = Arc::new(Coalescer {
+    /// A coalescer over `client` whose age flushes run on `deadlines`.
+    pub fn new(
+        client: Arc<RpcClient>,
+        cfg: CoalesceConfig,
+        deadlines: Arc<Deadlines>,
+        metrics: Option<CoalesceMetrics>,
+    ) -> Arc<Coalescer> {
+        Arc::new(Coalescer {
             client,
             cfg,
             dests: Mutex::new(HashMap::new()),
             stats: CoalesceStats::default(),
-            metrics: std::sync::OnceLock::new(),
-        });
-        if cfg.max_delay > Duration::ZERO {
-            let weak = Arc::downgrade(&c);
-            let tick = cfg.max_delay.max(Duration::from_micros(50));
-            std::thread::Builder::new()
-                .name("hcl-coalesce-age".into())
-                .spawn(move || loop {
-                    std::thread::sleep(tick);
-                    let Some(c) = weak.upgrade() else { break };
-                    c.flush_aged();
-                })
-                .expect("spawn coalescer age flusher");
-        }
-        c
-    }
-
-    /// Install telemetry handles: the batch-size and batch-latency
-    /// histograms plus the flight recorder. A second install is ignored.
-    pub fn install_metrics(&self, metrics: CoalesceMetrics) {
-        let _ = self.metrics.set(metrics);
+            metrics,
+            age: Deadline::new(deadlines),
+            ops_at_fire: AtomicU64::new(0),
+        })
     }
 
     /// Counter snapshot.
@@ -270,6 +262,11 @@ impl Coalescer {
         let mut g = q.lock();
         if g.calls.is_empty() {
             g.opened = Some(Instant::now());
+            // Under this queue's lock, a fire either finds the queue open
+            // or has cleared the pending mark for this arm.
+            if !self.cfg.max_delay.is_zero() {
+                self.age.arm(self.cfg.max_delay, self);
+            }
         }
         g.calls.push_with(fn_id, pack);
         let shared = Arc::new(Mutex::new(CallState::Queued));
@@ -322,23 +319,19 @@ impl Coalescer {
         }
     }
 
-    fn flush_aged(&self) {
-        let now = Instant::now();
-        let qs: Vec<_> = self.dests.lock().values().cloned().collect();
-        for q in qs {
-            let mut g = q.lock();
-            if !g.calls.is_empty()
-                && g.opened.is_some_and(|t0| now.duration_since(t0) >= self.cfg.max_delay)
-            {
-                self.flush_queue(&mut g, FlushCause::Age);
-            }
-        }
-    }
-
     /// Send the staged ops as one batch. Runs under the destination lock,
     /// so concurrent submitters to this destination order strictly after
-    /// the flushed batch.
+    /// the flushed batch. An age flush never waits for another request's
+    /// reply: while its batch's slot is busy, the ops stay staged.
     fn flush_queue(&self, g: &mut DestQueue, cause: FlushCause) {
+        let result = if cause == FlushCause::Age {
+            match self.client.try_invoke_batch_slices(g.dest, g.calls.calls()).transpose() {
+                Some(result) => result,
+                None => return,
+            }
+        } else {
+            self.client.invoke_batch_slices(g.dest, g.calls.calls())
+        };
         if self.cfg.adaptive {
             match cause {
                 // Batch filled on its own: contention is high, aim bigger.
@@ -348,7 +341,6 @@ impl Coalescer {
                 FlushCause::Age => {}
             }
         }
-        let result = self.client.invoke_batch_slices(g.dest, g.calls.calls());
         // ORDERING: Relaxed statistics.
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         let cause_ctr = match cause {
@@ -358,7 +350,7 @@ impl Coalescer {
         };
         // ORDERING: Relaxed statistics.
         cause_ctr.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
+        if let Some(m) = &self.metrics {
             m.batch_size.record(g.calls.len() as u64);
             // One flight event per batch, not per op: async ops are captured
             // in aggregate at batch granularity (see DESIGN.md §11).
@@ -382,7 +374,7 @@ impl Coalescer {
                     fut,
                     cache: Mutex::new(None),
                     sent_at: Instant::now(),
-                    metrics: self.metrics.get().cloned(),
+                    metrics: self.metrics.clone(),
                 });
                 for (i, h) in g.handles.iter().enumerate() {
                     *h.lock() = CallState::Sent { batch: Arc::clone(&batch), index: i };
@@ -397,6 +389,37 @@ impl Coalescer {
         g.calls.clear();
         g.handles.clear();
         g.opened = None;
+    }
+}
+
+impl DeadlineJob for Coalescer {
+    /// The age flush: send every queue whose oldest op has waited
+    /// `max_delay`, then re-arm one `max_delay` out while a queue is open or
+    /// ops were staged since the last fire. A busy coalescer thus fires at
+    /// most once per `max_delay`, even after the thread slipped, and only an
+    /// idle one disarms. The fire never waits: a queue another thread holds
+    /// (it is staging or flushing), like one whose batch's slot is busy,
+    /// stays staged for the next fire.
+    fn fire(&self, due: Instant) -> Option<Instant> {
+        self.age.run(|| {
+            let now = Instant::now();
+            let mut open = false;
+            for q in self.dests.lock().values().cloned().collect::<Vec<_>>() {
+                let Some(mut g) = q.try_lock() else {
+                    open = true;
+                    continue;
+                };
+                if g.opened.is_some_and(|t0| now.duration_since(t0) >= self.cfg.max_delay) {
+                    self.flush_queue(&mut g, FlushCause::Age);
+                }
+                open |= g.opened.is_some();
+            }
+            // ORDERING: Relaxed statistic.
+            let ops = self.stats.coalesced_ops.load(Ordering::Relaxed);
+            // ORDERING: Relaxed; only this job reads `ops_at_fire`.
+            let busy = self.ops_at_fire.swap(ops, Ordering::Relaxed) != ops;
+            (open || busy).then(|| due.max(Instant::now()) + self.cfg.max_delay)
+        })
     }
 }
 
@@ -470,14 +493,17 @@ impl<T: DataBox> CoalescedFuture<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::DeadlineThread;
     use crate::server::{RpcServer, ServerConfig};
     use crate::RpcRegistry;
     use hcl_fabric::memory::MemoryFabric;
     use hcl_fabric::Fabric;
+    use std::sync::atomic::AtomicBool;
 
-    fn harness(
-        cfg: CoalesceConfig,
-    ) -> (Arc<Coalescer>, RpcServer, EpId, Arc<std::sync::atomic::AtomicU64>) {
+    type Harness =
+        (Arc<Coalescer>, RpcServer, EpId, Arc<std::sync::atomic::AtomicU64>, DeadlineThread);
+
+    fn harness(cfg: CoalesceConfig) -> Harness {
         let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
         let server_ep = EpId::new(0, 0);
         let client_ep = EpId::new(0, 1);
@@ -495,8 +521,9 @@ mod tests {
             ServerConfig { max_clients: 4, slot_cap: 1024, nic_cores: 1 },
         );
         let client = Arc::new(RpcClient::new(client_ep, fabric, 1024));
-        let coal = Coalescer::spawn(client, cfg);
-        (coal, server, server_ep, executions)
+        let ticker = DeadlineThread::spawn();
+        let coal = Coalescer::new(client, cfg, Arc::clone(ticker.deadlines()), None);
+        (coal, server, server_ep, executions, ticker)
     }
 
     #[test]
@@ -507,7 +534,7 @@ mod tests {
             max_delay: Duration::from_secs(10),
             ..Default::default()
         };
-        let (coal, server, dest, execs) = harness(cfg);
+        let (coal, server, dest, execs, _ticker) = harness(cfg);
         let futs: Vec<CoalescedFuture<u64>> =
             (0..8u64).map(|i| coal.submit_typed(dest, 9, &i)).collect();
         for (i, f) in futs.iter().enumerate() {
@@ -528,7 +555,7 @@ mod tests {
             max_delay: Duration::from_secs(10),
             ..Default::default()
         };
-        let (coal, server, dest, _) = harness(cfg);
+        let (coal, server, dest, _, _ticker) = harness(cfg);
         let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &21u64);
         assert_eq!(f.wait().unwrap(), 42);
         let st = coal.stats();
@@ -544,7 +571,7 @@ mod tests {
             max_delay: Duration::from_millis(2),
             ..Default::default()
         };
-        let (coal, server, dest, _) = harness(cfg);
+        let (coal, server, dest, _, _ticker) = harness(cfg);
         let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &5u64);
         // No wait, no size trigger: only the age flusher can send it.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -556,6 +583,117 @@ mod tests {
         server.shutdown();
     }
 
+    /// Holds the deadline thread for `hold`, then notes the fire count and
+    /// the instant it let go.
+    struct Slip {
+        deadlines: Arc<Deadlines>,
+        hold: Duration,
+        end: Mutex<Option<(u64, Instant)>>,
+    }
+
+    impl DeadlineJob for Slip {
+        fn fire(&self, _due: Instant) -> Option<Instant> {
+            std::thread::sleep(self.hold);
+            *self.end.lock() = Some((self.deadlines.fires(), Instant::now()));
+            None
+        }
+    }
+
+    #[test]
+    fn busy_coalescer_fires_at_most_once_per_max_delay() {
+        // Size flushes keep reopening the queue, so the age deadline stays
+        // armed: the deadline thread wakes once per `max_delay` (plus the
+        // wake that arms it), not on a timer tick. A 30 ms slip of the
+        // thread midway is not caught up with a burst of fires.
+        let max_delay = Duration::from_millis(2);
+        let cfg = CoalesceConfig { max_ops: 4, adaptive: false, max_delay };
+        let (coal, server, dest, _, ticker) = harness(cfg);
+        let deadlines = Arc::clone(ticker.deadlines());
+        let slip = Arc::new(Slip {
+            deadlines: Arc::clone(&deadlines),
+            hold: Duration::from_millis(30),
+            end: Mutex::new(None),
+        });
+        let t0 = Instant::now();
+        deadlines.arm(t0 + Duration::from_millis(30), slip.clone());
+        while t0.elapsed() < Duration::from_millis(100) {
+            let _: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &1u64);
+        }
+        let (fires, wakeups, end) = (deadlines.fires(), deadlines.wakeups(), Instant::now());
+        let (fires_at_slip_end, slip_end) = slip.end.lock().expect("the slip job ran");
+        let periods = |d: Duration| (d.as_micros() / max_delay.as_micros()) as u64;
+        let periods_in_run = periods(end - t0);
+        assert!(
+            wakeups <= periods_in_run + 3,
+            "{wakeups} wake-ups in {periods_in_run} periods of max_delay"
+        );
+        let (after, periods_after) = (fires - fires_at_slip_end, periods(end - slip_end));
+        assert!(
+            after <= periods_after + 2,
+            "{after} fires in the {periods_after} periods of max_delay after the slip"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn age_fire_never_waits_for_a_busy_slot() {
+        // All four of the client's slots hold requests the server sits on:
+        // the age fire leaves the op staged and re-arms, rather than holding
+        // the deadline thread until a slot frees, so a job due after it (a
+        // relaxed log's flush gap, say) fires on time.
+        let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
+        let server_ep = EpId::new(0, 0);
+        let registry = Arc::new(RpcRegistry::new());
+        let gate = Arc::new(AtomicBool::new(false));
+        let g2 = Arc::clone(&gate);
+        registry.bind_typed(8, move |_, _, x: u64| {
+            while !g2.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            x
+        });
+        let server = RpcServer::start(
+            server_ep,
+            Arc::clone(&fabric),
+            registry,
+            ServerConfig { max_clients: 4, slot_cap: 1024, nic_cores: 1 },
+        );
+        let client = Arc::new(RpcClient::new(EpId::new(0, 1), fabric, 1024));
+        let ticker = DeadlineThread::spawn();
+        let deadlines = Arc::clone(ticker.deadlines());
+        let max_delay = Duration::from_millis(2);
+        let cfg = CoalesceConfig { max_delay, ..Default::default() };
+        let coal = Coalescer::new(Arc::clone(&client), cfg, Arc::clone(&deadlines), None);
+        let held: Vec<_> =
+            (0..4u64).map(|i| client.invoke_async::<u64, u64>(server_ep, 8, &i).unwrap()).collect();
+        let f: CoalescedFuture<u64> = coal.submit_typed(server_ep, 8, &7u64);
+        let later = Arc::new(Slip {
+            deadlines: Arc::clone(&deadlines),
+            hold: Duration::ZERO,
+            end: Mutex::new(None),
+        });
+        let later_due = Instant::now() + Duration::from_millis(10);
+        deadlines.arm(later_due, later.clone());
+        std::thread::sleep(Duration::from_millis(40));
+        let (fires, batches) = (deadlines.fires(), coal.stats().batches);
+        let later_fired = *later.end.lock();
+        gate.store(true, Ordering::Release);
+        assert!(fires >= 5, "the age fire blocked: {fires} fires");
+        assert_eq!(batches, 0, "a batch went out while every slot was busy");
+        let (_, later_at) = later_fired.expect("a later deadline waited behind the busy slot");
+        assert!(later_at - later_due < Duration::from_millis(25), "the later deadline slipped");
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while !f.is_ready() && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(f.try_get().unwrap().unwrap(), 7, "a later age fire sends the staged op");
+        assert_eq!(coal.stats().age_flushes, 1);
+        for (i, h) in held.iter().enumerate() {
+            assert_eq!(h.wait().unwrap(), i as u64);
+        }
+        server.shutdown();
+    }
+
     #[test]
     fn aimd_target_grows_on_size_and_shrinks_on_demand() {
         let cfg = CoalesceConfig {
@@ -563,7 +701,7 @@ mod tests {
             max_delay: Duration::from_secs(10),
             ..Default::default()
         };
-        let (coal, server, dest, _) = harness(cfg);
+        let (coal, server, dest, _, _ticker) = harness(cfg);
         // Fill batches: target starts at 4 and doubles per size flush.
         let futs: Vec<CoalescedFuture<u64>> =
             (0..12u64).map(|i| coal.submit_typed(dest, 9, &i)).collect();
@@ -600,9 +738,12 @@ mod tests {
             ServerConfig { max_clients: 4, slot_cap: 1024, nic_cores: 1 },
         );
         let client = Arc::new(RpcClient::new(client_ep, fabric, 1024));
-        let coal = Coalescer::spawn(
+        let ticker = DeadlineThread::spawn();
+        let coal = Coalescer::new(
             Arc::clone(&client),
             CoalesceConfig { max_delay: Duration::from_secs(10), ..Default::default() },
+            Arc::clone(ticker.deadlines()),
+            None,
         );
         for i in 0..3u64 {
             let _ = coal.submit_typed::<u64, u64>(server_ep, 1, &i);
@@ -623,6 +764,7 @@ mod low_core_regression {
     //! they must complete promptly regardless of host parallelism.
 
     use super::*;
+    use crate::deadline::DeadlineThread;
     use crate::server::{RpcServer, ServerConfig};
     use crate::RpcRegistry;
     use hcl_fabric::memory::MemoryFabric;
@@ -657,7 +799,9 @@ mod low_core_regression {
         let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
         let server = doubling_server(&fabric, 4);
         let client = Arc::new(RpcClient::new(EpId::new(0, 1), fabric, 1024));
-        let coal = Coalescer::spawn(client, CoalesceConfig::default());
+        let ticker = DeadlineThread::spawn();
+        let coal =
+            Coalescer::new(client, CoalesceConfig::default(), Arc::clone(ticker.deadlines()), None);
         windowed_burst(&coal, server.endpoint(), 2000);
         server.shutdown();
     }
@@ -667,13 +811,15 @@ mod low_core_regression {
         let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
         let server = doubling_server(&fabric, 16);
         let dest = server.endpoint();
+        let ticker = DeadlineThread::spawn();
         let t0 = Instant::now();
         let mut threads = Vec::new();
         for r in 1..9u32 {
             let fabric = Arc::clone(&fabric);
+            let deadlines = Arc::clone(ticker.deadlines());
             threads.push(std::thread::spawn(move || {
                 let client = Arc::new(RpcClient::new(EpId::new(0, r), fabric, 1024));
-                let coal = Coalescer::spawn(client, CoalesceConfig::default());
+                let coal = Coalescer::new(client, CoalesceConfig::default(), deadlines, None);
                 windowed_burst(&coal, dest, 2000);
             }));
         }

@@ -28,6 +28,7 @@
 pub mod batch;
 pub mod client;
 pub mod coalesce;
+pub mod deadline;
 pub mod server;
 
 pub use batch::BatchArena;

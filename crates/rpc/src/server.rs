@@ -633,7 +633,9 @@ impl RpcServer {
                     .spawn(move || {
                         let mut nic = NicCore::on(pipe);
                         while !stop.load(Ordering::Acquire) {
-                            let wait = Some(Duration::from_millis(20));
+                            // The timeout only bounds how late a stop is
+                            // seen; each one costs an idle wake-up.
+                            let wait = Some(Duration::from_millis(100));
                             let (caller, msg) = match fabric.recv(ep, wait) {
                                 Ok(Some(m)) => m,
                                 Ok(None) => continue,

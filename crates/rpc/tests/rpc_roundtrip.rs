@@ -333,3 +333,33 @@ fn malformed_requests_are_counted_and_never_answered() {
     assert!(client.invoke::<u64, u64>(server_ep, 999, &1).is_err());
     assert_eq!(server.stats().malformed, 3);
 }
+
+#[test]
+fn threads_sharing_a_client_never_lose_a_reply() {
+    // Request ids are drawn under the lock that claims their slot. Drawn
+    // before it, one thread could claim a slot after another thread's later
+    // id; the server, which never publishes an id below the slot's current
+    // one, would drop the reply as a late duplicate, and the caller would
+    // wait out its timeout.
+    let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
+    let server_ep = EpId::new(0, 0);
+    let _server = RpcServer::start(
+        server_ep,
+        Arc::clone(&fabric),
+        registry(Arc::new(AtomicU64::new(0))),
+        ServerConfig { max_clients: 4, slot_cap: 1024, nic_cores: 2, ..ServerConfig::default() },
+    );
+    let mut client = RpcClient::new(EpId::new(1, 1), fabric, 1024);
+    client.set_timeout(Duration::from_secs(5));
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let client = &client;
+            s.spawn(move || {
+                for i in 0..5_000u64 {
+                    let v: u64 = client.invoke(server_ep, FN_DOUBLE, &(t << 32 | i)).unwrap();
+                    assert_eq!(v, (t << 32 | i) * 2);
+                }
+            });
+        }
+    });
+}

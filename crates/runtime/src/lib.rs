@@ -35,6 +35,7 @@ use hcl_fabric::tcp::TcpFabric;
 use hcl_fabric::{EpId, Fabric, LatencyModel, TrafficSnapshot};
 use hcl_rpc::client::RpcClient;
 use hcl_rpc::coalesce::{CoalesceConfig, CoalesceSnapshot, CoalescedFuture, Coalescer};
+use hcl_rpc::deadline::{DeadlineThread, Deadlines};
 use hcl_rpc::server::{RpcServer, ServerConfig, ServerStatsSnapshot};
 use hcl_rpc::{FnId, RetryPolicy, RpcRegistry, RpcResult, Tag};
 use hcl_telemetry::{CoalesceMetrics, RpcMetrics, Telemetry, TelemetryConfig, TelemetrySnapshot};
@@ -212,6 +213,12 @@ pub struct WorldShared {
     collectives: Collectives,
     objects: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
     next_fn_id: AtomicU32,
+    /// The world's one timer thread: coalescer age flushes and relaxed-log
+    /// flush gaps are deadlines on it. Started on first use (by the first
+    /// rank to start), so it runs where the rank threads were placed. It is
+    /// declared before `servers` so that its final pass, on drop, still
+    /// reaches them.
+    deadline_thread: OnceLock<DeadlineThread>,
     servers: Mutex<Vec<RpcServer>>,
     membership: Arc<Membership>,
     /// Per rank, the client its shards forward writes through
@@ -274,6 +281,11 @@ impl WorldShared {
     /// ranks (one per node), matching `hcl_core::default_servers`.
     pub fn membership(&self) -> &Arc<Membership> {
         &self.membership
+    }
+
+    /// Where the world's timed duties are armed ([`hcl_rpc::deadline`]).
+    pub fn deadlines(&self) -> &Arc<Deadlines> {
+        self.deadline_thread.get_or_init(DeadlineThread::spawn).deadlines()
     }
 
     /// The client through which every shard hosted on rank `home` forwards
@@ -575,6 +587,7 @@ impl World {
             },
             objects: Mutex::new(HashMap::new()),
             next_fn_id: AtomicU32::new(1_000),
+            deadline_thread: OnceLock::new(),
             servers: Mutex::new(Vec::new()),
             membership: Arc::new(Membership::new(
                 (0..cfg.nodes).map(|n| n * cfg.ranks_per_node).collect(),
@@ -643,13 +656,15 @@ impl World {
                         hcl_telemetry::flight::dump_on_panic(telemetry.flight());
                     }
                     let client = Arc::new(client);
-                    let coalescer = Coalescer::spawn(Arc::clone(&client), cfg.coalesce);
-                    if telemetry.enabled() {
-                        coalescer.install_metrics(CoalesceMetrics::from_registry(
+                    let metrics = telemetry.enabled().then(|| {
+                        CoalesceMetrics::from_registry(
                             telemetry.registry(),
                             Arc::clone(telemetry.flight()),
-                        ));
-                    }
+                        )
+                    });
+                    let deadlines = Arc::clone(shared.deadlines());
+                    let coalescer =
+                        Coalescer::new(Arc::clone(&client), cfg.coalesce, deadlines, metrics);
                     let rank = Rank { id: r, world: shared, client, coalescer, telemetry };
                     let out = f(&rank);
                     write_rank_snapshot(&rank);

@@ -135,15 +135,20 @@ bench-smoke:
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Durability suite: the WAL crate's unit tests (CRC, torn-tail truncation,
-# snapshot compaction, replay dedup), the per-container live-vs-recovered
-# byte-identity proptests, and the subprocess crash harness (kill -9
-# mid-write, then recover; strict = zero acknowledged-write loss for sync
-# puts and for put_async windows, relaxed = bounded suffix-only tail loss,
-# plus the drain/admit rejoin).
+# snapshot compaction, replay dedup), the shard log's unit tests in `hcl`
+# (the relaxed flush gap as a deadline: gap bound and final pass), the
+# per-container live-vs-recovered byte-identity proptests, the subprocess
+# crash harness (kill -9 mid-write, then recover; strict = zero
+# acknowledged-write loss for sync puts and for put_async windows, relaxed =
+# bounded suffix-only tail loss, plus the drain/admit rejoin), and the idle
+# world whose one deadline thread carries the gap (< 5 ms CPU/s, exact
+# thread count).
 test-persist:
     cargo test --release -p hcl-persist
+    cargo test --release -p hcl --lib persist::
     cargo test --release --test persist_property
     cargo test --release --test crash_recovery
+    cargo test --release --test idle_world
 
 # Seeded multi-generation crash soak: repeated kill -9/recover cycles over
 # ONE log directory, each child replaying, compacting and appending over
@@ -154,9 +159,9 @@ crash-soak iters="3" seed="12648430":
         cargo test --release --test crash_recovery -- --ignored --exact crash_soak --nocapture
 
 # Everything CI runs: build (every target), the full test gate (every member
-# crate plus the root integration suites, the telemetry export and chaos
-# twins included — `test-faults`, `test-membership` and `test-persist` are
-# shortcuts into subsets of it), the xtask lint, crash soak, schedule
-# exploration, race checking, linearizability histories, and the hclbench
-# harness.
+# crate plus the root integration suites, the telemetry export, chaos twins
+# and the idle-world CPU and thread-count guard included — `test-faults`,
+# `test-membership` and `test-persist` are shortcuts into subsets of it),
+# the xtask lint, crash soak, schedule exploration, race checking,
+# linearizability histories, and the hclbench harness.
 ci: build test lint crash-soak check-conc check-races check-lin bench-smoke
