@@ -44,7 +44,7 @@ fn yield_phase_limit() -> u32 {
     })
 }
 
-/// One step of the shared spin → yield → sleep poll escalation: responses
+/// One step of the spin → yield → sleep poll escalation: responses
 /// usually land within the handler turnaround, so spin briefly, then yield
 /// (on low-core hosts the handler thread needs our core), and only sleep
 /// after the host-dependent yield phase.
@@ -114,11 +114,6 @@ impl PendingResponse {
             return Ok(None);
         }
         Ok(Some(Bytes::from(data)))
-    }
-
-    /// The per-attempt response budget this pending pull polls under.
-    fn attempt_budget(&self) -> Duration {
-        self.retry.attempt_timeout.unwrap_or(self.timeout)
     }
 }
 
@@ -195,7 +190,7 @@ impl RawFuture {
             Ok(p) => p,
         };
         let attempts = pending.retry.max_attempts.max(1);
-        let per_attempt = pending.attempt_budget();
+        let per_attempt = pending.retry.attempt_timeout.unwrap_or(pending.timeout);
         let mut last = RpcError::Timeout;
         for attempt in 0..attempts {
             if attempt > 0 {
@@ -264,51 +259,6 @@ impl RawFuture {
         // timeout, its result is returned instead of the error.
         self.store(r)
     }
-
-    /// The per-attempt response budget while pending (`None` once ready).
-    fn attempt_budget(&self) -> Option<Duration> {
-        self.pending().ok().map(|p| p.attempt_budget())
-    }
-}
-
-/// Sweep a set of futures to completion with one non-blocking fabric poll
-/// per still-pending slot per iteration (batched completion polling), under
-/// the shared spin → yield → sleep escalation. If the smallest per-attempt
-/// budget elapses before every slot completes, the stragglers fall back to
-/// their individual blocking waits so retransmission semantics still apply.
-pub fn wait_all(futs: &[RawFuture]) -> Vec<RpcResult<Bytes>> {
-    let n = futs.len();
-    let mut results: Vec<Option<RpcResult<Bytes>>> = (0..n).map(|_| None).collect();
-    let mut remaining = n;
-    let deadline = futs
-        .iter()
-        .filter_map(|f| f.attempt_budget())
-        .min()
-        .map(|b| Instant::now() + b);
-    let mut spins = 0u32;
-    while remaining > 0 {
-        for (i, f) in futs.iter().enumerate() {
-            if results[i].is_none() {
-                if let Some(r) = f.try_get() {
-                    results[i] = Some(r);
-                    remaining -= 1;
-                }
-            }
-        }
-        if remaining == 0 {
-            break;
-        }
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            for (i, f) in futs.iter().enumerate() {
-                if results[i].is_none() {
-                    results[i] = Some(f.wait());
-                }
-            }
-            break;
-        }
-        poll_backoff(&mut spins);
-    }
-    results.into_iter().map(|r| r.expect("swept to completion")).collect()
 }
 
 /// A typed asynchronous RPC result (paper §III-C4: "Each function invocation
@@ -342,7 +292,7 @@ pub struct BatchFuture {
 }
 
 impl BatchFuture {
-    /// The underlying raw future (for completion sweeps / coalescing).
+    /// The underlying raw future.
     pub fn raw(&self) -> &RawFuture {
         &self.raw
     }

@@ -4,7 +4,8 @@
 //!
 //! Each `(client rank, destination server)` pair owns a submission queue.
 //! Async ops stage their `(fn_id, args)` into the queue's [`BatchArena`]
-//! (one growing buffer, not a `Vec` per op) and get back a [`CallHandle`].
+//! (one growing buffer, not a `Vec` per op) and get back a
+//! [`CoalescedFuture`].
 //! The queue flushes as one [`crate::FLAG_BATCH`] request when any of three
 //! triggers fires:
 //!
@@ -13,7 +14,7 @@
 //! * **age** — the oldest staged op has waited [`CoalesceConfig::max_delay`]:
 //!   a deadline on the world's deadline thread ([`crate::deadline`]), armed
 //!   when a queue opens, so an empty coalescer costs no wake-ups;
-//! * **demand** — a handle is waited on, or a *synchronous* op to the same
+//! * **demand** — a future is waited on, or a *synchronous* op to the same
 //!   destination calls [`Coalescer::flush`] first (flush-before-sync: the
 //!   batch is sent before the sync request, so per-destination FIFO order —
 //!   and therefore program-order visibility — is preserved).
@@ -121,8 +122,8 @@ enum CallState {
     Failed(RpcError),
 }
 
-/// One flushed batch: the future plus a decoded-response cache so each of
-/// the batch's handles pays the decode once and clones `Bytes` windows.
+/// One flushed batch: the future plus a decoded-response cache, so the
+/// batch's ops share one decode and clone `Bytes` windows out of it.
 struct SentBatch {
     fut: BatchFuture,
     cache: Mutex<Option<RpcResult<Vec<Bytes>>>>,
@@ -132,43 +133,29 @@ struct SentBatch {
 }
 
 impl SentBatch {
-    /// The cache just transitioned empty → filled: the batch completed.
-    fn on_complete(&self) {
-        if let Some(m) = &self.metrics {
-            m.batch_latency_ns.record_duration(self.sent_at.elapsed());
-        }
-    }
-
-    fn result(&self) -> RpcResult<Vec<Bytes>> {
+    /// Entry `index` of the decoded responses, which the first caller to
+    /// get them caches; `None` while in flight, unless `block`, which waits.
+    fn result(&self, index: usize, block: bool) -> Option<RpcResult<Bytes>> {
         let mut c = self.cache.lock();
         if c.is_none() {
-            *c = Some(self.fut.wait());
-            self.on_complete();
+            *c = Some(if block { self.fut.wait() } else { self.fut.try_wait()? });
+            if let Some(m) = &self.metrics {
+                m.batch_latency_ns.record_duration(self.sent_at.elapsed());
+            }
         }
-        c.clone().expect("cached batch result")
-    }
-
-    fn try_result(&self) -> Option<RpcResult<Vec<Bytes>>> {
-        let mut c = self.cache.lock();
-        if c.is_none() {
-            *c = Some(self.fut.try_wait()?);
-            self.on_complete();
-        }
-        c.clone()
-    }
-
-    /// Entry `index` of the decoded responses.
-    fn entry(resps: RpcResult<Vec<Bytes>>, index: usize) -> RpcResult<Bytes> {
-        resps?.get(index).cloned().ok_or_else(|| RpcError::Decode("batch response index".into()))
+        let resps = c.as_ref()?.as_ref().map_err(RpcError::clone);
+        Some(resps.and_then(|r| {
+            r.get(index).cloned().ok_or_else(|| RpcError::Decode("batch response index".into()))
+        }))
     }
 }
 
 /// Per-destination submission queue: the staged calls (no per-op
-/// allocation) and their pending handles.
+/// allocation) and the states of their futures.
 struct DestQueue {
     dest: EpId,
     calls: BatchArena,
-    handles: Vec<Arc<Mutex<CallState>>>,
+    states: Vec<Arc<Mutex<CallState>>>,
     opened: Option<Instant>,
     /// AIMD size target for this destination.
     target_ops: usize,
@@ -179,7 +166,7 @@ impl DestQueue {
         DestQueue {
             dest,
             calls: BatchArena::default(),
-            handles: Vec::new(),
+            states: Vec::new(),
             opened: None,
             // Start small: the first flush is cheap, and bulk phases double
             // their way up within a handful of batches.
@@ -195,7 +182,7 @@ enum FlushCause {
     Demand,
 }
 
-/// The per-rank op coalescer. Share via `Arc` (handles keep the coalescer
+/// The per-rank op coalescer. Share via `Arc` (futures keep the coalescer
 /// alive so they can self-flush).
 pub struct Coalescer {
     client: Arc<RpcClient>,
@@ -240,19 +227,19 @@ impl Coalescer {
         }
     }
 
-    /// The current AIMD size target for `dest` (`None` before any submit).
-    pub fn target_ops(&self, dest: EpId) -> Option<usize> {
-        self.dests.lock().get(&dest).map(|q| q.lock().target_ops)
-    }
-
-    /// Stage one op for `dest`; `pack` appends its argument bytes to the
-    /// queue's arena. May flush inline when a size threshold trips.
-    pub fn submit(
+    /// Stage one op for `dest`, its `args` packed into the queue's arena;
+    /// the future decodes the response as `R`. May flush inline when a size
+    /// threshold trips.
+    pub fn submit_typed<A, R>(
         self: &Arc<Self>,
         dest: EpId,
         fn_id: FnId,
-        pack: impl FnOnce(&mut Vec<u8>),
-    ) -> CallHandle {
+        args: &A,
+    ) -> CoalescedFuture<R>
+    where
+        A: DataBox,
+        R: DataBox,
+    {
         let q = {
             let mut dests = self.dests.lock();
             Arc::clone(
@@ -268,9 +255,9 @@ impl Coalescer {
                 self.age.arm(self.cfg.max_delay, self);
             }
         }
-        g.calls.push_with(fn_id, pack);
-        let shared = Arc::new(Mutex::new(CallState::Queued));
-        g.handles.push(Arc::clone(&shared));
+        g.calls.push_with(fn_id, |out| args.pack(out));
+        let state = Arc::new(Mutex::new(CallState::Queued));
+        g.states.push(Arc::clone(&state));
         // ORDERING: Relaxed statistic.
         self.stats.coalesced_ops.fetch_add(1, Ordering::Relaxed);
         let target = if self.cfg.adaptive { g.target_ops } else { self.cfg.max_ops };
@@ -278,21 +265,7 @@ impl Coalescer {
         if full || g.calls.bytes() >= MAX_BATCH_BYTES {
             self.flush_queue(&mut g, FlushCause::Size);
         }
-        CallHandle { shared, dest, coal: Arc::clone(self) }
-    }
-
-    /// Typed submit: pack `args`, decode the response as `R` on wait.
-    pub fn submit_typed<A, R>(
-        self: &Arc<Self>,
-        dest: EpId,
-        fn_id: FnId,
-        args: &A,
-    ) -> CoalescedFuture<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        self.submit(dest, fn_id, |out| args.pack(out)).typed()
+        CoalescedFuture { state, dest, coal: Arc::clone(self), _t: PhantomData }
     }
 
     /// Send anything staged for `dest` now. Call before a synchronous op to
@@ -376,18 +349,18 @@ impl Coalescer {
                     sent_at: Instant::now(),
                     metrics: self.metrics.clone(),
                 });
-                for (i, h) in g.handles.iter().enumerate() {
+                for (i, h) in g.states.iter().enumerate() {
                     *h.lock() = CallState::Sent { batch: Arc::clone(&batch), index: i };
                 }
             }
             Err(e) => {
-                for h in &g.handles {
+                for h in &g.states {
                     *h.lock() = CallState::Failed(e.clone());
                 }
             }
         }
         g.calls.clear();
-        g.handles.clear();
+        g.states.clear();
         g.opened = None;
     }
 }
@@ -423,70 +396,45 @@ impl DeadlineJob for Coalescer {
     }
 }
 
-/// Handle to one coalesced op; resolves to the op's own response bytes.
-pub struct CallHandle {
-    shared: Arc<Mutex<CallState>>,
+/// A typed future over one coalesced op (mirrors
+/// [`crate::client::RpcFuture`]). It keeps its coalescer alive so a wait on
+/// a still-staged op can demand-flush it.
+pub struct CoalescedFuture<T> {
+    state: Arc<Mutex<CallState>>,
     dest: EpId,
     coal: Arc<Coalescer>,
-}
-
-impl CallHandle {
-    /// Block for this op's response. A still-queued op demand-flushes its
-    /// destination first.
-    pub fn wait(&self) -> RpcResult<Bytes> {
-        loop {
-            let state = self.shared.lock().clone();
-            match state {
-                CallState::Queued => self.coal.flush(self.dest),
-                CallState::Sent { batch, index } => return SentBatch::entry(batch.result(), index),
-                CallState::Failed(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Non-blocking probe; `None` while queued or in flight.
-    pub fn try_get(&self) -> Option<RpcResult<Bytes>> {
-        let state = self.shared.lock().clone();
-        match state {
-            CallState::Queued => None,
-            CallState::Sent { batch, index } => {
-                batch.try_result().map(|r| SentBatch::entry(r, index))
-            }
-            CallState::Failed(e) => Some(Err(e)),
-        }
-    }
-
-    /// True once resolved.
-    pub fn is_ready(&self) -> bool {
-        self.try_get().is_some()
-    }
-
-    /// Wrap into a typed future.
-    pub fn typed<T: DataBox>(self) -> CoalescedFuture<T> {
-        CoalescedFuture { handle: self, _t: PhantomData }
-    }
-}
-
-/// A typed future over a coalesced op (mirrors [`crate::client::RpcFuture`]).
-pub struct CoalescedFuture<T> {
-    handle: CallHandle,
     _t: PhantomData<fn() -> T>,
 }
 
 impl<T: DataBox> CoalescedFuture<T> {
+    /// This op's response bytes, undecoded: `None` while staged or in
+    /// flight, unless `block`, which demand-flushes a staged op and waits.
+    fn bytes(&self, block: bool) -> Option<RpcResult<Bytes>> {
+        let mut state = self.state.lock().clone();
+        while block && matches!(state, CallState::Queued) {
+            self.coal.flush(self.dest);
+            state = self.state.lock().clone();
+        }
+        match state {
+            CallState::Queued => None,
+            CallState::Sent { batch, index } => batch.result(index, block),
+            CallState::Failed(e) => Some(Err(e)),
+        }
+    }
+
     /// Block for the response and decode it.
     pub fn wait(&self) -> RpcResult<T> {
-        decode(&self.handle.wait()?)
+        decode(&self.bytes(true).expect("a blocking wait resolves")?)
     }
 
     /// Non-blocking completion check.
     pub fn try_get(&self) -> Option<RpcResult<T>> {
-        self.handle.try_get().map(|r| r.and_then(|b| decode(&b)))
+        self.bytes(false).map(|r| r.and_then(|b| decode(&b)))
     }
 
-    /// True once the response has arrived.
+    /// True once the response has arrived (nothing is decoded).
     pub fn is_ready(&self) -> bool {
-        self.handle.is_ready()
+        self.bytes(false).is_some()
     }
 }
 
@@ -545,7 +493,7 @@ mod tests {
         assert_eq!(st.batches, 2, "8 ops at max_ops=4 must make 2 batches");
         assert_eq!(st.size_flushes, 2);
         assert_eq!(execs.load(Ordering::Relaxed), 8);
-        server.shutdown();
+        drop(server);
     }
 
     #[test]
@@ -561,7 +509,7 @@ mod tests {
         let st = coal.stats();
         assert_eq!(st.batches, 1);
         assert_eq!(st.demand_flushes, 1);
-        server.shutdown();
+        drop(server);
     }
 
     #[test]
@@ -580,7 +528,7 @@ mod tests {
         }
         assert_eq!(f.try_get().unwrap().unwrap(), 10);
         assert!(coal.stats().age_flushes >= 1);
-        server.shutdown();
+        drop(server);
     }
 
     /// Holds the deadline thread for `hold`, then notes the fire count and
@@ -632,7 +580,7 @@ mod tests {
             after <= periods_after + 2,
             "{after} fires in the {periods_after} periods of max_delay after the slip"
         );
-        server.shutdown();
+        drop(server);
     }
 
     #[test]
@@ -691,7 +639,7 @@ mod tests {
         for (i, h) in held.iter().enumerate() {
             assert_eq!(h.wait().unwrap(), i as u64);
         }
-        server.shutdown();
+        drop(server);
     }
 
     #[test]
@@ -702,19 +650,60 @@ mod tests {
             ..Default::default()
         };
         let (coal, server, dest, _, _ticker) = harness(cfg);
-        // Fill batches: target starts at 4 and doubles per size flush.
-        let futs: Vec<CoalescedFuture<u64>> =
-            (0..12u64).map(|i| coal.submit_typed(dest, 9, &i)).collect();
-        // 4-op flush (target -> 8), then 8-op flush (target -> 16).
-        assert_eq!(coal.target_ops(dest), Some(16));
-        for f in &futs {
-            f.wait().unwrap();
-        }
-        // A demand flush halves it.
+        // Submit `n` ops; the 1-based submits that tripped a size flush.
+        let size_flushes_at = |n: u64| {
+            let mut at = Vec::new();
+            let futs: Vec<CoalescedFuture<u64>> = (1..=n)
+                .map(|i| {
+                    let before = coal.stats().size_flushes;
+                    let f = coal.submit_typed(dest, 9, &i);
+                    if coal.stats().size_flushes > before {
+                        at.push(i);
+                    }
+                    f
+                })
+                .collect();
+            for f in &futs {
+                f.wait().unwrap();
+            }
+            at
+        };
+        // The target starts at 4 and doubles per size flush: a 4-op batch,
+        // then an 8-op batch (the target is now 16).
+        assert_eq!(size_flushes_at(12), vec![4, 12]);
+        // A demand flush halves it to 8.
         let f: CoalescedFuture<u64> = coal.submit_typed(dest, 9, &1u64);
         f.wait().unwrap();
-        assert_eq!(coal.target_ops(dest), Some(8));
-        server.shutdown();
+        assert_eq!(coal.stats().demand_flushes, 1);
+        assert_eq!(size_flushes_at(8), vec![8]);
+        drop(server);
+    }
+
+    #[test]
+    fn failed_flush_resolves_every_staged_op_with_its_error() {
+        // A batch whose send fails — here, to an endpoint no one registered
+        // — leaves each of its ops with that one error, through `wait` and
+        // `try_get` alike.
+        let cfg = CoalesceConfig {
+            max_ops: 64,
+            max_delay: Duration::from_secs(10),
+            ..Default::default()
+        };
+        let (coal, server, _, execs, _ticker) = harness(cfg);
+        let nowhere = EpId::new(7, 7);
+        let futs: Vec<CoalescedFuture<u64>> =
+            (0..3u64).map(|i| coal.submit_typed(nowhere, 9, &i)).collect();
+        assert!(futs.iter().all(|f| f.try_get().is_none()), "staged ops are not resolved");
+        let err = futs[0].wait().unwrap_err();
+        assert_eq!(err, RpcError::Fabric(hcl_fabric::FabricError::UnknownEndpoint(nowhere)));
+        for f in &futs {
+            assert!(f.is_ready());
+            assert_eq!(f.try_get().unwrap().unwrap_err(), err);
+            assert_eq!(f.wait().unwrap_err(), err);
+        }
+        let st = coal.stats();
+        assert_eq!((st.batches, st.demand_flushes, execs.load(Ordering::Relaxed)), (1, 1, 0));
+        drop(server);
     }
 
     #[test]
@@ -751,7 +740,7 @@ mod tests {
         coal.flush(server_ep);
         let _: u64 = client.invoke(server_ep, 1, &99u64).unwrap();
         assert_eq!(&*log.lock(), &[0, 1, 2, 99]);
-        server.shutdown();
+        drop(server);
     }
 }
 
@@ -803,7 +792,7 @@ mod low_core_regression {
         let coal =
             Coalescer::new(client, CoalesceConfig::default(), Arc::clone(ticker.deadlines()), None);
         windowed_burst(&coal, server.endpoint(), 2000);
-        server.shutdown();
+        drop(server);
     }
 
     #[test]
@@ -833,6 +822,6 @@ mod low_core_regression {
             "coalesced bursts starved the NIC workers: {:?}",
             t0.elapsed()
         );
-        server.shutdown();
+        drop(server);
     }
 }

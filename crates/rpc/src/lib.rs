@@ -20,10 +20,11 @@
 //!    the paper's client-pull response paradigm.
 //!
 //! Also implemented: **request aggregation** (§III-B: "aggregate multiple
-//! instructions before execution") via [`RpcClient::invoke_batch`], and
-//! **asynchronous RPC** (§III-C4) — [`client::RpcClient::invoke_async`]
-//! returns an [`client::RpcFuture`]; a synchronous call issues the same
-//! request and waits on its slot.
+//! instructions before execution") via [`RpcClient::invoke_batch`] and the
+//! per-destination [`coalesce::Coalescer`], and **asynchronous RPC**
+//! (§III-C4): [`client::RpcClient::invoke_async`] returns a
+//! [`client::RpcFuture`], a coalesced op a [`coalesce::CoalescedFuture`]; a
+//! synchronous call issues the same request and waits on its slot.
 
 pub mod batch;
 pub mod client;
@@ -493,53 +494,46 @@ pub fn encode_batch(calls: &[(FnId, Vec<u8>)]) -> Vec<u8> {
     out
 }
 
-/// Decode a batch payload (server side).
-pub fn decode_batch(buf: &[u8]) -> Option<Vec<(FnId, &[u8])>> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let count = u32::from_le_bytes(buf[0..4].try_into().ok()?) as usize;
-    let mut out = Vec::with_capacity(count);
+/// Walk a batch frame `[count u32][(head, len u32, body)...]` whose entries
+/// carry `head` bytes before their length, mapping each entry's head and
+/// body range through `entry`. `None` when the frame is cut short of its
+/// count. The capacity is capped at the entries the frame can hold, so a
+/// forged count cannot size the allocation.
+fn walk_batch<E>(
+    buf: &[u8],
+    head: usize,
+    mut entry: impl FnMut(&[u8], std::ops::Range<usize>) -> E,
+) -> Option<Vec<E>> {
+    let (count, _) = buf.split_first_chunk::<4>()?;
+    let count = u32::from_le_bytes(*count) as usize;
+    let mut out = Vec::with_capacity(count.min((buf.len() - 4) / (head + 4)));
     let mut off = 4;
     for _ in 0..count {
-        if buf.len() < off + 8 {
+        let len_at = off + head;
+        let len = u32::from_le_bytes(*buf.get(len_at..)?.first_chunk::<4>()?) as usize;
+        let body = len_at + 4..len_at + 4 + len;
+        if buf.len() < body.end {
             return None;
         }
-        let id = u32::from_le_bytes(buf[off..off + 4].try_into().ok()?);
-        let len = u32::from_le_bytes(buf[off + 4..off + 8].try_into().ok()?) as usize;
-        off += 8;
-        if buf.len() < off + len {
-            return None;
-        }
-        out.push((id, &buf[off..off + len]));
-        off += len;
+        out.push(entry(&buf[off..len_at], body.clone()));
+        off = body.end;
     }
     Some(out)
+}
+
+/// Decode a batch payload `[count u32][(fn_id u32, len u32, args)...]`
+/// (server side).
+pub fn decode_batch(buf: &[u8]) -> Option<Vec<(FnId, &[u8])>> {
+    walk_batch(buf, 4, |id, body| {
+        (u32::from_le_bytes(id.try_into().expect("4-byte fn id")), &buf[body])
+    })
 }
 
 /// Decode a batch response `[count u32][(len u32, resp)...]` (client side).
 /// Each per-call response is a zero-copy [`Bytes::slice`] window into the
 /// pulled message — one shared backing buffer for the whole batch.
 pub fn decode_batch_response(buf: &Bytes) -> Option<Vec<Bytes>> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let count = u32::from_le_bytes(buf[0..4].try_into().ok()?) as usize;
-    let mut out = Vec::with_capacity(count);
-    let mut off = 4;
-    for _ in 0..count {
-        if buf.len() < off + 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes(buf[off..off + 4].try_into().ok()?) as usize;
-        off += 4;
-        if buf.len() < off + len {
-            return None;
-        }
-        out.push(buf.slice(off, off + len));
-        off += len;
-    }
-    Some(out)
+    walk_batch(buf, 0, |_, body| buf.slice(body.start, body.end))
 }
 
 #[cfg(test)]
@@ -601,6 +595,20 @@ mod tests {
         assert_eq!(dec, vec![Bytes::from_static(b"r1"), Bytes::new(), Bytes::from_static(b"r3")]);
         // Zero-copy: each entry must point into the shared backing buffer.
         assert_eq!(dec[0].as_slice().as_ptr(), enc.slice(8, 10).as_slice().as_ptr());
+    }
+
+    #[test]
+    fn forged_batch_counts_decode_to_none() {
+        // A count the frame cannot hold must fail the decode, not size an
+        // allocation of up to 2^32 entries.
+        let count = u32::MAX.to_le_bytes();
+        assert_eq!(decode_batch(&count), None);
+        assert_eq!(decode_batch_response(&Bytes::from(count.to_vec())), None);
+        // Cut inside an entry's length, and inside its body.
+        assert_eq!(decode_batch(b"\x01\0\0\0\x07\0\0\0\x02\0"), None);
+        assert_eq!(decode_batch_response(&Bytes::from(b"\x01\0\0\0\x02\0\0\0r".to_vec())), None);
+        assert_eq!(decode_batch(&[0; 3]), None);
+        assert_eq!(decode_batch(&[0; 4]), Some(vec![]));
     }
 
     #[test]

@@ -10,8 +10,8 @@ use hcl_mem::{Segment, SegmentAllocator};
 use parking_lot::Mutex;
 
 use crate::{
-    decode_batch, resp_key, slot_offset, Binding, Request, RpcError, RpcRegistry, RpcResult, Tag,
-    FLAG_BATCH, FLAG_IDEMPOTENT, FLAG_STAMPED, SLOTS_PER_CLIENT, SLOT_HDR,
+    decode_batch, resp_key, slot_offset, Binding, FnId, Request, RpcError, RpcRegistry, RpcResult,
+    Tag, FLAG_BATCH, FLAG_IDEMPOTENT, FLAG_STAMPED, SLOTS_PER_CLIENT, SLOT_HDR,
 };
 
 /// Server configuration.
@@ -262,8 +262,8 @@ pub struct ServerStats {
     /// acknowledged, never re-executed; the caller ends in its retry budget.
     pub ack_failures: AtomicU64,
     /// Received messages that did not parse as a request — shorter than the
-    /// header, cut inside the chain, or tagged with an epoch they do not
-    /// carry — and were dropped unanswered.
+    /// header, cut inside the chain, tagged with an epoch they do not carry,
+    /// or a batch whose frame does not decode — and were dropped unanswered.
     pub malformed: AtomicU64,
 }
 
@@ -370,7 +370,13 @@ impl NicCore {
     pub fn serve(&mut self, caller: EpId, msg: &[u8]) -> Option<Reply<'_>> {
         let NicCore { pipe, resp, chain, ack } = self;
         let stats = &pipe.stats;
-        let Some(req) = Request::decode(msg) else {
+        // A batch is decoded here, before the dedup claim, so a malformed
+        // one is dropped unanswered like any other malformed message.
+        let parsed = Request::decode(msg).and_then(|req| {
+            let batch = req.flags & FLAG_BATCH != 0;
+            Some((req, if batch { Some(decode_batch(req.args)?) } else { None }))
+        });
+        let Some((req, calls)) = parsed else {
             // ORDERING: Relaxed statistic.
             stats.malformed.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -393,7 +399,7 @@ impl NicCore {
             }
         }
         let t0 = Instant::now();
-        let single = req.flags & FLAG_BATCH == 0;
+        let single = calls.is_none();
         let stamped = single && req.flags & FLAG_STAMPED != 0;
         if stamped {
             resp.extend_from_slice(&[0; 8]);
@@ -417,12 +423,12 @@ impl NicCore {
             stats.wrong_epoch.fetch_add(1, Ordering::Relaxed);
             *resp.last_mut().expect("status byte reserved") = 1;
             resp.extend_from_slice(&current.to_le_bytes());
-        } else if single {
+        } else if let Some(calls) = calls {
+            run_batch(pipe, resp, caller, &req, calls);
+        } else {
             // ORDERING: Relaxed statistic.
             stats.requests.fetch_add(1, Ordering::Relaxed);
             run_chain(pipe, resp, chain, caller, &req, first.as_deref());
-        } else {
-            run_batch(pipe, resp, caller, &req);
         }
         // Ack barrier: whatever the handlers deferred (strict-durability log
         // commits) happens here, once per request, before anything below can
@@ -496,8 +502,13 @@ fn run_chain(
 
 /// Run every call of an aggregated request, assembling `[count][(len,
 /// resp)...]` in `resp` with length back-patching — no per-call Vec.
-fn run_batch(pipe: &Pipeline, resp: &mut Vec<u8>, caller: EpId, req: &Request<'_>) {
-    let calls = decode_batch(req.args).unwrap_or_default();
+fn run_batch(
+    pipe: &Pipeline,
+    resp: &mut Vec<u8>,
+    caller: EpId,
+    req: &Request<'_>,
+    calls: Vec<(FnId, &[u8])>,
+) {
     resp.extend_from_slice(&(calls.len() as u32).to_le_bytes());
     for (i, (id, args)) in calls.into_iter().enumerate() {
         // ORDERING: Relaxed statistic.
@@ -666,23 +677,15 @@ impl RpcServer {
     pub fn response_buffer_bytes(&self) -> usize {
         self.resp_seg.len()
     }
+}
 
+impl Drop for RpcServer {
     /// Stop the workers and wait for them to exit.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-impl Drop for RpcServer {
-    fn drop(&mut self) {
-        self.shutdown_inner();
     }
 }
 
@@ -791,7 +794,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         let st = server.stats();
-        server.shutdown();
+        drop(server);
         (executions.load(Ordering::Relaxed), st.deduped)
     }
 
@@ -888,7 +891,7 @@ mod tests {
         assert_eq!(client.invoke::<u64, u64>(server_ep, 8, &1).unwrap(), 1);
         assert!(entered.try_recv().is_err(), "exactly one commit per deferring request");
         assert_eq!(server.stats().ack_failures, 0);
-        server.shutdown();
+        drop(server);
     }
 
     #[test]
@@ -940,7 +943,7 @@ mod tests {
             assert!(Instant::now() < deadline, "healthy request never acknowledged");
             std::thread::sleep(Duration::from_millis(2));
         }
-        server.shutdown();
+        drop(server);
     }
 
     #[test]
@@ -1005,7 +1008,7 @@ mod tests {
         // Plain invocations through the same server stay un-prefixed.
         let plain: u64 = client.invoke(server_ep, 50, &10u64).unwrap();
         assert_eq!(plain, 11);
-        server.shutdown();
+        drop(server);
     }
 
     #[test]
@@ -1029,6 +1032,6 @@ mod tests {
         // Unstamped invocations through the same server stay un-prefixed.
         let plain: u64 = client.invoke(server_ep, 40, &10u64).unwrap();
         assert_eq!(plain, 11);
-        server.shutdown();
+        drop(server);
     }
 }
