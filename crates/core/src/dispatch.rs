@@ -32,9 +32,11 @@
 //!   checker.
 //!
 //! The target side of the same path — what the owner does with the op once
-//! it arrives — is [`crate::shard`]. Adding a sixth container is a one-file
-//! change over the two: a store impl, a descriptor table, and each public
-//! method as one `Dispatcher` call (DESIGN.md §10 has the walkthrough).
+//! it arrives — is [`crate::shard`], which also holds the three generic
+//! public handles whose methods are these `Dispatcher` calls. Adding a sixth
+//! container is a one-file change over the two: a store impl, a descriptor
+//! table, and an alias of one of those handles with one impl block for its
+//! constructors and its own ops (DESIGN.md §10 has the walkthrough).
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -189,18 +191,18 @@ impl<R: DataBox> BulkReply<R> {
 #[cfg(feature = "history")]
 pub type HistToken = Option<conc_check::history::Token<conc_check::DsOp>>;
 
-/// Record an operation's invocation into the dispatcher's history recorder
-/// (feature `history`; expands to `()` with the feature off, and the `DsOp`
-/// expression is never evaluated).
+/// Record an operation's invocation into the [`Recording`] of `$h` (a
+/// dispatcher or a set handle; feature `history`; expands to `()` with the
+/// feature off, and the `DsOp` expression is never evaluated).
 #[cfg(feature = "history")]
 macro_rules! hist_invoke {
-    ($d:expr, $op:expr) => {
-        $d.hist_invoke(|| $op)
+    ($h:expr, $op:expr) => {
+        $h.hist.invoke(|| $op)
     };
 }
 #[cfg(not(feature = "history"))]
 macro_rules! hist_invoke {
-    ($d:expr, $op:expr) => {
+    ($h:expr, $op:expr) => {
         ()
     };
 }
@@ -208,13 +210,13 @@ macro_rules! hist_invoke {
 /// Record an operation's return against the token from [`hist_invoke!`].
 #[cfg(feature = "history")]
 macro_rules! hist_return {
-    ($d:expr, $tok:expr, $res:expr, $f:expr) => {
-        $d.hist_return($tok, $res, $f)
+    ($h:expr, $tok:expr, $res:expr, $f:expr) => {
+        $h.hist.ret($tok, $res, $f)
     };
 }
 #[cfg(not(feature = "history"))]
 macro_rules! hist_return {
-    ($d:expr, $tok:expr, $res:expr, $f:expr) => {{
+    ($h:expr, $tok:expr, $res:expr, $f:expr) => {{
         let _ = &$tok;
     }};
 }
@@ -239,8 +241,10 @@ pub struct Dispatcher<'a> {
     /// response is fed here as `(owner_rank, stamp)` — the lease cache's
     /// invalidation channel.
     version_sink: Option<VersionSink>,
+    /// Where the container methods' history hooks record (feature
+    /// `history`).
     #[cfg(feature = "history")]
-    recorder: Option<crate::HistoryRecorder>,
+    pub(crate) hist: Recording,
 }
 
 /// Consumer of piggybacked partition-version stamps
@@ -295,7 +299,7 @@ impl<'a> Dispatcher<'a> {
             meter: OpMeter::new(rank.telemetry(), fns),
             version_sink: None,
             #[cfg(feature = "history")]
-            recorder: None,
+            hist: Recording::default(),
         }
     }
 
@@ -626,24 +630,31 @@ impl<'a> Dispatcher<'a> {
     /// by the container methods' `hist_invoke!`/`hist_return!` hooks.
     #[cfg(feature = "history")]
     pub fn set_recorder(&mut self, rec: crate::HistoryRecorder) {
-        self.recorder = Some(rec);
+        self.hist.0 = Some(rec);
     }
+}
 
+/// A handle's history recorder slot, the target of the
+/// `hist_invoke!`/`hist_return!` hooks (feature `history`).
+#[cfg(feature = "history")]
+#[derive(Default)]
+pub(crate) struct Recording(pub(crate) Option<crate::HistoryRecorder>);
+
+#[cfg(feature = "history")]
+impl Recording {
     /// Record an op invocation; `op` is only built when a recorder is set.
-    #[cfg(feature = "history")]
-    pub fn hist_invoke(&self, op: impl FnOnce() -> conc_check::DsOp) -> HistToken {
-        self.recorder.as_ref().map(|r| r.invoke(op()))
+    pub fn invoke(&self, op: impl FnOnce() -> conc_check::DsOp) -> HistToken {
+        self.0.as_ref().map(|r| r.invoke(op()))
     }
 
     /// Record an op return for `tok`. Failed ops never enter the history.
-    #[cfg(feature = "history")]
-    pub fn hist_return<R>(
+    pub fn ret<R>(
         &self,
         tok: HistToken,
         res: &HclResult<R>,
         ret: impl FnOnce(&R) -> conc_check::DsRet,
     ) {
-        if let (Some(r), Some(tok), Ok(v)) = (self.recorder.as_ref(), tok, res.as_ref()) {
+        if let (Some(r), Some(tok), Ok(v)) = (self.0.as_ref(), tok, res.as_ref()) {
             r.record_return(tok, ret(v));
         }
     }

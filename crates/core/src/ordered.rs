@@ -10,24 +10,23 @@
 //! Insert/find cost is `F + L·log(N) + W/R` (Table I): one remote
 //! invocation, then an O(log n) descent at local-memory speed on the owner.
 //!
-//! Every operation is one [`Dispatcher`](crate::Dispatcher) call against a
-//! descriptor table; the target side is the shared pipeline of
-//! [`crate::shard`] over this module's [`KeyedStore`] impl for the skiplist.
-//! The global views are per-partition fan-outs of fenced reads.
-
-use std::hash::Hash;
+//! [`OrderedMap`] is the generic keyed handle [`KeyedContainer`] over the
+//! skiplist, and [`OrderedSet`] is [`KeyedSet`] over it; the target side is
+//! the shared pipeline of [`crate::shard`] over this module's
+//! [`KeyedStore`] impl. What is left here is that impl, the table, the
+//! config, the constructors and the global views — per-partition fan-outs
+//! of fenced reads.
 
 use hcl_containers::SkipListMap;
-use hcl_databox::DataBox;
 use hcl_runtime::Rank;
 
-use crate::cost::CostSnapshot;
 use crate::dispatch::{CostSig, IssueMode, OpDescriptor};
 use crate::persist::PersistConfig;
 use crate::shard::{
-    keyed_ops, KeyedClient, KeyedOps, KeyedShard, KeyedSpec, KeyedStore, KEYED_FNS,
+    keyed_ops, Key, KeyedContainer, KeyedOps, KeyedSet, KeyedShard, KeyedSpec, KeyedStore, Val,
+    KEYED_FNS,
 };
-use crate::{HclFuture, HclResult};
+use crate::HclResult;
 
 const FN_FIRST: u32 = KEYED_FNS;
 const FN_RANGE: u32 = KEYED_FNS + 1;
@@ -106,19 +105,9 @@ impl Default for OrderedConfig {
 }
 
 /// A distributed ordered map.
-pub struct OrderedMap<'a, K, V>
-where
-    K: DataBox + Ord + Hash + Clone + Send + Sync + 'static,
-    V: DataBox + Clone + Send + Sync + 'static,
-{
-    c: KeyedClient<'a, K, V, SkipListMap<K, V>>,
-}
+pub type OrderedMap<'a, K, V> = KeyedContainer<'a, K, V, SkipListMap<K, V>>;
 
-impl<'a, K, V> OrderedMap<'a, K, V>
-where
-    K: DataBox + Ord + Hash + Clone + Send + Sync + 'static,
-    V: DataBox + Clone + Send + Sync + 'static,
-{
+impl<'a, K: Key + Ord, V: Val> OrderedMap<'a, K, V> {
     /// Collective constructor with defaults.
     pub fn new(rank: &'a Rank, name: &str) -> Self {
         Self::with_config(rank, name, OrderedConfig::default())
@@ -131,8 +120,9 @@ where
             hybrid: cfg.hybrid,
             persist: cfg.persist,
             replicas: cfg.replicas,
+            lease: None,
         };
-        let c = KeyedClient::open(rank, &OPS, name, spec, EXTRA_FNS, SkipListMap::new, |b| {
+        KeyedContainer::open(rank, &OPS, name, spec, EXTRA_FNS, SkipListMap::new, |b| {
             b.bind(FN_FIRST, |s: &Shard<K, V>, ()| s.read(|m| m.first()));
             b.bind(FN_RANGE, |s: &Shard<K, V>, (lo, hi): (K, K)| {
                 s.read(|m| m.range_snapshot(&lo, &hi))
@@ -141,101 +131,19 @@ where
             // style resize is satisfied trivially, but the surface is kept
             // for parity.
             b.bind(FN_RESIZE, |_: &Shard<K, V>, _new_size: u64| true);
-        });
-        OrderedMap { c }
-    }
-
-    /// Attach a shared history recorder: every synchronous `put`/`get`/
-    /// `erase` through this handle is logged as an invoke/return pair for
-    /// offline linearizability checking ([`crate::check`]). Asynchronous
-    /// variants and range scans are not recorded.
-    #[cfg(feature = "history")]
-    pub fn set_recorder(&mut self, rec: crate::HistoryRecorder) {
-        self.c.d.set_recorder(rec);
-    }
-
-    /// Which partition (member index in the current ownership map) owns
-    /// `key`.
-    pub fn partition_of(&self, key: &K) -> usize {
-        self.c.partition_of(key)
-    }
-
-    /// Number of partitions (owning members of the current map).
-    pub fn partitions(&self) -> usize {
-        self.c.map().members().len()
-    }
-
-    /// The server-side shard hosted on rank `host` (tests and diagnostics).
-    #[doc(hidden)]
-    pub fn shard_at(&self, host: u32) -> &Shard<K, V> {
-        self.c.core.shard(host)
-    }
-
-    /// Mark a partition-owner rank failed: subsequent ops targeting it
-    /// degrade immediately with [`crate::HclError::OwnerDown`].
-    pub fn mark_down(&self, owner_rank: u32) {
-        self.c.d.mark_down(owner_rank);
-    }
-
-    /// Clear a failure mark set by [`OrderedMap::mark_down`].
-    pub fn mark_up(&self, owner_rank: u32) {
-        self.c.d.mark_up(owner_rank);
-    }
-
-    /// Insert (Table I: `F + L·log(N) + W`); `true` when newly inserted.
-    pub fn put(&self, key: K, value: V) -> HclResult<bool> {
-        self.c.put(key, value)
-    }
-
-    /// Asynchronous insert. Remote inserts stage on the rank's op coalescer
-    /// and may ride a batched message with neighbouring async ops.
-    pub fn put_async(&self, key: K, value: V) -> HclResult<HclFuture<bool>> {
-        self.c.put_async(key, value)
-    }
-
-    /// Look up (Table I: `F + L·log(N) + R`). Falls back to a replica when
-    /// the owner has been marked down (requires `replicas >= 1`) — the same
-    /// degraded-read contract as the unordered map.
-    pub fn get(&self, key: &K) -> HclResult<Option<V>> {
-        self.c.get(key)
-    }
-
-    /// Wait until every partition's outstanding replication forwards have
-    /// been acknowledged.
-    pub fn flush_replication(&self) -> HclResult<()> {
-        self.c.flush_replication()
-    }
-
-    /// Remove `key`.
-    pub fn erase(&self, key: &K) -> HclResult<Option<V>> {
-        self.c.erase(key)
-    }
-
-    /// Presence check.
-    pub fn contains(&self, key: &K) -> HclResult<bool> {
-        Ok(self.get(key)?.is_some())
-    }
-
-    /// Total entries.
-    pub fn len(&self) -> HclResult<u64> {
-        self.c.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> HclResult<bool> {
-        Ok(self.len()? == 0)
+        })
     }
 
     /// Global minimum entry: the minimum of every partition's first.
     pub fn first(&self) -> HclResult<Option<(K, V)>> {
-        let firsts = self.c.fan_out(&FIRST, &(), |s| s.read(|m| m.first()))?;
+        let firsts = self.fan_out(&FIRST, &(), |s| s.read(|m| m.first()))?;
         Ok(firsts.into_iter().flatten().min_by(|a, b| a.0.cmp(&b.0)))
     }
 
     /// All entries with keys in `[lo, hi)`, globally sorted.
     pub fn range(&self, lo: &K, hi: &K) -> HclResult<Vec<(K, V)>> {
         let args = (lo.clone(), hi.clone());
-        let parts = self.c.fan_out(&RANGE, &args, |s| s.read(|m| m.range_snapshot(lo, hi)))?;
+        let parts = self.fan_out(&RANGE, &args, |s| s.read(|m| m.range_snapshot(lo, hi)))?;
         let mut out: Vec<(K, V)> = parts.into_iter().flatten().collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
@@ -243,7 +151,7 @@ where
 
     /// Every entry, globally sorted (merging the per-partition orders).
     pub fn snapshot_sorted(&self) -> HclResult<Vec<(K, V)>> {
-        let mut out = self.c.snapshot_all()?;
+        let mut out = self.snapshot_all()?;
         out.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
@@ -251,66 +159,23 @@ where
     /// Partition resize surface (Table I parity; skiplist partitions grow
     /// node-by-node so this is trivially satisfied).
     pub fn resize(&self, partition_id: usize, new_size: usize) -> HclResult<bool> {
-        let owner = self.c.owner_of_partition(partition_id)?;
-        self.c.d.sync(self.c.d.event(&RESIZE, owner), IssueMode::Sync, &(new_size as u64), |_| true)
-    }
-
-    /// Flush and compact every *local* partition's op log to a snapshot.
-    pub fn compact_local_logs(&self) -> HclResult<()> {
-        self.c.compact_local_logs()
-    }
-
-    /// Client-side cost counters.
-    pub fn costs(&self) -> CostSnapshot {
-        self.c.d.costs()
+        let owner = self.owner_of_partition(partition_id)?;
+        self.d.sync(self.d.event(&RESIZE, owner), IssueMode::Sync, &(new_size as u64), |_| true)
     }
 }
 
 /// A distributed ordered set.
-pub struct OrderedSet<'a, K>
-where
-    K: DataBox + Ord + Hash + Clone + Send + Sync + 'static,
-{
-    inner: OrderedMap<'a, K, ()>,
-}
+pub type OrderedSet<'a, K> = KeyedSet<'a, K, SkipListMap<K, ()>>;
 
-impl<'a, K> OrderedSet<'a, K>
-where
-    K: DataBox + Ord + Hash + Clone + Send + Sync + 'static,
-{
+impl<'a, K: Key + Ord> OrderedSet<'a, K> {
     /// Collective constructor with defaults.
     pub fn new(rank: &'a Rank, name: &str) -> Self {
-        OrderedSet { inner: OrderedMap::new(rank, name) }
+        KeyedSet::over(OrderedMap::new(rank, name))
     }
 
     /// Collective constructor with configuration.
     pub fn with_config(rank: &'a Rank, name: &str, cfg: OrderedConfig) -> Self {
-        OrderedSet { inner: OrderedMap::with_config(rank, name, cfg) }
-    }
-
-    /// Insert `key`; `true` when newly inserted.
-    pub fn insert(&self, key: K) -> HclResult<bool> {
-        self.inner.put(key, ())
-    }
-
-    /// Membership test.
-    pub fn contains(&self, key: &K) -> HclResult<bool> {
-        self.inner.contains(key)
-    }
-
-    /// Remove `key`; `true` when it was present.
-    pub fn remove(&self, key: &K) -> HclResult<bool> {
-        Ok(self.inner.erase(key)?.is_some())
-    }
-
-    /// Total elements.
-    pub fn len(&self) -> HclResult<u64> {
-        self.inner.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> HclResult<bool> {
-        self.inner.is_empty()
+        KeyedSet::over(OrderedMap::with_config(rank, name, cfg))
     }
 
     /// Smallest element.
@@ -326,20 +191,5 @@ where
     /// Every element, sorted.
     pub fn snapshot_sorted(&self) -> HclResult<Vec<K>> {
         Ok(self.inner.snapshot_sorted()?.into_iter().map(|(k, ())| k).collect())
-    }
-
-    /// Mark a partition-owner rank failed (see [`OrderedMap::mark_down`]).
-    pub fn mark_down(&self, owner_rank: u32) {
-        self.inner.mark_down(owner_rank);
-    }
-
-    /// Clear a failure mark set by [`OrderedSet::mark_down`].
-    pub fn mark_up(&self, owner_rank: u32) {
-        self.inner.mark_up(owner_rank);
-    }
-
-    /// Client-side cost counters.
-    pub fn costs(&self) -> CostSnapshot {
-        self.inner.costs()
     }
 }

@@ -1,9 +1,10 @@
-//! The shard pipeline: the server side of every container, written once.
+//! The shard pipeline: every container, written once per family.
 //!
 //! HCL's containers are the *same* procedural pipeline executed at the
 //! target — only the local structure differs (paper §III-B/D). The
-//! [`Dispatcher`] owns the client half of that statement; this module owns
-//! the target half, generic over the local structure by static dispatch:
+//! [`Dispatcher`] owns the access path of that statement; this module owns
+//! both halves of each container family, generic over the local structure
+//! by static dispatch:
 //!
 //! * [`KeyedShard`] over a [`KeyedStore`] (cuckoo hash, skiplist): every
 //!   mutation is *log with recovery descriptor → apply → bump version →
@@ -11,38 +12,48 @@
 //!   taken under the strict read fence; the live-migration write-forwarding
 //!   window (`mig_arm/begin/extract/install/apply/end`) lives here and only
 //!   here, as do the handler bindings, the construction of the per-host
-//!   shards (hosts, log open + replay, stamp-and-epoch guard), the
-//!   [`ShardMigrator`] and the handle-side fan-outs both maps share
-//!   ([`KeyedClient`]).
+//!   shards (hosts, log open + replay, stamp-and-epoch guard) and the
+//!   [`ShardMigrator`]. The public handle is [`KeyedContainer`]
+//!   (`UnorderedMap`, `OrderedMap` are aliases of it), with every common op
+//!   — the lease-cached `get` included — written once, and [`KeyedSet`]
+//!   over it (`UnorderedSet`, `OrderedSet`), which records set history.
 //! * [`SeqShard`] over a [`SeqStore`] (FIFO queue, priority queue): each of
 //!   push/pop/bulk/len/snapshot/extract is one body, called from the NIC
-//!   handler and from the hybrid bypass alike ([`SeqClient`]).
+//!   handler and from the hybrid bypass alike. The public handle is
+//!   [`SeqContainer`] (`Queue`, `PriorityQueue`).
 //!
 //! A container file is what is left: a store impl, an op-descriptor table
 //! ([`keyed_ops!`]/[`seq_ops!`] generate the common rows per prefix), its
-//! genuinely specific ops, and the public handle (DESIGN.md §10). `xtask
-//! lint`'s SHARD rule keeps it that way: logging, read fences, replication
-//! and migration forwards, compaction and `mig_*` may not appear in any
-//! other file of this crate.
+//! config, and one impl block on its alias with the constructors and its
+//! genuinely specific ops (DESIGN.md §10). `xtask lint`'s SHARD rule keeps
+//! it that way: logging, read fences, replication and migration forwards,
+//! compaction and `mig_*` may not appear in any other file of this crate.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use hcl_databox::DataBox;
 use hcl_fabric::EpId;
 use hcl_rpc::{FnId, Guard};
 use hcl_runtime::{Membership, PartitionMap, Rank, ShardMove, WorldShared};
+use hcl_telemetry::CacheMetrics;
 use parking_lot::{Mutex, RwLock};
 
+use crate::cache::{CacheStats, LeaseCache, LeaseConfig};
+use crate::cost::CostSnapshot;
 use crate::dispatch::{
     hist_invoke, hist_return, Dispatcher, IssueMode, OpDescriptor, OpEvent, OwnerMap,
     ReplForwarder,
 };
+#[cfg(feature = "history")]
+use crate::dispatch::Recording;
 use crate::persist::{PersistConfig, ShardLog, Wal};
 use crate::queue::QueueConfig;
 use crate::rebalance::{MigratorRegistry, ShardMigrator};
+use crate::unordered::Merger;
 use crate::{default_servers, HclError, HclFuture, HclResult};
 
 /// Function-id offsets of the ops every keyed container serves; container-
@@ -64,9 +75,12 @@ pub(crate) mod kfn {
     pub const MIG_INSTALL: u32 = 11;
     pub const MIG_APPLY: u32 = 12;
     pub const MIG_END: u32 = 13;
+    // Lease-granting lookup (DESIGN.md §14); served to handles with a lease
+    // config.
+    pub const GET_LEASED: u32 = 14;
 }
 /// Number of common keyed fn ids.
-pub(crate) const KEYED_FNS: u32 = 14;
+pub(crate) const KEYED_FNS: u32 = 15;
 
 /// Function-id offsets of the ops every single-partition container serves;
 /// container-specific ops start at [`SEQ_FNS`].
@@ -102,12 +116,16 @@ pub(crate) struct KeyedOps {
     pub mig_extract: OpDescriptor,
     pub mig_install: OpDescriptor,
     pub mig_end: OpDescriptor,
+    pub get_leased: OpDescriptor,
 }
 
 /// Table I descriptors of the common single-partition ops ([`seq_ops!`]).
 pub(crate) struct SeqOps {
     /// Container label (`"queue"`, `"pq"`).
     pub prefix: &'static str,
+    /// What `push` and `pop` record as (feature `history`).
+    #[cfg(feature = "history")]
+    pub hist: (fn(Vec<u8>) -> crate::DsOp, crate::DsOp),
     pub push: OpDescriptor,
     pub pop: OpDescriptor,
     pub push_bulk: OpDescriptor,
@@ -118,11 +136,12 @@ pub(crate) struct SeqOps {
 }
 
 /// Build a descriptor table: one row per common op — `field: fn offset,
-/// Table I local cost, degradable;` — named `"<prefix>.<field>"`.
+/// Table I local cost, degradable;` — named `"<prefix>.<field>"`, then any
+/// further fields verbatim.
 macro_rules! op_table {
     ($table:ident, $fns:ident, $p:literal, {
         $($op:ident: $off:ident, $cost:expr, $degr:literal;)*
-    }) => {
+    } $($rest:tt)*) => {
         $crate::shard::$table {
             prefix: $p,
             $($op: $crate::dispatch::OpDescriptor {
@@ -131,6 +150,7 @@ macro_rules! op_table {
                 cost: $cost,
                 degradable: $degr,
             },)*
+            $($rest)*
         }
     };
 }
@@ -156,13 +176,15 @@ macro_rules! keyed_ops {
             mig_extract: MIG_EXTRACT, CostSig::ZERO,         true;
             mig_install: MIG_INSTALL, CostSig::lrw(1, 0, 1), true;
             mig_end:     MIG_END,     CostSig::ZERO,         true;
+            get_leased:  GET_LEASED,  CostSig::lrw(1, 1, 0), true;
         })
     }};
 }
 
-/// The common single-partition descriptor table for one container prefix.
+/// The common single-partition descriptor table for one container prefix,
+/// with the history ops its `push` and `pop` record as.
 macro_rules! seq_ops {
-    ($p:literal) => {{
+    ($p:literal, $push:ident, $pop:ident) => {{
         use $crate::dispatch::CostSig;
         $crate::shard::op_table!(SeqOps, sfn, $p, {
             push:        PUSH,        CostSig::lrw(1, 0, 1),       true;
@@ -172,7 +194,8 @@ macro_rules! seq_ops {
             len:         LEN,         CostSig::ZERO,               true;
             snapshot:    SNAPSHOT,    CostSig::ZERO,               true;
             mig_extract: MIG_EXTRACT, CostSig::ZERO,               true;
-        })
+        } #[cfg(feature = "history")]
+          hist: (|value| $crate::DsOp::$push { value }, $crate::DsOp::$pop),)
     }};
 }
 
@@ -397,6 +420,15 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
         self.read(|s| s.get(key))
     }
 
+    /// A lease-granting lookup: `(version, ttl_micros, value)`. The version
+    /// is read *before* the value — a mutation landing in between bumps the
+    /// counter past the granted version, so its piggybacked stamp (or any
+    /// later one) invalidates the lease client-side.
+    pub(crate) fn get_leased(&self, ttl_micros: u64, key: &K) -> (u64, u64, Option<V>) {
+        let version = self.version();
+        (version, ttl_micros, self.apply_get(key))
+    }
+
     /// The shard's current mutation version.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
@@ -580,6 +612,16 @@ pub(crate) struct KeyedSpec {
     pub hybrid: bool,
     pub persist: Option<PersistConfig>,
     pub replicas: usize,
+    /// Lease-cached reads (`None` for the ordered map, which has no `lease`
+    /// field): the TTL the shards grant and each handle's cache.
+    pub lease: Option<LeaseConfig>,
+}
+
+impl KeyedSpec {
+    /// The lease TTL the shards grant, microseconds (0 = never grant).
+    fn lease_ttl_micros(&self) -> u64 {
+        self.lease.as_ref().map_or(0, |l| l.ttl.as_micros().min(u64::MAX as u128) as u64)
+    }
 }
 
 /// World-shared core of one keyed container: its shards, one per host.
@@ -715,6 +757,8 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
             b.bind(kfn::MIG_END, |s, (vpart, committed, source): (u64, bool, bool)| {
                 s.mig_end(vpart as usize, committed, source)
             });
+            let ttl = spec.lease_ttl_micros();
+            b.bind(kfn::GET_LEASED, move |s, k: K| s.get_leased(ttl, &k));
             bind_extra(&b);
             KeyedCore { ops, fn_base, fns, servers, repl_map, parts, spec }
         })
@@ -795,18 +839,27 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> ShardMigrator for KeyedMigrator<K, V, 
     }
 }
 
-/// The client half both keyed containers share: a core plus the handle's
-/// dispatch engine, and every method whose body does not depend on the
-/// local structure.
-pub(crate) struct KeyedClient<'a, K, V, S> {
-    pub(crate) core: Arc<KeyedCore<K, V, S>>,
+/// The public handle of a keyed container over the local structure `S`:
+/// [`crate::UnorderedMap`] and [`crate::OrderedMap`] are this type, and
+/// [`KeyedSet`] wraps it for both sets. It pairs the world-shared core with
+/// the handle's dispatch engine, and every op whose body does not depend on
+/// `S` is written here once; each store's module adds its constructors and
+/// the ops only that container has.
+pub struct KeyedContainer<'a, K, V, S> {
+    core: Arc<KeyedCore<K, V, S>>,
     pub(crate) d: Dispatcher<'a>,
+    /// Server-side merge function ([`crate::UnorderedMap::with_merger`]);
+    /// only the hash map's impl reads it.
+    pub(crate) merger: Option<Merger<V>>,
+    /// This handle's lease cache (`KeyedSpec::lease`); `None` = caching off.
+    cache: Option<Arc<LeaseCache<K, V>>>,
 }
 
-impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
+impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
     /// Collective constructor: see [`KeyedCore::open`]. Pinned containers
     /// resolve owners through the fixed ring, untagged; elastic ones take
-    /// part in live rebalances.
+    /// part in live rebalances. With a lease config the handle gets a lease
+    /// cache, fed by the version stamps the owners piggyback.
     pub(crate) fn open(
         rank: &'a Rank,
         ops: &'static KeyedOps,
@@ -829,7 +882,35 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
                 Arc::new(KeyedMigrator { core: Arc::clone(&core) }),
             );
         }
-        KeyedClient { core, d }
+        let cache = core.spec.lease.clone().map(|lease| {
+            let metrics = if rank.telemetry().enabled() {
+                CacheMetrics::from_registry(rank.telemetry().registry())
+            } else {
+                CacheMetrics::detached()
+            };
+            // Watermark slots are indexed by owner *rank* (ownership can
+            // move between ranks mid-run), so size for the whole world.
+            let cache = Arc::new(LeaseCache::new(lease, rank.world_size() as usize, metrics));
+            // Sync responses travel FLAG_STAMPED, stamped by the container's
+            // guard; fold each owner's piggybacked version into the cache's
+            // watermark.
+            let sink = Arc::clone(&cache);
+            d.set_version_sink(Arc::new(move |owner, stamp| {
+                sink.observe_version(owner as usize, stamp);
+            }));
+            cache
+        });
+        KeyedContainer { core, d, merger: None, cache }
+    }
+
+    /// Attach a shared history recorder: every synchronous `put`/`get`/
+    /// `erase` through this handle is logged as an invoke/return pair for
+    /// offline linearizability checking ([`crate::check`]). Asynchronous,
+    /// bulk and range variants are not recorded; an op whose RPC fails
+    /// never enters the log.
+    #[cfg(feature = "history")]
+    pub fn set_recorder(&mut self, rec: crate::HistoryRecorder) {
+        self.d.set_recorder(rec);
     }
 
     /// Current owner of a key hash — a snapshot for async/batch paths,
@@ -841,13 +922,23 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
 
     /// First-level hash: which partition (member index in the current
     /// ownership map) owns `key`.
-    pub(crate) fn partition_of(&self, key: &K) -> usize {
+    pub fn partition_of(&self, key: &K) -> usize {
         self.d.member_index_for(crate::stable_hash(key))
     }
 
     /// The current ownership map; its members are the partitions, in order.
-    pub(crate) fn map(&self) -> Arc<PartitionMap> {
+    fn map(&self) -> Arc<PartitionMap> {
         self.d.owner_map().current()
+    }
+
+    /// Number of partitions (owning members of the current map).
+    pub fn partitions(&self) -> usize {
+        self.map().members().len()
+    }
+
+    /// The owner rank of partition `p`.
+    pub fn server_of(&self, p: usize) -> u32 {
+        self.map().members()[p]
     }
 
     /// The owner rank of partition `p`, if it exists.
@@ -855,7 +946,16 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
         self.map().members().get(p).copied().ok_or(HclError::BadPartition(p))
     }
 
-    pub(crate) fn put(&self, key: K, value: V) -> HclResult<bool> {
+    /// The server-side shard hosted on rank `host` (tests and diagnostics).
+    #[doc(hidden)]
+    pub fn shard_at(&self, host: u32) -> &KeyedShard<K, V, S> {
+        self.core.shard(host)
+    }
+
+    /// Insert `key -> value`; returns `true` when the key was newly
+    /// inserted (`false` = overwrite). One remote invocation worst case
+    /// (Table I: `F + L + W`, `F + L·log(N) + W` on the ordered map).
+    pub fn put(&self, key: K, value: V) -> HclResult<bool> {
         let tok = hist_invoke!(
             self.d,
             crate::DsOp::MapPut {
@@ -871,21 +971,34 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
         result
     }
 
-    pub(crate) fn put_async(&self, key: K, value: V) -> HclResult<HclFuture<bool>> {
+    /// Asynchronous insert (§III-C4). Remote inserts stage on the rank's op
+    /// coalescer and may ride a batched message with neighbouring async ops
+    /// to the same partition (§III-B request aggregation).
+    pub fn put_async(&self, key: K, value: V) -> HclResult<HclFuture<bool>> {
         let owner = self.owner_now(crate::stable_hash(&key));
         self.d.dispatch_async(&self.core.ops.put, owner, (key, value), |(k, v)| {
             self.core.shard(owner).apply_put(k, v)
         })
     }
 
-    pub(crate) fn get(&self, key: &K) -> HclResult<Option<V>> {
+    /// Look up `key` (Table I: `F + L + R`). Falls back to a replica when
+    /// the owner has been marked down (requires `replicas >= 1`); with a
+    /// [`LeaseConfig`], hot remote keys are served from the local lease
+    /// cache (`F` elided entirely).
+    pub fn get(&self, key: &K) -> HclResult<Option<V>> {
         let hash = crate::stable_hash(key);
-        self.get_at(hash, self.owner_now(hash), key)
+        let owner = self.owner_now(hash);
+        match &self.cache {
+            Some(cache) if !self.d.is_local(owner) && !self.d.is_down(owner) => {
+                self.get_cached(cache, hash, owner, key)
+            }
+            _ => self.get_at(hash, owner, key),
+        }
     }
 
     /// `get` with the hash and the (snapshot) owner already in hand. Falls
     /// back to a replica when the owner has been marked down.
-    pub(crate) fn get_at(&self, hash: u64, owner: u32, key: &K) -> HclResult<Option<V>> {
+    fn get_at(&self, hash: u64, owner: u32, key: &K) -> HclResult<Option<V>> {
         let tok = hist_invoke!(self.d, crate::DsOp::MapGet { key: crate::history_enc(key) });
         // Without replicas there is nowhere to degrade to: dispatch normally
         // so the gate rejects the downed owner with `OwnerDown` immediately.
@@ -902,7 +1015,91 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
         result
     }
 
-    pub(crate) fn erase(&self, key: &K) -> HclResult<Option<V>> {
+    /// The cached read path (remote, non-down owner, lease config set):
+    /// serve from a live lease; otherwise grant one if the key is hot, or
+    /// fall through to a plain remote `get`.
+    fn get_cached(
+        &self,
+        cache: &LeaseCache<K, V>,
+        hash: u64,
+        owner: u32,
+        key: &K,
+    ) -> HclResult<Option<V>> {
+        let d = &self.d;
+        // Watermark slot = owner rank (matches the version sink). The epoch
+        // is the unified membership/downed counter: a membership commit
+        // invalidates every outstanding lease, so no lease can outlive the
+        // map that granted it.
+        let p = owner as usize;
+        let epoch = d.epoch();
+        if let Some((value, valid_from)) = cache.lookup(key, hash, p, epoch) {
+            // Served locally without touching the fabric. The history op
+            // carries the grant's invoke timestamp: the checker admits any
+            // value that was current at some point in the lease window.
+            #[cfg(not(feature = "history"))]
+            let _ = valid_from;
+            let tok = hist_invoke!(
+                d,
+                crate::DsOp::MapGetCached { key: crate::history_enc(key), valid_from }
+            );
+            let result = Ok(value);
+            hist_return!(d, tok, &result, |v| crate::DsRet::Value(
+                v.as_ref().map(crate::history_enc)
+            ));
+            return result;
+        }
+        // A miss goes to the fabric and feeds the hot-key sketch — after
+        // the hotness check, so the read that makes a key hot is not yet
+        // the one that earns its lease.
+        let hot = cache.is_hot(hash);
+        cache.observe_read(hash);
+        if !hot {
+            return self.get_at(hash, owner, key);
+        }
+        let tok = hist_invoke!(d, crate::DsOp::MapGet { key: crate::history_enc(key) });
+        #[cfg(feature = "history")]
+        let valid_from = tok.as_ref().map_or(0, |t| t.invoked_at());
+        #[cfg(not(feature = "history"))]
+        let valid_from = 0u64;
+        // Deadline base taken *before* the RPC: the granted TTL bounds
+        // staleness from the moment the server could have read the value,
+        // not from when the response arrived.
+        let granted = Instant::now();
+        // Explicit owner: the one the lease bookkeeping above is about.
+        let ttl = self.core.spec.lease_ttl_micros();
+        let result = d
+            .sync(d.event(&self.core.ops.get_leased, owner), IssueMode::Sync, key, |key| {
+                self.core.shard(owner).get_leased(ttl, key)
+            })
+            .map(|(version, ttl_micros, value)| {
+                if ttl_micros > 0 {
+                    cache.insert(
+                        key.clone(),
+                        hash,
+                        p,
+                        value.clone(),
+                        version,
+                        epoch,
+                        granted + Duration::from_micros(ttl_micros),
+                        valid_from,
+                    );
+                }
+                value
+            });
+        hist_return!(d, tok, &result, |v| crate::DsRet::Value(v.as_ref().map(crate::history_enc)));
+        result
+    }
+
+    /// Asynchronous lookup; remote lookups stage on the op coalescer.
+    pub fn get_async(&self, key: &K) -> HclResult<HclFuture<Option<V>>> {
+        let owner = self.owner_now(crate::stable_hash(key));
+        self.d.dispatch_async(&self.core.ops.get, owner, key, |key| {
+            self.core.shard(owner).apply_get(key)
+        })
+    }
+
+    /// Remove `key`, returning its value.
+    pub fn erase(&self, key: &K) -> HclResult<Option<V>> {
         let tok = hist_invoke!(self.d, crate::DsOp::MapErase { key: crate::history_enc(key) });
         let hash = crate::stable_hash(key);
         let result = self.d.sync_keyed(&self.core.ops.erase, hash, key, |owner, key| {
@@ -912,6 +1109,11 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
             v.as_ref().map(crate::history_enc)
         ));
         result
+    }
+
+    /// Presence check.
+    pub fn contains(&self, key: &K) -> HclResult<bool> {
+        Ok(self.get(key)?.is_some())
     }
 
     /// One call per owning member (collective-free; remote members cost one
@@ -929,13 +1131,20 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
         owners.members().iter().map(call).collect()
     }
 
-    pub(crate) fn len(&self) -> HclResult<u64> {
+    /// Total entries across all partitions (collective-free; issues one
+    /// call per remote partition).
+    pub fn len(&self) -> HclResult<u64> {
         let lens = self.fan_out(&self.core.ops.len, &(), |s| s.read(|m| m.len() as u64))?;
         Ok(lens.into_iter().sum())
     }
 
+    /// True when no partition holds entries.
+    pub fn is_empty(&self) -> HclResult<bool> {
+        Ok(self.len()? == 0)
+    }
+
     /// Clone out every entry of every partition (not atomic).
-    pub(crate) fn snapshot_all(&self) -> HclResult<Vec<(K, V)>> {
+    pub fn snapshot_all(&self) -> HclResult<Vec<(K, V)>> {
         let parts = self.fan_out(&self.core.ops.snapshot, &(), |s| s.read(|m| m.snapshot()))?;
         Ok(parts.into_iter().flatten().collect())
     }
@@ -951,9 +1160,22 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
         })
     }
 
+    /// Mark a partition owner as failed: `get`s for its keys are served
+    /// from the replica on the next partition (requires `replicas >= 1`),
+    /// and every other op targeting it degrades immediately with
+    /// [`HclError::OwnerDown`].
+    pub fn mark_down(&self, owner_rank: u32) {
+        self.d.mark_down(owner_rank);
+    }
+
+    /// Clear a failure mark set by [`KeyedContainer::mark_down`].
+    pub fn mark_up(&self, owner_rank: u32) {
+        self.d.mark_up(owner_rank);
+    }
+
     /// Wait until every partition's outstanding replication forwards have
     /// been acknowledged.
-    pub(crate) fn flush_replication(&self) -> HclResult<()> {
+    pub fn flush_replication(&self) -> HclResult<()> {
         for &owner in &self.core.servers {
             let flush = self.d.event(&self.core.ops.repl_flush, owner);
             let _: bool = self.d.sync(flush, IssueMode::Sync, &(), |_| {
@@ -965,9 +1187,107 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedClient<'a, K, V, S> {
     }
 
     /// Flush and compact every *local* partition's op log to a snapshot.
-    pub(crate) fn compact_local_logs(&self) -> HclResult<()> {
+    pub fn compact_local_logs(&self) -> HclResult<()> {
         let mut local = self.core.servers.iter().filter(|&&o| self.d.rank().same_node(o));
         local.try_for_each(|&o| self.core.shard(o).compact_log().map_err(HclError::Persist))
+    }
+
+    /// Client-side cost counters (Table I terms observed by this rank).
+    pub fn costs(&self) -> CostSnapshot {
+        self.d.costs()
+    }
+
+    /// Lease-cache counters of this handle (`None` when caching is off).
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        self.cache.as_ref().map(|c| c.stats())
+    }
+}
+
+/// A keyed set over a [`KeyedContainer`] with unit values: the same
+/// partitioned structure with key-only entries ("sets only contain a single
+/// key per element, which reduces the serialization cost", §IV-C).
+/// [`crate::UnorderedSet`] and [`crate::OrderedSet`] are this type. Set ops
+/// record set history ops; the inner map records nothing.
+pub struct KeyedSet<'a, K, S> {
+    pub(crate) inner: KeyedContainer<'a, K, (), S>,
+    #[cfg(feature = "history")]
+    hist: Recording,
+}
+
+impl<'a, K: Key, S: KeyedStore<K, ()>> KeyedSet<'a, K, S> {
+    /// Wrap a freshly opened unit-valued container.
+    pub(crate) fn over(inner: KeyedContainer<'a, K, (), S>) -> Self {
+        KeyedSet {
+            inner,
+            #[cfg(feature = "history")]
+            hist: Recording::default(),
+        }
+    }
+
+    /// Attach a shared history recorder: synchronous `insert`/`remove`/
+    /// `contains` through this handle are logged as set operations.
+    #[cfg(feature = "history")]
+    pub fn set_recorder(&mut self, rec: crate::HistoryRecorder) {
+        self.hist.0 = Some(rec);
+    }
+
+    /// Insert `key`; `true` when newly inserted.
+    pub fn insert(&self, key: K) -> HclResult<bool> {
+        let tok = hist_invoke!(self, crate::DsOp::SetInsert { key: crate::history_enc(&key) });
+        let result = self.inner.put(key, ());
+        hist_return!(self, tok, &result, |newly| crate::DsRet::Inserted(*newly));
+        result
+    }
+
+    /// Asynchronous insert.
+    pub fn insert_async(&self, key: K) -> HclResult<HclFuture<bool>> {
+        self.inner.put_async(key, ())
+    }
+
+    /// Membership test (Table I: `F + L + R`).
+    pub fn contains(&self, key: &K) -> HclResult<bool> {
+        let tok = hist_invoke!(self, crate::DsOp::SetContains { key: crate::history_enc(key) });
+        let result = self.inner.contains(key);
+        hist_return!(self, tok, &result, |present| crate::DsRet::Contains(*present));
+        result
+    }
+
+    /// Remove `key`; `true` when it was present.
+    pub fn remove(&self, key: &K) -> HclResult<bool> {
+        let tok = hist_invoke!(self, crate::DsOp::SetRemove { key: crate::history_enc(key) });
+        let result = self.inner.erase(key).map(|v| v.is_some());
+        hist_return!(self, tok, &result, |removed| crate::DsRet::Removed(*removed));
+        result
+    }
+
+    /// Total elements.
+    pub fn len(&self) -> HclResult<u64> {
+        self.inner.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> HclResult<bool> {
+        self.inner.is_empty()
+    }
+
+    /// All elements (not atomic).
+    pub fn snapshot_all(&self) -> HclResult<Vec<K>> {
+        Ok(self.inner.snapshot_all()?.into_iter().map(|(k, ())| k).collect())
+    }
+
+    /// Mark a partition owner as failed (see [`KeyedContainer::mark_down`]).
+    pub fn mark_down(&self, owner_rank: u32) {
+        self.inner.mark_down(owner_rank);
+    }
+
+    /// Clear a failure mark set by [`KeyedSet::mark_down`].
+    pub fn mark_up(&self, owner_rank: u32) {
+        self.inner.mark_up(owner_rank);
+    }
+
+    /// Client-side cost counters.
+    pub fn costs(&self) -> CostSnapshot {
+        self.inner.costs()
     }
 }
 
@@ -1062,14 +1382,18 @@ impl<T: Val, S: SeqStore<T>> SeqShard<T, S> {
     }
 }
 
-/// The client half both single-partition containers share.
-pub(crate) struct SeqClient<'a, T, S> {
+/// The public handle of a single-partition container over the local
+/// structure `S`: [`crate::Queue`] and [`crate::PriorityQueue`] are this
+/// type. It pairs the shard on the hosting rank with the handle's dispatch
+/// engine, and every common op is written here once; each store's module
+/// adds its constructors and the ops only that container has.
+pub struct SeqContainer<'a, T, S> {
     ops: &'static SeqOps,
-    pub(crate) shard: Arc<SeqShard<T, S>>,
-    pub(crate) d: Dispatcher<'a>,
+    shard: Arc<SeqShard<T, S>>,
+    d: Dispatcher<'a>,
 }
 
-impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
+impl<'a, T: Val, S: SeqStore<T>> SeqContainer<'a, T, S> {
     /// Collective constructor: fetch-or-create the shard of container
     /// `name` on `cfg.owner` (replaying its log), binding the common
     /// handlers plus whatever `bind_extra` adds at `SEQ_FNS..SEQ_FNS +
@@ -1114,12 +1438,42 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
             (fn_base, shard)
         });
         let d = Dispatcher::new(rank, shared.0, SEQ_FNS + extra_fns, hybrid);
-        SeqClient { ops, shard: Arc::clone(&shared.1), d }
+        SeqContainer { ops, shard: Arc::clone(&shared.1), d }
+    }
+
+    /// Attach a shared history recorder: synchronous `push`/`pop` through
+    /// this handle are logged as invoke/return pairs for offline
+    /// linearizability checking ([`crate::check`]); asynchronous and bulk
+    /// variants are not recorded. The sequential priority-queue spec orders
+    /// elements by their encoded bytes, so a recorded priority queue should
+    /// hold a type whose `DataBox` encoding is order-preserving (e.g.
+    /// fixed-width strings).
+    #[cfg(feature = "history")]
+    pub fn set_recorder(&mut self, rec: crate::HistoryRecorder) {
+        self.d.set_recorder(rec);
     }
 
     /// The hosting rank.
-    pub(crate) fn owner(&self) -> u32 {
+    pub fn owner(&self) -> u32 {
         self.shard.owner
+    }
+
+    /// The server-side shard on the hosting rank (tests and diagnostics).
+    #[doc(hidden)]
+    pub fn shard(&self) -> &SeqShard<T, S> {
+        &self.shard
+    }
+
+    /// Mark the hosting rank failed: subsequent ops through this handle
+    /// degrade immediately with [`HclError::OwnerDown`] instead of issuing
+    /// RPCs that cannot be served.
+    pub fn mark_down(&self, owner_rank: u32) {
+        self.d.mark_down(owner_rank);
+    }
+
+    /// Clear a failure mark set by [`SeqContainer::mark_down`].
+    pub fn mark_up(&self, owner_rank: u32) {
+        self.d.mark_up(owner_rank);
     }
 
     /// One unscaled op at the owner: handler remotely, `local` on the bypass.
@@ -1131,33 +1485,86 @@ impl<'a, T: Val, S: SeqStore<T>> SeqClient<'a, T, S> {
         self.d.sync(self.d.event(op, self.owner()), IssueMode::Sync, &(), |_| local(&self.shard))
     }
 
-    /// One aggregated message carrying `values.len()` elements.
-    pub(crate) fn push_bulk(&self, values: Vec<T>) -> HclResult<u64> {
+    /// Push one element (Table I: `F + L + W`; `F + L·log(N) + W` on the
+    /// priority queue).
+    pub fn push(&self, value: T) -> HclResult<bool> {
+        let tok = hist_invoke!(self.d, (self.ops.hist.0)(crate::history_enc(&value)));
+        let ev = self.d.event(&self.ops.push, self.owner());
+        let result = self.d.sync(ev, IssueMode::Sync, value, |v| self.shard.push(v));
+        hist_return!(self.d, tok, &result, |acked| crate::DsRet::Pushed(*acked));
+        result
+    }
+
+    /// Asynchronous push. Remote pushes stage on the rank's op coalescer
+    /// and may ride a batched message with neighbouring async ops.
+    pub fn push_async(&self, value: T) -> HclResult<HclFuture<bool>> {
+        self.d.dispatch_async(&self.ops.push, self.owner(), value, |v| self.shard.push(v))
+    }
+
+    /// Pop the front element — the minimum, on the priority queue (Table I:
+    /// `F + L + R`).
+    pub fn pop(&self) -> HclResult<Option<T>> {
+        let tok = hist_invoke!(self.d, self.ops.hist.1.clone());
+        let result = self.at_owner(&self.ops.pop, |s| s.pop());
+        hist_return!(self.d, tok, &result, |v| crate::DsRet::Popped(
+            v.as_ref().map(crate::history_enc)
+        ));
+        result
+    }
+
+    /// Bulk push (Table I: `F + L + E·W`): one aggregated message carries
+    /// `E` elements.
+    pub fn push_bulk(&self, values: Vec<T>) -> HclResult<u64> {
         let ev = OpEvent { n: values.len() as u64, ..self.d.event(&self.ops.push_bulk, self.owner()) };
         self.d.sync(ev, IssueMode::Bulk { ops: 1 }, values, |vs| self.shard.push_bulk(vs))
     }
 
-    /// One aggregated message asking for up to `max` elements.
-    pub(crate) fn pop_bulk(&self, max: u64) -> HclResult<Vec<T>> {
+    /// Bulk pop of up to `max` elements, in pop order (Table I:
+    /// `F + L + E·R`).
+    pub fn pop_bulk(&self, max: u64) -> HclResult<Vec<T>> {
         let ev = OpEvent { n: max, ..self.d.event(&self.ops.pop_bulk, self.owner()) };
         self.d.sync(ev, IssueMode::Bulk { ops: 1 }, max, |m| self.shard.pop_bulk(m))
     }
 
-    pub(crate) fn len(&self) -> HclResult<u64> {
+    /// Elements currently held (approximate under concurrency).
+    pub fn len(&self) -> HclResult<u64> {
         self.at_owner(&self.ops.len, |s| s.read(|q| q.len() as u64))
     }
 
-    pub(crate) fn snapshot(&self) -> HclResult<Vec<T>> {
+    /// True when the container appears empty.
+    pub fn is_empty(&self) -> HclResult<bool> {
+        Ok(self.len()? == 0)
+    }
+
+    /// Clone out the elements in pop order without consuming them.
+    pub fn snapshot(&self) -> HclResult<Vec<T>> {
         self.at_owner(&self.ops.snapshot, |s| s.read(|q| q.snapshot()))
     }
 
-    pub(crate) fn extract_all(&self) -> HclResult<Vec<T>> {
+    /// Migration seam, extract half: drain *every* element from the hosting
+    /// partition in one invocation, in pop order. Pair with
+    /// [`SeqContainer::install_bulk`] against a twin hosted elsewhere to
+    /// move the shard (the single-partition analogue of the maps'
+    /// live-migration extract/install; see [`crate::rebalance`]). Fails —
+    /// with nothing moved — when the host cannot compact its op log to the
+    /// drained state.
+    pub fn extract_all(&self) -> HclResult<Vec<T>> {
         self.at_owner(&self.ops.mig_extract, |s| s.extract())?.map_err(HclError::Persist)
     }
 
-    /// Compact the shard's op log to its live contents. Call from the owner
-    /// rank.
-    pub(crate) fn compact_log(&self) -> HclResult<()> {
+    /// Compact the op log down to a push-per-element snapshot of the live
+    /// contents (no-op when persistence is off). Call from the owner rank.
+    pub fn compact_log(&self) -> HclResult<()> {
         self.shard.compact_log().map_err(HclError::Persist)
+    }
+
+    /// Migration seam, install half: push extracted elements in order.
+    pub fn install_bulk(&self, values: Vec<T>) -> HclResult<u64> {
+        self.push_bulk(values)
+    }
+
+    /// Client-side cost counters.
+    pub fn costs(&self) -> CostSnapshot {
+        self.d.costs()
     }
 }

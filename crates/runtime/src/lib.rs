@@ -26,7 +26,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use hcl_databox::DataBox;
@@ -39,7 +39,7 @@ use hcl_rpc::deadline::{DeadlineThread, Deadlines};
 use hcl_rpc::server::{RpcServer, ServerConfig, ServerStatsSnapshot};
 use hcl_rpc::{FnId, RetryPolicy, RpcRegistry, RpcResult, Tag};
 use hcl_telemetry::{CoalesceMetrics, RpcMetrics, Telemetry, TelemetryConfig, TelemetrySnapshot};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 pub mod membership;
 
@@ -200,8 +200,53 @@ impl DownedRegistry {
     }
 }
 
+/// The world's rank barrier. Unlike `std::sync::Barrier` it can be
+/// poisoned: when a rank thread panics, every rank waiting at the barrier,
+/// or arriving at it later, panics naming that rank instead of waiting
+/// forever for it.
+struct RankBarrier {
+    ranks: usize,
+    /// `(ranks arrived this round, round, first rank that panicked)`.
+    state: Mutex<(usize, u64, Option<u32>)>,
+    round_done: Condvar,
+}
+
+impl RankBarrier {
+    fn wait(&self) {
+        let mut s = self.state.lock();
+        let round = s.1;
+        s.0 += 1;
+        if s.0 == self.ranks {
+            *s = (0, round + 1, s.2);
+            self.round_done.notify_all();
+        }
+        while s.1 == round {
+            if let Some(failed) = s.2 {
+                panic!("rank {failed} panicked, so this barrier can never complete");
+            }
+            self.round_done.wait(&mut s);
+        }
+    }
+
+    fn poison(&self, rank: u32) {
+        self.state.lock().2.get_or_insert(rank);
+        self.round_done.notify_all();
+    }
+}
+
+/// Poisons the world's barrier when its rank thread unwinds.
+struct PoisonOnPanic(Arc<WorldShared>, u32);
+
+impl Drop for PoisonOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.collectives.barrier.poison(self.1);
+        }
+    }
+}
+
 struct Collectives {
-    barrier: Barrier,
+    barrier: RankBarrier,
     slots: Mutex<Vec<Option<Box<dyn Any + Send>>>>,
 }
 
@@ -582,7 +627,11 @@ impl World {
             fabric: Arc::clone(&fabric),
             registry: Arc::clone(&registry),
             collectives: Collectives {
-                barrier: Barrier::new(cfg.world_size() as usize),
+                barrier: RankBarrier {
+                    ranks: cfg.world_size() as usize,
+                    state: Mutex::new((0, 0, None)),
+                    round_done: Condvar::new(),
+                },
                 slots: Mutex::new((0..cfg.world_size()).map(|_| None).collect()),
             },
             objects: Mutex::new(HashMap::new()),
@@ -643,6 +692,7 @@ impl World {
                 let shared = Arc::clone(&shared);
                 let f = &f;
                 handles.push(s.spawn(move || {
+                    let _poison = PoisonOnPanic(Arc::clone(&shared), r);
                     let telemetry = Arc::new(Telemetry::new(r, cfg.telemetry));
                     let mut client =
                         RpcClient::new(cfg.ep_of(r), Arc::clone(&shared.fabric), cfg.slot_cap);
@@ -710,6 +760,25 @@ mod tests {
             assert_eq!(node, id / 4);
             assert_eq!(ws, 12);
         }
+    }
+
+    #[test]
+    fn a_panicking_rank_fails_the_world_instead_of_hanging_it() {
+        // Rank 1 dies before the barrier rank 0 waits at: `World::run` must
+        // panic, not wait forever for rank 1.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = WorldConfig { nodes: 2, ranks_per_node: 1, ..WorldConfig::small() };
+            let run = std::panic::catch_unwind(|| {
+                World::run(cfg, |rank| {
+                    assert_ne!(rank.id(), 1, "rank 1 fails before the barrier");
+                    rank.barrier();
+                })
+            });
+            let _ = tx.send(run.is_err());
+        });
+        let failed = rx.recv_timeout(Duration::from_secs(10)).expect("World::run hung");
+        assert!(failed, "World::run returned although a rank panicked");
     }
 
     #[test]

@@ -6,9 +6,11 @@
 default: test
 
 # Every target of every member — libraries, binaries, examples, tests — so a
-# target nothing runs still has to compile.
+# target nothing runs still has to compile; then the same targets with the
+# `history` recording hooks compiled in, which no plain build reaches.
 build:
     cargo build --workspace --release --all-targets
+    cargo check --workspace --all-targets --features hcl/history
 
 test:
     cargo test --workspace --release

@@ -77,27 +77,42 @@ fn full_stack_over_tcp_with_complex_types() {
 #[test]
 fn merger_histogram_is_exact_under_full_concurrency() {
     // All ranks hammer overlapping hot keys through put_merge; totals must
-    // be exact (server-side atomicity, unlike client-side RMW).
+    // be exact (server-side atomicity, unlike client-side RMW). The second
+    // input issues the same increments through put_merge_async in windows of
+    // 64: merges at a node-local owner take the bypass, remote ones stage on
+    // the coalescer, and both reach the same server-side merger.
     let per_rank = 2_000u64;
     let hot_keys = 7u64;
-    let results = World::run(mem_world(2, 4), move |rank| {
-        let m: UnorderedMap<u64, u64> = UnorderedMap::with_merger(
-            rank,
-            "hist",
-            UnorderedMapConfig::default(),
-            std::sync::Arc::new(|old: Option<&u64>, d: &u64| old.copied().unwrap_or(0) + d),
-        );
-        rank.barrier();
-        for i in 0..per_rank {
-            m.put_merge(i % hot_keys, 1).unwrap();
+    for async_merge in [false, true] {
+        let results = World::run(mem_world(2, 4), move |rank| {
+            let m: UnorderedMap<u64, u64> = UnorderedMap::with_merger(
+                rank,
+                "hist",
+                UnorderedMapConfig::default(),
+                std::sync::Arc::new(|old: Option<&u64>, d: &u64| old.copied().unwrap_or(0) + d),
+            );
+            rank.barrier();
+            let mut window = Vec::new();
+            for i in 0..per_rank {
+                if !async_merge {
+                    m.put_merge(i % hot_keys, 1).unwrap();
+                    continue;
+                }
+                window.push(m.put_merge_async(i % hot_keys, 1).unwrap());
+                if window.len() == 64 || i + 1 == per_rank {
+                    for f in window.drain(..) {
+                        f.wait().unwrap();
+                    }
+                }
+            }
+            rank.barrier();
+            let total: u64 = (0..hot_keys).map(|k| m.get(&k).unwrap().unwrap()).sum();
+            rank.barrier();
+            total
+        });
+        for t in results {
+            assert_eq!(t, 8 * per_rank, "increments lost under concurrency (async: {async_merge})");
         }
-        rank.barrier();
-        let total: u64 = (0..hot_keys).map(|k| m.get(&k).unwrap().unwrap()).sum();
-        rank.barrier();
-        total
-    });
-    for t in results {
-        assert_eq!(t, 8 * per_rank, "increments lost under concurrency");
     }
 }
 

@@ -15,14 +15,15 @@
 use std::sync::Arc;
 
 use hcl::queue::QueueConfig;
+use hcl::shard::{KeyedSet, KeyedStore};
 use hcl::{
-    check, DsSpec, HistoryRecorder, OrderedMap, PriorityQueue, Queue, Recorder, UnorderedMap,
-    UnorderedMapConfig, UnorderedSet,
+    check, DsSpec, HistoryRecorder, OrderedMap, OrderedSet, PriorityQueue, Queue, Recorder,
+    UnorderedMap, UnorderedMapConfig, UnorderedSet,
 };
 use hcl_bench::workload::{
     run_on_queue, run_on_unordered_map, run_on_unordered_set, KeyDist, Mix, WorkloadSpec,
 };
-use hcl_runtime::{World, WorldConfig};
+use hcl_runtime::{Rank, World, WorldConfig};
 
 fn mem_world(nodes: u32, rpn: u32) -> WorldConfig {
     WorldConfig { nodes, ranks_per_node: rpn, ..WorldConfig::small() }
@@ -56,16 +57,16 @@ fn unordered_map_history_is_linearizable() {
     check(&DsSpec::map(), &hist).expect("unordered_map history must be linearizable");
 }
 
-#[test]
-fn unordered_set_history_is_linearizable() {
+/// One contended insert/contains/remove workload over a set opened by
+/// `open`, its history checked against the set spec.
+fn check_set_history<S: KeyedStore<u64, ()>>(
+    name: &'static str,
+    open: for<'r> fn(&'r Rank, &str) -> KeyedSet<'r, u64, S>,
+) {
     let rec = recorder();
     let rec2 = Arc::clone(&rec);
     World::run(mem_world(2, 2), move |rank| {
-        let mut set: UnorderedSet<u64> = UnorderedSet::with_config(
-            rank,
-            "lin.uset",
-            hcl::UnorderedMapConfig::default(),
-        );
+        let mut set = open(rank, name);
         set.set_recorder(Arc::clone(&rec2));
         rank.barrier();
         for i in 0..40u64 {
@@ -79,8 +80,17 @@ fn unordered_set_history_is_linearizable() {
         rank.barrier();
     });
     let hist = rec.take();
-    assert!(!hist.is_empty());
-    check(&DsSpec::set(), &hist).expect("unordered_set history must be linearizable");
+    assert!(!hist.is_empty(), "{name}: no set ops recorded");
+    check(&DsSpec::set(), &hist).unwrap_or_else(|e| panic!("{name} must be linearizable: {e:?}"));
+}
+
+/// Both set aliases record through the one `KeyedSet` path.
+#[test]
+fn unordered_set_history_is_linearizable() {
+    check_set_history("lin.uset", |rank, name| {
+        UnorderedSet::with_config(rank, name, hcl::UnorderedMapConfig::default())
+    });
+    check_set_history("lin.oset", |rank, name| OrderedSet::new(rank, name));
 }
 
 #[test]

@@ -31,8 +31,8 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 /// Alternate policies case to case: replay correctness must not depend on
-/// the sync epoch (relaxed logs are made durable by world teardown's final
-/// flusher pass + drop sync).
+/// the sync epoch (relaxed logs are made durable by the final pass of the
+/// world's deadline thread at teardown + drop sync).
 fn policy_for(seed: u64) -> SyncPolicy {
     if seed % 2 == 0 {
         SyncPolicy::Strict
@@ -43,8 +43,9 @@ fn policy_for(seed: u64) -> SyncPolicy {
 
 /// The relaxed policy promises durability one flush gap after an append, not
 /// at its ack, and the live world's containers are leaked rather than
-/// dropped — its flusher thread is what carries the tail to disk. Wait the
-/// gap out before reopening. (This used to be hidden by world set-up taking
+/// dropped — the relaxed gap, a deadline on the world's `hcl-deadline`
+/// thread, is what carries the tail to disk. Wait the gap out before
+/// reopening. (This used to be hidden by world set-up taking
 /// longer than the gap.)
 fn wait_out_flush_gap(policy: SyncPolicy) {
     if let Some(gap) = policy.interval() {
