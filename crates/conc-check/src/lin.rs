@@ -14,7 +14,15 @@
 //! applied to a clone of the spec; if the spec's answer matches the
 //! recorded response, recurse. A memo set of (linearized-bitset, spec
 //! state) pairs prunes re-exploration of equivalent prefixes — the
-//! Lowe-style optimization that makes WGL practical.
+//! Lowe-style optimization that makes WGL practical. A matching candidate
+//! that is read-only by kind ([`SeqSpec::read_only`]) is linearized where
+//! it stands and its siblings are not tried: it is invoked before every
+//! outstanding return and changes no state, so any legal order can move it
+//! to this point and the ops it passes see the same states. Without that
+//! cut, many overlapping reads of an unchanged register make the search
+//! walk every subset of them. The cut needs read-only *by kind*: an op that
+//! merely leaves *this* state unchanged (a put of the value already held)
+//! may change the state it would meet later in the order.
 //!
 //! ## P-compositionality
 //!
@@ -55,6 +63,15 @@ pub trait SeqSpec: Clone + Eq + Hash {
     /// if *every* op yields `Some`.
     fn partition(_op: &Self::Op) -> Option<u64> {
         None
+    }
+
+    /// True when `op` changes no state in *any* state it is applied to (a
+    /// get or contains). The search linearizes a matching read-only op at
+    /// once and tries no sibling before it (see the module doc), so a wrong
+    /// `true` makes the checker report false violations. The default,
+    /// `false`, only costs search time.
+    fn read_only(_op: &Self::Op) -> bool {
+        false
     }
 }
 
@@ -260,6 +277,8 @@ impl<'a, S: SeqSpec> Search<'a, S> {
             if got != self.ops[i].ret {
                 continue;
             }
+            let read_only = S::read_only(&self.ops[i].op);
+            debug_assert!(!read_only || next == spec, "a read-only op changed the state");
             done[i] = true;
             bits[i / 64] |= 1u64 << (i % 64);
             let fresh = self.memo.insert((bits.to_vec(), next.clone()));
@@ -268,6 +287,9 @@ impl<'a, S: SeqSpec> Search<'a, S> {
             bits[i / 64] &= !(1u64 << (i % 64));
             match verdict {
                 Some(true) => return Some(true),
+                // Linearizable from here only if linearizable with this op
+                // first (see the module doc): no sibling can do better.
+                Some(false) if read_only => return Some(false),
                 Some(false) => {}
                 None => return None,
             }
@@ -303,6 +325,9 @@ mod tests {
             Some(match *op {
                 RegOp::Put(k, _) | RegOp::Get(k) => k,
             })
+        }
+        fn read_only(op: &RegOp) -> bool {
+            matches!(op, RegOp::Get(_))
         }
     }
 
@@ -416,6 +441,27 @@ mod tests {
             Err(CheckError::BudgetExhausted { states }) => assert!(states > 3),
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn overlapping_reads_of_an_unchanged_register_stay_within_budget() {
+        // 20 reads overlap each other and a read of a value the register
+        // never held. Trying every read in every order walks each subset
+        // of them (2^20 states) before the violation is certain; the
+        // read-only cut walks them once.
+        let mut h = vec![rec(0, RegOp::Put(1, 5), None, 0, 1)];
+        h.extend((0..20).map(|i| rec(i + 1, RegOp::Get(1), Some(5), 2 + i, 100 + i)));
+        h.push(rec(99, RegOp::Get(1), Some(7), 30, 200));
+        match check_with_budget(&RegSpec::default(), &h, 10_000) {
+            Err(CheckError::Violation(v)) => {
+                assert_eq!(v.linearized, 21, "the put and every read linearize");
+                assert_eq!(v.window.len(), 1, "the window is the impossible read");
+            }
+            other => panic!("expected a violation within budget, got {other:?}"),
+        }
+        // The same reads with a put that explains the odd one: linearizable.
+        h.push(rec(98, RegOp::Put(1, 7), Some(5), 25, 150));
+        check_with_budget(&RegSpec::default(), &h, 10_000).expect("linearizable within budget");
     }
 
     #[test]

@@ -165,6 +165,16 @@ impl SeqSpec for DsSpec {
             DsOp::QueuePush { .. } | DsOp::QueuePop | DsOp::PqPush { .. } | DsOp::PqPop => None,
         }
     }
+
+    /// Gets and membership tests. A put that finds its key (`Inserted(false)`)
+    /// is *not* read-only: it leaves a state holding the same value as it
+    /// found, but overwrites any other value.
+    fn read_only(op: &DsOp) -> bool {
+        matches!(
+            op,
+            DsOp::MapGet { .. } | DsOp::MapGetCached { .. } | DsOp::MapContains { .. } | DsOp::SetContains { .. }
+        )
+    }
 }
 
 /// Widen each cached read's admissible window to its lease: rewrite
@@ -213,6 +223,22 @@ mod tests {
 
     fn b(x: u8) -> Bytes {
         vec![x]
+    }
+
+    #[test]
+    fn a_put_of_the_held_value_is_not_cut_as_a_read() {
+        // State {k:5}. A = put(k,5) and B = put(k,7) overlap and both find
+        // the key; C = get(k) -> 5 starts after both return. Trying A first
+        // leaves the state unchanged but forces C to read 7; the legal order
+        // is B, A, C, which the search must still try.
+        let k = b(1);
+        let h = vec![
+            rec(0, DsOp::MapPut { key: k.clone(), value: b(5) }, DsRet::Inserted(true), 0, 1),
+            rec(1, DsOp::MapPut { key: k.clone(), value: b(5) }, DsRet::Inserted(false), 2, 5),
+            rec(2, DsOp::MapPut { key: k.clone(), value: b(7) }, DsRet::Inserted(false), 3, 6),
+            rec(3, DsOp::MapGet { key: k }, DsRet::Value(Some(b(5))), 7, 8),
+        ];
+        check(&DsSpec::map(), &h).expect("B, A, C is a legal order");
     }
 
     #[test]

@@ -536,10 +536,20 @@ where
         }
     }
 
-    /// Clone out every entry (not atomic; used for migration/persistence).
+    /// Clone out every entry (migration, log compaction, snapshots).
+    ///
+    /// Takes every writer stripe in ascending order, as `resize` does, and
+    /// only then loads the table: a displacement publishes the moved entry
+    /// in its alternate bucket before clearing the old slot, so a scan
+    /// under the pin alone could pass the alternate before the move and the
+    /// old bucket after it, and miss a key resident throughout. Writers wait
+    /// for this one O(n) pass; no op path scans.
     pub fn iter_snapshot(&self) -> Vec<(K, V)> {
         let guard = &epoch::pin();
-        // SAFETY: table pointers stay live for the duration of our pin.
+        let _all: Vec<MutexGuard<'_, ()>> = self.stripes.iter().map(|m| m.lock()).collect();
+        // SAFETY: table pointers stay live for the duration of our pin; a
+        // resize swaps the table only while it holds every stripe, so this
+        // is the table every writer works on until `_all` drops.
         let t = unsafe { self.table.load(Ordering::Acquire, guard).deref() };
         let mut out = Vec::with_capacity(self.len());
         for bucket in t.buckets.iter() {
@@ -777,6 +787,51 @@ mod tests {
         }
         assert_eq!(m.len(), 200);
         assert_eq!(m.upsert(7, |old| format!("{}!", old.unwrap())), "v7!");
+    }
+
+    #[test]
+    fn scans_see_every_resident_key_beside_displacements_and_resizes() {
+        use std::sync::atomic::AtomicBool;
+        // Each round: 300 resident keys in a small table, and an inserter
+        // that keeps it near its load factor with a sliding window of
+        // transient keys (displacements), then bursts it past the factor
+        // (resizes), while this thread scans. Every scan must hold all 300.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(600);
+        let (mut scans, mut missed) = (0u64, 0usize);
+        while std::time::Instant::now() < deadline {
+            let m = Arc::new(CuckooMap::<u64, u64>::with_buckets(128));
+            for k in 0..300 {
+                m.insert(k, k);
+            }
+            let stop = Arc::new(AtomicBool::new(false));
+            let inserter = {
+                let (m, stop) = (Arc::clone(&m), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let mut next = 1_000u64;
+                    for burst in [60u64, 60, 400, 60, 1_000, 60] {
+                        for _ in 0..2_000 {
+                            if stop.load(Ordering::SeqCst) {
+                                return;
+                            }
+                            m.insert(next, next);
+                            if next >= 1_000 + burst {
+                                m.remove(&(next - burst));
+                            }
+                            next += 1;
+                        }
+                    }
+                })
+            };
+            for _ in 0..200 {
+                let seen: std::collections::HashSet<u64> =
+                    m.iter_snapshot().into_iter().map(|(k, _)| k).collect();
+                scans += 1;
+                missed += (0..300).filter(|k| !seen.contains(k)).count();
+            }
+            stop.store(true, Ordering::SeqCst);
+            inserter.join().unwrap();
+        }
+        assert_eq!(missed, 0, "{missed} resident keys missed over {scans} scans");
     }
 
     #[test]

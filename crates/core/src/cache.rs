@@ -1,22 +1,25 @@
-//! Lease-based client-side read caching and hot-key detection (PR 8).
+//! Lease-based client-side read caching and hot-key detection.
 //!
-//! The read-path scale-out layer: partitions stamp every bucket mutation
-//! with a monotonically increasing version (see [`crate::shard::KeyedShard::version`]),
-//! and a leased `get` response carries `(version, ttl, value)`. The client
-//! stores the triple in a per-handle [`LeaseCache`]; while the lease holds,
-//! repeat `get`s on the key are served locally without touching the fabric.
+//! The read-path scale-out layer: a lease is the result of an ordinary
+//! epoch-tagged `get` of a hot remote key, kept in a per-handle
+//! [`LeaseCache`] for the configured TTL; while the lease holds, repeat
+//! `get`s on the key are served locally without touching the fabric.
 //!
 //! A lease is invalidated by any of three events (DESIGN.md §14):
 //!
 //! 1. **expiry** — the bounded TTL passes (the staleness bound: a cached
 //!    read can never return a value older than `ttl` before its own return);
 //! 2. **ownership-epoch bump** — the dispatcher's [`DownedRegistry`]
-//!    epoch moved (a `mark_down`/`mark_up` transition), so failover may have
-//!    redirected writes around the owner that granted the lease;
-//! 3. **version piggyback** — any sync response from the granting partition
-//!    carries its current version (`FLAG_STAMPED`, read by the `Guard` the
-//!    container binds with every function); a stamp newer than the leased
-//!    version proves a mutation happened after the grant.
+//!    epoch moved (a `mark_down`/`mark_up` transition or a membership
+//!    commit), so writes may have gone around the owner that granted it;
+//! 3. **own write** — a mutation of the key through the same handle
+//!    ([`LeaseCache::forget`]) drops its lease, and bumps the handle's write
+//!    generation so a grant whose RPC straddled the write is not stored.
+//!    Sync and bulk writes forget once their replies are in; async writes
+//!    forget as they are issued, so their read-your-writes holds for a
+//!    handle used by one thread (DESIGN.md §14).
+//!
+//! Writes made through *other* handles reach a lease only through 1 and 2.
 //!
 //! Which keys get leases is decided by a hot-key sketch — space-saving
 //! top-k, fed by the lease path itself with every read that misses the
@@ -27,9 +30,10 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hcl_telemetry::CacheMetrics;
+use hcl_telemetry::{CacheMetrics, Counter};
 use parking_lot::Mutex;
 
 /// Configuration for the lease-based read cache ([`crate::UnorderedMapConfig::lease`]).
@@ -59,13 +63,12 @@ impl Default for LeaseConfig {
     }
 }
 
-/// One granted lease: the value as of `version`, usable until `expires`
+/// One granted lease: the value a `get` returned, usable until `expires`
 /// within ownership epoch `epoch`. `valid_from` is the grant's history
 /// invoke timestamp (feature `history`; 0 otherwise) — the left edge of the
 /// staleness window the linearizability checker admits.
 struct LeaseEntry<V> {
     value: Option<V>,
-    version: u64,
     epoch: u64,
     expires: Instant,
     valid_from: u64,
@@ -82,7 +85,8 @@ pub struct CacheStats {
     pub lease_grants: u64,
     /// Entries invalidated by TTL expiry.
     pub stale_expired: u64,
-    /// Entries invalidated by a piggybacked newer partition version.
+    /// Entries dropped by a write of their key through this handle (the
+    /// name predates own-write invalidation and is kept for its readers).
     pub stale_version: u64,
     /// Entries invalidated by an ownership-epoch bump.
     pub stale_epoch: u64,
@@ -97,14 +101,15 @@ const LOCK_SHARDS: usize = 8;
 /// The per-handle, sharded, capacity-bounded lease cache.
 ///
 /// The hit path is zero-allocation (pinned by a counting-allocator test):
-/// one shard lock, one `HashMap` probe, three invalidation checks against
+/// one shard lock, one `HashMap` probe, two invalidation checks against
 /// data already in hand, and atomic metric bumps.
 pub struct LeaseCache<K, V> {
     shards: Vec<Mutex<HashMap<K, LeaseEntry<V>>>>,
     per_shard_cap: usize,
-    /// Per-partition version watermark folded (monotone max) from
-    /// `FLAG_STAMPED` response stamps by the dispatcher's version sink.
-    observed: Vec<AtomicU64>,
+    ttl: Duration,
+    /// Write generation: bumped by every [`LeaseCache::forget`], under the
+    /// lock shard of the forgotten key.
+    generation: AtomicU64,
     /// Which keys have earned a lease.
     hot: Mutex<HotKeys>,
     metrics: CacheMetrics,
@@ -115,13 +120,14 @@ where
     K: Hash + Eq + Clone,
     V: Clone,
 {
-    /// Build a cache for a container with `nparts` partitions.
-    pub fn new(cfg: LeaseConfig, nparts: usize, metrics: CacheMetrics) -> Self {
+    /// Build one handle's cache.
+    pub fn new(cfg: LeaseConfig, metrics: CacheMetrics) -> Self {
         let per_shard_cap = (cfg.capacity / LOCK_SHARDS).max(1);
         LeaseCache {
             shards: (0..LOCK_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             per_shard_cap,
-            observed: (0..nparts.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            ttl: cfg.ttl,
+            generation: AtomicU64::new(0),
             hot: Mutex::new(HotKeys::new(&cfg)),
             metrics,
         }
@@ -132,18 +138,48 @@ where
         (hash as usize) % self.shards.len()
     }
 
-    /// Fold a piggybacked version stamp from partition `part` into the
-    /// watermark. Monotone: stamps can arrive out of order.
-    pub fn observe_version(&self, part: usize, stamp: u64) {
-        if let Some(w) = self.observed.get(part) {
-            w.fetch_max(stamp, Ordering::AcqRel);
+    /// How long a grant stays usable, counted from before its RPC.
+    pub fn ttl(&self) -> Duration {
+        self.ttl
+    }
+
+    /// The write generation: read it before a grant's RPC and hand it to
+    /// [`LeaseCache::insert`] after.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// A write of `key` through this handle in ownership epoch `epoch`:
+    /// drop its lease and bump the write generation, so no grant in flight
+    /// across the write is stored. A lease that was still live counts as
+    /// `stale_version`; one already dead counts as its lookup would have.
+    pub fn forget(&self, key: &K, hash: u64, epoch: u64) {
+        let mut shard = self.shards[self.shard_of(hash)].lock();
+        self.generation.fetch_add(1, Ordering::AcqRel);
+        let dropped = shard.remove(key);
+        drop(shard);
+        if let Some(entry) = dropped {
+            let dead = self.dead(&entry, epoch, Instant::now());
+            dead.unwrap_or(&self.metrics.stale_version).inc();
+        }
+    }
+
+    /// The counter of the invalidation `entry` has suffered by `now` in
+    /// `epoch`, if any.
+    fn dead(&self, entry: &LeaseEntry<V>, epoch: u64, now: Instant) -> Option<&Arc<Counter>> {
+        if entry.epoch != epoch {
+            Some(&self.metrics.stale_epoch)
+        } else if now >= entry.expires {
+            Some(&self.metrics.stale_expired)
+        } else {
+            None
         }
     }
 
     /// Serve a read locally if a live lease covers `key`. Returns the leased
     /// value and its `valid_from` timestamp, or `None` on a miss (the entry
     /// is dropped when it was invalidated rather than merely absent).
-    pub fn lookup(&self, key: &K, hash: u64, part: usize, epoch: u64) -> Option<(Option<V>, u64)> {
+    pub fn lookup(&self, key: &K, hash: u64, epoch: u64) -> Option<(Option<V>, u64)> {
         let t0 = Instant::now();
         let mut shard = self.shards[self.shard_of(hash)].lock();
         let Some(entry) = shard.get(key) else {
@@ -151,16 +187,7 @@ where
             self.metrics.misses.inc();
             return None;
         };
-        let stale = if entry.epoch != epoch {
-            Some(&self.metrics.stale_epoch)
-        } else if self.observed[part].load(Ordering::Acquire) > entry.version {
-            Some(&self.metrics.stale_version)
-        } else if t0 >= entry.expires {
-            Some(&self.metrics.stale_expired)
-        } else {
-            None
-        };
-        if let Some(stale_counter) = stale {
+        if let Some(stale_counter) = self.dead(entry, epoch, t0) {
             shard.remove(key);
             drop(shard);
             stale_counter.inc();
@@ -174,24 +201,27 @@ where
         Some(out)
     }
 
-    /// Store a granted lease. A stamp already observed past `version` means
-    /// the grant lost a race with a mutation — the entry is not stored.
+    /// Store a granted lease. `generation` is what
+    /// [`LeaseCache::generation`] read before the grant's RPC: if a write
+    /// through this handle moved it since, the grant may predate the write
+    /// and is not stored.
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &self,
         key: K,
         hash: u64,
-        part: usize,
         value: Option<V>,
-        version: u64,
         epoch: u64,
+        generation: u64,
         expires: Instant,
         valid_from: u64,
     ) {
-        if self.observed[part].load(Ordering::Acquire) > version {
+        let mut shard = self.shards[self.shard_of(hash)].lock();
+        // Checked under the key's lock shard, where `forget` bumps it: a
+        // write of this key is either seen here or removes the entry after.
+        if self.generation.load(Ordering::Acquire) != generation {
             return;
         }
-        let mut shard = self.shards[self.shard_of(hash)].lock();
         if shard.len() >= self.per_shard_cap && !shard.contains_key(&key) {
             let now = Instant::now();
             let victim = shard
@@ -204,7 +234,7 @@ where
                 self.metrics.evictions.inc();
             }
         }
-        shard.insert(key, LeaseEntry { value, version, epoch, expires, valid_from });
+        shard.insert(key, LeaseEntry { value, epoch, expires, valid_from });
         drop(shard);
         self.metrics.lease_grants.inc();
     }
@@ -302,8 +332,8 @@ impl HotKeys {
 mod tests {
     use super::*;
 
-    fn cache(cfg: LeaseConfig, nparts: usize) -> LeaseCache<u64, u64> {
-        LeaseCache::new(cfg, nparts, CacheMetrics::detached())
+    fn cache(cfg: LeaseConfig) -> LeaseCache<u64, u64> {
+        LeaseCache::new(cfg, CacheMetrics::detached())
     }
 
     fn far() -> Instant {
@@ -312,52 +342,66 @@ mod tests {
 
     #[test]
     fn hit_returns_the_leased_value_and_counts() {
-        let c = cache(LeaseConfig::default(), 4);
-        c.insert(7, 7, 0, Some(42), 5, 1, far(), 9);
-        assert_eq!(c.lookup(&7, 7, 0, 1), Some((Some(42), 9)));
+        let c = cache(LeaseConfig::default());
+        c.insert(7, 7, Some(42), 1, 0, far(), 9);
+        assert_eq!(c.lookup(&7, 7, 1), Some((Some(42), 9)));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.lease_grants), (1, 0, 1));
     }
 
     #[test]
     fn expired_lease_is_a_miss_and_is_dropped() {
-        let c = cache(LeaseConfig::default(), 4);
-        c.insert(7, 7, 0, Some(42), 5, 1, Instant::now() - Duration::from_millis(1), 0);
-        assert_eq!(c.lookup(&7, 7, 0, 1), None);
+        let c = cache(LeaseConfig::default());
+        c.insert(7, 7, Some(42), 1, 0, Instant::now() - Duration::from_millis(1), 0);
+        assert_eq!(c.lookup(&7, 7, 1), None);
         assert_eq!(c.stats().stale_expired, 1);
         assert!(c.is_empty(), "invalidated entries must not linger");
     }
 
     #[test]
     fn epoch_bump_invalidates_live_leases() {
-        let c = cache(LeaseConfig::default(), 4);
-        c.insert(7, 7, 0, Some(42), 5, 1, far(), 0);
-        assert_eq!(c.lookup(&7, 7, 0, 2), None, "epoch moved: lease dead");
+        let c = cache(LeaseConfig::default());
+        c.insert(7, 7, Some(42), 1, 0, far(), 0);
+        assert_eq!(c.lookup(&7, 7, 2), None, "epoch moved: lease dead");
         assert_eq!(c.stats().stale_epoch, 1);
     }
 
     #[test]
-    fn newer_observed_version_invalidates_and_blocks_inserts() {
-        let c = cache(LeaseConfig::default(), 4);
-        c.insert(7, 7, 0, Some(42), 5, 1, far(), 0);
-        c.observe_version(0, 6);
-        assert_eq!(c.lookup(&7, 7, 0, 1), None);
-        assert_eq!(c.stats().stale_version, 1);
-        // A grant that lost the race with the observed stamp is refused.
-        c.insert(8, 8, 0, Some(1), 5, 1, far(), 0);
-        assert_eq!(c.lookup(&8, 8, 0, 1), None);
-        // Watermark folding is monotone max: an older stamp cannot revive.
-        c.observe_version(0, 3);
-        c.insert(9, 9, 0, Some(1), 7, 1, far(), 0);
-        assert_eq!(c.lookup(&9, 9, 0, 1), Some((Some(1), 0)));
+    fn own_write_drops_the_lease_and_refuses_a_grant_it_straddled() {
+        let c = cache(LeaseConfig::default());
+        c.insert(7, 7, Some(42), 1, c.generation(), far(), 0);
+        // A grant of key 8 reads the generation, then its RPC is in flight
+        // while this handle writes key 7 and key 8.
+        let before = c.generation();
+        c.forget(&7, 7, 1);
+        c.forget(&8, 8, 1);
+        assert_eq!(c.lookup(&7, 7, 1), None, "the written key's lease is gone");
+        assert_eq!(c.stats().stale_version, 1, "only a held lease counts as dropped");
+        // The grant may have read key 8 before the write: refused.
+        c.insert(8, 8, Some(1), 1, before, far(), 0);
+        assert_eq!(c.lookup(&8, 8, 1), None);
+        // A write of any key moves the generation, so a grant of another
+        // key straddling it is refused too (conservative, never stale).
+        let g = c.generation();
+        c.forget(&100, 100, 1);
+        c.insert(9, 9, Some(1), 1, g, far(), 0);
+        assert_eq!(c.lookup(&9, 9, 1), None);
+        // A grant issued after the write is stored.
+        c.insert(8, 8, Some(2), 1, c.generation(), far(), 0);
+        assert_eq!(c.lookup(&8, 8, 1), Some((Some(2), 0)));
+        // A write that finds a lease the epoch already killed counts it as
+        // the epoch's, not its own.
+        c.forget(&8, 8, 2);
+        let s = c.stats();
+        assert_eq!((s.stale_version, s.stale_epoch), (1, 1));
     }
 
     #[test]
     fn capacity_bound_holds_and_evictions_count() {
         let cfg = LeaseConfig { capacity: 8, ..LeaseConfig::default() };
-        let c = cache(cfg, 1);
+        let c = cache(cfg);
         for k in 0..64u64 {
-            c.insert(k, k, 0, Some(k), 1, 1, far(), 0);
+            c.insert(k, k, Some(k), 1, 0, far(), 0);
         }
         assert!(c.len() <= 8, "cache exceeded its capacity: {}", c.len());
         assert!(c.stats().evictions >= 56);
@@ -366,7 +410,7 @@ mod tests {
     #[test]
     fn detector_heats_keys_and_decays_them() {
         let cfg = LeaseConfig { hot_threshold: 3, topk: 4, ..LeaseConfig::default() };
-        let d = cache(cfg, 1);
+        let d = cache(cfg);
         for _ in 0..2 {
             d.observe_read(99);
         }
@@ -384,7 +428,7 @@ mod tests {
     #[test]
     fn space_saving_displaces_the_minimum_slot() {
         let cfg = LeaseConfig { hot_threshold: 2, topk: 2, ..LeaseConfig::default() };
-        let d = cache(cfg, 1);
+        let d = cache(cfg);
         d.observe_read(1);
         d.observe_read(2);
         d.observe_read(2);

@@ -46,7 +46,7 @@ use hcl_databox::DataBox;
 use hcl_fabric::EpId;
 use hcl_rpc::batch::BatchArena;
 use hcl_rpc::client::{BatchFuture, RawFuture};
-use hcl_rpc::{FnId, RpcError, RpcResult, Tag};
+use hcl_rpc::{FnId, RpcError};
 use hcl_runtime::{DownedRegistry, Membership, PartitionMap, Rank, WorldShared};
 use parking_lot::Mutex;
 
@@ -236,20 +236,11 @@ pub struct Dispatcher<'a> {
     /// Table I cost and, with telemetry, metrics and flight events of every
     /// op this handle dispatches.
     meter: OpMeter,
-    /// When set, synchronous remote invokes travel `FLAG_STAMPED` and the
-    /// partition-version stamp the owner's guard piggybacks on every
-    /// response is fed here as `(owner_rank, stamp)` — the lease cache's
-    /// invalidation channel.
-    version_sink: Option<VersionSink>,
     /// Where the container methods' history hooks record (feature
     /// `history`).
     #[cfg(feature = "history")]
     pub(crate) hist: Recording,
 }
-
-/// Consumer of piggybacked partition-version stamps
-/// ([`Dispatcher::set_version_sink`]).
-pub type VersionSink = Arc<dyn Fn(u32, u64) + Send + Sync>;
 
 /// How a dispatcher maps key hashes to owner ranks.
 #[derive(Clone)]
@@ -297,7 +288,6 @@ impl<'a> Dispatcher<'a> {
             owners: OwnerMap::Live(membership),
             downed,
             meter: OpMeter::new(rank.telemetry(), fns),
-            version_sink: None,
             #[cfg(feature = "history")]
             hist: Recording::default(),
         }
@@ -382,13 +372,6 @@ impl<'a> Dispatcher<'a> {
         self.downed.epoch()
     }
 
-    /// Install the piggybacked-version consumer: synchronous remote invokes
-    /// through this engine then travel `FLAG_STAMPED`, and every non-zero
-    /// response stamp is delivered as `(owner_rank, stamp)`.
-    pub fn set_version_sink(&mut self, sink: VersionSink) {
-        self.version_sink = Some(sink);
-    }
-
     /// Graceful-degradation gate: degradable ops against a downed owner
     /// return [`HclError::OwnerDown`] without touching memory or fabric.
     /// The rejection is the op's one metered outcome — no issue, no
@@ -408,31 +391,6 @@ impl<'a> Dispatcher<'a> {
         let out = local();
         self.meter.local(ev, t0);
         out
-    }
-
-    /// One synchronous remote invocation ([`Rank::invoke_tagged`]):
-    /// epoch-tagged when `epoch` is set, stamped when a version sink is
-    /// installed. The sink only sees stamps of *executed* requests — a
-    /// rejection moved no partition version.
-    fn invoke_sync<A, R>(
-        &self,
-        owner: u32,
-        fn_id: FnId,
-        epoch: Option<u64>,
-        args: &A,
-    ) -> RpcResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let tag = Tag { epoch, stamped: self.version_sink.is_some() };
-        let (stamp, v) = self.rank.invoke_tagged(self.ep(owner), fn_id, tag, args)?;
-        if stamp != 0 {
-            if let Some(sink) = &self.version_sink {
-                sink(owner, stamp);
-            }
-        }
-        Ok(v)
     }
 
     /// The event of one plain op at an explicit `owner`: one element. Bulk
@@ -473,7 +431,8 @@ impl<'a> Dispatcher<'a> {
             return Ok(Ok(self.run_local(ev, t0, || local(ev.owner, args))));
         }
         self.meter.issue(ev, mode);
-        let res = self.invoke_sync(ev.owner, self.fn_base + ev.op.fn_off, tag, args.wire());
+        let fn_id = self.fn_base + ev.op.fn_off;
+        let res = self.rank.invoke_tagged(self.ep(ev.owner), fn_id, tag, args.wire());
         if let Err(RpcError::WrongEpoch { sent, current }) = res {
             if let OwnerMap::Live(m) = &self.owners {
                 m.counters().wrong_epoch_rejects.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

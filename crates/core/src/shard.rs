@@ -7,16 +7,18 @@
 //! by static dispatch:
 //!
 //! * [`KeyedShard`] over a [`KeyedStore`] (cuckoo hash, skiplist): every
-//!   mutation is *log with recovery descriptor → apply → bump version →
-//!   forward if the vpart is migrating → replicate*; every read is
-//!   taken under the strict read fence; the live-migration write-forwarding
-//!   window (`mig_arm/begin/extract/install/apply/end`) lives here and only
-//!   here, as do the handler bindings, the construction of the per-host
-//!   shards (hosts, log open + replay, stamp-and-epoch guard) and the
-//!   [`ShardMigrator`]. The public handle is [`KeyedContainer`]
-//!   (`UnorderedMap`, `OrderedMap` are aliases of it), with every common op
-//!   — the lease-cached `get` included — written once, and [`KeyedSet`]
-//!   over it (`UnorderedSet`, `OrderedSet`), which records set history.
+//!   mutation is *log with recovery descriptor → apply → forward if the
+//!   vpart is migrating → replicate*; every read is taken under the strict
+//!   read fence; the live-migration write-forwarding window
+//!   (`mig_arm/begin/extract/install/apply/end`) lives here and only here,
+//!   as do the handler bindings, the construction of the per-host shards
+//!   (hosts, log open + replay, epoch gate) and the [`ShardMigrator`]. The
+//!   public handle is [`KeyedContainer`] (`UnorderedMap`, `OrderedMap` are
+//!   aliases of it), with every common op written once — the lease-cached
+//!   `get` included: a lease is an epoch-tagged `get` kept for its TTL, and
+//!   every write through the handle forgets its key's lease — and
+//!   [`KeyedSet`] over it (`UnorderedSet`, `OrderedSet`), which records set
+//!   history.
 //! * [`SeqShard`] over a [`SeqStore`] (FIFO queue, priority queue): each of
 //!   push/pop/bulk/len/snapshot/extract is one body, called from the NIC
 //!   handler and from the hybrid bypass alike. The public handle is
@@ -33,11 +35,11 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hcl_databox::DataBox;
 use hcl_fabric::EpId;
-use hcl_rpc::{FnId, Guard};
+use hcl_rpc::FnId;
 use hcl_runtime::{Membership, PartitionMap, Rank, ShardMove, WorldShared};
 use hcl_telemetry::CacheMetrics;
 use parking_lot::{Mutex, RwLock};
@@ -75,12 +77,9 @@ pub(crate) mod kfn {
     pub const MIG_INSTALL: u32 = 11;
     pub const MIG_APPLY: u32 = 12;
     pub const MIG_END: u32 = 13;
-    // Lease-granting lookup (DESIGN.md §14); served to handles with a lease
-    // config.
-    pub const GET_LEASED: u32 = 14;
 }
 /// Number of common keyed fn ids.
-pub(crate) const KEYED_FNS: u32 = 15;
+pub(crate) const KEYED_FNS: u32 = 14;
 
 /// Function-id offsets of the ops every single-partition container serves;
 /// container-specific ops start at [`SEQ_FNS`].
@@ -116,7 +115,6 @@ pub(crate) struct KeyedOps {
     pub mig_extract: OpDescriptor,
     pub mig_install: OpDescriptor,
     pub mig_end: OpDescriptor,
-    pub get_leased: OpDescriptor,
 }
 
 /// Table I descriptors of the common single-partition ops ([`seq_ops!`]).
@@ -176,7 +174,6 @@ macro_rules! keyed_ops {
             mig_extract: MIG_EXTRACT, CostSig::ZERO,         true;
             mig_install: MIG_INSTALL, CostSig::lrw(1, 0, 1), true;
             mig_end:     MIG_END,     CostSig::ZERO,         true;
-            get_leased:  GET_LEASED,  CostSig::lrw(1, 1, 0), true;
         })
     }};
 }
@@ -275,13 +272,13 @@ fn hosted<P>(world_size: u32, shards: impl IntoIterator<Item = (u32, Arc<P>)>) -
 
 /// Binds typed handlers for one container's fn-id range; `f` receives the
 /// shard hosted on the serving rank. Every function is bound behind the
-/// container's `guard`, so the request envelope is gated and stamped the
-/// same way whichever of its functions a request names.
+/// container's `epoch` cell, so the request envelope is gated the same way
+/// whichever of its functions a request names.
 pub(crate) struct Binder<'b, P> {
     world: &'b Arc<WorldShared>,
     fn_base: FnId,
     parts: &'b Hosted<P>,
-    guard: Option<Guard>,
+    epoch: Option<Arc<AtomicU64>>,
 }
 
 impl<P: Send + Sync + 'static> Binder<'_, P> {
@@ -292,7 +289,7 @@ impl<P: Send + Sync + 'static> Binder<'_, P> {
     {
         let parts = Arc::clone(self.parts);
         let id = self.fn_base + fn_off;
-        self.world.registry().bind_guarded(id, self.guard.clone(), move |server: EpId, _, args: A| {
+        self.world.registry().bind_guarded(id, self.epoch.clone(), move |server: EpId, _, args: A| {
             let shard = parts[server.rank as usize].as_deref();
             f(shard.expect("request served at a host of the container"), args)
         });
@@ -330,12 +327,6 @@ pub struct KeyedShard<K, V, S> {
     /// Ring successors on `servers` this shard replicates to (fewer than
     /// `servers.len()`).
     replicas: usize,
-    /// Monotone mutation version: bumped *after* every applied mutation,
-    /// read *before* the value on a lease grant, and piggybacked on every
-    /// `FLAG_STAMPED` response (the guard bound in [`KeyedCore::open`]). That
-    /// ordering guarantees a mutation racing a grant always yields a stamp
-    /// strictly newer than the granted version.
-    version: AtomicU64,
     /// The world's membership view — `Some` for elastic containers (no
     /// explicit `servers`), whose shards can move between ranks. `None`
     /// pins the partition forever (static placement).
@@ -356,11 +347,10 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
         }
     }
 
-    /// What follows every applied mutation: bump the version, dual-apply at
-    /// the new owner if the key's vpart is migrating, replicate (the
-    /// server-side re-hash of §III-A4, carried out by the [`ReplForwarder`]).
+    /// What follows every applied mutation: dual-apply at the new owner if
+    /// the key's vpart is migrating, replicate (the server-side re-hash of
+    /// §III-A4, carried out by the [`ReplForwarder`]).
     fn publish(&self, key: &K, value: Option<&V>) {
-        self.version.fetch_add(1, Ordering::Release);
         self.forward_migration(key, value);
         if self.replicas > 0 {
             let n = self.servers.len();
@@ -418,20 +408,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
     /// Look up `key`.
     pub(crate) fn apply_get(&self, key: &K) -> Option<V> {
         self.read(|s| s.get(key))
-    }
-
-    /// A lease-granting lookup: `(version, ttl_micros, value)`. The version
-    /// is read *before* the value — a mutation landing in between bumps the
-    /// counter past the granted version, so its piggybacked stamp (or any
-    /// later one) invalidates the lease client-side.
-    pub(crate) fn get_leased(&self, ttl_micros: u64, key: &K) -> (u64, u64, Option<V>) {
-        let version = self.version();
-        (version, ttl_micros, self.apply_get(key))
-    }
-
-    /// The shard's current mutation version.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
     }
 
     /// The live local structure (resize, diagnostics, tests).
@@ -533,7 +509,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
         }
         self.log_op(kfn::MIG_INSTALL, || (TAG_ADD, key.clone(), Some(value.clone())));
         self.store.insert(key.clone(), value);
-        self.version.fetch_add(1, Ordering::Release);
         w.installed.push(key);
         true
     }
@@ -556,7 +531,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
                 w.tombstones.insert(key);
             }
         }
-        self.version.fetch_add(1, Ordering::Release);
     }
 
     /// Close the window for `vpart`. At the source (old owner): stop
@@ -582,7 +556,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
                     self.store.remove(&k);
                 }
             }
-            self.version.fetch_add(1, Ordering::Release);
             // The moved shard now lives (and logs) at the new owner;
             // compact this side's log to the post-purge contents so a
             // crash here never resurrects the migrated keys.
@@ -598,7 +571,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
             }
         }
         w.tombstones.retain(|k| self.vpart_of(k) != vpart);
-        self.version.fetch_add(1, Ordering::Release);
         Ok(())
     }
 }
@@ -613,15 +585,8 @@ pub(crate) struct KeyedSpec {
     pub persist: Option<PersistConfig>,
     pub replicas: usize,
     /// Lease-cached reads (`None` for the ordered map, which has no `lease`
-    /// field): the TTL the shards grant and each handle's cache.
+    /// field): each handle's cache.
     pub lease: Option<LeaseConfig>,
-}
-
-impl KeyedSpec {
-    /// The lease TTL the shards grant, microseconds (0 = never grant).
-    fn lease_ttl_micros(&self) -> u64 {
-        self.lease.as_ref().map_or(0, |l| l.ttl.as_micros().min(u64::MAX as u128) as u64)
-    }
 }
 
 /// World-shared core of one keyed container: its shards, one per host.
@@ -643,8 +608,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
     /// Fetch-or-create the world-shared core of container `name`: build one
     /// shard per host (replaying its log), bind the common handlers plus
     /// whatever `bind_extra` adds at offsets `KEYED_FNS..KEYED_FNS +
-    /// extra_fns`, every one behind the container's version-stamp and
-    /// epoch guard.
+    /// extra_fns`, every one behind the container's epoch gate.
     fn open(
         rank: &Rank,
         ops: &'static KeyedOps,
@@ -700,7 +664,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                         Some(_) => spec.replicas.min(servers.len().saturating_sub(1)),
                         None => 0,
                     },
-                    version: AtomicU64::new(0),
                     membership: elastic.then(|| Arc::clone(world.membership())),
                     forwarding: RwLock::new(HashMap::new()),
                     window: Mutex::new(Window {
@@ -711,21 +674,11 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                 shards.push((home, Arc::new(shard)));
             }
             let parts = hosted(world.config().world_size(), shards);
-            // Every `FLAG_STAMPED` response from this container piggybacks
-            // the serving shard's current mutation version — the lease
-            // cache's third invalidation channel (after TTL and epoch).
-            // Elastic containers also gate on the membership epoch: the
-            // server rejects mismatches typed (`WrongEpoch`) so an op routed
-            // by a stale map is never served by the wrong rank.
-            let p = Arc::clone(&parts);
-            let guard = Guard {
-                epoch: elastic.then(|| world.membership().epoch_cell()),
-                version: Arc::new(move |server: EpId| {
-                    let shard = p.get(server.rank as usize).and_then(Option::as_deref);
-                    shard.map_or(0, KeyedShard::version)
-                }),
-            };
-            let b = Binder { world: &world, fn_base, parts: &parts, guard: Some(guard) };
+            // Elastic containers gate on the membership epoch: the server
+            // rejects mismatches typed (`WrongEpoch`) so an op routed by a
+            // stale map is never served by the wrong rank.
+            let epoch = elastic.then(|| world.membership().epoch_cell());
+            let b = Binder { world: &world, fn_base, parts: &parts, epoch };
             b.bind(kfn::PUT, |s, (k, v): (K, V)| s.apply_put(k, v));
             b.bind(kfn::GET, |s, k: K| s.apply_get(&k));
             b.bind(kfn::ERASE, |s, k: K| s.apply_erase(&k));
@@ -757,8 +710,6 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
             b.bind(kfn::MIG_END, |s, (vpart, committed, source): (u64, bool, bool)| {
                 s.mig_end(vpart as usize, committed, source)
             });
-            let ttl = spec.lease_ttl_micros();
-            b.bind(kfn::GET_LEASED, move |s, k: K| s.get_leased(ttl, &k));
             bind_extra(&b);
             KeyedCore { ops, fn_base, fns, servers, repl_map, parts, spec }
         })
@@ -852,14 +803,14 @@ pub struct KeyedContainer<'a, K, V, S> {
     /// only the hash map's impl reads it.
     pub(crate) merger: Option<Merger<V>>,
     /// This handle's lease cache (`KeyedSpec::lease`); `None` = caching off.
-    cache: Option<Arc<LeaseCache<K, V>>>,
+    cache: Option<LeaseCache<K, V>>,
 }
 
 impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
     /// Collective constructor: see [`KeyedCore::open`]. Pinned containers
     /// resolve owners through the fixed ring, untagged; elastic ones take
     /// part in live rebalances. With a lease config the handle gets a lease
-    /// cache, fed by the version stamps the owners piggyback.
+    /// cache.
     pub(crate) fn open(
         rank: &'a Rank,
         ops: &'static KeyedOps,
@@ -888,17 +839,7 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
             } else {
                 CacheMetrics::detached()
             };
-            // Watermark slots are indexed by owner *rank* (ownership can
-            // move between ranks mid-run), so size for the whole world.
-            let cache = Arc::new(LeaseCache::new(lease, rank.world_size() as usize, metrics));
-            // Sync responses travel FLAG_STAMPED, stamped by the container's
-            // guard; fold each owner's piggybacked version into the cache's
-            // watermark.
-            let sink = Arc::clone(&cache);
-            d.set_version_sink(Arc::new(move |owner, stamp| {
-                sink.observe_version(owner as usize, stamp);
-            }));
-            cache
+            LeaseCache::new(lease, metrics)
         });
         KeyedContainer { core, d, merger: None, cache }
     }
@@ -964,9 +905,13 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
             }
         );
         let hash = crate::stable_hash(&key);
+        let written = self.written(&key);
         let result = self.d.sync_keyed(&self.core.ops.put, hash, (key, value), |owner, (k, v)| {
             self.core.shard(owner).apply_put(k, v)
         });
+        if let Some(key) = written {
+            self.forget(&key, hash);
+        }
         hist_return!(self.d, tok, &result, |newly| crate::DsRet::Inserted(*newly));
         result
     }
@@ -975,10 +920,28 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
     /// coalescer and may ride a batched message with neighbouring async ops
     /// to the same partition (§III-B request aggregation).
     pub fn put_async(&self, key: K, value: V) -> HclResult<HclFuture<bool>> {
-        let owner = self.owner_now(crate::stable_hash(&key));
+        let hash = crate::stable_hash(&key);
+        self.forget(&key, hash);
+        let owner = self.owner_now(hash);
         self.d.dispatch_async(&self.core.ops.put, owner, (key, value), |(k, v)| {
             self.core.shard(owner).apply_put(k, v)
         })
+    }
+
+    /// What a sync or bulk write keeps to [`KeyedContainer::forget`] once
+    /// it returns: its key, cloned only when the handle caches.
+    pub(crate) fn written(&self, key: &K) -> Option<K> {
+        self.cache.as_ref().map(|_| key.clone())
+    }
+
+    /// A write of `key` through this handle: drop its lease, if it has one,
+    /// and refuse any grant in flight across the write (see
+    /// [`LeaseCache::forget`]). Sync and bulk writes call it once they
+    /// return, async writes as they are issued (DESIGN §14).
+    pub(crate) fn forget(&self, key: &K, hash: u64) {
+        if let Some(cache) = &self.cache {
+            cache.forget(key, hash, self.d.epoch());
+        }
     }
 
     /// Look up `key` (Table I: `F + L + R`). Falls back to a replica when
@@ -992,22 +955,48 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
             Some(cache) if !self.d.is_local(owner) && !self.d.is_down(owner) => {
                 self.get_cached(cache, hash, owner, key)
             }
-            _ => self.get_at(hash, owner, key),
+            _ => self.get_at(hash, owner, key, None),
         }
     }
 
     /// `get` with the hash and the (snapshot) owner already in hand. Falls
-    /// back to a replica when the owner has been marked down.
-    fn get_at(&self, hash: u64, owner: u32, key: &K) -> HclResult<Option<V>> {
+    /// back to a replica when the owner has been marked down. With `lease`,
+    /// the value the owner returns is stored there as a lease: the grant is
+    /// this very `get`, epoch-tagged like any keyed op.
+    fn get_at(
+        &self,
+        hash: u64,
+        owner: u32,
+        key: &K,
+        lease: Option<&LeaseCache<K, V>>,
+    ) -> HclResult<Option<V>> {
         let tok = hist_invoke!(self.d, crate::DsOp::MapGet { key: crate::history_enc(key) });
         // Without replicas there is nowhere to degrade to: dispatch normally
         // so the gate rejects the downed owner with `OwnerDown` immediately.
         let result = if self.d.is_down(owner) && self.core.spec.replicas >= 1 {
             self.get_from_replica(hash, key)
         } else {
-            self.d.sync_keyed(&self.core.ops.get, hash, key, |owner, key| {
+            // Taken *before* the RPC: the epoch the lease is bound to, the
+            // write generation it must not have straddled, and the deadline
+            // base — the TTL bounds staleness from the moment the owner
+            // could have read the value, not from when the response arrived.
+            let grant = lease.map(|c| (c.generation(), self.d.epoch(), Instant::now()));
+            let result = self.d.sync_keyed(&self.core.ops.get, hash, key, |owner, key| {
                 self.core.shard(owner).apply_get(key)
-            })
+            });
+            if let (Some(cache), Some((generation, epoch, granted)), Ok(value)) =
+                (lease, grant, &result)
+            {
+                // The grant's invoke timestamp is the left edge of the window
+                // the lease checker admits its cached reads in.
+                #[cfg(feature = "history")]
+                let valid_from = tok.as_ref().map_or(0, |t| t.invoked_at());
+                #[cfg(not(feature = "history"))]
+                let valid_from = 0;
+                let expires = granted + cache.ttl();
+                cache.insert(key.clone(), hash, value.clone(), epoch, generation, expires, valid_from);
+            }
+            result
         };
         hist_return!(self.d, tok, &result, |v| crate::DsRet::Value(
             v.as_ref().map(crate::history_enc)
@@ -1016,8 +1005,8 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
     }
 
     /// The cached read path (remote, non-down owner, lease config set):
-    /// serve from a live lease; otherwise grant one if the key is hot, or
-    /// fall through to a plain remote `get`.
+    /// serve from a live lease; otherwise a plain `get`, which becomes a
+    /// lease grant if the key is hot.
     fn get_cached(
         &self,
         cache: &LeaseCache<K, V>,
@@ -1025,25 +1014,21 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
         owner: u32,
         key: &K,
     ) -> HclResult<Option<V>> {
-        let d = &self.d;
-        // Watermark slot = owner rank (matches the version sink). The epoch
-        // is the unified membership/downed counter: a membership commit
-        // invalidates every outstanding lease, so no lease can outlive the
-        // map that granted it.
-        let p = owner as usize;
-        let epoch = d.epoch();
-        if let Some((value, valid_from)) = cache.lookup(key, hash, p, epoch) {
+        // The epoch is the unified membership/downed counter: a membership
+        // commit invalidates every outstanding lease, so no lease can
+        // outlive the map that granted it.
+        if let Some((value, valid_from)) = cache.lookup(key, hash, self.d.epoch()) {
             // Served locally without touching the fabric. The history op
             // carries the grant's invoke timestamp: the checker admits any
             // value that was current at some point in the lease window.
             #[cfg(not(feature = "history"))]
             let _ = valid_from;
             let tok = hist_invoke!(
-                d,
+                self.d,
                 crate::DsOp::MapGetCached { key: crate::history_enc(key), valid_from }
             );
             let result = Ok(value);
-            hist_return!(d, tok, &result, |v| crate::DsRet::Value(
+            hist_return!(self.d, tok, &result, |v| crate::DsRet::Value(
                 v.as_ref().map(crate::history_enc)
             ));
             return result;
@@ -1053,41 +1038,7 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
         // the one that earns its lease.
         let hot = cache.is_hot(hash);
         cache.observe_read(hash);
-        if !hot {
-            return self.get_at(hash, owner, key);
-        }
-        let tok = hist_invoke!(d, crate::DsOp::MapGet { key: crate::history_enc(key) });
-        #[cfg(feature = "history")]
-        let valid_from = tok.as_ref().map_or(0, |t| t.invoked_at());
-        #[cfg(not(feature = "history"))]
-        let valid_from = 0u64;
-        // Deadline base taken *before* the RPC: the granted TTL bounds
-        // staleness from the moment the server could have read the value,
-        // not from when the response arrived.
-        let granted = Instant::now();
-        // Explicit owner: the one the lease bookkeeping above is about.
-        let ttl = self.core.spec.lease_ttl_micros();
-        let result = d
-            .sync(d.event(&self.core.ops.get_leased, owner), IssueMode::Sync, key, |key| {
-                self.core.shard(owner).get_leased(ttl, key)
-            })
-            .map(|(version, ttl_micros, value)| {
-                if ttl_micros > 0 {
-                    cache.insert(
-                        key.clone(),
-                        hash,
-                        p,
-                        value.clone(),
-                        version,
-                        epoch,
-                        granted + Duration::from_micros(ttl_micros),
-                        valid_from,
-                    );
-                }
-                value
-            });
-        hist_return!(d, tok, &result, |v| crate::DsRet::Value(v.as_ref().map(crate::history_enc)));
-        result
+        self.get_at(hash, owner, key, hot.then_some(cache))
     }
 
     /// Asynchronous lookup; remote lookups stage on the op coalescer.
@@ -1105,6 +1056,7 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
         let result = self.d.sync_keyed(&self.core.ops.erase, hash, key, |owner, key| {
             self.core.shard(owner).apply_erase(key)
         });
+        self.forget(key, hash);
         hist_return!(self.d, tok, &result, |v| crate::DsRet::Value(
             v.as_ref().map(crate::history_enc)
         ));
@@ -1426,7 +1378,7 @@ impl<'a, T: Val, S: SeqStore<T>> SeqContainer<'a, T, S> {
             });
             let shard = Arc::new(SeqShard { owner, store, log });
             let parts = hosted(world.config().world_size(), [(owner, Arc::clone(&shard))]);
-            let b = Binder { world: &world, fn_base, parts: &parts, guard: None };
+            let b = Binder { world: &world, fn_base, parts: &parts, epoch: None };
             b.bind(sfn::PUSH, |s, v: T| s.push(v));
             b.bind(sfn::POP, |s, ()| s.pop());
             b.bind(sfn::PUSH_BULK, |s, vs: Vec<T>| s.push_bulk(vs));

@@ -198,15 +198,22 @@ impl<'a, K: Key, V: Val> UnorderedMap<'a, K, V> {
     /// retry loop.
     pub fn put_merge(&self, key: K, value: V) -> HclResult<V> {
         let hash = crate::stable_hash(&key);
-        self.d.sync_keyed(&MERGE, hash, (key, value), |owner, (k, v)| {
+        let written = self.written(&key);
+        let result = self.d.sync_keyed(&MERGE, hash, (key, value), |owner, (k, v)| {
             apply_merge(self.shard_at(owner), self.merger.as_ref(), k, v)
-        })
+        });
+        if let Some(key) = written {
+            self.forget(&key, hash);
+        }
+        result
     }
 
     /// Asynchronous [`UnorderedMap::put_merge`]; remote merges stage on the
     /// op coalescer.
     pub fn put_merge_async(&self, key: K, value: V) -> HclResult<HclFuture<V>> {
-        let owner = self.owner_now(crate::stable_hash(&key));
+        let hash = crate::stable_hash(&key);
+        self.forget(&key, hash);
+        let owner = self.owner_now(hash);
         self.d.dispatch_async(&MERGE, owner, (key, value), |(k, v)| {
             apply_merge(self.shard_at(owner), self.merger.as_ref(), k, v)
         })
@@ -219,9 +226,23 @@ impl<'a, K: Key, V: Val> UnorderedMap<'a, K, V> {
     /// keys.
     pub fn put_batch(&self, entries: Vec<(K, V)>) -> HclResult<u64> {
         let mut by_owner: HashMap<u32, Vec<(K, V)>> = HashMap::new();
+        let mut written = Vec::new();
         for (k, v) in entries {
-            by_owner.entry(self.owner_now(crate::stable_hash(&k))).or_default().push((k, v));
+            let hash = crate::stable_hash(&k);
+            written.extend(self.written(&k).map(|k| (k, hash)));
+            by_owner.entry(self.owner_now(hash)).or_default().push((k, v));
         }
+        let result = self.put_groups(by_owner);
+        for (k, hash) in &written {
+            self.forget(k, *hash);
+        }
+        result
+    }
+
+    /// [`UnorderedMap::put_batch`] once its entries are grouped by owner:
+    /// one aggregated message per remote owner, all sent before any reply
+    /// is waited on.
+    fn put_groups(&self, by_owner: HashMap<u32, Vec<(K, V)>>) -> HclResult<u64> {
         let mut new_keys = 0u64;
         let mut pending = Vec::new();
         for (owner, group) in by_owner {

@@ -1,7 +1,7 @@
 //! Allocation accounting for the lease-cache hit path.
 //!
 //! A cache hit is the op the whole read-path scale-out exists for: it must
-//! cost a shard lock, a `HashMap` probe, three invalidation checks and a
+//! cost a shard lock, a `HashMap` probe, two invalidation checks and a
 //! couple of atomic metric bumps — never a heap allocation. A counting
 //! global allocator (same harness as the telemetry record-path pin) makes
 //! that claim checkable.
@@ -43,23 +43,23 @@ fn allocs() -> u64 {
 #[test]
 fn lease_cache_hit_path_is_allocation_free() {
     let cache: LeaseCache<u64, u64> =
-        LeaseCache::new(LeaseConfig::default(), 4, CacheMetrics::detached());
+        LeaseCache::new(LeaseConfig::default(), CacheMetrics::detached());
     let far = Instant::now() + Duration::from_secs(3600);
     for k in 0..64u64 {
         let hash = k.wrapping_mul(2_654_435_761);
-        cache.insert(k, hash, (hash % 4) as usize, Some(k * 3), 1, 0, far, 0);
+        cache.insert(k, hash, Some(k * 3), 0, 0, far, 0);
     }
     // Warm-up hits so anything lazy resolves before the pinned window.
     for k in 0..64u64 {
         let hash = k.wrapping_mul(2_654_435_761);
-        assert!(cache.lookup(&k, hash, (hash % 4) as usize, 0).is_some());
+        assert!(cache.lookup(&k, hash, 0).is_some());
     }
     let before = allocs();
     let mut hits = 0u64;
     for i in 0..10_000u64 {
         let k = i % 64;
         let hash = k.wrapping_mul(2_654_435_761);
-        if let Some((v, _)) = cache.lookup(&k, hash, (hash % 4) as usize, 0) {
+        if let Some((v, _)) = cache.lookup(&k, hash, 0) {
             assert_eq!(v, Some(k * 3));
             hits += 1;
         }

@@ -1,9 +1,10 @@
 //! Integration tests for the lease-based client-side read cache
 //! (DESIGN.md §14): repeat `get`s on hot remote keys are served locally,
-//! and every invalidation rule — piggybacked version mismatch, ownership
+//! and every invalidation rule — a write through the same handle, ownership
 //! epoch bump, TTL expiry — is exercised end to end through a real
 //! [`World`].
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use hcl::{LeaseConfig, UnorderedMap, UnorderedMapConfig};
@@ -70,10 +71,10 @@ fn hot_remote_reads_hit_the_lease_cache() {
     });
 }
 
-/// Invalidation rule 1 (piggybacked version): a client's own `put` response
-/// carries the partition's new version stamp, so a later read of the leased
-/// key must observe the write instead of the cached value — even with an
-/// effectively infinite TTL.
+/// Invalidation rule 1 (own write): a client's own `put` drops the key's
+/// lease once it returns, so a later read of the leased key must observe the
+/// write instead of the cached value — even with an effectively infinite
+/// TTL.
 #[test]
 fn own_write_invalidates_lease_via_piggybacked_version() {
     World::run(two_node_world(), |rank| {
@@ -90,15 +91,62 @@ fn own_write_invalidates_lease_via_piggybacked_version() {
             }
             let before = map.cache_stats().unwrap();
             assert!(before.hits >= 1, "the key must be leased first, got {before:?}");
-            // The put's stamped response advances this handle's observed
-            // version watermark for partition 0 past the lease's version.
+            // The put, once it returns, drops this handle's lease of `k`.
             map.put(k, 2).unwrap();
             assert_eq!(map.get(&k).unwrap(), Some(2), "read-your-write through the cache");
             let after = map.cache_stats().unwrap();
             assert!(
                 after.stale_version >= 1,
-                "the write must invalidate by version, got {after:?}"
+                "the write must drop the lease it overwrote, got {after:?}"
             );
+        }
+        rank.barrier();
+    });
+}
+
+/// Read-your-writes through the cache holds on every write path for a
+/// handle used by one thread, not only the sync `put`: each write below hits a key this handle holds a 1 h lease
+/// on, and the next `get` must return what was written. The async writes are
+/// waited for first; the bulk one waits by itself.
+#[test]
+fn every_write_path_reads_its_own_write_through_the_cache() {
+    World::run(two_node_world(), |rank| {
+        let merger: hcl::Merger<u64> = Arc::new(|old, new| old.copied().unwrap_or(0) + new);
+        let cfg = leased_cfg(Duration::from_secs(3600));
+        let map: UnorderedMap<u64, u64> =
+            UnorderedMap::with_merger(rank, "lease-ryw-paths", cfg, merger);
+        let k = key_in_partition(&map, 0);
+        if rank.id() == 0 {
+            map.put(k, 1).unwrap();
+        }
+        rank.barrier();
+        if rank.id() == 1 {
+            // Read until the key's lease serves a hit: the lease is held.
+            let leased = |want: Option<u64>, path: &str| {
+                let hits = map.cache_stats().unwrap().hits;
+                for _ in 0..3 {
+                    assert_eq!(map.get(&k).unwrap(), want, "before {path}");
+                }
+                let now = map.cache_stats().unwrap().hits;
+                assert!(now > hits, "no lease held before {path}: {:?}", map.cache_stats());
+            };
+            leased(Some(1), "put_async");
+            map.put_async(k, 10).unwrap().wait().unwrap();
+            assert_eq!(map.get(&k).unwrap(), Some(10), "put_async");
+            leased(Some(10), "put_batch");
+            map.put_batch(vec![(k, 11)]).unwrap();
+            assert_eq!(map.get(&k).unwrap(), Some(11), "put_batch");
+            leased(Some(11), "put_merge");
+            assert_eq!(map.put_merge(k, 1).unwrap(), 12);
+            assert_eq!(map.get(&k).unwrap(), Some(12), "put_merge");
+            leased(Some(12), "put_merge_async");
+            assert_eq!(map.put_merge_async(k, 1).unwrap().wait().unwrap(), 13);
+            assert_eq!(map.get(&k).unwrap(), Some(13), "put_merge_async");
+            leased(Some(13), "erase");
+            assert_eq!(map.erase(&k).unwrap(), Some(13));
+            assert_eq!(map.get(&k).unwrap(), None, "erase");
+            let stats = map.cache_stats().unwrap();
+            assert_eq!(stats.stale_version, 5, "each write drops one lease: {stats:?}");
         }
         rank.barrier();
     });

@@ -6,7 +6,7 @@
 //! strict-persisted container (`replicas: 1` for the maps) in a 2x1 world,
 //! driven from rank 0 so that shard 0 is reached through the hybrid bypass
 //! and shard 1 through a NIC worker. After every op the test asserts the
-//! exact deltas of WAL records, partition version, forwarded writes and
+//! exact deltas of WAL records, forwarded writes and
 //! replica contents at each host, with a write-forwarding window open on one
 //! vpart for part of the script; then that every kind of read owes the
 //! strict read fence (a value applied but not yet durable is only shown
@@ -170,7 +170,6 @@ impl_keyed!(OrderedMap, OrderedConfig, SkipList, "omap", omap_keyed_reads, omap_
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct KeyedProbe {
     wal: [u64; 2],
-    version: [u64; 2],
     forwarded: u64,
 }
 
@@ -179,7 +178,6 @@ impl KeyedProbe {
         let at = |h: u32| c.shard_at(h);
         KeyedProbe {
             wal: [0, 1].map(|h| at(h).wal().expect("durable").appended_lsn()),
-            version: [0, 1].map(|h| at(h).version()),
             forwarded: rank
                 .world()
                 .membership()
@@ -193,7 +191,6 @@ impl KeyedProbe {
     fn since(&self, earlier: &Self) -> Self {
         KeyedProbe {
             wal: [0, 1].map(|h| self.wal[h] - earlier.wal[h]),
-            version: [0, 1].map(|h| self.version[h] - earlier.version[h]),
             forwarded: self.forwarded - earlier.forwarded,
         }
     }
@@ -203,7 +200,6 @@ impl KeyedProbe {
 fn applied_at(host: usize, n: u64) -> KeyedProbe {
     let mut p = KeyedProbe::default();
     p.wal[host] = n;
-    p.version[host] = n;
     p
 }
 
@@ -232,8 +228,8 @@ fn keyed_script<'a, C: Keyed<'a>>(rank: &'a Rank, dir: &Path) {
             assert_eq!(KeyedProbe::take(&c, rank).since(&before), want, "{who}: {what}");
         };
 
-        // The mutation pipeline, bypass and NIC alike: one record, one
-        // version bump, at the owner only; the ring successor's replica
+        // The mutation pipeline, bypass and NIC alike: one record, at the
+        // owner only; the ring successor's replica
         // follows; nothing is forwarded outside a window.
         for owner in [0usize, 1] {
             let (k, succ) = (key_at(owner), 1 - owner as u32);
@@ -259,8 +255,8 @@ fn keyed_script<'a, C: Keyed<'a>>(rank: &'a Rank, dir: &Path) {
         step("mig begin", &|| mig.begin(rank, &mv).unwrap(), KeyedProbe::default());
 
         // Inside the window a write to the moving vpart is applied at the
-        // source *and* dual-applied (logged, versioned) at the target.
-        let dual = KeyedProbe { wal: [1, 1], version: [1, 1], forwarded: 1 };
+        // source *and* dual-applied (logged) at the target.
+        let dual = KeyedProbe { wal: [1, 1], forwarded: 1 };
         step("windowed put", &|| assert!(c.put(wk, 7)), dual);
         assert_eq!(c.shard_at(0).store().get(&wk), Some(7), "{who}: forwarded put applied");
         step("windowed erase", &|| assert_eq!(c.erase(&wk), Some(7)), dual);
@@ -276,9 +272,9 @@ fn keyed_script<'a, C: Keyed<'a>>(rank: &'a Rank, dir: &Path) {
         // copy must never overwrite what is already there.
         assert!(!c.shard_at(0).mig_install(wk, 7), "{who}: tombstone ignored");
         assert!(!c.shard_at(0).mig_install(wk2, 4), "{who}: copy overwrote");
-        // Abort: the target purges exactly what the migration wrote (one
-        // version bump, no record), the source just stops forwarding.
-        let closed = KeyedProbe { wal: [0, 0], version: [1, 0], forwarded: 0 };
+        // Abort: the target purges exactly what the migration wrote (no
+        // record), the source just stops forwarding.
+        let closed = KeyedProbe { wal: [0, 0], forwarded: 0 };
         step("mig end (abort)", &|| mig.end(rank, &mv, false).unwrap(), closed);
         assert_eq!(c.shard_at(0).store().get(&wk2), None, "{who}: abort purges installs");
         assert_eq!(c.get(&wk2), Some(5), "{who}: source untouched by the abort");

@@ -18,7 +18,7 @@ use hcl_fabric::FabricError;
 use crate::server::unframe;
 use crate::{
     decode, decode_batch_response, encode_batch_into, encode_request_header_into, resp_key,
-    slot_offset, FnId, RetryPolicy, RpcError, RpcResult, Tag, FLAG_BATCH, FLAG_IDEMPOTENT,
+    slot_offset, FnId, RetryPolicy, RpcError, RpcResult, FLAG_BATCH, FLAG_EPOCH, FLAG_IDEMPOTENT,
     SLOTS_PER_CLIENT, SLOT_HDR,
 };
 
@@ -491,39 +491,37 @@ impl RpcClient {
         A: DataBox,
         R: DataBox,
     {
-        Ok(self.invoke_tagged(server, fn_id, Tag::default(), args)?.1)
+        self.invoke_tagged(server, fn_id, None, args)
     }
 
-    /// Synchronous single call tagged with `tag`: [`FLAG_EPOCH`](crate::FLAG_EPOCH) carries
-    /// the caller's ownership epoch as an 8-byte LE prefix of the args, and
-    /// the server's guard runs the handler only when its current epoch
+    /// Synchronous single call tagged with the caller's ownership `epoch`:
+    /// [`FLAG_EPOCH`] carries it as an 8-byte LE prefix of the args, and the
+    /// server runs the handler only when the epoch cell bound with it
     /// matches — a mismatch surfaces as [`RpcError::WrongEpoch`], a
     /// *delivered* rejection the retry machinery never retransmits (callers
-    /// re-resolve the owner and issue a fresh request). [`FLAG_STAMPED`](crate::FLAG_STAMPED)
-    /// asks for the serving partition's version after the handler ran.
-    /// Returns `(stamp, value)`; the stamp is 0 unless `tag.stamped` (and 0
-    /// when the function has no guard).
+    /// re-resolve the owner and issue a fresh request). `None` is a plain
+    /// call.
     pub fn invoke_tagged<A, R>(
         &self,
         server: EpId,
         fn_id: FnId,
-        tag: Tag,
+        epoch: Option<u64>,
         args: &A,
-    ) -> RpcResult<(u64, R)>
+    ) -> RpcResult<R>
     where
         A: DataBox,
         R: DataBox,
     {
-        let hint = 8 * tag.epoch.is_some() as usize + A::FIXED_SIZE.unwrap_or(16);
-        let raw = self.issue_with(server, &[fn_id], tag.flags(), hint, |out| {
-            if let Some(epoch) = tag.epoch {
+        let hint = 8 * epoch.is_some() as usize + A::FIXED_SIZE.unwrap_or(16);
+        let flags = if epoch.is_some() { FLAG_EPOCH } else { 0 };
+        let raw = self.issue_with(server, &[fn_id], flags, hint, |out| {
+            if let Some(epoch) = epoch {
                 out.extend_from_slice(&epoch.to_le_bytes());
             }
             args.pack(out);
         })?;
         let b = raw.wait()?;
-        let (stamp, body) = unframe(tag, b.as_slice())?;
-        Ok((stamp, decode(body)?))
+        decode(unframe(epoch, b.as_slice())?)
     }
 
     /// Invoke a *callback chain* (§III-C3): `chain[0]` receives `args`, each

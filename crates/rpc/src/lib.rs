@@ -25,6 +25,12 @@
 //! (§III-C4): [`client::RpcClient::invoke_async`] returns a
 //! [`client::RpcFuture`], a coalesced op a [`coalesce::CoalescedFuture`]; a
 //! synchronous call issues the same request and waits on its slot.
+//!
+//! One envelope extension is not in the paper: a single call may carry the
+//! caller's ownership epoch ([`FLAG_EPOCH`]), and the server runs it only
+//! while the epoch cell bound with the function ([`Binding::epoch`]) still
+//! holds that epoch. The response is then framed `[status u8][body]`; that
+//! status byte is the only prefix a response ever carries.
 
 pub mod batch;
 pub mod client;
@@ -145,21 +151,17 @@ pub(crate) fn decode<T: DataBox>(body: &[u8]) -> RpcResult<T> {
     T::from_bytes(body).map_err(|e| RpcError::Decode(e.to_string()))
 }
 
-/// What the server checks and stamps around every call to a guarded
-/// function: the container-level state a request envelope refers to,
-/// attached once, at bind time, to each function of the container.
-#[derive(Clone)]
-pub struct Guard {
+/// One registered function: its handler and the epoch cell that gates it.
+pub struct Binding {
+    /// The handler the NIC core executes.
+    pub handler: Handler,
     /// The ownership epoch a [`FLAG_EPOCH`] request must carry to execute;
     /// `None` admits every tag. Containers whose owners can move share the
     /// world's unified epoch cell here.
     pub epoch: Option<Arc<AtomicU64>>,
-    /// The version of the partition the serving endpoint hosts, read *after*
-    /// the handler ran: the [`FLAG_STAMPED`] response prefix.
-    pub version: Arc<dyn Fn(EpId) -> u64 + Send + Sync>,
 }
 
-impl Guard {
+impl Binding {
     /// `Err(current)` when a request tagged with epoch `sent` must not run.
     pub fn admit(&self, sent: u64) -> Result<(), u64> {
         match &self.epoch {
@@ -170,15 +172,6 @@ impl Guard {
             None => Ok(()),
         }
     }
-}
-
-/// One registered function: its handler and its container's guard.
-pub struct Binding {
-    /// The handler the NIC core executes.
-    pub handler: Handler,
-    /// Gates [`FLAG_EPOCH`] requests and stamps [`FLAG_STAMPED`] responses;
-    /// `None` admits every tag and stamps 0.
-    pub guard: Option<Guard>,
 }
 
 /// The invocation registry: fn id -> binding (paper's `bind()`).
@@ -204,12 +197,13 @@ impl RpcRegistry {
         self.bind_guarded(id, None, f);
     }
 
-    /// [`RpcRegistry::bind_typed`] behind `guard`: requests to `id` are
-    /// epoch-gated and version-stamped by it.
+    /// [`RpcRegistry::bind_typed`] behind the epoch cell `epoch`:
+    /// [`FLAG_EPOCH`] requests to `id` execute only while their tag matches
+    /// it.
     pub fn bind_guarded<A, R>(
         &self,
         id: FnId,
-        guard: Option<Guard>,
+        epoch: Option<Arc<AtomicU64>>,
         f: impl Fn(EpId, EpId, A) -> R + Send + Sync + 'static,
     ) where
         A: DataBox + 'static,
@@ -219,7 +213,7 @@ impl RpcRegistry {
             let args = A::from_bytes(raw).expect("rpc argument decode");
             f(server, caller, args).pack(out);
         });
-        self.fns.write().insert(id, Arc::new(Binding { handler, guard }));
+        self.fns.write().insert(id, Arc::new(Binding { handler, epoch }));
     }
 
     /// Look up a binding.
@@ -252,45 +246,15 @@ pub const FLAG_BATCH: u8 = 1;
 /// `(caller rank, req_id)` and republishing the cached response.
 pub const FLAG_IDEMPOTENT: u8 = 2;
 
-/// Flag bit: the caller wants the response prefixed with an 8-byte LE
-/// **version stamp** read from the [`Guard`] bound with the first invoked
-/// function (0 when it has none). Containers bind every function with a
-/// guard reading the target partition's mutation counter, so every stamped
-/// response piggybacks the partition version — the invalidation signal for
-/// client-side lease caches. Only non-batch requests are stamped; the stamp
-/// reflects the partition state *after* the handler ran and its durability
-/// barrier settled, and dedup republishes cache the stamped bytes verbatim
-/// (safe: clients fold stamps in with a monotone max).
-pub const FLAG_STAMPED: u8 = 4;
-
 /// Flag bit: the first 8 bytes of the args are an LE **ownership epoch**.
-/// The server checks it against the [`Guard`] bound with the first invoked
+/// The server checks it against the epoch cell bound with the first invoked
 /// function *before* executing: on mismatch the handler is skipped and the
 /// response is a rejection carrying the server's current epoch (surfaced to
-/// callers as [`RpcError::WrongEpoch`]); on match (or when the guard gates
-/// nothing) the handler runs on the remaining args. Either way the response
-/// body is prefixed with a status byte (`0` = executed, `1` = rejected),
-/// inside any [`FLAG_STAMPED`] stamp prefix. Ignored on batch requests.
+/// callers as [`RpcError::WrongEpoch`]); on match (or when the function is
+/// bound without a cell) the handler runs on the remaining args. Either way
+/// the response body is prefixed with a status byte (`0` = executed, `1` =
+/// rejected). Ignored on batch requests.
 pub const FLAG_EPOCH: u8 = 8;
-
-/// How a single call is tagged ([`client::RpcClient::invoke_tagged`]): the
-/// ownership epoch it was routed under, and whether it wants the partition
-/// version stamp. `Tag::default()` is a plain call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Tag {
-    /// Travel [`FLAG_EPOCH`] with this epoch.
-    pub epoch: Option<u64>,
-    /// Travel [`FLAG_STAMPED`].
-    pub stamped: bool,
-}
-
-impl Tag {
-    /// The request flags this tag sets.
-    pub fn flags(self) -> u8 {
-        let epoch = if self.epoch.is_some() { FLAG_EPOCH } else { 0 };
-        epoch | if self.stamped { FLAG_STAMPED } else { 0 }
-    }
-}
 
 /// Client-side retry policy: attempts, capped exponential backoff with
 /// deterministic jitter, and a per-attempt response timeout.
@@ -552,7 +516,7 @@ mod tests {
         r.bind_typed(1, |_, _, (a, b): (u64, u64)| a + b);
         assert!(r.get(2).is_none());
         let h = r.get(1).unwrap();
-        assert!(h.guard.is_none());
+        assert!(h.epoch.is_none());
         let resp = call(&h, EpId::new(0, 0), EpId::new(0, 1), &(20u64, 22u64).to_bytes());
         assert_eq!(u64::from_bytes(&resp).unwrap(), 42);
     }

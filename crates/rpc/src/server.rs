@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use crate::{
     decode_batch, resp_key, slot_offset, Binding, FnId, Request, RpcError, RpcRegistry, RpcResult,
-    Tag, FLAG_BATCH, FLAG_IDEMPOTENT, FLAG_STAMPED, SLOTS_PER_CLIENT, SLOT_HDR,
+    FLAG_BATCH, FLAG_IDEMPOTENT, SLOTS_PER_CLIENT, SLOT_HDR,
 };
 
 /// Server configuration.
@@ -356,17 +356,16 @@ impl NicCore {
         NicCore { pipe, resp: Vec::with_capacity(1024), chain: Vec::new(), ack: AckScope::enter() }
     }
 
-    /// Serve one received message from `caller`: decode, dedup, guard gate,
+    /// Serve one received message from `caller`: decode, dedup, epoch gate,
     /// execute (batch | chain), settle the ack scope, frame, record for
     /// dedup. `None` when nothing may be published: a malformed message, a
     /// duplicate of a request still executing, or a request whose
     /// durability barrier failed.
     ///
     /// The response of a non-batch request is framed
-    /// `[stamp u64 if FLAG_STAMPED][status u8 if FLAG_EPOCH][body]`: both
-    /// prefixes are reserved before the body and back-patched, the stamp
-    /// last — after `settle`, so it covers what this request made durable.
-    /// [`unframe`] is the exact inverse.
+    /// `[status u8 if FLAG_EPOCH][body]`: the status byte is reserved before
+    /// the body and back-patched on a rejection. [`unframe`] is the exact
+    /// inverse.
     pub fn serve(&mut self, caller: EpId, msg: &[u8]) -> Option<Reply<'_>> {
         let NicCore { pipe, resp, chain, ack } = self;
         let stats = &pipe.stats;
@@ -400,22 +399,17 @@ impl NicCore {
         }
         let t0 = Instant::now();
         let single = calls.is_none();
-        let stamped = single && req.flags & FLAG_STAMPED != 0;
-        if stamped {
-            resp.extend_from_slice(&[0; 8]);
-        }
         if req.epoch.is_some() {
             resp.push(0);
         }
         let first = req.chain().next().filter(|_| single).and_then(|id| pipe.registry.get(id));
-        let guard = first.as_deref().and_then(|b| b.guard.as_ref());
         // Ownership-epoch gate, *before* executing: a stale epoch means
         // ownership may have moved since the caller resolved this server, so
         // the handler must not run here. The rejection is still an answer
         // (published and dedup-cached), so the transport never retransmits
         // it; the dispatch layer re-resolves and re-issues.
-        let stale = match (req.epoch, guard) {
-            (Some(sent), Some(g)) => g.admit(sent).err(),
+        let stale = match (req.epoch, first.as_deref()) {
+            (Some(sent), Some(b)) => b.admit(sent).err(),
             _ => None,
         };
         if let Some(current) = stale {
@@ -444,10 +438,6 @@ impl NicCore {
             stats.ack_failures.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        if stamped {
-            let stamp = guard.map_or(0, |g| (g.version)(pipe.ep));
-            resp[..8].copy_from_slice(&stamp.to_le_bytes());
-        }
         if idempotent {
             pipe.dedup.lock().complete(dedup_key, resp.clone());
         }
@@ -456,7 +446,7 @@ impl NicCore {
 }
 
 /// Run a callback chain, appending the last link's output to `resp`. The
-/// first link (`first`, already looked up for the guard) reads the request
+/// first link (`first`, already looked up for the epoch gate) reads the request
 /// args in place; later links ping-pong between `resp`'s body and `scratch`.
 /// An unbound link leaves the body empty; no links echo the args.
 fn run_chain(
@@ -524,22 +514,14 @@ fn run_batch(
     }
 }
 
-/// Open a response [`NicCore::serve`] framed for a single call sent under
-/// `tag`: the exact inverse of its framing. Returns `(stamp, body)`; the
-/// stamp is 0 unless `tag.stamped`, and a rejected epoch comes back as
-/// [`RpcError::WrongEpoch`].
-pub(crate) fn unframe(tag: Tag, bytes: &[u8]) -> RpcResult<(u64, &[u8])> {
+/// Open a response [`NicCore::serve`] framed for a single call sent with
+/// epoch tag `epoch`: the exact inverse of its framing. A rejected epoch
+/// comes back as [`RpcError::WrongEpoch`].
+pub(crate) fn unframe(epoch: Option<u64>, bytes: &[u8]) -> RpcResult<&[u8]> {
     let decode = |what: &str| RpcError::Decode(what.into());
-    let (mut stamp, mut rest) = (0, bytes);
-    if tag.stamped {
-        let (s, tail) = rest
-            .split_first_chunk::<8>()
-            .ok_or_else(|| decode("stamped response shorter than its stamp"))?;
-        (stamp, rest) = (u64::from_le_bytes(*s), tail);
-    }
-    let Some(sent) = tag.epoch else { return Ok((stamp, rest)) };
-    match rest.split_first() {
-        Some((0, body)) => Ok((stamp, body)),
+    let Some(sent) = epoch else { return Ok(bytes) };
+    match bytes.split_first() {
+        Some((0, body)) => Ok(body),
         Some((1, current)) => {
             let current = current
                 .first_chunk::<8>()
@@ -693,7 +675,7 @@ impl Drop for RpcServer {
 mod tests {
     use super::*;
     use crate::client::RpcClient;
-    use crate::{Guard, RequestHeader};
+    use crate::RequestHeader;
     use hcl_fabric::memory::MemoryFabric;
 
     #[test]
@@ -961,76 +943,35 @@ mod tests {
         assert!(scope.settle().is_ok(), "the off-scope poison left nothing behind");
     }
 
-    /// A guard gating on `epoch` and stamping `version`.
-    fn guard(epoch: Option<&Arc<AtomicU64>>, version: &Arc<AtomicU64>) -> Option<Guard> {
-        let version = Arc::clone(version);
-        Some(Guard {
-            epoch: epoch.cloned(),
-            version: Arc::new(move |_| version.load(Ordering::Relaxed)),
-        })
-    }
-
     #[test]
     fn epoch_gate_rejects_stale_and_admits_current() {
         use crate::RpcError;
         let registry = RpcRegistry::new();
         let epoch = Arc::new(AtomicU64::new(3));
-        let version = Arc::new(AtomicU64::new(0));
-        registry.bind_guarded(50, guard(Some(&epoch), &version), |_, _, x: u64| x + 1);
-        registry.bind_typed(60, |_, _, x: u64| x * 10); // no guard
+        registry.bind_guarded(50, Some(Arc::clone(&epoch)), |_, _, x: u64| x + 1);
+        registry.bind_typed(60, |_, _, x: u64| x * 10); // no epoch cell
         let (_, server, client) = rig(registry, 1);
         let server_ep = server.endpoint();
-        let tagged = |epoch, stamped| Tag { epoch: Some(epoch), stamped };
         // Matching epoch: executes.
-        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 50, tagged(3, false), &1u64).unwrap();
-        assert_eq!((stamp, r), (0, 2));
+        let r: u64 = client.invoke_tagged(server_ep, 50, Some(3), &1u64).unwrap();
+        assert_eq!(r, 2);
         assert_eq!(server.stats().wrong_epoch, 0);
         // Stale epoch: typed rejection carrying the current epoch, handler
         // skipped.
-        let err = client.invoke_tagged::<u64, u64>(server_ep, 50, tagged(2, false), &1u64).unwrap_err();
+        let err = client.invoke_tagged::<u64, u64>(server_ep, 50, Some(2), &1u64).unwrap_err();
         assert_eq!(err, RpcError::WrongEpoch { sent: 2, current: 3 });
         assert_eq!(server.stats().wrong_epoch, 1);
         // Epoch moved: yesterday's epoch now rejects, today's admits.
         epoch.store(4, Ordering::Relaxed);
-        let err = client.invoke_tagged::<u64, u64>(server_ep, 50, tagged(3, false), &1u64).unwrap_err();
+        let err = client.invoke_tagged::<u64, u64>(server_ep, 50, Some(3), &1u64).unwrap_err();
         assert_eq!(err, RpcError::WrongEpoch { sent: 3, current: 4 });
-        let (_, r): (u64, u64) = client.invoke_tagged(server_ep, 50, tagged(4, false), &1u64).unwrap();
+        let r: u64 = client.invoke_tagged(server_ep, 50, Some(4), &1u64).unwrap();
         assert_eq!(r, 2);
-        // FLAG_STAMPED composes: stamp is the outer prefix on both outcomes.
-        version.store(77, Ordering::Relaxed);
-        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 50, tagged(4, true), &5u64).unwrap();
-        assert_eq!((stamp, r), (77, 6));
-        let err = client.invoke_tagged::<u64, u64>(server_ep, 50, tagged(9, true), &5u64).unwrap_err();
-        assert_eq!(err, RpcError::WrongEpoch { sent: 9, current: 4 });
-        // No guard on fn 60: the tag is stripped and the handler runs.
-        let (_, r): (u64, u64) = client.invoke_tagged(server_ep, 60, tagged(999, false), &7u64).unwrap();
+        // No epoch cell on fn 60: the tag is stripped and the handler runs.
+        let r: u64 = client.invoke_tagged(server_ep, 60, Some(999), &7u64).unwrap();
         assert_eq!(r, 70);
         // Plain invocations through the same server stay un-prefixed.
         let plain: u64 = client.invoke(server_ep, 50, &10u64).unwrap();
-        assert_eq!(plain, 11);
-        drop(server);
-    }
-
-    #[test]
-    fn stamped_responses_carry_the_registered_version() {
-        let registry = RpcRegistry::new();
-        let version = Arc::new(AtomicU64::new(7));
-        registry.bind_guarded(40, guard(None, &version), |_, _, x: u64| x + 1);
-        registry.bind_guarded(41, guard(None, &version), |_, _, x: u64| x * 2);
-        registry.bind_typed(99, |_, _, x: u64| x); // no guard
-        let (_, server, client) = rig(registry, 1);
-        let server_ep = server.endpoint();
-        let stamped = Tag { epoch: None, stamped: true };
-        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 40, stamped, &1u64).unwrap();
-        assert_eq!((stamp, r), (7, 2));
-        version.store(9, Ordering::Relaxed);
-        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 41, stamped, &3u64).unwrap();
-        assert_eq!((stamp, r), (9, 6), "stamp tracks the live version");
-        // No guard on fn 99: the stamp prefix is still present, zeroed.
-        let (stamp, r): (u64, u64) = client.invoke_tagged(server_ep, 99, stamped, &5u64).unwrap();
-        assert_eq!((stamp, r), (0, 5));
-        // Unstamped invocations through the same server stay un-prefixed.
-        let plain: u64 = client.invoke(server_ep, 40, &10u64).unwrap();
         assert_eq!(plain, 11);
         drop(server);
     }

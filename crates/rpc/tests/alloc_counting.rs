@@ -22,7 +22,7 @@ use hcl_fabric::EpId;
 use hcl_rpc::server::NicCore;
 use hcl_rpc::{
     encode_batch_into, encode_request_header_into, BatchArena, RequestHeader, RpcRegistry,
-    FLAG_EPOCH, FLAG_STAMPED,
+    FLAG_EPOCH,
 };
 
 struct CountingAlloc;
@@ -116,14 +116,14 @@ fn batch_encode_path_is_allocation_free_at_steady_state() {
 #[test]
 fn serving_a_tagged_single_call_is_allocation_free_at_steady_state() {
     // The whole server pipeline for the sync path's fullest envelope: decode,
-    // epoch gate, execute, settle, stamp and frame, run in-thread.
+    // epoch gate, execute, settle and frame, run in-thread.
     let registry = Arc::new(RpcRegistry::new());
-    support::bind_guarded(&registry, 7, 3, 9, |x| x ^ 6);
+    support::bind_guarded(&registry, 7, 3, |x| x ^ 6);
     let mut nic = NicCore::new(EpId::new(0, 0), registry);
     let caller = EpId::new(0, 1);
-    let hdr = RequestHeader { req_id: 1, slot: 1, flags: FLAG_EPOCH | FLAG_STAMPED, chain: vec![7] };
+    let hdr = RequestHeader { req_id: 1, slot: 1, flags: FLAG_EPOCH, chain: vec![7] };
     let msg = hdr.encode(&[3u64.to_le_bytes(), 5u64.to_le_bytes()].concat());
-    let want = [&9u64.to_le_bytes()[..], &[0], &3u64.to_le_bytes()].concat();
+    let want = [&[0u8][..], &3u64.to_le_bytes()].concat();
     // Warm-up.
     for _ in 0..64 {
         assert_eq!(nic.serve(caller, &msg).expect("answered").bytes, &want[..]);

@@ -1,12 +1,11 @@
 //! The request envelope, pinned byte for byte.
 //!
-//! For every flag combination a request can carry — plain, stamped,
-//! epoch-tagged (admitted and rejected), epoch + stamped (both outcomes),
-//! callback chains and batches — one raw request goes to a real server over
-//! the memory fabric, and the exact bytes published into the caller's
-//! response slot are asserted, spelled out field by field (`[stamp
-//! u64][status u8][body]`). Any change to the framing order fails here,
-//! whatever the client-side decoders do.
+//! For every flag combination a request can carry — plain, epoch-tagged
+//! (admitted and rejected), callback chains and batches — one raw request
+//! goes to a real server over the memory fabric, and the exact bytes
+//! published into the caller's response slot are asserted, spelled out
+//! field by field (`[status u8][body]`). Any change to the framing order
+//! fails here, whatever the client-side decoders do.
 
 mod support;
 
@@ -19,18 +18,17 @@ use hcl_fabric::{EpId, Fabric};
 use hcl_rpc::server::{RpcServer, ServerConfig};
 use hcl_rpc::{
     encode_batch, resp_key, slot_offset, FnId, RequestHeader, RpcRegistry, FLAG_BATCH,
-    FLAG_EPOCH as E, FLAG_IDEMPOTENT, FLAG_STAMPED as S, SLOTS_PER_CLIENT, SLOT_HDR,
+    FLAG_EPOCH as E, FLAG_IDEMPOTENT, SLOTS_PER_CLIENT, SLOT_HDR,
 };
 
 const SLOT_CAP: usize = 256;
-/// `x + 1` behind a guard: epoch `EPOCH` gates it, version `VERSION` stamps it.
+/// `x + 1` behind an epoch gate: epoch `EPOCH` admits it.
 const GUARDED: FnId = 10;
-/// `x * 2`, no guard.
+/// `x * 2`, no epoch gate.
 const DOUBLE: FnId = 11;
 /// Bound nowhere.
 const UNBOUND: FnId = 99;
 const EPOCH: u64 = 5;
-const VERSION: u64 = 42;
 
 struct Rig {
     fabric: Arc<dyn Fabric>,
@@ -47,7 +45,7 @@ impl Rig {
         let registry = Arc::new(RpcRegistry::new());
         let guarded_runs = Arc::new(AtomicU64::new(0));
         let runs = Arc::clone(&guarded_runs);
-        support::bind_guarded(&registry, GUARDED, EPOCH, VERSION, move |x| {
+        support::bind_guarded(&registry, GUARDED, EPOCH, move |x| {
             runs.fetch_add(1, Ordering::Relaxed);
             x + 1
         });
@@ -95,44 +93,35 @@ fn tagged(epoch: u64, x: u64) -> Vec<u8> {
 #[test]
 fn single_calls_and_chains() {
     let rig = Rig::new();
-    let (v, e) = (&u64le(VERSION), &u64le(EPOCH));
+    let e = &u64le(EPOCH);
     let cases: Vec<(u8, &[FnId], Vec<u8>, Vec<u8>)> = vec![
         // Plain: the body alone; an unbound function answers empty.
         (0, &[GUARDED], u64le(41), u64le(42)),
         (0, &[DOUBLE], u64le(21), u64le(42)),
         (0, &[UNBOUND], u64le(1), vec![]),
-        // Stamped: the guard's version is the outer 8-byte prefix, zeroed
-        // without a guard.
-        (S, &[GUARDED], u64le(41), cat(&[v, &u64le(42)])),
-        (S, &[DOUBLE], u64le(4), cat(&[&u64le(0), &u64le(8)])),
-        (S, &[UNBOUND], u64le(1), u64le(0)),
         // Epoch-tagged: status 0 then the body, or status 1 then the current
         // epoch with the handler skipped; the tag never reaches the handler,
-        // and no guard admits any tag.
+        // and a function without an epoch gate admits any tag.
         (E, &[GUARDED], tagged(EPOCH, 41), cat(&[&[0], &u64le(42)])),
         (E, &[GUARDED], tagged(EPOCH - 1, 41), cat(&[&[1], e])),
         (E, &[DOUBLE], tagged(999, 5), cat(&[&[0], &u64le(10)])),
-        // Both: the stamp is outermost on either outcome.
-        (S | E, &[GUARDED], tagged(EPOCH, 41), cat(&[v, &[0], &u64le(42)])),
-        (S | E, &[GUARDED], tagged(EPOCH + 3, 41), cat(&[v, &[1], e])),
-        (S | E, &[DOUBLE], tagged(7, 5), cat(&[&u64le(0), &[0], &u64le(10)])),
-        // Chains, ((3 * 2) + 1) * 2: the first link gates and stamps, an
-        // unbound link empties the body, no links echo the args.
+        // Chains, ((3 * 2) + 1) * 2: the first link gates, an unbound link
+        // empties the body, no links echo the args.
         (0, &[DOUBLE, GUARDED, DOUBLE], u64le(3), u64le(14)),
         (0, &[DOUBLE, DOUBLE], u64le(3), u64le(12)),
-        (S | E, &[GUARDED, DOUBLE], tagged(EPOCH, 3), cat(&[v, &[0], &u64le(8)])),
-        (S, &[DOUBLE, GUARDED], u64le(3), cat(&[&u64le(0), &u64le(7)])),
+        (E, &[GUARDED, DOUBLE], tagged(EPOCH, 3), cat(&[&[0], &u64le(8)])),
+        (0, &[DOUBLE, GUARDED], u64le(3), u64le(7)),
         (0, &[DOUBLE, UNBOUND, DOUBLE], u64le(3), vec![]),
-        (S | E, &[DOUBLE, UNBOUND], tagged(1, 3), cat(&[&u64le(0), &[0]])),
+        (E, &[DOUBLE, UNBOUND], tagged(1, 3), vec![0]),
         (0, &[], b"echo".to_vec(), b"echo".to_vec()),
     ];
     for (i, (flags, chain, args, want)) in cases.iter().enumerate() {
         let got = rig.publish(i as u64 + 1, *flags, chain, args);
         assert_eq!(&got, want, "case {i}: flags {flags:#x}, chain {chain:?}");
     }
-    // Every case naming GUARDED ran it, except the two rejections.
-    assert_eq!(rig.guarded_runs.load(Ordering::Relaxed), 7);
-    assert_eq!(rig.server.stats().wrong_epoch, 2);
+    // Every case naming GUARDED ran it, except the rejection.
+    assert_eq!(rig.guarded_runs.load(Ordering::Relaxed), 5);
+    assert_eq!(rig.server.stats().wrong_epoch, 1);
 }
 
 #[test]
@@ -142,16 +131,16 @@ fn batches_ignore_the_single_call_flags() {
     let (len8, len0) = (8u32.to_le_bytes(), 0u32.to_le_bytes());
     let want = cat(&[&3u32.to_le_bytes(), &len8, &u64le(2), &len8, &u64le(4), &len0]);
     assert_eq!(rig.publish(1, FLAG_BATCH, &[], &encode_batch(&calls)), want);
-    assert_eq!(rig.publish(2, FLAG_BATCH | E | S, &[], &encode_batch(&calls)), want);
+    assert_eq!(rig.publish(2, FLAG_BATCH | E, &[], &encode_batch(&calls)), want);
     assert_eq!(rig.publish(3, FLAG_BATCH, &[], &encode_batch(&[])), len0);
 }
 
 #[test]
 fn dedup_republishes_the_framed_bytes_verbatim() {
     let rig = Rig::new();
-    let flags = FLAG_IDEMPOTENT | E | S;
+    let flags = FLAG_IDEMPOTENT | E;
     let first = rig.publish(1, flags, &[GUARDED], &tagged(EPOCH, 41));
-    assert_eq!(first, cat(&[&u64le(VERSION), &[0], &u64le(42)]));
+    assert_eq!(first, cat(&[&[0], &u64le(42)]));
     // The retransmission of the same request id is answered from the cache.
     assert_eq!(rig.publish(1, flags, &[GUARDED], &tagged(EPOCH, 41)), first);
     assert_eq!(rig.guarded_runs.load(Ordering::Relaxed), 1, "a duplicate never re-executes");

@@ -37,7 +37,7 @@ use hcl_rpc::client::RpcClient;
 use hcl_rpc::coalesce::{CoalesceConfig, CoalesceSnapshot, CoalescedFuture, Coalescer};
 use hcl_rpc::deadline::{DeadlineThread, Deadlines};
 use hcl_rpc::server::{RpcServer, ServerConfig, ServerStatsSnapshot};
-use hcl_rpc::{FnId, RetryPolicy, RpcRegistry, RpcResult, Tag};
+use hcl_rpc::{FnId, RetryPolicy, RpcRegistry, RpcResult};
 use hcl_telemetry::{CoalesceMetrics, RpcMetrics, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use parking_lot::{Condvar, Mutex};
 
@@ -472,26 +472,25 @@ impl Rank {
         A: DataBox,
         R: DataBox,
     {
-        Ok(self.invoke_tagged(server, fn_id, Tag::default(), args)?.1)
+        self.invoke_tagged(server, fn_id, None, args)
     }
 
-    /// [`Rank::invoke`] tagged with `tag` ([`RpcClient::invoke_tagged`]):
-    /// the caller's ownership epoch, the partition-version stamp, or both.
-    /// Returns `(stamp, value)`; a stale epoch surfaces as
+    /// [`Rank::invoke`] tagged with the caller's ownership `epoch`
+    /// ([`RpcClient::invoke_tagged`]); a stale epoch surfaces as
     /// [`hcl_rpc::RpcError::WrongEpoch`].
     pub fn invoke_tagged<A, R>(
         &self,
         server: EpId,
         fn_id: FnId,
-        tag: Tag,
+        epoch: Option<u64>,
         args: &A,
-    ) -> RpcResult<(u64, R)>
+    ) -> RpcResult<R>
     where
         A: DataBox,
         R: DataBox,
     {
         self.coalescer.flush(server);
-        self.client.invoke_tagged(server, fn_id, tag, args)
+        self.client.invoke_tagged(server, fn_id, epoch, args)
     }
 
     /// Stage an asynchronous remote invocation on the coalescer: it rides a

@@ -530,7 +530,7 @@ pub struct CacheMetrics {
     pub lease_grants: Arc<Counter>,
     /// Entries dropped because their lease deadline passed.
     pub stale_expired: Arc<Counter>,
-    /// Entries dropped by a piggybacked partition-version mismatch.
+    /// Live entries dropped by a write of their key through the same handle.
     pub stale_version: Arc<Counter>,
     /// Entries dropped by an ownership-epoch bump.
     pub stale_epoch: Arc<Counter>,

@@ -104,9 +104,12 @@ check-races-soak schedules="2000":
         cargo test -p conc-check --test races -- --ignored --nocapture
 
 # Record real multi-rank container histories and replay them through the
-# Wing-Gong linearizability checker.
+# Wing-Gong linearizability checker, then 1 000 rounds of the lease soak
+# (cached reads over many overlapping histories must stay inside the
+# checker's budget).
 check-lin:
     cargo test --release --features history --test linearizability
+    HCL_LIN_SOAK_ITERS=1000 cargo test --release --features history --test linearizability -- --ignored lease_soak_many_seeds
 
 # Seeded linearizability soak over the workload driver's zipfian mixed-op
 # histories. `HCL_LIN_SEED` pins the base seed, `HCL_LIN_SOAK_ITERS` the
