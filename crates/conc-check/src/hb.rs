@@ -609,7 +609,9 @@ fn cell_event(kind: EvKind, addr: usize) {
 /// In default builds every method is a zero-cost passthrough. Under
 /// `--cfg conc_check` (or this crate's own tests), accesses report to the
 /// happens-before checker, which fails the schedule when a read or write is
-/// not ordered after the conflicting access by a real synchronization edge.
+/// not ordered after the conflicting access by a real synchronization edge,
+/// or when it lands in memory the epoch shim has reclaimed
+/// ([`crate::quarantine`]).
 ///
 /// The wrapper does not add any synchronization of its own: callers remain
 /// responsible for exclusivity, exactly as with a bare `UnsafeCell`.
@@ -659,6 +661,8 @@ impl<T> RaceCell<T> {
     pub unsafe fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         #[cfg(any(conc_check, test))]
         if std::mem::size_of::<T>() != 0 {
+            crate::sched::point(crate::sched::Point::Preemptive);
+            crate::quarantine::check(self.inner.get() as usize);
             cell_event(EvKind::CellRead, self.inner.get() as usize);
         }
         // SAFETY: exclusivity is the caller's contract (see above).
@@ -675,6 +679,8 @@ impl<T> RaceCell<T> {
     pub unsafe fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         #[cfg(any(conc_check, test))]
         if std::mem::size_of::<T>() != 0 {
+            crate::sched::point(crate::sched::Point::Preemptive);
+            crate::quarantine::check(self.inner.get() as usize);
             cell_event(EvKind::CellWrite, self.inner.get() as usize);
         }
         // SAFETY: exclusivity is the caller's contract (see above).

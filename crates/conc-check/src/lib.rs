@@ -26,7 +26,9 @@
 //!    `Ordering`*, mutex acquire/release, and spawn/join, and any value
 //!    consumed without a genuine synchronizes-with edge fails the schedule
 //!    as an ordering race (replayable via `HCL_SCHED_SEED`). [`RaceCell`]
-//!    extends the audit to the containers' unsafe non-atomic shared slots.
+//!    extends the audit to the containers' unsafe non-atomic shared slots,
+//!    and, under `--cfg conc_check`, `quarantine` fails any of those
+//!    accesses that lands in memory the epoch shim has reclaimed.
 //!
 //! The static fifth leg of the toolkit — the `SAFETY:`/`ORDERING:`/epoch
 //! lint — lives in the workspace `xtask` binary, not here; the `ORDERING:`
@@ -36,6 +38,8 @@
 pub mod hb;
 pub mod history;
 pub mod lin;
+#[cfg(any(conc_check, test))]
+pub mod quarantine;
 pub mod sched;
 pub mod spec;
 pub mod sync;

@@ -131,13 +131,16 @@ thread_local! {
     static CURRENT: RefCell<Option<(Arc<SchedInner>, TaskId)>> = const { RefCell::new(None) };
 }
 
+/// The calling task. `None` outside a schedule, including in thread-local
+/// destructors that run after `CURRENT` is gone (a facade atomic touched
+/// there is a plain atomic).
 fn current() -> Option<(Arc<SchedInner>, TaskId)> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|(a, id)| (Arc::clone(a), *id)))
+    CURRENT.try_with(|c| c.borrow().as_ref().map(|(a, id)| (Arc::clone(a), *id))).ok().flatten()
 }
 
 /// True when the calling thread is a task inside a [`run_one`] schedule.
 pub fn in_schedule() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
+    CURRENT.try_with(|c| c.borrow().is_some()).unwrap_or(false)
 }
 
 /// Emit a scheduling point. No-op outside a schedule, so facade types stay
@@ -406,12 +409,17 @@ where
                     if !i2.wait_until_active(id) {
                         // Schedule aborted before we ever ran.
                         i2.finish(id, None);
+                        CURRENT.with(|c| *c.borrow_mut() = None);
                         return;
                     }
                     let out = catch_unwind(AssertUnwindSafe(f));
                     let panic_msg = out.as_ref().err().map(|p| panic_message(p.as_ref()));
                     *r2.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
                     i2.finish(id, panic_msg);
+                    // A finished task leaves the schedule before its thread
+                    // exits: the thread-local destructors that run next may
+                    // touch facade atomics, and must not schedule.
+                    CURRENT.with(|c| *c.borrow_mut() = None);
                 })
                 .expect("spawn conc-check task thread");
             JoinHandle { imp: JoinImp::Sched { inner, id, result, os: Some(os) } }

@@ -16,8 +16,12 @@
 //!   alternate bucket before giving up and resizing;
 //! * **in-place resize** — the table doubles when the load factor crosses
 //!   [`LOAD_FACTOR`] (0.75 in the paper), moving entry pointers (not data).
+//!
+//! The two hash functions are fixed, not drawn per process: how often
+//! displacement fails, and so when and how far the table grows, then repeats
+//! from one run to the next, and with it the map's memory and cache footprint.
 
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::hash::{BuildHasher, DefaultHasher, Hash, Hasher};
 
 use conc_check::sync::{AtomicUsize, Mutex, MutexGuard, Ordering};
 use conc_check::RaceCell;
@@ -87,14 +91,36 @@ impl<K, V> Table<K, V> {
     }
 }
 
+/// One of the map's two hash functions: SipHash keyed by a fixed prefix.
+/// Unlike `RandomState` it is the same in every process, so one key stream
+/// always builds the same table.
+#[derive(Clone)]
+struct Seeded(DefaultHasher);
+
+impl Seeded {
+    fn new(seed: u64) -> Self {
+        let mut h = DefaultHasher::new();
+        h.write_u64(seed);
+        Seeded(h)
+    }
+}
+
+impl BuildHasher for Seeded {
+    type Hasher = DefaultHasher;
+
+    fn build_hasher(&self) -> DefaultHasher {
+        self.0.clone()
+    }
+}
+
 /// A concurrent hash map with lock-free reads and striped-lock writers.
 pub struct CuckooMap<K, V> {
     table: Atomic<Table<K, V>>,
     stripes: Box<[Mutex<()>]>,
     resize_lock: Mutex<()>,
     len: AtomicUsize,
-    h1: RandomState,
-    h2: RandomState,
+    h1: Seeded,
+    h2: Seeded,
 }
 
 // SAFETY: entries are shared across threads through epoch-protected atomic
@@ -132,8 +158,8 @@ where
             stripes: (0..STRIPES).map(|_| Mutex::new(())).collect(),
             resize_lock: Mutex::new(()),
             len: AtomicUsize::new(0),
-            h1: RandomState::new(),
-            h2: RandomState::new(),
+            h1: Seeded::new(1),
+            h2: Seeded::new(2),
         }
     }
 
@@ -158,15 +184,11 @@ where
     }
 
     fn hash1(&self, key: &K) -> u64 {
-        let mut h = self.h1.build_hasher();
-        key.hash(&mut h);
-        h.finish()
+        self.h1.hash_one(key)
     }
 
     fn hash2(&self, key: &K) -> u64 {
-        let mut h = self.h2.build_hasher();
-        key.hash(&mut h);
-        h.finish()
+        self.h2.hash_one(key)
     }
 
     fn bucket_pair(&self, t: &Table<K, V>, key: &K) -> (usize, usize) {
@@ -623,6 +645,23 @@ mod tests {
         for i in 0..1_000u64 {
             assert_eq!(m.get(&i), Some(i * 2), "key {i} lost in resize");
         }
+    }
+
+    #[test]
+    fn one_key_stream_always_builds_the_same_table() {
+        // Where displacement fails, and so when and how far the table grows,
+        // follows from the two hash functions: fixed ones make it the same
+        // for every map of one key stream, in this process and the next.
+        let sizes: Vec<usize> = (0..8)
+            .map(|_| {
+                let m = CuckooMap::new();
+                for i in 0..20_000u64 {
+                    m.insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), ());
+                }
+                m.buckets()
+            })
+            .collect();
+        assert!(sizes.windows(2).all(|w| w[0] == w[1]), "bucket counts {sizes:?}");
     }
 
     #[test]

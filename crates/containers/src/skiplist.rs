@@ -16,10 +16,15 @@
 //!   lock-free priority-queue pop.
 //! * Values live behind their own atomic pointer so `insert` on an existing
 //!   key is a lock-free value swap.
-//! * Reclamation: each node tracks how many levels it is currently linked
-//!   at; the unlink that drops the count to zero defers destruction through
-//!   the crossbeam epoch scheme. Nodes are therefore never freed while any
-//!   level still reaches them.
+//! * Reclamation: each node counts the levels it is linked at, plus one
+//!   held by its inserting thread until that thread stops linking. The
+//!   release that drops the count to zero retires the node through the
+//!   crossbeam epoch scheme, so a node is never freed while any level still
+//!   reaches it, nor relinked after it was retired.
+//! * One retirer per pointer: the thread whose read-modify-write takes a
+//!   pointer out of a cell retires it. A value replace's CAS takes the old
+//!   value out, so the replacer retires it, even when a remove races it; the
+//!   value a node holds last is never taken out, and is freed with the node.
 
 use conc_check::sync::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use conc_check::RaceCell;
@@ -32,10 +37,12 @@ const MAX_HEIGHT: usize = 16;
 struct Node<K, V> {
     key: K,
     /// The pointee is a `RaceCell` so the happens-before checker audits
-    /// every value read against the publication edge that released it.
+    /// every value read against the publication edge that released it. The
+    /// node owns the value it holds: `Drop` frees it.
     value: Atomic<RaceCell<V>>,
-    /// Levels currently linked (1 after the level-0 publish). The unlink
-    /// that brings this to 0 frees the node.
+    /// Levels currently linked, plus one for the inserting thread while it
+    /// links (2 after the level-0 publish). The release that brings this to
+    /// 0 retires the node.
     links: AtomicUsize,
     height: usize,
     tower: [Atomic<Node<K, V>>; MAX_HEIGHT],
@@ -46,10 +53,25 @@ impl<K, V> Node<K, V> {
         Owned::new(Node {
             key,
             value: Atomic::from(value.as_raw() as *const RaceCell<V>),
-            links: AtomicUsize::new(1),
+            links: AtomicUsize::new(2),
             height,
             tower: Default::default(),
         })
+    }
+}
+
+impl<K, V> Drop for Node<K, V> {
+    fn drop(&mut self) {
+        // SAFETY: `&mut self` means no other thread can reach the node, so
+        // none can reach the value it holds last: replaced values left the
+        // cell through their replacer's CAS, which retired them.
+        unsafe {
+            let guard = epoch::unprotected();
+            let val = self.value.load(Ordering::Relaxed, guard);
+            if !val.is_null() {
+                drop(val.into_owned());
+            }
+        }
     }
 }
 
@@ -135,25 +157,23 @@ where
         ((x.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
     }
 
-    /// Decrement a node's link count after a successful unlink at one level;
-    /// free the node (and its value) when it reaches zero.
+    /// Drop one of a node's link references; retire the node (and with it
+    /// the value it holds) when none is left.
     ///
     /// # Safety
     /// The caller must have just won the CAS that unlinked `node` at one
-    /// level (each unlink may release exactly once), and `node` must still
-    /// be protected by `guard`.
+    /// level, or be the inserting thread giving up its linking reference;
+    /// each may release exactly once. `node` must still be protected by
+    /// `guard`.
     unsafe fn release_link(node: Shared<'_, Node<K, V>>, guard: &Guard) {
         // SAFETY: `node` is protected by `guard` per this fn's contract.
         let n = unsafe { node.deref() };
         if n.links.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let val = n.value.load(Ordering::Acquire, guard);
-            // SAFETY: the count hit zero, so ours was the last link — no
-            // future traversal can reach the node; defer_destroy waits out
-            // current guards, after which node and value are freed once.
-            unsafe {
-                guard.defer_destroy(val);
-                guard.defer_destroy(node);
-            }
+            // SAFETY: the count hit zero: no level links the node and its
+            // inserter stopped linking, so no future traversal can reach it
+            // and nothing relinks it; ours is the one release that saw zero.
+            // defer_destroy waits out current guards.
+            unsafe { guard.defer_destroy(node) };
         }
     }
 
@@ -271,16 +291,19 @@ where
                     ) {
                         Ok(_) => {
                             if n.tower[0].load(Ordering::Acquire, guard).tag() == 1 {
-                                // Lost to a concurrent remove: our value will
-                                // die with the node. Re-insert fresh; the old
-                                // value now belongs to the remover's claim.
+                                // Lost to a concurrent remove: our value dies
+                                // with the node. Re-insert fresh.
+                                // SAFETY: our CAS took `old` out of the cell,
+                                // so this thread is its one retirer; the node
+                                // frees only the value it holds last.
+                                unsafe { guard.defer_destroy(old) };
                                 continue 'outer;
                             }
                             // SAFETY: `old` was the node's live value until
                             // our CAS; values are never null for live nodes.
                             let prev = unsafe { old.deref().with(V::clone) };
-                            // SAFETY: our winning CAS unlinked `old`, making
-                            // this thread its unique retirer.
+                            // SAFETY: our winning CAS took `old` out of the
+                            // cell, making this thread its unique retirer.
                             unsafe { guard.defer_destroy(old) };
                             return Some(prev);
                         }
@@ -313,14 +336,10 @@ where
                 )
                 .is_err()
             {
-                // Lost the publish race; free the speculative node + value.
-                // SAFETY: the node was never published, so we still own it
-                // exclusively; the value pointer is retired via the guard
-                // because `value` was cloned into it.
-                unsafe {
-                    guard.defer_destroy(value_ptr);
-                    drop(node_shared.into_owned());
-                }
+                // Lost the publish race; free the speculative node, and with
+                // it the value it holds.
+                // SAFETY: neither was ever published, so we still own both.
+                unsafe { drop(node_shared.into_owned()) };
                 continue 'outer;
             }
             // ORDERING: Relaxed — `len` is a statistic; a racing remover may
@@ -378,6 +397,9 @@ where
                 last_set = Shared::null();
                 // (each level starts from our null/previous pointer)
             }
+            // SAFETY: this thread inserted the node and stops linking here,
+            // giving up its linking reference once; the pin protects it.
+            unsafe { Self::release_link(node_shared, guard) };
             return None;
         }
     }
@@ -617,18 +639,10 @@ impl<K, V> Drop for SkipListMap<K, V> {
         }
         for &addr in &seen {
             let node: Shared<'_, Node<K, V>> = Shared::from(addr as *const Node<K, V>);
-            // SAFETY: `addr` came from the reachability walk above, so it is a
-            // valid, still-allocated node pointer.
-            let c = unsafe { node.deref() };
-            let val = c.value.load(Ordering::Relaxed, guard);
-            // SAFETY: `seen` holds each node address exactly once, so each
-            // node (and its value, if still attached) is freed exactly once.
-            unsafe {
-                if !val.is_null() {
-                    drop(val.into_owned());
-                }
-                drop(node.into_owned());
-            }
+            // SAFETY: `addr` came from the reachability walk above and `seen`
+            // holds it once, so each node (and, through its `Drop`, the value
+            // it holds) is freed exactly once.
+            unsafe { drop(node.into_owned()) };
         }
     }
 }

@@ -59,7 +59,10 @@ lint:
 
 # Deterministic schedule exploration: rebuild the lock-free containers with
 # the `conc_check` atomics facade and race them through >= 1000 distinct
-# seeded schedules per test (fixed seeds; failures print a replay seed).
+# seeded schedules per test (fixed seeds; failures print a replay seed). The
+# `reclaim_*` cases explore the epoch reclamation itself (pin vs advance vs
+# free, with freed addresses quarantined), with a planted use after free as
+# their negative control.
 check-conc:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -102,6 +105,16 @@ check-races-soak schedules="2000":
     export CARGO_TARGET_DIR=target/conc
     HCL_RACE_SCHEDULES={{schedules}} \
         cargo test -p conc-check --test races -- --ignored --nocapture
+
+# AddressSanitizer, LeakSanitizer on, over the epoch shim and the
+# containers: a use after free, a double free, or a retired node that is
+# never freed fails it. `--target` keeps build scripts uninstrumented. The
+# RSS test (`flat_memory`) is left out: ASan holds freed memory in its own
+# quarantine, so RSS there measures ASan, not the containers.
+check-asan:
+    RUSTFLAGS="-Zsanitizer=address" CARGO_TARGET_DIR=target/asan \
+        cargo +nightly test --offline -p crossbeam -p hcl-containers --lib --test reclamation \
+        --target x86_64-unknown-linux-gnu
 
 # Record real multi-rank container histories and replay them through the
 # Wing-Gong linearizability checker, then 1 000 rounds of the lease soak
@@ -168,5 +181,5 @@ crash-soak iters="3" seed="12648430":
 # and the idle-world CPU and thread-count guard included — `test-faults`,
 # `test-membership` and `test-persist` are shortcuts into subsets of it),
 # the xtask lint, crash soak, schedule exploration, race checking,
-# linearizability histories, and the hclbench harness.
-ci: build test lint crash-soak check-conc check-races check-lin bench-smoke
+# linearizability histories, AddressSanitizer, and the hclbench harness.
+ci: build test lint crash-soak check-conc check-races check-lin check-asan bench-smoke

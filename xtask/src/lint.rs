@@ -20,7 +20,8 @@
 //!    `unsafe` at all is reported as stale (the unsafe code was removed or
 //!    moved, the justification stayed behind).
 //! 2. **ORDERING** — in `crates/containers`, `crates/mem`, `crates/rpc`,
-//!    `crates/telemetry` and `crates/bench`, every *mutating* atomic access
+//!    `crates/telemetry`, `crates/bench` and `shims/crossbeam` (the epoch
+//!    reclamation the containers stand on), every *mutating* atomic access
 //!    (`store`, `swap`, `fetch_*`, `compare_exchange*`) that uses
 //!    `Ordering::Relaxed` must carry an `// ORDERING:` comment above the
 //!    statement explaining why relaxed is enough. Plain loads are exempt;
@@ -87,6 +88,7 @@ const ORDERING_PATHS: &[&str] = &[
     "crates/rpc/",
     "crates/telemetry/",
     "crates/bench/",
+    "shims/crossbeam/",
 ];
 
 /// Path fragments exempt from the EPOCH rule (the shim defines the API).
@@ -1047,6 +1049,17 @@ mod tests {
         let bad = "fn f(a: &AtomicUsize) {\n    a.fetch_add(1, Ordering::Relaxed);\n}\n";
         assert_eq!(rules("crates/telemetry/src/x.rs", bad), vec![Rule::Ordering]);
         assert_eq!(rules("crates/bench/src/x.rs", bad), vec![Rule::Ordering]);
+    }
+
+    #[test]
+    fn the_epoch_shim_is_a_covered_path() {
+        let bad = "fn f(a: &AtomicUsize) {\n    a.store(0, Ordering::Relaxed);\n}\n";
+        assert_eq!(rules("shims/crossbeam/src/epoch.rs", bad), vec![Rule::Ordering]);
+        // Negative control: the annotated store is clean there too.
+        let ok = "fn f(a: &AtomicUsize) {\n    // ORDERING: Relaxed — a hint only.\n    a.store(0, Ordering::Relaxed);\n}\n";
+        assert!(rules("shims/crossbeam/src/epoch.rs", ok).is_empty());
+        // The other shims stay outside the rule.
+        assert!(rules("shims/parking_lot/src/lib.rs", bad).is_empty());
     }
 
     #[test]
