@@ -19,10 +19,9 @@
 //!   points (`sync` at an explicit owner, `sync_keyed`, `dispatch_async`,
 //!   `bulk`), each taking its arguments owned or borrowed, the two
 //!   synchronous ones over one body;
-//! * downed-rank graceful degradation ([`DownedRegistry`]): any degradable
-//!   op against a marked-down owner fails fast with
-//!   [`HclError::OwnerDown`] instead of hanging — replica reads opt out so
-//!   failover keeps working;
+//! * downed-rank graceful degradation ([`DownedRegistry`]): any op against
+//!   a marked-down owner fails fast with [`HclError::OwnerDown`] instead of
+//!   hanging;
 //! * metering: every op's Table I cost and, when the rank runs with
 //!   telemetry, its outcome counters, its latency in two histograms (its
 //!   locality and its op) and its flight events, through the handle's one
@@ -39,6 +38,7 @@
 //! constructors and its own ops (DESIGN.md §10 has the walkthrough).
 
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,10 +104,6 @@ pub struct OpDescriptor {
     pub fn_off: u32,
     /// Client-side Table I cost signature of the local bypass.
     pub cost: CostSig,
-    /// Degradable ops fail fast with [`HclError::OwnerDown`] when the owner
-    /// is marked down. Replica reads and replication control set this to
-    /// `false` so failover paths still reach their (possibly marked) hosts.
-    pub degradable: bool,
 }
 
 /// How a remote op was issued — determines the `F`-term classification.
@@ -350,7 +346,7 @@ impl<'a> Dispatcher<'a> {
         self.rank.world().config().ep_of(owner)
     }
 
-    /// Mark `owner_rank` as failed: degradable ops against it fail fast.
+    /// Mark `owner_rank` as failed: ops against it fail fast.
     pub fn mark_down(&self, owner_rank: u32) {
         self.downed.mark_down(owner_rank);
     }
@@ -372,13 +368,13 @@ impl<'a> Dispatcher<'a> {
         self.downed.epoch()
     }
 
-    /// Graceful-degradation gate: degradable ops against a downed owner
-    /// return [`HclError::OwnerDown`] without touching memory or fabric.
+    /// Graceful-degradation gate: ops against a downed owner return
+    /// [`HclError::OwnerDown`] without touching memory or fabric.
     /// The rejection is the op's one metered outcome — no issue, no
     /// completion.
     #[inline]
     fn gate(&self, ev: &OpEvent<'_>) -> HclResult<()> {
-        if ev.op.degradable && self.downed.is_down(ev.owner) {
+        if self.downed.is_down(ev.owner) {
             self.meter.owner_down(ev);
             return Err(HclError::OwnerDown(ev.owner));
         }
@@ -435,7 +431,7 @@ impl<'a> Dispatcher<'a> {
         let res = self.rank.invoke_tagged(self.ep(ev.owner), fn_id, tag, args.wire());
         if let Err(RpcError::WrongEpoch { sent, current }) = res {
             if let OwnerMap::Live(m) = &self.owners {
-                m.counters().wrong_epoch_rejects.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                m.counters().wrong_epoch_rejects.fetch_add(1, Ordering::Relaxed);
             }
             return Err((args, local, HclError::WrongEpoch { sent, current }));
         }
@@ -619,70 +615,81 @@ impl Recording {
     }
 }
 
-/// Server-side write forwarder of one shard: replica writes (§III-A4) and
-/// the live-migration window's dual-applies leave, asynchronously, through
-/// the forward client of the shard's host rank
-/// ([`WorldShared::forward_client`]); the forwarder keeps their futures.
-/// Lives here so container modules contain no direct RPC-client calls (the
-/// `xtask lint` DISPATCH rule enforces that).
-#[derive(Default)]
-pub(crate) struct ReplForwarder {
+/// Server-side write forwarder of one shard: the live-migration window's
+/// dual-applies leave, asynchronously, through the forward client of the
+/// shard's host rank ([`WorldShared::forward_client`]); the forwarder keeps
+/// their futures, and counts every forward that fails — to send or to be
+/// acknowledged — on the membership's `forward_failures` and on its own
+/// tally, which [`Forwarder::flush`] reports. Lives here so container modules
+/// contain no direct RPC-client calls (the `xtask lint` DISPATCH rule
+/// enforces that).
+pub(crate) struct Forwarder {
+    world: Arc<WorldShared>,
+    home: u32,
+    /// What every forward invokes at its target.
+    fn_id: FnId,
     outstanding: Mutex<Vec<RawFuture>>,
+    /// Forwards that failed since the last [`Forwarder::flush`].
+    failed: AtomicU64,
 }
 
-/// Bound on retained replication futures: a put-heavy partition that never
-/// calls `flush` must not accumulate futures (and their client slots)
-/// without limit. Past the cap, [`ReplForwarder::forward`] block-waits the
-/// oldest forward before issuing new ones.
-const REPL_OUTSTANDING_CAP: usize = 1024;
+/// Bound on retained forward futures: a put-heavy window that never calls
+/// `flush` must not accumulate futures (and their client slots) without
+/// limit. Past the cap, [`Forwarder::forward`] block-waits the oldest
+/// forward before issuing new ones.
+const OUTSTANDING_CAP: usize = 1024;
 
-impl ReplForwarder {
-    /// Drain completed forwards (consume, not drop, so responses and client
-    /// slots are reclaimed) and block past the outstanding cap.
-    fn reclaim(outstanding: &mut Vec<RawFuture>) {
+impl Forwarder {
+    /// The forwarder of the shard hosted on `home`, invoking `fn_id`.
+    pub(crate) fn new(world: Arc<WorldShared>, home: u32, fn_id: FnId) -> Self {
+        Forwarder { world, home, fn_id, outstanding: Mutex::default(), failed: AtomicU64::new(0) }
+    }
+
+    /// Count one failed forward.
+    fn fail(&self) {
+        self.failed.fetch_add(1, Ordering::Relaxed);
+        self.world.membership().counters().forward_failures.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Consume one forward's result (not drop it, so its response and client
+    /// slot are reclaimed).
+    fn settle(&self, f: RawFuture) {
+        if f.wait().is_err() {
+            self.fail();
+        }
+    }
+
+    /// Forward one encoded mutation to `target`. The invocation future is
+    /// retained for [`Forwarder::flush`]; completed ones are settled first,
+    /// and past the outstanding cap the oldest in flight is waited for.
+    pub(crate) fn forward(&self, target: u32, encoded: &[u8]) {
+        let client = self.world.forward_client(self.home);
+        let mut outstanding = self.outstanding.lock();
         let mut i = 0;
         while i < outstanding.len() {
             if outstanding[i].is_ready() {
-                let f = outstanding.swap_remove(i);
-                let _ = f.wait();
+                self.settle(outstanding.swap_remove(i));
             } else {
                 i += 1;
             }
         }
-        // Backpressure: past the cap, retire the oldest in-flight forward
-        // before adding more.
-        while outstanding.len() >= REPL_OUTSTANDING_CAP {
-            let f = outstanding.remove(0);
-            let _ = f.wait();
+        while outstanding.len() >= OUTSTANDING_CAP {
+            self.settle(outstanding.remove(0));
+        }
+        match client.invoke_raw(self.world.config().ep_of(target), self.fn_id, encoded) {
+            Ok(f) => outstanding.push(f),
+            Err(_) => self.fail(),
         }
     }
 
-    /// Forward one encoded mutation from host rank `home` to each rank of
-    /// `targets`. Invocation futures are retained for
-    /// [`ReplForwarder::flush`].
-    pub(crate) fn forward(
-        &self,
-        world: &WorldShared,
-        home: u32,
-        targets: impl IntoIterator<Item = u32>,
-        fn_id: FnId,
-        encoded: &[u8],
-    ) {
-        let client = world.forward_client(home);
-        let mut outstanding = self.outstanding.lock();
-        Self::reclaim(&mut outstanding);
-        for target in targets {
-            if let Ok(f) = client.invoke_raw(world.config().ep_of(target), fn_id, encoded) {
-                outstanding.push(f);
-            }
-        }
-    }
-
-    /// Await every outstanding replication forward.
-    pub(crate) fn flush(&self) {
+    /// Await every outstanding forward; an error says how many forwards
+    /// failed since the last flush.
+    pub(crate) fn flush(&self) -> Result<(), String> {
         let futures: Vec<RawFuture> = std::mem::take(&mut *self.outstanding.lock());
-        for f in futures {
-            let _ = f.wait();
+        futures.into_iter().for_each(|f| self.settle(f));
+        match self.failed.swap(0, Ordering::Relaxed) {
+            0 => Ok(()),
+            n => Err(format!("{n} forwarded writes from rank {} failed", self.home)),
         }
     }
 }

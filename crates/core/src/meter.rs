@@ -198,8 +198,7 @@ mod tests {
         name: "queue.push",
         fn_off: 0,
         cost: CostSig::lrw(1, 0, 1),
-        degradable: true,
-    };
+        };
 
     /// Retry exhaustion needs a lossy fabric to reach end to end
     /// (`tests/fault_injection.rs` has that run); the meter's half of it is

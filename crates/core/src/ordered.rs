@@ -39,19 +39,16 @@ static FIRST: OpDescriptor = OpDescriptor {
     name: "omap.first",
     fn_off: FN_FIRST,
     cost: CostSig::ZERO,
-    degradable: true,
 };
 static RANGE: OpDescriptor = OpDescriptor {
     name: "omap.range",
     fn_off: FN_RANGE,
     cost: CostSig::ZERO,
-    degradable: true,
 };
 static RESIZE: OpDescriptor = OpDescriptor {
     name: "omap.resize",
     fn_off: FN_RESIZE,
     cost: CostSig::ZERO,
-    degradable: true,
 };
 
 impl<K, V> KeyedStore<K, V> for SkipListMap<K, V>
@@ -86,11 +83,6 @@ pub struct OrderedConfig {
     pub servers: Option<Vec<u32>>,
     /// Hybrid access model toggle.
     pub hybrid: bool,
-    /// Asynchronous replication factor (0 = off). Each partition forwards
-    /// its mutations to the next `replicas` partition owners, and `get`s
-    /// against a marked-down owner are served from the replica — the same
-    /// degraded-read contract as [`crate::UnorderedMap`].
-    pub replicas: usize,
     /// Durability: when set, every partition appends its mutations to a
     /// segmented write-ahead log under the config's directory and replays
     /// it on (re)construction — same subsystem and guarantees as
@@ -100,7 +92,7 @@ pub struct OrderedConfig {
 
 impl Default for OrderedConfig {
     fn default() -> Self {
-        OrderedConfig { servers: None, hybrid: true, replicas: 0, persist: None }
+        OrderedConfig { servers: None, hybrid: true, persist: None }
     }
 }
 
@@ -119,7 +111,6 @@ impl<'a, K: Key + Ord, V: Val> OrderedMap<'a, K, V> {
             servers: cfg.servers,
             hybrid: cfg.hybrid,
             persist: cfg.persist,
-            replicas: cfg.replicas,
             lease: None,
         };
         KeyedContainer::open(rank, &OPS, name, spec, EXTRA_FNS, SkipListMap::new, |b| {

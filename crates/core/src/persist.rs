@@ -20,6 +20,7 @@ use hcl_databox::{DataBox, Reader};
 use hcl_rpc::deadline::{Deadline, DeadlineJob, Deadlines};
 use hcl_rpc::server::{defer_to_ack_scope, poison_ack_scope, AckBarrier};
 use hcl_telemetry::{EventKind, FlightEvent, Outcome};
+use parking_lot::{RwLock, RwLockReadGuard};
 
 pub use hcl_persist::{
     PersistConfig, PersistMetrics, ReplayReport, SyncPolicy, Wal, WalRecord, DEFAULT_SEGMENT_BYTES,
@@ -101,6 +102,10 @@ pub(crate) struct ShardLog<Rec> {
     /// Stands in for an RPC identity when a mutation is applied off a NIC
     /// worker.
     local_seq: AtomicU64,
+    /// The compaction gate: a mutation holds it for read across its append
+    /// and its apply ([`ShardLog::hold`]), [`ShardLog::compact`] for write
+    /// across its scan and its seal.
+    gate: RwLock<()>,
     _rec: PhantomData<fn(Rec)>,
 }
 
@@ -153,7 +158,8 @@ impl<Rec: DataBox> ShardLog<Rec> {
             let deadline = Deadline::new(Arc::clone(deadlines));
             Arc::new(RelaxedGap { wal: Arc::clone(&wal), interval, deadline })
         });
-        Ok(ShardLog { wal, barrier, gap, home, local_seq: AtomicU64::new(0), _rec: PhantomData })
+        let (local_seq, gate) = (AtomicU64::new(0), RwLock::new(()));
+        Ok(ShardLog { wal, barrier, gap, home, local_seq, gate, _rec: PhantomData })
     }
 
     /// Log one mutation under the ambient request identity (RPC worker) or
@@ -220,13 +226,20 @@ impl<Rec: DataBox> ShardLog<Rec> {
         }
     }
 
-    /// Replace the log's history with the snapshot `live` (compaction: used
-    /// after the live structure has absorbed the log).
-    pub(crate) fn compact<'a>(&self, live: impl Iterator<Item = &'a Rec>) -> std::io::Result<()>
-    where
-        Rec: 'a,
-    {
-        self.wal.compact(live.map(|rec| (0u16, |buf: &mut Vec<u8>| rec.pack(buf))))
+    /// Hold off compaction for one mutation: its append and its apply, in
+    /// either order, happen while the guard lives.
+    pub(crate) fn hold(&self) -> RwLockReadGuard<'_, ()> {
+        self.gate.read()
+    }
+
+    /// Replace the log's history with the snapshot `live` takes of the live
+    /// structure (compaction). No mutation runs between the scan and the
+    /// seal: one that appended there would have its record deleted with the
+    /// covered segments while the snapshot lacks it.
+    pub(crate) fn compact(&self, live: impl FnOnce() -> Vec<Rec>) -> std::io::Result<()> {
+        let _quiet = self.gate.write();
+        let live = live();
+        self.wal.compact(live.iter().map(|rec| (0u16, |buf: &mut Vec<u8>| rec.pack(buf))))
     }
 
     /// The untyped WAL underneath.

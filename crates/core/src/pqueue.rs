@@ -35,13 +35,11 @@ static PEEK: OpDescriptor = OpDescriptor {
     name: "pq.peek",
     fn_off: FN_PEEK,
     cost: CostSig::lrw(1, 1, 0),
-    degradable: true,
 };
 static PURGE: OpDescriptor = OpDescriptor {
     name: "pq.purge",
     fn_off: FN_PURGE,
     cost: CostSig::ZERO,
-    degradable: true,
 };
 
 impl<T: Ord + Clone + Send + Sync + 'static> SeqStore<T> for SkipListPq<T> {

@@ -8,8 +8,9 @@
 //!
 //! * [`KeyedShard`] over a [`KeyedStore`] (cuckoo hash, skiplist): every
 //!   mutation is *log with recovery descriptor → apply → forward if the
-//!   vpart is migrating → replicate*; every read is taken under the strict
-//!   read fence; the live-migration write-forwarding window
+//!   vpart is migrating*, its log and apply under the log's compaction
+//!   gate; every read is taken under the strict read fence; the
+//!   live-migration write-forwarding window
 //!   (`mig_arm/begin/extract/install/apply/end`) lives here and only here,
 //!   as do the handler bindings, the construction of the per-host shards
 //!   (hosts, log open + replay, epoch gate) and the [`ShardMigrator`]. The
@@ -28,8 +29,8 @@
 //! ([`keyed_ops!`]/[`seq_ops!`] generate the common rows per prefix), its
 //! config, and one impl block on its alias with the constructors and its
 //! genuinely specific ops (DESIGN.md §10). `xtask lint`'s SHARD rule keeps
-//! it that way: logging, read fences, replication and migration forwards,
-//! compaction and `mig_*` may not appear in any other file of this crate.
+//! it that way: logging, read fences, migration forwards, compaction and
+//! `mig_*` may not appear in any other file of this crate.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -47,8 +48,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::cache::{CacheStats, LeaseCache, LeaseConfig};
 use crate::cost::CostSnapshot;
 use crate::dispatch::{
-    hist_invoke, hist_return, Dispatcher, IssueMode, OpDescriptor, OpEvent, OwnerMap,
-    ReplForwarder,
+    hist_invoke, hist_return, Dispatcher, Forwarder, IssueMode, OpDescriptor, OpEvent, OwnerMap,
 };
 #[cfg(feature = "history")]
 use crate::dispatch::Recording;
@@ -56,7 +56,7 @@ use crate::persist::{PersistConfig, ShardLog, Wal};
 use crate::queue::QueueConfig;
 use crate::rebalance::{MigratorRegistry, ShardMigrator};
 use crate::unordered::Merger;
-use crate::{default_servers, HclError, HclFuture, HclResult};
+use crate::{HclError, HclFuture, HclResult};
 
 /// Function-id offsets of the ops every keyed container serves; container-
 /// specific ops start at [`KEYED_FNS`].
@@ -66,20 +66,18 @@ pub(crate) mod kfn {
     pub const ERASE: u32 = 2;
     pub const LEN: u32 = 3;
     pub const SNAPSHOT: u32 = 4;
-    pub const REPL_PUT: u32 = 5;
-    pub const REPL_GET: u32 = 6;
-    pub const REPL_FLUSH: u32 = 7;
+    pub const FLUSH_FORWARDS: u32 = 5;
     // Live-migration control plane (see [`crate::rebalance`]). These travel
     // untagged (the driver addresses explicit ranks, not hashed owners).
-    pub const MIG_ARM: u32 = 8;
-    pub const MIG_BEGIN: u32 = 9;
-    pub const MIG_EXTRACT: u32 = 10;
-    pub const MIG_INSTALL: u32 = 11;
-    pub const MIG_APPLY: u32 = 12;
-    pub const MIG_END: u32 = 13;
+    pub const MIG_ARM: u32 = 6;
+    pub const MIG_BEGIN: u32 = 7;
+    pub const MIG_EXTRACT: u32 = 8;
+    pub const MIG_INSTALL: u32 = 9;
+    pub const MIG_APPLY: u32 = 10;
+    pub const MIG_END: u32 = 11;
 }
 /// Number of common keyed fn ids.
-pub(crate) const KEYED_FNS: u32 = 14;
+pub(crate) const KEYED_FNS: u32 = 12;
 
 /// Function-id offsets of the ops every single-partition container serves;
 /// container-specific ops start at [`SEQ_FNS`].
@@ -108,8 +106,7 @@ pub(crate) struct KeyedOps {
     pub erase: OpDescriptor,
     pub len: OpDescriptor,
     pub snapshot: OpDescriptor,
-    pub repl_get: OpDescriptor,
-    pub repl_flush: OpDescriptor,
+    pub flush_forwards: OpDescriptor,
     pub mig_arm: OpDescriptor,
     pub mig_begin: OpDescriptor,
     pub mig_extract: OpDescriptor,
@@ -134,11 +131,11 @@ pub(crate) struct SeqOps {
 }
 
 /// Build a descriptor table: one row per common op — `field: fn offset,
-/// Table I local cost, degradable;` — named `"<prefix>.<field>"`, then any
-/// further fields verbatim.
+/// Table I local cost;` — named `"<prefix>.<field>"`, then any further
+/// fields verbatim.
 macro_rules! op_table {
     ($table:ident, $fns:ident, $p:literal, {
-        $($op:ident: $off:ident, $cost:expr, $degr:literal;)*
+        $($op:ident: $off:ident, $cost:expr;)*
     } $($rest:tt)*) => {
         $crate::shard::$table {
             prefix: $p,
@@ -146,34 +143,30 @@ macro_rules! op_table {
                 name: concat!($p, ".", stringify!($op)),
                 fn_off: $crate::shard::$fns::$off,
                 cost: $cost,
-                degradable: $degr,
             },)*
             $($rest)*
         }
     };
 }
 
-/// The common keyed descriptor table for one container prefix. Replica ops
-/// are non-degradable: they are the failover path, so they must still reach
-/// hosts that back marked-down owners. Migration control ops are issued by
-/// the rebalance driver at explicit ranks, never epoch-tagged (the map
-/// mid-transition is exactly what they operate on).
+/// The common keyed descriptor table for one container prefix. Migration
+/// control ops are issued by the rebalance driver at explicit ranks, never
+/// epoch-tagged (the map mid-transition is exactly what they operate on).
 macro_rules! keyed_ops {
     ($p:literal) => {{
         use $crate::dispatch::CostSig;
         $crate::shard::op_table!(KeyedOps, kfn, $p, {
-            put:         PUT,         CostSig::lrw(1, 0, 1), true;
-            get:         GET,         CostSig::lrw(1, 1, 0), true;
-            erase:       ERASE,       CostSig::lrw(1, 0, 1), true;
-            len:         LEN,         CostSig::ZERO,         true;
-            snapshot:    SNAPSHOT,    CostSig::ZERO,         true;
-            repl_get:    REPL_GET,    CostSig::ZERO,         false;
-            repl_flush:  REPL_FLUSH,  CostSig::ZERO,         false;
-            mig_arm:     MIG_ARM,     CostSig::ZERO,         true;
-            mig_begin:   MIG_BEGIN,   CostSig::ZERO,         true;
-            mig_extract: MIG_EXTRACT, CostSig::ZERO,         true;
-            mig_install: MIG_INSTALL, CostSig::lrw(1, 0, 1), true;
-            mig_end:     MIG_END,     CostSig::ZERO,         true;
+            put:            PUT,            CostSig::lrw(1, 0, 1);
+            get:            GET,            CostSig::lrw(1, 1, 0);
+            erase:          ERASE,          CostSig::lrw(1, 0, 1);
+            len:            LEN,            CostSig::ZERO;
+            snapshot:       SNAPSHOT,       CostSig::ZERO;
+            flush_forwards: FLUSH_FORWARDS, CostSig::ZERO;
+            mig_arm:        MIG_ARM,        CostSig::ZERO;
+            mig_begin:      MIG_BEGIN,      CostSig::ZERO;
+            mig_extract:    MIG_EXTRACT,    CostSig::ZERO;
+            mig_install:    MIG_INSTALL,    CostSig::lrw(1, 0, 1);
+            mig_end:        MIG_END,        CostSig::ZERO;
         })
     }};
 }
@@ -184,13 +177,13 @@ macro_rules! seq_ops {
     ($p:literal, $push:ident, $pop:ident) => {{
         use $crate::dispatch::CostSig;
         $crate::shard::op_table!(SeqOps, sfn, $p, {
-            push:        PUSH,        CostSig::lrw(1, 0, 1),       true;
-            pop:         POP,         CostSig::lrw(1, 1, 0),       true;
-            push_bulk:   PUSH_BULK,   CostSig::write_scaled(1, 1), true;
-            pop_bulk:    POP_BULK,    CostSig::read_scaled(1, 1),  true;
-            len:         LEN,         CostSig::ZERO,               true;
-            snapshot:    SNAPSHOT,    CostSig::ZERO,               true;
-            mig_extract: MIG_EXTRACT, CostSig::ZERO,               true;
+            push:        PUSH,        CostSig::lrw(1, 0, 1);
+            pop:         POP,         CostSig::lrw(1, 1, 0);
+            push_bulk:   PUSH_BULK,   CostSig::write_scaled(1, 1);
+            pop_bulk:    POP_BULK,    CostSig::read_scaled(1, 1);
+            len:         LEN,         CostSig::ZERO;
+            snapshot:    SNAPSHOT,    CostSig::ZERO;
+            mig_extract: MIG_EXTRACT, CostSig::ZERO;
         } #[cfg(feature = "history")]
           hist: (|value| $crate::DsOp::$push { value }, $crate::DsOp::$pop),)
     }};
@@ -239,15 +232,23 @@ type SeqRec<T> = (u8, Option<T>);
 const TAG_ADD: u8 = 0;
 const TAG_REMOVE: u8 = 1;
 
-/// The one place a shard's log is compacted: replace its history with
-/// `live`. A failure (already counted and flight-recorded by the WAL) comes
-/// back as text so it can cross the wire to whoever asked.
+/// Compact a shard's log, if it has one: replace its history with what
+/// `live` scans (see [`ShardLog::compact`]). A failure (already counted and
+/// flight-recorded by the WAL) comes back as text so it can cross the wire
+/// to whoever asked.
 fn compact_to<Rec: DataBox>(
     log: &Option<ShardLog<Rec>>,
     live: impl FnOnce() -> Vec<Rec>,
 ) -> Result<(), String> {
     let Some(log) = log else { return Ok(()) };
-    log.compact(live().iter()).map_err(|e| e.to_string())
+    log.compact(live).map_err(|e| e.to_string())
+}
+
+/// Run one mutation — its log append and its apply — so that no compaction
+/// of `log` falls between them ([`ShardLog::hold`]).
+fn gated<Rec: DataBox, R>(log: &Option<ShardLog<Rec>>, mutate: impl FnOnce() -> R) -> R {
+    let _held = log.as_ref().map(ShardLog::hold);
+    mutate()
 }
 
 /// The strict read barrier of a shard's log, if it has one: called *after*
@@ -312,21 +313,12 @@ struct Window<K> {
 
 /// Server-side state of one keyed partition on one host rank.
 pub struct KeyedShard<K, V, S> {
-    /// Position among the static `servers` ring (0 for non-leader hosts).
-    index: usize,
     /// The rank hosting this shard.
     home: u32,
     store: S,
-    /// Entries replicated *to* this shard from others.
-    replica: S,
     log: Option<ShardLog<KeyedRec<K, V>>>,
-    repl: ReplForwarder,
-    world: Arc<WorldShared>,
-    fn_base: FnId,
-    servers: Vec<u32>,
-    /// Ring successors on `servers` this shard replicates to (fewer than
-    /// `servers.len()`).
-    replicas: usize,
+    /// Sends the window's dual-applies (`MIG_APPLY`) to the new owner.
+    fwd: Forwarder,
     /// The world's membership view — `Some` for elastic containers (no
     /// explicit `servers`), whose shards can move between ranks. `None`
     /// pins the partition forever (static placement).
@@ -347,40 +339,23 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
         }
     }
 
-    /// What follows every applied mutation: dual-apply at the new owner if
-    /// the key's vpart is migrating, replicate (the server-side re-hash of
-    /// §III-A4, carried out by the [`ReplForwarder`]).
-    fn publish(&self, key: &K, value: Option<&V>) {
-        self.forward_migration(key, value);
-        if self.replicas > 0 {
-            let n = self.servers.len();
-            let successors = (1..=self.replicas).map(|i| {
-                // Ring successor by conditional subtraction: `index + i` is
-                // at most `2 * n - 2`, so one wrap suffices (and no owner
-                // math outside the partition map uses `%` — the MEMBERSHIP
-                // lint).
-                let succ = self.index + i;
-                self.servers[if succ >= n { succ - n } else { succ }]
-            });
-            let encoded = (key.clone(), value.cloned()).to_bytes();
-            let fn_id = self.fn_base + kfn::REPL_PUT;
-            self.repl.forward(&self.world, self.home, successors, fn_id, &encoded);
-        }
-    }
-
     /// Insert or overwrite; `true` when the key was newly inserted.
     pub(crate) fn apply_put(&self, key: K, value: V) -> bool {
-        self.log_op(kfn::PUT, || (TAG_ADD, key.clone(), Some(value.clone())));
-        let newly = self.store.insert(key.clone(), value.clone()).is_none();
-        self.publish(&key, Some(&value));
+        let newly = gated(&self.log, || {
+            self.log_op(kfn::PUT, || (TAG_ADD, key.clone(), Some(value.clone())));
+            self.store.insert(key.clone(), value.clone()).is_none()
+        });
+        self.forward_migration(&key, Some(&value));
         newly
     }
 
     /// Remove `key`, returning its value.
     pub(crate) fn apply_erase(&self, key: &K) -> Option<V> {
-        self.log_op(kfn::ERASE, || (TAG_REMOVE, key.clone(), None));
-        let prev = self.store.remove(key);
-        self.publish(key, None);
+        let prev = gated(&self.log, || {
+            self.log_op(kfn::ERASE, || (TAG_REMOVE, key.clone(), None));
+            self.store.remove(key)
+        });
+        self.forward_migration(key, None);
         prev
     }
 
@@ -389,9 +364,12 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
     /// is what gets logged — replay must not re-run the computation against
     /// recovered state. Known: the update is applied before it is logged.
     pub(crate) fn apply_rmw(&self, fn_off: u32, key: K, rmw: impl FnOnce(&S, &K) -> V) -> V {
-        let stored = rmw(&self.store, &key);
-        self.log_op(fn_off, || (TAG_ADD, key.clone(), Some(stored.clone())));
-        self.publish(&key, Some(&stored));
+        let stored = gated(&self.log, || {
+            let stored = rmw(&self.store, &key);
+            self.log_op(fn_off, || (TAG_ADD, key.clone(), Some(stored.clone())));
+            stored
+        });
+        self.forward_migration(&key, Some(&stored));
         stored
     }
 
@@ -415,21 +393,9 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
         &self.store
     }
 
-    /// The replica structure (entries replicated *to* this shard).
-    pub fn replica(&self) -> &S {
-        &self.replica
-    }
-
     /// The shard's write-ahead log, when the container is durable.
     pub fn wal(&self) -> Option<&Arc<Wal>> {
         self.log.as_ref().map(|l| l.wal())
-    }
-
-    fn apply_replica(&self, key: K, value: Option<V>) {
-        match value {
-            Some(v) => self.replica.insert(key, v),
-            None => self.replica.remove(&key),
-        };
     }
 
     /// Flush and compact this shard's log to a snapshot of its contents.
@@ -471,9 +437,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
                 owner
             }
         };
-        let encoded = (key.clone(), value.cloned()).to_bytes();
-        let fn_id = self.fn_base + kfn::MIG_APPLY;
-        self.repl.forward(&self.world, self.home, [target], fn_id, &encoded);
+        self.fwd.forward(target, &(key.clone(), value.cloned()).to_bytes());
         m.counters().forwarded_writes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -507,8 +471,10 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
         if w.tombstones.contains(&key) || self.store.get(&key).is_some() {
             return false;
         }
-        self.log_op(kfn::MIG_INSTALL, || (TAG_ADD, key.clone(), Some(value.clone())));
-        self.store.insert(key.clone(), value);
+        gated(&self.log, || {
+            self.log_op(kfn::MIG_INSTALL, || (TAG_ADD, key.clone(), Some(value.clone())));
+            self.store.insert(key.clone(), value)
+        });
         w.installed.push(key);
         true
     }
@@ -518,7 +484,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
     /// tombstones; erases tombstone the key against late-arriving copies.
     pub fn mig_apply(&self, key: K, value: Option<V>) {
         let mut w = self.window.lock();
-        match value {
+        gated(&self.log, || match value {
             Some(v) => {
                 self.log_op(kfn::MIG_APPLY, || (TAG_ADD, key.clone(), Some(v.clone())));
                 w.tombstones.remove(&key);
@@ -530,27 +496,24 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
                 self.store.remove(&key);
                 w.tombstones.insert(key);
             }
-        }
+        })
     }
 
     /// Close the window for `vpart`. At the source (old owner): stop
     /// forwarding, and on commit flush in-flight forwards then purge the
     /// moved entries. At the target (new owner): clear tombstones, and on
-    /// abort purge exactly the keys the migration installed.
-    pub(crate) fn mig_end(
-        &self,
-        vpart: usize,
-        committed: bool,
-        source: bool,
-    ) -> Result<(), String> {
+    /// abort purge exactly the keys the migration installed. Reports
+    /// whether every forward since the last flush landed, then whether the
+    /// log compacted.
+    pub(crate) fn mig_end(&self, vpart: usize, committed: bool, source: bool) -> Closed {
         if source {
             self.forwarding.write().remove(&vpart);
             if !committed {
-                return Ok(());
+                return (Ok(()), Ok(()));
             }
             // Every dual-applied write must be acknowledged by the new
             // owner before the authoritative copy disappears here.
-            self.repl.flush();
+            let forwarded = self.fwd.flush();
             for (k, _) in self.store.snapshot() {
                 if self.vpart_of(&k) == vpart {
                     self.store.remove(&k);
@@ -559,7 +522,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
             // The moved shard now lives (and logs) at the new owner;
             // compact this side's log to the post-purge contents so a
             // crash here never resurrects the migrated keys.
-            return self.compact_log();
+            return (forwarded, self.compact_log());
         }
         let mut w = self.window.lock();
         let (moved, kept): (Vec<K>, Vec<K>) =
@@ -571,9 +534,13 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedShard<K, V, S> {
             }
         }
         w.tombstones.retain(|k| self.vpart_of(k) != vpart);
-        Ok(())
+        (Ok(()), Ok(()))
     }
 }
+
+/// What closing a window reports ([`KeyedShard::mig_end`]): the forwards,
+/// then the log's compaction.
+type Closed = (Result<(), String>, Result<(), String>);
 
 /// What a keyed container asks of the pipeline (its config, minus anything
 /// container-specific).
@@ -583,7 +550,6 @@ pub(crate) struct KeyedSpec {
     pub servers: Option<Vec<u32>>,
     pub hybrid: bool,
     pub persist: Option<PersistConfig>,
-    pub replicas: usize,
     /// Lease-cached reads (`None` for the ordered map, which has no `lease`
     /// field): each handle's cache.
     pub lease: Option<LeaseConfig>,
@@ -595,11 +561,10 @@ pub(crate) struct KeyedCore<K, V, S> {
     fn_base: FnId,
     /// Function ids the container's op table spans from `fn_base`.
     fns: u32,
-    servers: Vec<u32>,
-    /// Static replica ring over `servers` (one slot per server). Doubles as
-    /// the owner map for pinned containers — `owner_of_hash` is bit-identical
-    /// to the historical `servers[hash % len]` placement.
-    repl_map: Arc<PartitionMap>,
+    /// The owner map of a pinned container (explicit `servers`, one slot
+    /// each): `owner_of_hash` is bit-identical to the historical
+    /// `servers[hash % len]` placement. `None` for elastic containers.
+    pinned: Option<Arc<PartitionMap>>,
     parts: Hosted<KeyedShard<K, V, S>>,
     spec: KeyedSpec,
 }
@@ -622,22 +587,21 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
         let pmetrics = crate::persist::metrics_for(rank);
         rank.get_or_create_shared(&format!("hcl.{}.{name}", ops.prefix), move || {
             // Elastic (no explicit `servers`): ownership follows the world's
-            // membership, so every rank hosts a shard — any rank may be
-            // admitted as an owner later. Pinned (explicit `servers`):
-            // exactly the historical static placement.
+            // membership (the node leaders to start with), so every rank
+            // hosts a shard — any rank may be admitted as an owner later.
+            // Pinned (explicit `servers`): exactly the historical static
+            // placement.
             let elastic = spec.servers.is_none();
-            let servers = spec.servers.clone().unwrap_or_else(|| default_servers(&world));
             let fns = KEYED_FNS + extra_fns;
             let fn_base = world.alloc_fn_ids(fns);
-            let repl_map = Arc::new(PartitionMap::round_robin(&servers, 1));
+            let pinned = spec.servers.as_ref().map(|s| Arc::new(PartitionMap::round_robin(s, 1)));
             let hosts: Vec<u32> =
-                if elastic { (0..world.config().world_size()).collect() } else { servers.clone() };
+                spec.servers.clone().unwrap_or_else(|| (0..world.config().world_size()).collect());
             let mut shards = Vec::new();
             for &home in &hosts {
-                // Non-leader elastic hosts start empty — but under a persist
+                // Non-member elastic hosts start empty — but under a persist
                 // config they still open a log, because live rebalancing can
                 // migrate shards onto them; durability follows ownership.
-                let leader = servers.iter().position(|&s| s == home);
                 let store = make_store();
                 let log = spec.persist.as_ref().map(|p| {
                     ShardLog::open(p, name, home, pmetrics.clone(), world.deadlines(), |rec| {
@@ -651,19 +615,10 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                     .expect("open partition op log")
                 });
                 let shard = KeyedShard {
-                    index: leader.unwrap_or(0),
                     home,
                     store,
-                    replica: make_store(),
                     log,
-                    repl: ReplForwarder::default(),
-                    world: Arc::clone(&world),
-                    fn_base,
-                    servers: servers.clone(),
-                    replicas: match leader {
-                        Some(_) => spec.replicas.min(servers.len().saturating_sub(1)),
-                        None => 0,
-                    },
+                    fwd: Forwarder::new(Arc::clone(&world), home, fn_base + kfn::MIG_APPLY),
                     membership: elastic.then(|| Arc::clone(world.membership())),
                     forwarding: RwLock::new(HashMap::new()),
                     window: Mutex::new(Window {
@@ -684,15 +639,7 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
             b.bind(kfn::ERASE, |s, k: K| s.apply_erase(&k));
             b.bind(kfn::LEN, |s, ()| s.read(|m| m.len() as u64));
             b.bind(kfn::SNAPSHOT, |s, ()| s.read(|m| m.snapshot()));
-            b.bind(kfn::REPL_PUT, |s, (k, v): (K, Option<V>)| {
-                s.apply_replica(k, v);
-                true
-            });
-            b.bind(kfn::REPL_GET, |s, k: K| s.replica.get(&k));
-            b.bind(kfn::REPL_FLUSH, |s, ()| {
-                s.repl.flush();
-                true
-            });
+            b.bind(kfn::FLUSH_FORWARDS, |s, ()| s.fwd.flush());
             b.bind(kfn::MIG_ARM, |s, vpart: u64| {
                 s.mig_arm(vpart as usize);
                 true
@@ -711,13 +658,19 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> KeyedCore<K, V, S> {
                 s.mig_end(vpart as usize, committed, source)
             });
             bind_extra(&b);
-            KeyedCore { ops, fn_base, fns, servers, repl_map, parts, spec }
+            KeyedCore { ops, fn_base, fns, pinned, parts, spec }
         })
     }
 
     /// The shard hosted on rank `host`.
     pub(crate) fn shard(&self, host: u32) -> &KeyedShard<K, V, S> {
         self.parts[host as usize].as_deref().expect("rank hosts a shard of this container")
+    }
+
+    /// The ranks hosting a shard: every rank of an elastic container, the
+    /// `servers` of a pinned one.
+    fn hosts(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..).zip(self.parts.iter()).filter_map(|(host, s)| s.as_ref().map(|_| host))
     }
 
     /// An engine addressing explicit ranks of this container.
@@ -784,8 +737,9 @@ impl<K: Key, V: Val, S: KeyedStore<K, V>> ShardMigrator for KeyedMigrator<K, V, 
                 core.shard(host).mig_end(mv.vpart, committed, source)
             })
         };
-        let at_source = end_at(mv.from, true)?;
-        let at_target = end_at(mv.to, false)?;
+        let (forwarded, at_source) = end_at(mv.from, true)?;
+        let (_, at_target) = end_at(mv.to, false)?;
+        forwarded.map_err(HclError::Rebalance)?;
         at_source.and(at_target).map_err(HclError::Persist)
     }
 }
@@ -822,8 +776,8 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
     ) -> Self {
         let core = KeyedCore::open(rank, ops, name, spec, extra_fns, make_store, bind_extra);
         let mut d = core.dispatcher(rank);
-        if core.spec.servers.is_some() {
-            d.set_owner_map(OwnerMap::Pinned(Arc::clone(&core.repl_map)));
+        if let Some(pinned) = &core.pinned {
+            d.set_owner_map(OwnerMap::Pinned(Arc::clone(pinned)));
         } else {
             // Registered outside the create closure — `get_or_create_shared`
             // holds the objects lock, and `MigratorRegistry::shared` needs
@@ -944,60 +898,45 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
         }
     }
 
-    /// Look up `key` (Table I: `F + L + R`). Falls back to a replica when
-    /// the owner has been marked down (requires `replicas >= 1`); with a
-    /// [`LeaseConfig`], hot remote keys are served from the local lease
-    /// cache (`F` elided entirely).
+    /// Look up `key` (Table I: `F + L + R`). With a [`LeaseConfig`], hot
+    /// remote keys are served from the local lease cache (`F` elided
+    /// entirely); a marked-down owner fails it with [`HclError::OwnerDown`].
     pub fn get(&self, key: &K) -> HclResult<Option<V>> {
         let hash = crate::stable_hash(key);
         let owner = self.owner_now(hash);
         match &self.cache {
             Some(cache) if !self.d.is_local(owner) && !self.d.is_down(owner) => {
-                self.get_cached(cache, hash, owner, key)
+                self.get_cached(cache, hash, key)
             }
-            _ => self.get_at(hash, owner, key, None),
+            _ => self.get_at(hash, key, None),
         }
     }
 
-    /// `get` with the hash and the (snapshot) owner already in hand. Falls
-    /// back to a replica when the owner has been marked down. With `lease`,
-    /// the value the owner returns is stored there as a lease: the grant is
-    /// this very `get`, epoch-tagged like any keyed op.
-    fn get_at(
-        &self,
-        hash: u64,
-        owner: u32,
-        key: &K,
-        lease: Option<&LeaseCache<K, V>>,
-    ) -> HclResult<Option<V>> {
+    /// `get` with the hash already in hand, dispatched to the key's owner.
+    /// With `lease`, the value the owner returns is stored there as a lease:
+    /// the grant is this very `get`, epoch-tagged like any keyed op.
+    fn get_at(&self, hash: u64, key: &K, lease: Option<&LeaseCache<K, V>>) -> HclResult<Option<V>> {
         let tok = hist_invoke!(self.d, crate::DsOp::MapGet { key: crate::history_enc(key) });
-        // Without replicas there is nowhere to degrade to: dispatch normally
-        // so the gate rejects the downed owner with `OwnerDown` immediately.
-        let result = if self.d.is_down(owner) && self.core.spec.replicas >= 1 {
-            self.get_from_replica(hash, key)
-        } else {
-            // Taken *before* the RPC: the epoch the lease is bound to, the
-            // write generation it must not have straddled, and the deadline
-            // base — the TTL bounds staleness from the moment the owner
-            // could have read the value, not from when the response arrived.
-            let grant = lease.map(|c| (c.generation(), self.d.epoch(), Instant::now()));
-            let result = self.d.sync_keyed(&self.core.ops.get, hash, key, |owner, key| {
-                self.core.shard(owner).apply_get(key)
-            });
-            if let (Some(cache), Some((generation, epoch, granted)), Ok(value)) =
-                (lease, grant, &result)
-            {
-                // The grant's invoke timestamp is the left edge of the window
-                // the lease checker admits its cached reads in.
-                #[cfg(feature = "history")]
-                let valid_from = tok.as_ref().map_or(0, |t| t.invoked_at());
-                #[cfg(not(feature = "history"))]
-                let valid_from = 0;
-                let expires = granted + cache.ttl();
-                cache.insert(key.clone(), hash, value.clone(), epoch, generation, expires, valid_from);
-            }
-            result
-        };
+        // Taken *before* the RPC: the epoch the lease is bound to, the write
+        // generation it must not have straddled, and the deadline base — the
+        // TTL bounds staleness from the moment the owner could have read the
+        // value, not from when the response arrived.
+        let grant = lease.map(|c| (c.generation(), self.d.epoch(), Instant::now()));
+        let result = self.d.sync_keyed(&self.core.ops.get, hash, key, |owner, key| {
+            self.core.shard(owner).apply_get(key)
+        });
+        if let (Some(cache), Some((generation, epoch, granted)), Ok(value)) =
+            (lease, grant, &result)
+        {
+            // The grant's invoke timestamp is the left edge of the window the
+            // lease checker admits its cached reads in.
+            #[cfg(feature = "history")]
+            let valid_from = tok.as_ref().map_or(0, |t| t.invoked_at());
+            #[cfg(not(feature = "history"))]
+            let valid_from = 0;
+            let expires = granted + cache.ttl();
+            cache.insert(key.clone(), hash, value.clone(), epoch, generation, expires, valid_from);
+        }
         hist_return!(self.d, tok, &result, |v| crate::DsRet::Value(
             v.as_ref().map(crate::history_enc)
         ));
@@ -1007,13 +946,7 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
     /// The cached read path (remote, non-down owner, lease config set):
     /// serve from a live lease; otherwise a plain `get`, which becomes a
     /// lease grant if the key is hot.
-    fn get_cached(
-        &self,
-        cache: &LeaseCache<K, V>,
-        hash: u64,
-        owner: u32,
-        key: &K,
-    ) -> HclResult<Option<V>> {
+    fn get_cached(&self, cache: &LeaseCache<K, V>, hash: u64, key: &K) -> HclResult<Option<V>> {
         // The epoch is the unified membership/downed counter: a membership
         // commit invalidates every outstanding lease, so no lease can
         // outlive the map that granted it.
@@ -1038,7 +971,7 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
         // the one that earns its lease.
         let hot = cache.is_hot(hash);
         cache.observe_read(hash);
-        self.get_at(hash, owner, key, hot.then_some(cache))
+        self.get_at(hash, key, hot.then_some(cache))
     }
 
     /// Asynchronous lookup; remote lookups stage on the op coalescer.
@@ -1101,21 +1034,8 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
         Ok(parts.into_iter().flatten().collect())
     }
 
-    fn get_from_replica(&self, hash: u64, key: &K) -> HclResult<Option<V>> {
-        // Replicas live on the *static* ring regardless of membership: the
-        // ring successor of the key's home server backs it.
-        let servers = &self.core.servers;
-        let succ = self.core.repl_map.member_index_of_hash(hash) + 1;
-        let host = servers[if succ >= servers.len() { succ - servers.len() } else { succ }];
-        self.d.sync(self.d.event(&self.core.ops.repl_get, host), IssueMode::Sync, key, |key| {
-            self.core.shard(host).replica.get(key)
-        })
-    }
-
-    /// Mark a partition owner as failed: `get`s for its keys are served
-    /// from the replica on the next partition (requires `replicas >= 1`),
-    /// and every other op targeting it degrades immediately with
-    /// [`HclError::OwnerDown`].
+    /// Mark a partition owner as failed: every op targeting it through this
+    /// handle degrades immediately with [`HclError::OwnerDown`].
     pub fn mark_down(&self, owner_rank: u32) {
         self.d.mark_down(owner_rank);
     }
@@ -1125,23 +1045,26 @@ impl<'a, K: Key, V: Val, S: KeyedStore<K, V>> KeyedContainer<'a, K, V, S> {
         self.d.mark_up(owner_rank);
     }
 
-    /// Wait until every partition's outstanding replication forwards have
-    /// been acknowledged.
-    pub fn flush_replication(&self) -> HclResult<()> {
-        for &owner in &self.core.servers {
-            let flush = self.d.event(&self.core.ops.repl_flush, owner);
-            let _: bool = self.d.sync(flush, IssueMode::Sync, &(), |_| {
-                self.core.shard(owner).repl.flush();
-                true
-            })?;
+    /// Wait until every host's outstanding migration forwards have been
+    /// acknowledged. Every host is flushed; the first failure is returned —
+    /// [`HclError::Rebalance`] when a host saw a forward fail since its
+    /// last flush.
+    pub fn flush_forwards(&self) -> HclResult<()> {
+        let mut flushed = Ok(());
+        for host in self.core.hosts() {
+            let flush = self.d.event(&self.core.ops.flush_forwards, host);
+            let fwd = &self.core.shard(host).fwd;
+            let at = self.d.sync(flush, IssueMode::Sync, &(), |_| fwd.flush());
+            flushed = flushed.and(at.and_then(|at| at.map_err(HclError::Rebalance)));
         }
-        Ok(())
+        flushed
     }
 
-    /// Flush and compact every *local* partition's op log to a snapshot.
+    /// Flush and compact the op log of every shard hosted on this rank's
+    /// node to a snapshot.
     pub fn compact_local_logs(&self) -> HclResult<()> {
-        let mut local = self.core.servers.iter().filter(|&&o| self.d.rank().same_node(o));
-        local.try_for_each(|&o| self.core.shard(o).compact_log().map_err(HclError::Persist))
+        let mut local = self.core.hosts().filter(|&h| self.d.rank().same_node(h));
+        local.try_for_each(|h| self.core.shard(h).compact_log().map_err(HclError::Persist))
     }
 
     /// Client-side cost counters (Table I terms observed by this rank).
@@ -1252,34 +1175,42 @@ pub struct SeqShard<T, S> {
 
 impl<T: Val, S: SeqStore<T>> SeqShard<T, S> {
     pub(crate) fn push(&self, value: T) -> bool {
-        if let Some(log) = &self.log {
-            log.record_op(&(TAG_ADD, Some(value.clone())), sfn::PUSH);
-        }
-        self.store.push(value);
+        gated(&self.log, || {
+            if let Some(log) = &self.log {
+                log.record_op(&(TAG_ADD, Some(value.clone())), sfn::PUSH);
+            }
+            self.store.push(value);
+        });
         true
     }
 
     pub(crate) fn pop(&self) -> Option<T> {
-        let v = self.store.pop();
-        self.log_pops(v.is_some() as usize, |log, rec| log.record_op(rec, sfn::POP));
-        v
+        gated(&self.log, || {
+            let v = self.store.pop();
+            self.log_pops(v.is_some() as usize, |log, rec| log.record_op(rec, sfn::POP));
+            v
+        })
     }
 
     /// One record per element, each under its own local sequence (see
     /// [`ShardLog::record_local`]).
     pub(crate) fn push_bulk(&self, values: Vec<T>) -> u64 {
-        if let Some(log) = &self.log {
-            for v in &values {
-                log.record_local(&(TAG_ADD, Some(v.clone())), sfn::PUSH_BULK);
+        gated(&self.log, || {
+            if let Some(log) = &self.log {
+                for v in &values {
+                    log.record_local(&(TAG_ADD, Some(v.clone())), sfn::PUSH_BULK);
+                }
             }
-        }
-        self.store.push_bulk(values) as u64
+            self.store.push_bulk(values) as u64
+        })
     }
 
     pub(crate) fn pop_bulk(&self, max: u64) -> Vec<T> {
-        let vs = self.store.pop_bulk(max as usize);
-        self.log_pops(vs.len(), |log, rec| log.record_local(rec, sfn::POP_BULK));
-        vs
+        gated(&self.log, || {
+            let vs = self.store.pop_bulk(max as usize);
+            self.log_pops(vs.len(), |log, rec| log.record_local(rec, sfn::POP_BULK));
+            vs
+        })
     }
 
     /// Log a pop that removed `taken` elements: one `record` call each. A
@@ -1301,16 +1232,21 @@ impl<T: Val, S: SeqStore<T>> SeqShard<T, S> {
     }
 
     /// Drain every element, in pop order. The shard moved wholesale, so the
-    /// log is compacted to the (now empty) contents — a restart must never
-    /// resurrect migrated elements. If that fails nothing has moved: the
-    /// elements go back and the error is the caller's.
+    /// log is compacted to the (now empty) contents, with the drain as its
+    /// scan — a restart must never resurrect migrated elements. If that
+    /// fails nothing has moved: the elements go back and the error is the
+    /// caller's.
     pub(crate) fn extract(&self) -> Result<Vec<T>, String> {
-        let vs = self.store.pop_bulk(usize::MAX);
-        match compact_to(&self.log, Vec::new) {
+        let Some(log) = &self.log else { return Ok(self.store.pop_bulk(usize::MAX)) };
+        let mut vs = Vec::new();
+        match log.compact(|| {
+            vs = self.store.pop_bulk(usize::MAX);
+            Vec::new()
+        }) {
             Ok(()) => Ok(vs),
             Err(e) => {
                 self.store.push_bulk(vs);
-                Err(e)
+                Err(e.to_string())
             }
         }
     }

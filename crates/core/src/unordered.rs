@@ -17,8 +17,7 @@
 //! [`UnorderedMap`] is the generic keyed handle [`KeyedContainer`] over the
 //! cuckoo hash, and [`UnorderedSet`] is [`KeyedSet`] over it: every common
 //! op — the lease-cached `get` (DESIGN.md §14) included — is written there
-//! once, and everything that happens at the target — logging, version
-//! stamps, asynchronous server-side replication (§III-A4), the
+//! once, and everything that happens at the target — logging, the
 //! live-migration window — is the shared pipeline of [`crate::shard`] over
 //! this module's [`KeyedStore`] impl. What is specific to the hash map lives
 //! here: per-partition resize (`resize(partition_id, new_size)`),
@@ -50,13 +49,11 @@ static MERGE: OpDescriptor = OpDescriptor {
     name: "umap.put_merge",
     fn_off: FN_MERGE,
     cost: CostSig::lrw(1, 1, 1),
-    degradable: true,
 };
 static RESIZE: OpDescriptor = OpDescriptor {
     name: "umap.resize",
     fn_off: FN_RESIZE,
     cost: CostSig::ZERO,
-    degradable: true,
 };
 
 impl<K, V> KeyedStore<K, V> for CuckooMap<K, V>
@@ -103,9 +100,6 @@ pub struct UnorderedMapConfig {
     pub hybrid: bool,
     /// Durability (per-partition op logs).
     pub persist: Option<PersistConfig>,
-    /// Asynchronous replication factor (0 = off). Each partition forwards
-    /// its mutations to the next `replicas` partition owners.
-    pub replicas: usize,
     /// Lease-based client-side read caching (`None` = off, the default):
     /// hot remote keys are granted bounded-TTL leases and repeat `get`s are
     /// served locally (DESIGN.md §14).
@@ -119,7 +113,6 @@ impl Default for UnorderedMapConfig {
             initial_buckets: 128,
             hybrid: true,
             persist: None,
-            replicas: 0,
             lease: None,
         }
     }
@@ -173,7 +166,6 @@ impl<'a, K: Key, V: Val> UnorderedMap<'a, K, V> {
             servers: cfg.servers,
             hybrid: cfg.hybrid,
             persist: cfg.persist,
-            replicas: cfg.replicas,
             lease: cfg.lease,
         };
         let (buckets, m) = (cfg.initial_buckets, merger.clone());

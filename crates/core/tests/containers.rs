@@ -4,10 +4,10 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use hcl::{
-    OrderedMap, OrderedSet, PersistConfig, PriorityQueue, Queue, UnorderedMap, UnorderedMapConfig,
-    UnorderedSet,
+    admit_rank, MigratorRegistry, OrderedMap, OrderedSet, PersistConfig, PriorityQueue, Queue,
+    UnorderedMap, UnorderedMapConfig, UnorderedSet,
 };
-use hcl_runtime::{FabricKind, World, WorldConfig};
+use hcl_runtime::{FabricKind, ShardMove, World, WorldConfig};
 
 fn small_world() -> WorldConfig {
     WorldConfig { nodes: 2, ranks_per_node: 2, ..WorldConfig::small() }
@@ -402,71 +402,47 @@ fn persistence_survives_world_restart() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn replication_failover_serves_reads() {
-    World::run(small_world(), |rank| {
-        let map: UnorderedMap<u64, u64> = UnorderedMap::with_config(
-            rank,
-            "repl",
-            UnorderedMapConfig { replicas: 1, ..Default::default() },
-        );
-        if rank.id() == 0 {
-            for k in 0..50u64 {
-                map.put(k, k * 2).unwrap();
-            }
-            map.flush_replication().unwrap();
-        }
-        rank.barrier();
-        // Simulate every partition owner failing: reads must still work via
-        // the replicas on the next partition.
-        for p in 0..map.partitions() {
-            map.mark_down(map.server_of(p));
-        }
-        let mut via_replica = 0;
-        for k in 0..50u64 {
-            if map.get(&k).unwrap() == Some(k * 2) {
-                via_replica += 1;
-            }
-        }
-        assert_eq!(via_replica, 50, "replica reads incomplete");
-        rank.barrier();
-    });
-}
-
 /// Every keyed container hosted on a rank forwards through that rank's one
-/// forward client. With a client per container, two replicated maps on one
-/// host both numbered their forwards from 1 at the same auxiliary endpoint;
-/// the target server skips a reply whose request id its slot has already
-/// passed, so the second map's first forward was never answered and its
-/// flush waited out the 30 s client timeout. Timed inside the world,
-/// asserted after it ends, so a failure cannot strand a rank at a barrier.
+/// forward client. With a client per container, two maps on one host both
+/// numbered their forwards from 1 at the same auxiliary endpoint; the target
+/// server skips a reply whose request id its slot has already passed, so the
+/// second map's first forward was never answered and its flush waited out
+/// the 30 s client timeout. Timed inside the world, asserted after it ends.
 #[test]
-fn replicated_maps_on_one_host_share_its_forward_client() {
+fn maps_on_one_host_share_its_forward_client() {
     let cfg = WorldConfig { nodes: 2, ranks_per_node: 1, ..WorldConfig::small() };
-    let took = World::run(cfg, |rank| {
-        let repl = || UnorderedMapConfig { replicas: 1, ..Default::default() };
-        let a: UnorderedMap<u64, u64> = UnorderedMap::with_config(rank, "fwd-a", repl());
-        let b: UnorderedMap<u64, u64> = UnorderedMap::with_config(rank, "fwd-b", repl());
+    let flushed = World::run(cfg, |rank| {
+        let a: UnorderedMap<u64, u64> = UnorderedMap::new(rank, "fwd-a");
+        let b: UnorderedMap<u64, u64> = UnorderedMap::new(rank, "fwd-b");
         rank.barrier();
-        let mut took = Duration::ZERO;
+        let mut flushed = (Duration::ZERO, Ok(()));
         if rank.id() == 0 {
-            // Keys rank 0 owns: the bypass applies each put here, and rank
-            // 0's shard replicates it to rank 1.
-            let mut local = (0u64..).filter(|k| a.server_of(a.partition_of(k)) == 0);
-            for k in local.by_ref().take(5) {
+            // One vpart rank 0 owns, in a write-forwarding window toward rank
+            // 1 on both maps: the bypass applies each put here, and rank 0's
+            // shard forwards it to rank 1.
+            let membership = rank.world().membership();
+            let vpart_of = |k: &u64| membership.current().vpart_of_hash(hcl::stable_hash(k));
+            let k0 = (0u64..).find(|k| a.server_of(a.partition_of(k)) == 0).unwrap();
+            let mv = ShardMove { vpart: vpart_of(&k0), from: 0, to: 1 };
+            let migrators = MigratorRegistry::shared(rank).migrators();
+            migrators.iter().for_each(|m| m.begin(rank, &mv).unwrap());
+            let mut window = (k0..).filter(|k| vpart_of(k) == mv.vpart);
+            for k in window.by_ref().take(5) {
                 a.put(k, k).unwrap();
             }
-            let k = local.next().unwrap();
+            let k = window.next().unwrap();
             b.put(k, k).unwrap();
             let t = Instant::now();
-            b.flush_replication().unwrap();
-            a.flush_replication().unwrap();
-            took = t.elapsed();
+            let done = b.flush_forwards().and(a.flush_forwards());
+            flushed = (t.elapsed(), done);
+            migrators.iter().for_each(|m| m.end(rank, &mv, false).unwrap());
         }
         rank.barrier();
-        took
+        flushed
     });
-    assert!(took[0] < Duration::from_secs(5), "replication flush took {:?}", took[0]);
+    let (took, done) = &flushed[0];
+    assert!(*took < Duration::from_secs(5), "forward flush took {took:?}");
+    assert_eq!(*done, Ok(()), "a forward failed");
 }
 
 #[test]
@@ -509,6 +485,41 @@ fn log_compaction_keeps_recoverability() {
             }
         });
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `compact_local_logs` compacts every shard hosted on the caller's node:
+/// rank 1 leads no node, but once admitted as an owner its shard logs
+/// writes like any other, and its log must shrink to its live entries too.
+#[test]
+fn compaction_reaches_shards_of_non_leader_hosts() {
+    let dir = std::env::temp_dir().join(format!("hcl-compact-hosts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = WorldConfig { nodes: 1, ranks_per_node: 2, ..WorldConfig::small() };
+    let pcfg = PersistConfig::strict(&dir);
+    World::run(cfg, move |rank| {
+        let map: UnorderedMap<u64, u64> = UnorderedMap::with_config(
+            rank,
+            "compact-hosts",
+            UnorderedMapConfig { persist: Some(pcfg.clone()), ..Default::default() },
+        );
+        assert!(admit_rank(rank, 1).unwrap().committed);
+        if rank.id() == 0 {
+            for (v, k) in (0..3u64).flat_map(|v| (0..200u64).map(move |k| (v, k))) {
+                map.put(k, k + v).unwrap();
+            }
+        }
+        rank.barrier();
+        let records = |h: u32| map.shard_at(h).wal().unwrap().records();
+        let live = |h: u32| map.shard_at(h).store().len() as u64;
+        assert_eq!(records(1), 3 * live(1), "rank 1's shard logged its overwrites");
+        map.compact_local_logs().unwrap();
+        rank.barrier();
+        for h in [0, 1] {
+            assert_eq!(records(h), live(h), "shard {h}'s log was not compacted");
+        }
+        rank.barrier();
+    });
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -249,7 +249,7 @@ fn downed_then_restored_owner_is_not_served_a_stale_endpoint() {
             map.put(rk, 7).unwrap();
 
             map.mark_down(1);
-            // Degradable op against a downed owner: typed error, zero cost —
+            // An op against a downed owner: typed error, zero cost —
             // the gate rejects it before any endpoint is resolved.
             let s = map.costs();
             assert_eq!(map.put(rk, 99), Err(hcl::HclError::OwnerDown(1)));

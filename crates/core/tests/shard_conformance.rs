@@ -3,12 +3,11 @@
 //! `dispatch_conformance.rs` pattern for the server side.
 //!
 //! One scripted sequence per container family runs against an elastic,
-//! strict-persisted container (`replicas: 1` for the maps) in a 2x1 world,
-//! driven from rank 0 so that shard 0 is reached through the hybrid bypass
-//! and shard 1 through a NIC worker. After every op the test asserts the
-//! exact deltas of WAL records, forwarded writes and
-//! replica contents at each host, with a write-forwarding window open on one
-//! vpart for part of the script; then that every kind of read owes the
+//! strict-persisted container in a 2x1 world, driven from rank 0 so that
+//! shard 0 is reached through the hybrid bypass and shard 1 through a NIC
+//! worker. After every op the test asserts the exact deltas of WAL records
+//! and forwarded writes at each host, with a write-forwarding window open on
+//! one vpart for part of the script; then that every kind of read owes the
 //! strict read fence (a value applied but not yet durable is only shown
 //! once the log has caught up). The same script is instantiated for
 //! `UnorderedMap`/`OrderedMap` and for `Queue`/`PriorityQueue` — a sixth
@@ -82,7 +81,7 @@ trait Keyed<'a>: Sized {
     fn get(&self, k: &u64) -> Option<u64>;
     fn erase(&self, k: &u64) -> Option<u64>;
     fn len(&self) -> u64;
-    fn flush_replication(&self);
+    fn flush_forwards(&self);
     /// Reads of the single key `k`.
     fn keyed_reads(&self, k: u64) -> Reads<'_>;
     /// Reads that fan out over every partition.
@@ -95,7 +94,7 @@ macro_rules! impl_keyed {
             const PREFIX: &'static str = $prefix;
             type Store = $store;
             fn open(rank: &'a Rank, name: &str, persist: Option<PersistConfig>) -> Self {
-                $ty::with_config(rank, name, $cfg { persist, replicas: 1, ..Default::default() })
+                $ty::with_config(rank, name, $cfg { persist, ..Default::default() })
             }
             fn shard_at(&self, host: u32) -> &KeyedShard<u64, u64, Self::Store> {
                 $ty::shard_at(self, host)
@@ -115,8 +114,8 @@ macro_rules! impl_keyed {
             fn len(&self) -> u64 {
                 $ty::len(self).unwrap()
             }
-            fn flush_replication(&self) {
-                $ty::flush_replication(self).unwrap()
+            fn flush_forwards(&self) {
+                $ty::flush_forwards(self).unwrap()
             }
             fn keyed_reads(&self, k: u64) -> Reads<'_> {
                 let mut reads: Reads<'_> = vec![
@@ -222,25 +221,21 @@ fn keyed_script<'a, C: Keyed<'a>>(rank: &'a Rank, dir: &Path) {
         let step = |what: &str, op: &dyn Fn(), want: KeyedProbe| {
             let before = KeyedProbe::take(&c, rank);
             op();
-            // Replication and migration forwards are asynchronous; once
-            // flushed, everything the op caused has landed.
-            c.flush_replication();
+            // Migration forwards are asynchronous; once flushed, everything
+            // the op caused has landed.
+            c.flush_forwards();
             assert_eq!(KeyedProbe::take(&c, rank).since(&before), want, "{who}: {what}");
         };
 
         // The mutation pipeline, bypass and NIC alike: one record, at the
-        // owner only; the ring successor's replica
-        // follows; nothing is forwarded outside a window.
+        // owner only; nothing is forwarded outside a window.
         for owner in [0usize, 1] {
-            let (k, succ) = (key_at(owner), 1 - owner as u32);
+            let k = key_at(owner);
             step("put", &|| assert!(c.put(k, 1)), applied_at(owner, 1));
-            assert_eq!(c.shard_at(succ).replica().get(&k), Some(1), "{who}: replica after put");
             step("overwrite", &|| assert!(!c.put(k, 2)), applied_at(owner, 1));
-            assert_eq!(c.shard_at(succ).replica().get(&k), Some(2), "{who}: replica follows");
             step("get", &|| assert_eq!(c.get(&k), Some(2)), KeyedProbe::default());
             step("len", &|| assert_eq!(c.len(), 1), KeyedProbe::default());
             step("erase", &|| assert_eq!(c.erase(&k), Some(2)), applied_at(owner, 1));
-            assert_eq!(c.shard_at(succ).replica().get(&k), None, "{who}: replica after erase");
             step("erase of nothing", &|| assert_eq!(c.erase(&k), None), applied_at(owner, 1));
         }
 

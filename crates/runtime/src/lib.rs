@@ -122,10 +122,9 @@ impl Default for WorldConfig {
 /// Client-side registry of partition owners marked as failed.
 ///
 /// Marks are a *local simulation* of owner failure: the dispatch engine
-/// consults this before issuing any degradable operation, so a marked-down
-/// owner produces an immediate typed error (graceful degradation) instead of
-/// an RPC that would hang or time out. Read-repair paths (replica reads)
-/// deliberately bypass the check.
+/// consults this before issuing any operation, so a marked-down owner
+/// produces an immediate typed error (graceful degradation) instead of an
+/// RPC that would hang or time out.
 #[derive(Debug, Default)]
 pub struct DownedRegistry {
     /// Fast path: number of currently marked ranks. Zero (the overwhelmingly
@@ -323,7 +322,7 @@ impl WorldShared {
 
     /// The world's membership view: the epoch-versioned partition map plus
     /// the unified ownership-epoch cell. Initial members are the node-leader
-    /// ranks (one per node), matching `hcl_core::default_servers`.
+    /// ranks (one per node).
     pub fn membership(&self) -> &Arc<Membership> {
         &self.membership
     }
@@ -334,7 +333,7 @@ impl WorldShared {
     }
 
     /// The client through which every shard hosted on rank `home` forwards
-    /// replica and migration writes, created on first use at the auxiliary
+    /// its migration writes, created on first use at the auxiliary
     /// endpoint `world_size + home` (the servers reserve slots for one such
     /// client per rank). There is one per rank because the servers track
     /// request ids per calling endpoint: two clients numbering from 1 at
@@ -444,6 +443,7 @@ impl Rank {
         reg.gauge("hcl_runtime_membership_migrated_bytes").set(m.migrated_bytes);
         reg.gauge("hcl_runtime_membership_wrong_epoch_rejects").set(m.wrong_epoch_rejects);
         reg.gauge("hcl_runtime_membership_forwarded_writes").set(m.forwarded_writes);
+        reg.gauge("hcl_runtime_membership_forward_failures").set(m.forward_failures);
         let t = self.world.traffic();
         reg.gauge("hcl_fabric_sends").set(t.sends);
         reg.gauge("hcl_fabric_send_bytes").set(t.send_bytes);

@@ -22,8 +22,9 @@
 //!   generation semantics (first committer wins; committed at a barrier by
 //!   the rebalance collective in `hcl-core`).
 //!
-//! The initial member set is the node-leader ranks (one per node), matching
-//! `hcl_core::default_servers`, and the initial slot table is round-robin:
+//! The initial member set is the node-leader ranks (one per node: the
+//! paper's placement, "an unordered_map can be placed on all nodes"), and
+//! the initial slot table is round-robin:
 //! `slots[i] = members[i % m]` with `vparts = k·m`, so
 //! `owner_of(hash) = members[(hash % k·m) % m] = members[hash % m]` — the
 //! steady-state placement is bit-identical to the old static modulo, and
@@ -155,6 +156,8 @@ pub struct MembershipCounters {
     pub wrong_epoch_rejects: AtomicU64,
     /// Writes dual-applied through a migration forwarding window.
     pub forwarded_writes: AtomicU64,
+    /// Forwarded writes whose send or acknowledgement failed.
+    pub forward_failures: AtomicU64,
 }
 
 /// A point-in-time copy of the membership state and counters.
@@ -178,6 +181,8 @@ pub struct MembershipSnapshot {
     pub wrong_epoch_rejects: u64,
     /// See [`MembershipCounters::forwarded_writes`].
     pub forwarded_writes: u64,
+    /// See [`MembershipCounters::forward_failures`].
+    pub forward_failures: u64,
 }
 
 /// The world-level membership view: current [`PartitionMap`] + the unified
@@ -326,6 +331,7 @@ impl Membership {
             migrated_bytes: self.counters.migrated_bytes.load(Ordering::Relaxed),
             wrong_epoch_rejects: self.counters.wrong_epoch_rejects.load(Ordering::Relaxed),
             forwarded_writes: self.counters.forwarded_writes.load(Ordering::Relaxed),
+            forward_failures: self.counters.forward_failures.load(Ordering::Relaxed),
         }
     }
 }

@@ -176,10 +176,21 @@ crash-soak iters="3" seed="12648430":
     HCL_SOAK_ITERS={{iters}} HCL_SOAK_SEED={{seed}} \
         cargo test --release --test crash_recovery -- --ignored --exact crash_soak --nocapture
 
+# Every example, end to end: each asserts its own invariants and panics on a
+# violation, so a clean exit is the check.
+examples:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for ex in examples/*.rs; do
+        echo "== example: $(basename "$ex" .rs) =="
+        cargo run --release --example "$(basename "$ex" .rs)"
+    done
+
 # Everything CI runs: build (every target), the full test gate (every member
 # crate plus the root integration suites, the telemetry export, chaos twins
 # and the idle-world CPU and thread-count guard included — `test-faults`,
 # `test-membership` and `test-persist` are shortcuts into subsets of it),
-# the xtask lint, crash soak, schedule exploration, race checking,
-# linearizability histories, AddressSanitizer, and the hclbench harness.
-ci: build test lint crash-soak check-conc check-races check-lin check-asan bench-smoke
+# the xtask lint, every example, crash soak, schedule exploration, race
+# checking, linearizability histories, AddressSanitizer, and the hclbench
+# harness.
+ci: build test lint examples crash-soak check-conc check-races check-lin check-asan bench-smoke

@@ -20,16 +20,21 @@
 //!   key error-free (the "killed rank rejoins with recovered data" story);
 //! * `crash_soak`: the same kill/recover cycle iterated with a seeded RNG,
 //!   reusing one log directory so later children replay, compact and
-//!   append over earlier generations' state (`just crash-soak`).
+//!   append over earlier generations' state (`just crash-soak`);
+//! * a strict compaction racing a writer deletes no acknowledged write:
+//!   after a reopen every acknowledged put (map) or push (queue) is there.
+//!   No process is killed for these: the loss they guard against needs none.
 
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use hcl::queue::QueueConfig;
 use hcl::unordered::UnorderedMapConfig;
-use hcl::{admit_rank, drain_rank, stable_hash, PersistConfig, SyncPolicy, UnorderedMap};
+use hcl::{admit_rank, drain_rank, stable_hash, PersistConfig, Queue, SyncPolicy, UnorderedMap};
 use hcl_runtime::{World, WorldConfig};
 
 const RANKS: u32 = 4;
@@ -320,5 +325,83 @@ fn crash_soak() {
             rank.barrier();
         });
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writes of each compaction-race test: enough that the last compaction
+/// still overlaps the writer.
+const RACE_WRITES: u64 = 4000;
+
+/// One rank: its bypass applies every write, so each strict write commits
+/// inline on the writer thread, beside the compactor.
+fn one_rank() -> WorldConfig {
+    WorldConfig { nodes: 1, ranks_per_node: 1, ..WorldConfig::small() }
+}
+
+/// Run `write` on a scoped thread while this one compacts in a loop, paced
+/// so that a writer held off by each pass still gets its turn.
+fn compact_while(write: impl FnOnce() + Send, compact: impl Fn()) {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            write();
+            done.store(true, Ordering::Release);
+        });
+        while !done.load(Ordering::Acquire) {
+            compact();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+}
+
+/// A strict map's compaction takes its snapshot, then seals the log tail
+/// and deletes what it covers. A put that appended its record between the
+/// two was deleted with the covered segments while the snapshot lacked it:
+/// acknowledged, then lost at the next restart.
+#[test]
+fn compaction_racing_puts_keeps_every_acknowledged_put() {
+    let dir = fresh_dir("compact-race-map");
+    let persist = Some(PersistConfig::strict(&dir));
+    let cfg = UnorderedMapConfig { persist, ..Default::default() };
+    let c = cfg.clone();
+    World::run(one_rank(), move |rank| {
+        let open = || UnorderedMap::<u64, u64>::with_config(rank, "race.map", c.clone());
+        let map = open();
+        let write = || {
+            let writer = open();
+            (0..RACE_WRITES).for_each(|k| assert!(writer.put(k, k).unwrap()));
+        };
+        compact_while(write, || map.compact_local_logs().unwrap());
+    });
+    World::run(one_rank(), move |rank| {
+        let map: UnorderedMap<u64, u64> = UnorderedMap::with_config(rank, "race.map", cfg.clone());
+        let lost: Vec<u64> =
+            (0..RACE_WRITES).filter(|k| map.get(k).unwrap() != Some(*k)).collect();
+        assert!(lost.is_empty(), "{} acknowledged puts lost, from {:?}", lost.len(), lost.first());
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The queue twin: pushes racing the owner's `compact_log`.
+#[test]
+fn compaction_racing_pushes_keeps_every_acknowledged_push() {
+    let dir = fresh_dir("compact-race-queue");
+    let cfg = QueueConfig { persist: Some(PersistConfig::strict(&dir)), ..Default::default() };
+    let c = cfg.clone();
+    World::run(one_rank(), move |rank| {
+        let q: Queue<u64> = Queue::with_config(rank, "race.q", c.clone());
+        let write = || {
+            let writer: Queue<u64> = Queue::with_config(rank, "race.q", c.clone());
+            (0..RACE_WRITES).for_each(|v| assert!(writer.push(v).unwrap()));
+        };
+        compact_while(write, || q.compact_log().unwrap());
+    });
+    World::run(one_rank(), move |rank| {
+        let q: Queue<u64> = Queue::with_config(rank, "race.q", cfg.clone());
+        let popped = q.pop_bulk(u64::MAX).unwrap();
+        let n = popped.len();
+        assert_eq!(n as u64, RACE_WRITES, "recovered {n} of {RACE_WRITES} acknowledged pushes");
+        assert!(popped.into_iter().eq(0..RACE_WRITES), "pushes recovered out of order");
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }

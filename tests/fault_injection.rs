@@ -401,15 +401,31 @@ fn marked_down_owner_degrades_instead_of_hanging() {
             "deg-m",
             OrderedConfig { hybrid: false, ..OrderedConfig::default() },
         );
+        // With a lease config `get` takes the cached path first.
+        let leased: UnorderedMap<u64, u64> = UnorderedMap::with_config(
+            rank,
+            "deg-u",
+            UnorderedMapConfig {
+                hybrid: false,
+                lease: Some(hcl::LeaseConfig { hot_threshold: 1, ..hcl::LeaseConfig::default() }),
+                ..UnorderedMapConfig::default()
+            },
+        );
         rank.barrier();
         if rank.id() == 1 {
             q.push(7).unwrap();
             m.put(42, 7).unwrap();
+            leased.put(42, 7).unwrap();
+            for _ in 0..3 {
+                assert_eq!(leased.get(&42).unwrap(), Some(7));
+            }
 
             // Mark every owner down; each handle keeps its own registry.
             q.mark_down(0);
             m.mark_down(0);
             m.mark_down(1);
+            leased.mark_down(0);
+            leased.mark_down(1);
 
             let t0 = Instant::now();
             match q.pop() {
@@ -419,6 +435,10 @@ fn marked_down_owner_degrades_instead_of_hanging() {
             match m.get(&42) {
                 Err(HclError::OwnerDown(_)) => {}
                 other => panic!("map get against downed owner: {other:?}"),
+            }
+            match leased.get(&42) {
+                Err(HclError::OwnerDown(_)) => {}
+                other => panic!("leased get against downed owner: {other:?}"),
             }
             // Degradation must be immediate: well under one 300ms attempt
             // timeout, let alone the six-attempt resilient schedule.
@@ -432,8 +452,11 @@ fn marked_down_owner_degrades_instead_of_hanging() {
             q.mark_up(0);
             m.mark_up(0);
             m.mark_up(1);
+            leased.mark_up(0);
+            leased.mark_up(1);
             assert_eq!(q.pop().unwrap(), Some(7));
             assert_eq!(m.get(&42).unwrap(), Some(7));
+            assert_eq!(leased.get(&42).unwrap(), Some(7));
         }
         rank.barrier();
     });
@@ -514,17 +537,14 @@ fn flight_recorder_captures_partition_failure_and_owner_down() {
     assert!(chaos.chaos_stats().drops >= 3);
 }
 
-/// Replica-read failover must work identically for BOTH map containers
-/// (PR 8 satellite): with `replicas: 1`, an `OrderedMap` whose owner is
-/// marked down serves `get`s from the replica on the next partition — the
-/// same degraded-read contract `UnorderedMap` has had since PR 2 — while
-/// degradable writes still reject fast with [`HclError::OwnerDown`]. Run
-/// over a duplicating, delaying (but lossless) fabric: replication
-/// forwards are fire-and-forget with no retransmission, so packet *loss*
-/// legitimately loses replicas, but duplication and reordering must not
-/// corrupt them and the failover read path itself must stay exact.
+/// Both map containers behave identically against downed owners, over a
+/// duplicating, delaying (but lossless) fabric: before the marks every put
+/// lands exactly once (`len` is `N`, every `get` exact); with every owner
+/// marked down, `put` and `get` alike reject fast with the typed
+/// [`HclError::OwnerDown`]; once the marks are cleared every `get` is exact
+/// again.
 #[test]
-fn ordered_map_serves_replica_reads_when_owner_down() {
+fn maps_reject_downed_owners_typed_and_recover_exact() {
     let seed = 0x0D0;
     let cfg = retrying(
         WorldConfig { nodes: 2, ranks_per_node: 1, ..WorldConfig::small() },
@@ -541,13 +561,13 @@ fn ordered_map_serves_replica_reads_when_owner_down() {
     World::run_on(shared, move |rank| {
         let omap: OrderedMap<u64, u64> = OrderedMap::with_config(
             rank,
-            "repl.omap",
-            OrderedConfig { replicas: 1, hybrid: false, ..OrderedConfig::default() },
+            "down.omap",
+            OrderedConfig { hybrid: false, ..OrderedConfig::default() },
         );
         let umap: UnorderedMap<u64, u64> = UnorderedMap::with_config(
             rank,
-            "repl.umap",
-            UnorderedMapConfig { replicas: 1, hybrid: false, ..UnorderedMapConfig::default() },
+            "down.umap",
+            UnorderedMapConfig { hybrid: false, ..UnorderedMapConfig::default() },
         );
         rank.barrier();
         if rank.id() == 0 {
@@ -555,37 +575,95 @@ fn ordered_map_serves_replica_reads_when_owner_down() {
                 omap.put(k, k * 9 + 1).unwrap();
                 umap.put(k, k * 9 + 1).unwrap();
             }
-            omap.flush_replication().unwrap();
-            umap.flush_replication().unwrap();
         }
         rank.barrier();
+        let exact = |when: &str| {
+            assert_eq!(omap.len().unwrap(), N, "omap {when}: a put landed twice or not at all");
+            assert_eq!(umap.len().unwrap(), N, "umap {when}: a put landed twice or not at all");
+            for k in 0..N {
+                assert_eq!(omap.get(&k).unwrap(), Some(k * 9 + 1), "omap {when}: {k}");
+                assert_eq!(umap.get(&k).unwrap(), Some(k * 9 + 1), "umap {when}: {k}");
+            }
+        };
+        exact("before the marks");
 
-        // Every partition owner fails. Degradable writes must reject
-        // immediately on both containers...
+        // Every partition owner fails: writes and reads reject immediately
+        // on both containers.
         for owner in [0u32, 1] {
             omap.mark_down(owner);
             umap.mark_down(owner);
         }
-        match omap.put(999, 1) {
-            Err(HclError::OwnerDown(_)) => {}
-            other => panic!("ordered put against downed owner: {other:?}"),
-        }
-        match umap.put(999, 1) {
-            Err(HclError::OwnerDown(_)) => {}
-            other => panic!("unordered put against downed owner: {other:?}"),
-        }
-        // ...while reads degrade to the replicas — identically.
-        for k in 0..N {
-            assert_eq!(omap.get(&k).unwrap(), Some(k * 9 + 1), "omap replica read lost {k}");
-            assert_eq!(umap.get(&k).unwrap(), Some(k * 9 + 1), "umap replica read lost {k}");
+        for k in [0, N / 2, 999] {
+            assert!(matches!(omap.put(k, 1), Err(HclError::OwnerDown(_))), "omap put {k}");
+            assert!(matches!(umap.put(k, 1), Err(HclError::OwnerDown(_))), "umap put {k}");
+            assert!(matches!(omap.get(&k), Err(HclError::OwnerDown(_))), "omap get {k}");
+            assert!(matches!(umap.get(&k), Err(HclError::OwnerDown(_))), "umap get {k}");
         }
         for owner in [0u32, 1] {
             omap.mark_up(owner);
             umap.mark_up(owner);
         }
+        exact("after the marks");
         rank.barrier();
     });
     assert!(chaos.chaos_stats().total_faults() > 0);
+}
+
+/// A migration forward that cannot be sent is counted, not dropped. Rank 1
+/// hosts a shard without leading its node, and is admitted as an owner;
+/// its forward client cannot reach rank 0 (every send on that pair fails),
+/// so a put into a window from rank 1 toward rank 0 is applied at rank 1
+/// but its dual-apply never leaves. The failure lands on
+/// `forward_failures`, `flush_forwards` — which flushes every host, not
+/// just the node leaders — reports it as [`HclError::Rebalance`] (once: a
+/// flush resets the tally), and so does a committed close of the window.
+#[test]
+fn failed_forwards_are_counted_and_reported() {
+    use hcl::{admit_rank, MigratorRegistry, ShardMigrator};
+    use hcl_fabric::EpId;
+    use hcl_runtime::ShardMove;
+
+    let cfg = WorldConfig { nodes: 1, ranks_per_node: 2, ..WorldConfig::small() };
+    // Rank 1's shards forward from the auxiliary endpoint `world_size + 1`.
+    let forwarder = EpId { node: 0, rank: cfg.world_size() + 1 };
+    let plan = FaultPlan::new(0xF0D).for_pair_class(
+        forwarder,
+        cfg.ep_of(0),
+        OpClass::Send,
+        FaultRule::NONE.error(1.0),
+    );
+    let (chaos, shared) = chaos_shared(cfg, plan);
+    World::run_on(shared, move |rank| {
+        let umap: UnorderedMap<u64, u64> = UnorderedMap::new(rank, "fwd.fail.umap");
+        assert!(admit_rank(rank, 1).unwrap().committed);
+        if rank.id() == 1 {
+            let membership = Arc::clone(rank.world().membership());
+            let vpart_of = |k: &u64| membership.current().vpart_of_hash(hcl::stable_hash(k));
+            let k = (0u64..).find(|k| umap.server_of(umap.partition_of(k)) == 1).unwrap();
+            let mv = ShardMove { vpart: vpart_of(&k), from: 1, to: 0 };
+            let mig: Arc<dyn ShardMigrator> =
+                MigratorRegistry::shared(rank).migrators().pop().expect("one elastic map");
+            let failures = || membership.snapshot().forward_failures;
+
+            mig.begin(rank, &mv).unwrap();
+            umap.put(k, 1).unwrap();
+            assert_eq!(failures(), 1, "the unsendable forward was not counted");
+            match umap.flush_forwards() {
+                Err(HclError::Rebalance(msg)) => assert!(msg.contains("1 forwarded"), "{msg}"),
+                other => panic!("flush after a failed forward: {other:?}"),
+            }
+            umap.flush_forwards().expect("a flush reports each failure once");
+
+            umap.put(k, 2).unwrap();
+            match mig.end(rank, &mv, true) {
+                Err(HclError::Rebalance(msg)) => assert!(msg.contains("1 forwarded"), "{msg}"),
+                other => panic!("committed close after a failed forward: {other:?}"),
+            }
+            assert_eq!(failures(), 2);
+        }
+        rank.barrier();
+    });
+    assert_eq!(chaos.chaos_stats().total_faults(), 2, "the error rule fired elsewhere");
 }
 
 /// Soak entry point for `just test-faults-soak`: seed comes from the

@@ -257,7 +257,7 @@ fn ops_straddling_epoch_commits_see_only_typed_errors() {
             writer.join().unwrap()
         });
         assert!(!acked.is_empty(), "the writer thread never got an op through");
-        umap.flush_replication().unwrap();
+        umap.flush_forwards().unwrap();
         rank.barrier();
         for k in &acked {
             assert_eq!(umap.get(k).unwrap(), Some(*k), "acknowledged write {k} lost");

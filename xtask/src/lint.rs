@@ -64,8 +64,8 @@
 //!    `shard.rs` and nowhere else: no other file may log a mutation
 //!    (`.record_op(` / `.record_local(`), take the strict read fence
 //!    (`.read_fence(`),
-//!    compact an op log (`.compact(`), forward to replicas or a migration
-//!    target (`.forward(` / `.forward_to(`), or define `fn mig_*` /
+//!    compact an op log (`.compact(`), forward to a migration target
+//!    (`.forward(` / `.forward_to(`), or define `fn mig_*` /
 //!    `fn forward_migration`. A container that hand-threads any of these is
 //!    a second copy of the pipeline waiting to drift. The files that
 //!    *define* the primitives are exempt for their own group only:
